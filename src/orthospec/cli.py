@@ -101,8 +101,8 @@ def load_config(path) -> dict:
         if (not isinstance(cfg["pair"], list) or len(cfg["pair"]) != 2
                 or any(n not in cfg["bodies"] for n in cfg["pair"])):
             raise ConfigError("pair must name two bodies from 'bodies'")
-    if cfg["orient"] not in ("+-", "-+", "++", "--"):
-        raise ConfigError("orient must be one of '+-', '-+', '++', '--'")
+    if cfg["orient"] not in spectrum._ORIENTATIONS:
+        raise ConfigError(f"orient must be one of {spectrum._ORIENTATIONS}")
     if cfg["twist"]["beta0"] is None:
         cfg["twist"]["beta0"] = [0.0] * d
     if len(cfg["twist"]["beta0"]) != d:

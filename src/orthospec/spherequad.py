@@ -1,10 +1,19 @@
 """Quadrature and oscillatory integrals on round spheres.
 
 Grids are tensor products of Gauss-Jacobi rules in the polar cosines and a
-uniform (trapezoid) rule in the azimuth, so they integrate all polynomials
-of total degree <= 2*order - 1 exactly.  All reductions use numpy's pairwise
-summation over a fixed node ordering, which makes every value reproducible
-bit-for-bit for a given (dim, order).
+uniform (trapezoid) rule in the azimuth.  ``grid(dim, order)`` integrates all
+polynomials of total degree <= 2*order - 1 exactly.  ``grid(dim, order,
+inner)`` keeps ``order`` nodes in the outermost polar cosine (the first
+coordinate) and puts ``grid(dim - 1, inner)`` on the sphere beside it.
+
+Oscillatory integrals use such a grid with its polar axis turned onto the
+stationary points +-omega of the phase: only the polar rule has to follow
+t |xi - beta0|, while the inner rule follows the band limits of the amplitude
+and of xtilde.  The turn is one Householder reflection e1 -> a, where a is
+the sign of omega whose largest-magnitude component is positive, so
+(xi, beta0, t) and (-xi, -beta0, -t) see the same nodes.  All reductions use
+numpy's pairwise summation over a fixed node ordering, which makes every
+value reproducible bit-for-bit for a given (dim, order, inner) and axis.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ class SphericalGrid:
     """Quadrature nodes and weights on the unit sphere S^(dim-1)."""
 
     dim: int
-    order: int
+    order: int           # of the polar rule in the first coordinate
     nodes: np.ndarray   # (n_nodes, dim), unit vectors
     weights: np.ndarray  # (n_nodes,), positive, sums to the sphere area
 
@@ -67,20 +76,28 @@ def _circle_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def grid(dim: int, order: int) -> SphericalGrid:
-    """Product quadrature grid on S^(dim-1), exact to polynomial degree 2*order-1."""
+def grid(dim: int, order: int, inner: Optional[int] = None) -> SphericalGrid:
+    """Product quadrature grid on S^(dim-1).
+
+    The first coordinate takes an order-``order`` Gauss-Jacobi rule and the
+    rest is ``grid(dim - 1, inner)``; ``inner=None`` means ``inner = order``,
+    which is exact to polynomial degree 2*order-1.  On the circle (dim 2) the
+    azimuth rule has order ``order`` and ``inner`` is unused.
+    """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    nodes, weights = _circle_grid(order)
+    inner = order if inner is None else inner
+    if order < 1 or inner < 1:
+        raise ValueError("order and inner must be >= 1")
+    nodes, weights = _circle_grid(order if dim == 2 else inner)
     for j in range(3, dim + 1):
         # S^(j-1) from S^(j-2): dsigma = (1-u^2)^((j-3)/2) du dsigma'.
+        n = order if j == dim else inner
         alpha = (j - 3) / 2.0
         if alpha == 0.0:
-            u, w = roots_legendre(order)
+            u, w = roots_legendre(n)
         else:
-            u, w = roots_jacobi(order, alpha, alpha)
+            u, w = roots_jacobi(n, alpha, alpha)
         sin_part = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
         # new first coordinate u, remaining coordinates scaled previous node
         nodes = np.concatenate(
@@ -199,21 +216,43 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _phase_values(g: SphericalGrid, xi, beta0, t, xtilde) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    beta0 = np.asarray(beta0, dtype=float)
-    phase = t * (g.nodes @ (xi - beta0))
+def _polar_axis(delta: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(a, sgn, lam) with delta = sgn * lam * a and a a unit vector.
+
+    a is the sign of delta/|delta| whose largest-magnitude component is
+    positive, so delta and -delta share it; a = e1 when delta = 0.
+    """
+    lam = float(np.linalg.norm(delta))
+    if lam == 0.0:
+        return np.eye(delta.size)[0], 1.0, 0.0
+    omega = delta / lam
+    sgn = 1.0 if omega[np.argmax(np.abs(omega))] > 0.0 else -1.0
+    return sgn * omega, sgn, lam
+
+
+def _turn(nodes: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Nodes under the Householder reflection that maps e1 to the unit vector a."""
+    tail = float(a[1:] @ a[1:])
+    if tail == 0.0:
+        return nodes
+    # v = e1 - a; its first entry 1 - a0 = tail / (1 + a0) without cancellation,
+    # and 1 + a0 >= 1 - 1/sqrt(2) because a's largest entry is positive.
+    v = -a
+    v[0] = tail / (1.0 + a[0])
+    return nodes - np.outer(nodes @ v, (2.0 / (v @ v)) * v)
+
+
+def _integrand(g: SphericalGrid, axis, kappa, F, xi, xtilde) -> np.ndarray:
+    """F e^{i phase} at the nodes of g turned onto the axis.
+
+    The phase is kappa u + xi.xtilde(theta), with u the first coordinate of
+    the unturned grid and kappa = t (xi - beta0).axis.
+    """
+    nodes = _turn(g.nodes, axis)
+    phase = kappa * g.nodes[:, 0]
     if xtilde is not None:
-        xt = np.asarray(xtilde(g.nodes))
-        phase = phase + xt @ xi
-    return phase
-
-
-def _osc_on_grid(g: SphericalGrid, F, xi, beta0, t, xtilde, mask=None) -> complex:
-    phase = _phase_values(g, xi, beta0, t, xtilde)
-    fv = np.asarray(F(g.nodes), dtype=complex)
-    w = g.weights if mask is None else g.weights * mask
-    return complex(np.sum(w * fv * np.exp(1j * phase)))
+        phase = phase + np.asarray(xtilde(nodes)) @ xi
+    return np.asarray(F(nodes), dtype=complex) * np.exp(1j * phase)
 
 
 def osc_order(dim: int, xi, beta0, t: float, xtilde_scale: float = 0.0) -> int:
@@ -238,11 +277,18 @@ def osc_integral(
 ) -> OscResult:
     """Integral of e^{i (xi-beta0).(t theta + xtilde)} e^{i beta0.xtilde} F(theta) over the sphere.
 
-    The phase simplifies to (xi - beta0).(t theta) + xi.xtilde(theta).  The
-    value is computed at a frequency-scaled order and again at double that
-    order; disagreement beyond 1e-9 relative (plus 1e-12 absolute) raises
-    UnderResolved.  With split=True the result also carries the three pieces
-    obtained from the polar partition of unity around +-(xi-beta0)/|xi-beta0|.
+    The phase simplifies to (xi - beta0).(t theta) + xi.xtilde(theta), whose
+    t-term depends only on the polar cosine about omega = (xi-beta0)/|xi-beta0|.
+    The grid ``grid(dim, n, m)`` is turned so that its polar axis lies on
+    +-omega: the polar order n = osc_order(dim, xi, beta0, t, xtilde_scale)
+    follows t |xi - beta0|, the inner order m = osc_order(dim, xi, beta0, 0,
+    xtilde_scale) only the band limits of F and xtilde; an explicit ``order``
+    sets both.  The value is computed again with both orders doubled;
+    disagreement beyond 1e-9 relative (plus 1e-12 absolute) raises
+    UnderResolved.  The value is reproducible bit-for-bit for given inputs,
+    and (xi, beta0, t) and (-xi, -beta0, -t) see the same nodes.  With
+    split=True the result also carries the three pieces obtained from the
+    polar partition of unity around +-omega.
     """
     xi = np.zeros(dim) if xi is None else np.asarray(xi, dtype=float)
     beta0 = np.zeros(dim) if beta0 is None else np.asarray(beta0, dtype=float)
@@ -252,28 +298,33 @@ def osc_integral(
         F = _constant_fn(complex(F))
     if xtilde is not None and xtilde_scale is None:
         xtilde_scale = _estimate_c1(xtilde, dim)
-    n = order if order is not None else osc_order(dim, xi, beta0, t, xtilde_scale or 0.0)
-    v1 = _osc_on_grid(grid(dim, n), F, xi, beta0, t, xtilde)
-    g2 = grid(dim, 2 * n)
-    v2 = _osc_on_grid(g2, F, xi, beta0, t, xtilde)
+    axis, sgn, lam = _polar_axis(xi - beta0)
+    if split and lam < 1e-14:
+        raise ValueError("splitting needs xi != beta0 to define the poles")
+    if order is not None:
+        n = m = order
+    else:
+        n = osc_order(dim, xi, beta0, t, xtilde_scale or 0.0)
+        m = osc_order(dim, xi, beta0, 0.0, xtilde_scale or 0.0)
+    kappa = sgn * t * lam
+    g1 = grid(dim, n, m)
+    v1 = complex(np.sum(g1.weights * _integrand(g1, axis, kappa, F, xi, xtilde)))
+    g2 = grid(dim, 2 * n, 2 * m)
+    f2 = _integrand(g2, axis, kappa, F, xi, xtilde)
+    v2 = complex(np.sum(g2.weights * f2))
     err = abs(v2 - v1)
     if err > 1e-9 * abs(v2) + 1e-12:
         raise UnderResolved(
-            f"order doubling {n}->{2 * n} moved the value by {err:.3e} "
-            f"(value {abs(v2):.3e})"
+            f"order doubling {n}->{2 * n} (inner {m}->{2 * m}) moved the value "
+            f"by {err:.3e} (value {abs(v2):.3e})"
         )
     pieces = None
     if split:
-        lam = np.linalg.norm(xi - beta0)
-        if lam < 1e-14:
-            raise ValueError("splitting needs xi != beta0 to define the poles")
-        omega = (xi - beta0) / lam
-        s = g2.nodes @ omega
-        chi_m, chi_0, chi_p = pole_cutoffs(s, width)
+        # the polar cosine about omega is sgn times the first unturned coordinate
+        chi_m, chi_0, chi_p = pole_cutoffs(sgn * g2.nodes[:, 0], width)
         pieces = {
-            "cap_plus": _osc_on_grid(g2, F, xi, beta0, t, xtilde, mask=chi_p),
-            "equator": _osc_on_grid(g2, F, xi, beta0, t, xtilde, mask=chi_0),
-            "cap_minus": _osc_on_grid(g2, F, xi, beta0, t, xtilde, mask=chi_m),
+            name: complex(np.sum(g2.weights * chi * f2))
+            for name, chi in (("cap_plus", chi_p), ("equator", chi_0), ("cap_minus", chi_m))
         }
     return OscResult(value=v2, error_estimate=err, order_used=2 * n, pieces=pieces)
 

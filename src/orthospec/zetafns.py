@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 from scipy.special import erfcx, gamma as _gamma, gammaincc
 
 from . import convex, spectrum, spherequad
@@ -655,6 +654,10 @@ def _smooth_laplace(rho: np.ndarray, T: float, s: np.ndarray) -> np.ndarray:
 
 
 def _peak_indices(mag: np.ndarray, max_peaks: int = 16) -> list:
+    # scipy.signal is imported here, not at module level: it is about half of
+    # the package's import time and only the singularity scan needs it.
+    from scipy.signal import find_peaks
+
     raw, props = find_peaks(mag, prominence=0.0)
     floor = 2.0 * float(np.median(mag))
     idx = [

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,31 @@ def test_config_schema_validation(tmp_path):
     for raw in cases:
         cfg = write_config(tmp_path / "c.json", raw)
         assert cli.main(["volumes", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_orientations_the_library_rejects_are_config_errors(tmp_path, capsys):
+    for orient in ("++", "--"):
+        cfg = write_config(tmp_path / "c.json", {
+            "dim": 2,
+            "bodies": {"p": {"kind": "point"}, "q": {"kind": "ball", "radius": 0.1}},
+            "orient": orient,
+            "ranges": {"T": 10.0},
+        })
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is about half of the import time of every subcommand
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, orthospec.cli; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):

@@ -75,6 +75,72 @@ def test_osc_integral_xtilde_shift():
 def test_osc_integral_under_resolved():
     with pytest.raises(spherequad.UnderResolved):
         spherequad.osc_integral(2, xi=np.array([400.0, 0.0]), t=1.0, order=6)
+    with pytest.raises(spherequad.UnderResolved):
+        spherequad.osc_integral(3, xi=np.array([30.0, -50.0, 80.0]), t=1.0, order=6)
+
+    # the inner rule alone: cos(8 phi) about e1 aliases to 1 on the 8 azimuth
+    # nodes of order 4, and only doubling the inner order exposes it
+    def F(n):
+        return np.cos(8.0 * np.arctan2(n[:, 2], n[:, 1]))
+
+    assert abs(spherequad.osc_integral(3, F=F).value) < 1e-12
+    with pytest.raises(spherequad.UnderResolved):
+        spherequad.osc_integral(3, F=F, order=4)
+
+
+def test_aligned_grid_with_equal_orders_is_the_product_grid():
+    for d in (2, 3, 4, 5):
+        for n in (1, 7, 24):
+            full, same = spherequad.grid(d, n), spherequad.grid(d, n, n)
+            assert full.nodes.tobytes() == same.nodes.tobytes()
+            assert full.weights.tobytes() == same.weights.tobytes()
+        g = spherequad.grid(d, 40, 9)
+        assert abs(float(np.sum(g.weights)) - spherequad.sphere_area(d)) < 1e-10
+        assert np.max(np.abs(np.linalg.norm(g.nodes, axis=1) - 1.0)) < 1e-13
+
+
+_UNIT_DIRECTIONS = st.sampled_from([3, 4]).flatmap(
+    lambda d: st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: np.asarray(v) / np.linalg.norm(v))
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_UNIT_DIRECTIONS, st.floats(0.5, 120.0))
+def test_osc_integral_matches_bessel_in_any_direction(u, rho):
+    # xi off e1: the polar axis of the grid has to follow it
+    d = u.size
+    xi = rho * u
+    try:
+        val = spherequad.osc_integral(d, xi=xi, t=1.0).value
+    finally:
+        spherequad.grid.cache_clear()  # d = 4 grids at rho near 120 are tens of MB each
+    assert abs(val - spherequad.bessel_surface(d, rho)) < 1e-10
+
+
+@pytest.mark.parametrize("xi, beta0, big", [
+    ((1.1, -2.0, 0.7), (0.2, 0.1, -0.4), 200),
+    ((2.0, 3e-9, 0.0), (0.0, 0.0, 0.0), 200),  # omega within 2e-9 of e1
+    ((0.9, 1.3, -1.2, 0.4), (-0.3, 0.2, 0.0, 0.1), 110),
+])
+def test_osc_integral_amplitude_and_xtilde_against_a_fine_grid(xi, beta0, big):
+    xi, beta0 = np.asarray(xi), np.asarray(beta0)
+    d = xi.size
+    M = np.random.default_rng(7 + d).normal(size=(d, d)) * 0.2
+    t = 4.0
+
+    def F(n):
+        return (1.0 + n[:, 0] * n[:, 1] + 0.5j * n[:, d - 1] ** 2) * np.exp(0.7 * n[:, 1])
+
+    def xtilde(n):
+        return n @ M.T
+
+    got = spherequad.osc_integral(d, F=F, xi=xi, beta0=beta0, t=t, xtilde=xtilde).value
+    g = spherequad.grid(d, big)
+    want = np.sum(g.weights * F(g.nodes)
+                  * np.exp(1j * (t * g.nodes @ (xi - beta0) + xtilde(g.nodes) @ xi)))
+    assert abs(got - want) < 1e-10
 
 
 def test_pole_cutoffs_partition():
