@@ -20,7 +20,7 @@ def main() -> None:
     print(f"point-pair model in d = 3, head to T = {model.T:.0f}")
 
     kappa, c3 = zetafns.spectral_constants(3)
-    print(f"fitted spectral constants: kappa = {kappa:.8f}, c3 = {c3:.8f}")
+    print(f"closed-form spectral constants: kappa = {kappa:.8f}, c3 = {c3:.8f}")
 
     print("\ndirect series vs Ewald dual sum on the real axis")
     for s in (0.25, 0.7, 1.4, 2.0):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
 from typing import Optional
@@ -30,7 +29,6 @@ class ConfigError(Exception):
 
 _DEFAULTS = {
     "dim": 2,
-    "seed": 0,
     "bodies": {},
     "pair": None,            # [name, name]; defaults to the first two bodies
     "body": None,            # equidist target; defaults to pair[0]
@@ -51,7 +49,6 @@ _DEFAULTS = {
     "observables": {},
     "aniso": None,
     "oscint": {"xi": None},
-    "tolerances": {},
 }
 
 _BODY_KINDS = {"point", "ball", "ellipsoid", "harmonic"}

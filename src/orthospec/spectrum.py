@@ -16,7 +16,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -24,10 +24,8 @@ from . import convex, spherequad
 
 __all__ = [
     "TwistForm",
-    "Orthogeodesic",
     "LengthSpectrum",
     "NewtonDiverged",
-    "NonUniqueMaximizer",
     "difference_body",
     "enumerate",
     "counting",
@@ -48,10 +46,6 @@ _ORIENTATIONS = ("+-", "-+")
 
 class NewtonDiverged(Exception):
     """A candidate that could fall in the requested window failed to converge."""
-
-
-class NonUniqueMaximizer(Exception):
-    """Near-degenerate curvature at a maximizer (transversality proxy failed)."""
 
 
 @dataclass(frozen=True)
@@ -108,23 +102,13 @@ class TwistForm:
         return np.exp(1j * arg)
 
 
-@dataclass(frozen=True)
-class Orthogeodesic:
-    xi: tuple
-    theta: np.ndarray
-    length: float
-    foot1: np.ndarray
-    foot2: np.ndarray
-    phase: complex
-
-
 @dataclass(frozen=True, eq=False)
 class LengthSpectrum:
     """Sorted orthospectrum records plus the query that produced them.
 
     Arrays are parallel and ordered by (length, xi lexicographic); rejects
-    holds (xi, reason, approximate length) tuples for candidates that failed
-    the transversality proxy.
+    holds (xi, "NonUniqueMaximizer", approximate length) tuples for
+    candidates that failed the transversality proxy.
     """
 
     dim: int
@@ -145,26 +129,6 @@ class LengthSpectrum:
     def __len__(self) -> int:
         return self.lengths.size
 
-    def record(self, i: int) -> Orthogeodesic:
-        return Orthogeodesic(
-            xi=tuple(int(c) for c in self.xi[i]),
-            theta=self.theta[i].copy(),
-            length=float(self.lengths[i]),
-            foot1=self.foot1[i].copy(),
-            foot2=self.foot2[i].copy(),
-            phase=complex(self.phases[i]),
-        )
-
-    def groups(self):
-        """Yield (length, multiplicity) with 1e-9 absolute grouping."""
-        if not len(self):
-            return
-        start = 0
-        for i in range(1, len(self) + 1):
-            if i == len(self) or self.lengths[i] - self.lengths[start] > _GROUP_TOL:
-                yield float(self.lengths[start]), i - start
-                start = i
-
 
 def difference_body(K1: convex.SupportBody, K2: convex.SupportBody,
                     orient: str = "+-") -> convex.SupportBody:
@@ -179,14 +143,11 @@ def difference_body(K1: convex.SupportBody, K2: convex.SupportBody,
     return convex.minkowski_sum(convex.reflect(K1), K2)
 
 
-def _lattice_candidates(dim: int, lo: float, hi: float) -> np.ndarray:
-    """Integer points with lo <= |2 pi xi| <= hi, any order handled by caller."""
-    r = int(math.floor(hi / (2 * math.pi)))
-    ax = np.arange(-r, r + 1)
+def _lattice_box(dim: int, radius: int) -> np.ndarray:
+    """Integer points of the cube [-radius, radius]^dim, shape (n, dim), C order."""
+    ax = np.arange(-radius, radius + 1)
     grids = np.meshgrid(*([ax] * dim), indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(-1, dim)
-    norms = 2 * math.pi * np.linalg.norm(pts, axis=1)
-    return pts[(norms >= lo) & (norms <= hi)]
+    return np.stack(grids, axis=-1).reshape(-1, dim)
 
 
 def _restart_directions(dim: int) -> np.ndarray:
@@ -334,7 +295,10 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
     hvals = L.h(g.nodes)
     # pad the grid min/max so the pre-filter stays a certified superset
     h_lo, h_hi = float(np.min(hvals)) - 1e-6, float(np.max(hvals)) + 1e-6
-    cands = _lattice_candidates(d, max(0.0, T0 - hb), T + hb + 1.0)
+    hi = T + hb + 1.0
+    cands = _lattice_box(d, int(math.floor(hi / (2 * math.pi))))
+    norms = 2 * math.pi * np.linalg.norm(cands, axis=1)
+    cands = cands[(norms >= max(0.0, T0 - hb)) & (norms <= hi)]
     chunks = [cands[i : i + _CHUNK] for i in range(0, max(cands.shape[0], 1), _CHUNK)]
 
     def work(chunk):
@@ -358,14 +322,11 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
         start = convex.inverse_gauss(K1, theta) if len(lengths) else np.zeros((0, d))
         foot1 = start
         foot2 = start + lengths[:, None] * theta
-        end = foot2
     else:
         start = convex.inverse_gauss(K2, theta) if len(lengths) else np.zeros((0, d))
         foot2 = start
         foot1 = start + lengths[:, None] * theta
-        end = foot1
-    arg = (lengths[:, None] * theta) @ beta.beta0 + beta.f_eval(end) - beta.f_eval(start)
-    phases = np.exp(1j * arg)
+    phases = beta.holonomy(start, lengths[:, None] * theta)
 
     return LengthSpectrum(
         dim=d, body1=K1, body2=K2, orient=orient, T0=float(T0), T=float(T),
@@ -388,13 +349,14 @@ def counting_weighted(spec: LengthSpectrum, beta: TwistForm, T: float) -> comple
     n = counting(spec, T)
     if n == 0:
         return 0.0 + 0.0j
-    if spec.orient == "+-":
-        start, end = spec.foot1[:n], spec.foot2[:n]
-    else:
-        start, end = spec.foot2[:n], spec.foot1[:n]
-    arg = ((spec.lengths[:n, None] * spec.theta[:n]) @ beta.beta0
-           + beta.f_eval(end) - beta.f_eval(start))
-    return complex(np.sum(np.exp(1j * arg)))
+    return complex(np.sum(_record_phases(spec, beta, n)))
+
+
+def _record_phases(spec: LengthSpectrum, beta: TwistForm,
+                   n: Optional[int] = None) -> np.ndarray:
+    """Holonomy of beta from start foot to end foot of the first n records (all by default)."""
+    start = spec.foot1 if spec.orient == "+-" else spec.foot2
+    return beta.holonomy(start[:n], spec.lengths[:n, None] * spec.theta[:n])
 
 
 def density_coeffs(K1: convex.SupportBody, K2: convex.SupportBody,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import erfcx, gamma as _gamma, gammaincc
 
 from . import convex, spectrum, spherequad
@@ -47,7 +46,6 @@ __all__ = [
     "poincare_tail_bound",
     "poincare_points_spectral",
     "spectral_constants",
-    "fit_spectral_normalization",
     "F_alpha",
     "F_alpha_boundary",
     "alpha_grid",
@@ -219,11 +217,20 @@ def build_zeta_model(
         K1, K2, orient=orient, T0=T0, T=T * sweep[-1], beta=beta, workers=workers
     )
     rho = spectrum.density_coeffs(K1, K2, orient)
-    lead = d * math.pi ** (d / 2.0) / ((2 * math.pi) ** d * _gamma(d / 2.0 + 1.0))
+    lead = _ball_density(d, d)
     if abs(rho[-1] - lead) > 1e-8 * lead:
         raise ValueError("tail density leading coefficient fails the sphere check")
     return ZetaModel(spec=spec, rho=np.asarray(rho, dtype=float), T=float(T),
                      sweep=sweep, beta=beta)
+
+
+def _ball_density(ell: int, d: int) -> float:
+    """ell omega_ell / (2 pi)^d, omega_ell the volume of the unit ell-ball.
+
+    The counting-density coefficient of t^{ell-1} per unit intrinsic volume
+    V_{d-ell} of the difference body.
+    """
+    return ell * math.pi ** (ell / 2.0) / ((2 * math.pi) ** d * _gamma(ell / 2.0 + 1.0))
 
 
 def _require_untwisted(model: ZetaModel, what: str) -> None:
@@ -309,11 +316,7 @@ def residues(model: ZetaModel) -> list:
     out = []
     for ell in range(1, d + 1):
         exact = float(model.rho[ell - 1])
-        predicted = (
-            ell * math.pi ** (ell / 2.0)
-            / ((2 * math.pi) ** d * _gamma(ell / 2.0 + 1.0))
-            * intrinsic[d - ell]
-        )
+        predicted = _ball_density(ell, d) * intrinsic[d - ell]
         err = max(abs(complex(f[ell - 1]) - exact) for f in fits)
         out.append(
             ResidueEstimate(
@@ -329,8 +332,9 @@ def residues(model: ZetaModel) -> list:
 def _weighted_density_residues(model: ZetaModel, beta: spectrum.TwistForm):
     """Quadrature of the holonomy-weighted curvature moments.
 
-    For an integer-representative beta0 the per-direction weight is
-    exp(i [ -beta0 . x_L(theta) + f(foot2) - f(foot1) ]); the weighted
+    For an integer-representative beta0 the per-direction weight is the
+    holonomy from the start foot along -x_L(theta), which ends on the other
+    foot: exp(i [ -beta0 . x_L(theta) + f(end) - f(start) ]).  The weighted
     residue at s = ell is (2 pi)^{-d} int w(theta) a_{ell-1}(theta) dsigma.
     """
     spec = model.spec
@@ -339,14 +343,8 @@ def _weighted_density_residues(model: ZetaModel, beta: spectrum.TwistForm):
     g = spherequad.grid(d, 64 if d == 2 else 32)
     theta = g.nodes
     coeffs = convex._area_coeffs(L, theta)
-    if spec.orient == "+-":
-        start = spec.body1.grad(theta)
-        end = spec.body2.grad(-theta)
-    else:
-        start = spec.body2.grad(theta)
-        end = spec.body1.grad(-theta)
-    arg = -(L.grad(theta) @ beta.beta0) + beta.f_eval(end) - beta.f_eval(start)
-    w = np.exp(1j * arg)
+    start = (spec.body1 if spec.orient == "+-" else spec.body2).grad(theta)
+    w = beta.holonomy(start, -L.grad(theta))
     scale = (2 * math.pi) ** (-d)
     return np.array([scale * np.sum(g.weights * w * coeffs[:, j])
                      for j in range(d)])
@@ -357,13 +355,7 @@ def _phase_weights(spec: spectrum.LengthSpectrum,
     """Holonomy weights for every record, recomputed for the given form."""
     if beta is None:
         return np.ones(spec.lengths.size, dtype=complex)
-    if spec.orient == "+-":
-        start, end = spec.foot1, spec.foot2
-    else:
-        start, end = spec.foot2, spec.foot1
-    arg = ((spec.lengths[:, None] * spec.theta) @ beta.beta0
-           + beta.f_eval(end) - beta.f_eval(start))
-    return np.exp(1j * arg)
+    return spectrum._record_phases(spec, beta)
 
 
 def twist_suppression(
@@ -389,7 +381,7 @@ def twist_suppression(
             abs(spectrum.counting_weighted(spec, beta, t)) / t**d
             for t in t_ladder
         )
-        level = math.pi ** (d / 2.0) / ((2 * math.pi) ** d * _gamma(d / 2.0 + 1.0))
+        level = _ball_density(d, d) / d
         threshold = 0.25 * level
         decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
         return TwistReport(
@@ -458,12 +450,6 @@ def _H_theta(a: float, b: np.ndarray) -> np.ndarray:
     return 0.5 * math.sqrt(math.pi) / math.sqrt(a) * (t1 + t2)
 
 
-def _lattice_box(dim: int, radius: int) -> np.ndarray:
-    ax = np.arange(-radius, radius + 1)
-    grids = np.meshgrid(*([ax] * dim), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, dim).astype(float)
-
-
 def _ewald_dual_sum(s: float, u: np.ndarray, beta0: np.ndarray, dim: int) -> complex:
     """sum_m e^{i m.u} (s^2 + |m + beta0|^2)^{-(dim+1)/2}, s real > 0.
 
@@ -471,10 +457,10 @@ def _ewald_dual_sum(s: float, u: np.ndarray, beta0: np.ndarray, dim: int) -> com
     part with an erfcx-stable kernel; both truncations superexponential.
     """
     p = (dim + 1) / 2.0
-    m = _lattice_box(dim, 8)
+    m = spectrum._lattice_box(dim, 8)
     A = s**2 + np.sum((m + beta0) ** 2, axis=1)
     lattice = np.sum(np.exp(1j * (m @ u)) * A ** (-p) * gammaincc(p, A))
-    n = _lattice_box(dim, 4)
+    n = spectrum._lattice_box(dim, 4)
     w = u - 2.0 * math.pi * n
     b = np.sum(w**2, axis=1) / 4.0
     phases = np.exp(-1j * (w @ beta0))
@@ -482,50 +468,27 @@ def _ewald_dual_sum(s: float, u: np.ndarray, beta0: np.ndarray, dim: int) -> com
     return complex(lattice + images)
 
 
-_SPECTRAL_FIT: dict = {}
-
-
-def fit_spectral_normalization(refresh: bool = False) -> tuple:
-    """One-time (kappa, c) fit of the dual representation, then frozen.
-
-    Reference configuration: dimension 3, bodies {0} and {(1.0, 0.7, 0.3)},
-    no twist, 20-point real s-grid on [0.2, 2].  The fitted pair makes every
-    later series-vs-spectral comparison an independent validation.
-    """
-    if _SPECTRAL_FIT and not refresh:
-        return _SPECTRAL_FIT["kappa"], _SPECTRAL_FIT["c3"]
-    v = np.array([1.0, 0.7, 0.3])
-    model = build_zeta_model(
-        convex.point(np.zeros(3)), convex.point(v), T=130.0, sweep=(1.0,)
-    )
-    s_grid = np.linspace(0.2, 2.0, 20)
-    lhs = np.array([poincare_eval(model, s).real for s in s_grid])
-    b0 = np.zeros(3)
-
-    def resid(q):
-        kappa, c = q
-        vals = [
-            c * s * kappa ** (-4.0) * _ewald_dual_sum(s / kappa, -v, b0, 3).real
-            for s in s_grid
-        ]
-        return np.asarray(vals) - lhs
-
-    sol = least_squares(resid, x0=np.array([1.15, 0.08]))
-    _SPECTRAL_FIT["kappa"] = float(sol.x[0])
-    _SPECTRAL_FIT["c3"] = float(sol.x[1])
-    return _SPECTRAL_FIT["kappa"], _SPECTRAL_FIT["c3"]
-
-
 def spectral_constants(dim: int) -> tuple:
-    """(kappa, c_dim) with the overall scale pinned by the one-time fit.
+    """(kappa, c_dim) of the dual representation, in closed form.
 
-    The dimension dependence follows the surface-measure normalization
-    Gamma((d+1)/2) / pi^{(d+1)/2}; the free scale is the fitted d=3 value.
+    Poisson summation of the kernel exp(-s|x|), whose Fourier transform on
+    R^d is 2^d pi^{(d-1)/2} Gamma((d+1)/2) s (s^2 + |k|^2)^{-(d+1)/2}, gives
+    kappa = 1 and c_d = Gamma((d+1)/2) / pi^{(d+1)/2}.
     """
-    kappa, c3 = fit_spectral_normalization()
-    ref = _gamma(2.0) / math.pi**2
-    c_d = c3 / ref * _gamma((dim + 1) / 2.0) / math.pi ** ((dim + 1) / 2.0)
-    return kappa, float(c_d)
+    return 1.0, math.gamma((dim + 1) / 2.0) / math.pi ** ((dim + 1) / 2.0)
+
+
+def fit_spectral_normalization() -> tuple:
+    """spectral_constants(3); kept only for the span that bench/spans.py wraps by name."""
+    return spectral_constants(3)
+
+
+def _f_phase(beta: Optional[spectrum.TwistForm], x: np.ndarray,
+             y: np.ndarray) -> complex:
+    """exp(i (f(y) - f(x))): the exact part df of the twist, from x to y."""
+    if beta is None or not beta.modes:
+        return 1.0 + 0.0j
+    return complex(np.exp(1j * (beta.f_eval(y[None, :]) - beta.f_eval(x[None, :])))[0])
 
 
 def poincare_points_spectral(
@@ -550,16 +513,12 @@ def poincare_points_spectral(
     if np.linalg.norm(wrapped) < 1e-9:
         raise ValueError("x and y must differ modulo 2 pi Z^d")
     beta0 = np.zeros(d) if beta is None else beta.beta0
-    fphase = 1.0 + 0.0j
-    if beta is not None and beta.modes:
-        fphase = complex(
-            np.exp(1j * (beta.f_eval(y[None, :]) - beta.f_eval(x[None, :])))[0]
-        )
+    fphase = _f_phase(beta, x, y)
     kappa, c_d = spectral_constants(d)
     s = complex(s)
     p = (d + 1) / 2.0
     if cutoff is not None:
-        xi = _lattice_box(d, int(math.ceil(cutoff)))
+        xi = spectrum._lattice_box(d, int(math.ceil(cutoff)))
         xi = xi[np.sum(xi**2, axis=1) <= cutoff**2 + 1e-12]
         terms = np.exp(1j * (xi @ u)) * (
             s**2 + kappa**2 * np.sum((xi + beta0) ** 2, axis=1)
@@ -622,7 +581,7 @@ def predicted_lines(dim: int, beta: Optional[spectrum.TwistForm],
     kappa, _ = spectral_constants(dim)
     beta0 = np.zeros(dim) if beta is None else beta.beta0
     r = int(math.ceil((y_max / kappa + np.linalg.norm(beta0))) ) + 1
-    xi = _lattice_box(dim, r)
+    xi = spectrum._lattice_box(dim, r)
     rho = kappa * np.linalg.norm(xi - beta0, axis=1)
     rho = np.unique(np.round(rho[rho <= y_max + 1e-9], 12))
     return rho
@@ -859,16 +818,12 @@ def guinand_pairing(
     if m_radius is None:
         reach = (window.center + 12.0 * window.width) / kappa + np.linalg.norm(beta0)
         m_radius = int(math.ceil(reach)) + 1
-    m = _lattice_box(d, m_radius)
+    m = spectrum._lattice_box(d, m_radius)
     rho = np.linalg.norm(kappa * m - beta0, axis=1)
     keep = np.abs(rho - window.center) <= 12.0 * window.width + window.center
     m, rho = m[keep], rho[keep]
     v = y - x
-    fphase = 1.0 + 0.0j
-    if beta is not None and beta.modes:
-        fphase = complex(
-            np.exp(1j * (beta.f_eval(y[None, :]) - beta.f_eval(x[None, :])))[0]
-        )
+    fphase = _f_phase(beta, x, y)
     comb = np.exp(1j * (m @ v)) * _ghat_radial(d, rho, window)
     spectral_side = complex(fphase * (2 * math.pi) ** (-d) * np.sum(comb))
     lines = np.unique(np.round(rho, 12))

@@ -228,6 +228,11 @@ def test_config_schema_validation(tmp_path):
         {"dim": 2, "twist": {"beta0": [0.1]}},
         {"dim": 2, "observables": {"phi": {"modes": {"1": 1.0}}}},
     ]
+    # keys that nothing reads are unknown keys, on a config that is otherwise valid
+    ball = {"dim": 2, "bodies": {"b": {"kind": "ball", "radius": 0.5}}}
+    cfg = write_config(tmp_path / "c.json", ball)
+    assert cli.main(["volumes", "--config", cfg, "--out", str(tmp_path)]) == 0
+    cases += [dict(ball, seed=0), dict(ball, tolerances={})]
     for raw in cases:
         cfg = write_config(tmp_path / "c.json", raw)
         assert cli.main(["volumes", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -246,16 +251,18 @@ def test_orientations_the_library_rejects_are_config_errors(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is about half of the import time of every subcommand
+    # scipy.signal is about half of the import time of every subcommand, and
+    # scipy.optimize has no use since the spectral constants are closed forms
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, orthospec.cli; print('scipy.signal' in sys.modules)"],
+         "import sys, orthospec.cli; "
+         "print('scipy.signal' in sys.modules, 'scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_version_flag(capsys):

@@ -172,9 +172,26 @@ def test_poincare_points_rejects_equal_points():
 
 
 def test_spectral_constants_match_the_flat_closed_form():
-    kappa, c3 = zetafns.spectral_constants(3)
-    assert abs(kappa - 1.0) < 1e-7
-    assert abs(c3 - 1.0 / math.pi**2) < 1e-8
+    for d in (2, 3, 4, 5):
+        kappa, c_d = zetafns.spectral_constants(d)
+        assert kappa == 1.0
+        assert c_d == math.gamma((d + 1) / 2.0) / math.pi ** ((d + 1) / 2.0)
+
+
+def test_record_phases_have_one_path():
+    # the phase enumerate stores, the weighted count and the zeta weights
+    # are the same holonomy of the same feet, bit for bit
+    beta = spectrum.TwistForm(
+        (0.3, -0.2),
+        {(1, 0): 0.2 + 0.1j, (-1, 0): 0.2 - 0.1j, (1, 1): 0.3, (-1, -1): 0.3},
+    )
+    spec = spectrum.enumerate(convex.ellipsoid((0.1, -0.2), (0.9, 0.5)),
+                              convex.point((0.4, 1.1)), orient="-+", T=40.0,
+                              beta=beta)
+    assert len(spec) > 100
+    assert np.max(np.abs(spec.phases - 1.0)) > 0.5
+    assert spectrum.counting_weighted(spec, spec.beta, spec.T) == np.sum(spec.phases)
+    assert np.array_equal(zetafns._phase_weights(spec, spec.beta), spec.phases)
 
 
 def test_F_alpha_branches():
