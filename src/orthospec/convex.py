@@ -1,12 +1,11 @@
 """Strictly convex bodies described by their support functions.
 
 A body is a Minkowski sum of primitive parts (point, ball, ellipsoid, zonal
-harmonic bump).  Every primitive knows its support function h restricted to
-unit vectors, the gradient of the 1-homogeneous extension (the inverse Gauss
-map), and, when analytic, the extension's Hessian; curvature of harmonic
-perturbations is obtained by 4th-order central finite differences of the
-gradient in an orthonormal tangent frame (step 1e-4).  Principal curvature
-radii are the tangent-space eigenvalues of that Hessian.
+harmonic bump).  Every primitive knows, in closed form, its support function
+h restricted to unit vectors, the gradient of the 1-homogeneous extension
+(the inverse Gauss map), the extension's Hessian, and an enclosure
+[h_lo, h_hi] of h on the whole sphere.  Principal curvature radii are the
+tangent-space eigenvalues of the Hessian.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import eval_chebyt, eval_chebyu, eval_gegenbauer, gamma as _gamma
+from scipy.special import eval_chebyt, eval_gegenbauer, gamma as _gamma
 from scipy.special import binom as _binom
 
 from . import spherequad
@@ -39,7 +38,6 @@ __all__ = [
     "as_direction",
 ]
 
-_FD_STEP = 1e-4
 _MIN_RADIUS = 1e-6
 
 
@@ -64,8 +62,6 @@ def as_direction(v) -> np.ndarray:
 class _Point:
     x0: np.ndarray
 
-    analytic_hessian = True
-
     def h(self, u):
         return u @ self.x0
 
@@ -76,6 +72,10 @@ class _Point:
         n, d = u.shape
         return np.zeros((n, d, d))
 
+    def h_range(self):
+        r = float(np.linalg.norm(self.x0))
+        return -r, r
+
     def reflected(self):
         return _Point(-self.x0)
 
@@ -84,8 +84,6 @@ class _Point:
 class _Ball:
     center: np.ndarray
     radius: float
-
-    analytic_hessian = True
 
     def h(self, u):
         return u @ self.center + self.radius
@@ -98,6 +96,10 @@ class _Ball:
         eye = np.eye(d)[None, :, :]
         return self.radius * (eye - u[:, :, None] * u[:, None, :])
 
+    def h_range(self):
+        c = float(np.linalg.norm(self.center))
+        return self.radius - c, self.radius + c
+
     def reflected(self):
         return _Ball(-self.center, self.radius)
 
@@ -106,8 +108,6 @@ class _Ball:
 class _Ellipsoid:
     center: np.ndarray
     quad_form: np.ndarray  # B = R diag(a_i^2) R^T
-
-    analytic_hessian = True
 
     def _q(self, u):
         return np.sqrt(np.einsum("ni,ij,nj->n", u, self.quad_form, u))
@@ -127,25 +127,30 @@ class _Ellipsoid:
             - bu[:, :, None] * bu[:, None, :] / (q ** 3)[:, None, None]
         )
 
+    def h_range(self):
+        # sqrt(u.Bu) lies between the square roots of B's extreme eigenvalues
+        lam = np.linalg.eigvalsh(self.quad_form)
+        c = float(np.linalg.norm(self.center))
+        return math.sqrt(lam[0]) - c, math.sqrt(lam[-1]) + c
+
     def reflected(self):
         return _Ellipsoid(-self.center, self.quad_form)
 
 
-def _gegenbauer_norm(dim: int, k: int, s):
-    """Zonal harmonic of degree k on S^(dim-1) in the polar cosine, normalized to 1 at s=1."""
-    if dim == 2:
-        return eval_chebyt(k, s)
-    lam = (dim - 2) / 2.0
-    return eval_gegenbauer(k, lam, s) / _binom(k + dim - 3, k)
+def _zonal_profile(dim: int, k: int, s, m: int):
+    """m-th s-derivative of the degree-k zonal harmonic on S^(dim-1), normalized to 1 at s=1.
 
-
-def _gegenbauer_norm_deriv(dim: int, k: int, s):
-    if k == 0:
-        return np.zeros_like(np.asarray(s, dtype=float))
+    The profile is T_k(s) for dim = 2 and C^lam_k(s) / C^lam_k(1) with
+    lam = (dim-2)/2 otherwise; derivatives use d/ds C^lam_n = 2 lam
+    C^(lam+1)_(n-1) and T_k' = k C^1_(k-1).  Requires m <= k.
+    """
     if dim == 2:
-        return k * eval_chebyu(k - 1, s)
+        if m == 0:
+            return eval_chebyt(k, s)
+        return k * 2.0 ** (m - 1) * math.factorial(m - 1) * eval_gegenbauer(k - m, float(m), s)
     lam = (dim - 2) / 2.0
-    return 2.0 * lam * eval_gegenbauer(k - 1, lam + 1.0, s) / _binom(k + dim - 3, k)
+    rising = math.prod(lam + j for j in range(m))
+    return 2.0 ** m * rising * eval_gegenbauer(k - m, lam + m, s) / _binom(k + dim - 3, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,18 +160,31 @@ class _Zonal:
     axis: np.ndarray  # unit vector
     coeff: float
 
-    analytic_hessian = False
-
     def h(self, u):
-        return self.coeff * _gegenbauer_norm(self.dim, self.degree, u @ self.axis)
+        return self.coeff * _zonal_profile(self.dim, self.degree, u @ self.axis, 0)
 
     def grad(self, u):
         s = u @ self.axis
-        g = _gegenbauer_norm(self.dim, self.degree, s)
-        dg = _gegenbauer_norm_deriv(self.dim, self.degree, s)
+        g, dg = (_zonal_profile(self.dim, self.degree, s, m) for m in range(2))
         return self.coeff * (
             g[:, None] * u + dg[:, None] * (self.axis[None, :] - s[:, None] * u)
         )
+
+    def hess(self, u):
+        # H = c [(G - s G') (I - u u^T) + G'' v v^T] with v = axis - s u
+        d = u.shape[1]
+        s = u @ self.axis
+        g, dg, ddg = (_zonal_profile(self.dim, self.degree, s, m) for m in range(3))
+        v = self.axis[None, :] - s[:, None] * u
+        tangent = np.eye(d)[None, :, :] - u[:, :, None] * u[:, None, :]
+        return self.coeff * (
+            (g - s * dg)[:, None, None] * tangent
+            + ddg[:, None, None] * (v[:, :, None] * v[:, None, :])
+        )
+
+    def h_range(self):
+        # a normalized zonal harmonic is bounded by its value 1 at the pole
+        return -abs(self.coeff), abs(self.coeff)
 
     def reflected(self):
         # even degree: h(-theta) = h with the axis flipped
@@ -184,7 +202,7 @@ class SupportBody:
     dim: int
     kind: str
     parts: tuple
-    r_min: float = 0.0  # certified minimum principal radius on the validation grid
+    r_min: float = 0.0  # minimum principal radius on the validation grid
     r_max: float = 0.0
 
     def h(self, u: np.ndarray) -> np.ndarray:
@@ -201,77 +219,48 @@ class SupportBody:
             out = out + p.grad(u)
         return out
 
+    def hess(self, u: np.ndarray) -> np.ndarray:
+        """Hessian (n, d, d) of the 1-homogeneous extension of h at unit u."""
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        n, d = u.shape
+        out = np.zeros((n, d, d))
+        for p in self.parts:
+            out = out + p.hess(u)
+        return out
+
+    def h_range(self) -> tuple:
+        """(h_lo, h_hi) with h_lo <= h(u) <= h_hi for every unit u, from closed forms."""
+        lo, hi = zip(*(p.h_range() for p in self.parts))
+        return sum(lo), sum(hi)
+
     @property
     def is_point(self) -> bool:
         return all(isinstance(p, _Point) for p in self.parts)
 
-    def h_bound(self) -> float:
-        """Max of |h| over a sample grid (used for lattice scan windows)."""
-        g = spherequad.grid(self.dim, 24)
-        return float(np.max(np.abs(self.h(g.nodes))))
-
 
 def _tangent_frames(theta: np.ndarray) -> np.ndarray:
     """Orthonormal frames (n, d, d-1) spanning the tangent space at each unit theta."""
-    n, d = theta.shape
-    e = np.zeros(d)
-    e[-1] = 1.0
-    w = theta - e[None, :]
-    wn = np.linalg.norm(w, axis=1)
-    frames = np.empty((n, d, d - 1))
-    ok = wn > 1e-8
-    # Householder Q = I - 2 w w^T / |w|^2 maps e_d to theta; first d-1 columns are tangent.
-    if np.any(ok):
-        wo = w[ok] / wn[ok][:, None]
-        q = np.eye(d)[None, :, :] - 2.0 * wo[:, :, None] * wo[:, None, :]
-        frames[ok] = q[:, :, : d - 1]
-    if np.any(~ok):
-        frames[~ok] = np.eye(d)[:, : d - 1][None, :, :]
-    return frames
+    d = theta.shape[1]
+    w = theta.copy()
+    w[:, -1] -= 1.0
+    # Householder Q = I - 2 w w^T / |w|^2 with w = theta - e_d maps e_d to theta; near
+    # e_d that w cancels and Q's columns are tangent only to within eps / |w|, so there
+    # w = theta + e_d, which maps -e_d to theta.  The first d-1 columns are tangent.
+    w[np.linalg.norm(w, axis=1) < 1e-2, -1] += 2.0
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return np.eye(d)[None, :, : d - 1] - 2.0 * w[:, :, None] * w[:, None, : d - 1]
 
 
-def _hessian_tangent(body: SupportBody, theta: np.ndarray) -> np.ndarray:
-    """Tangent-space block of the extension Hessian: (n, d-1, d-1), symmetric."""
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    n, d = theta.shape
-    frames = _tangent_frames(theta)
-    M = np.zeros((n, d - 1, d - 1))
-    analytic = [p for p in body.parts if p.analytic_hessian]
-    fd = [p for p in body.parts if not p.analytic_hessian]
-    if analytic:
-        H = np.zeros((n, d, d))
-        for p in analytic:
-            H = H + p.hess(theta)
-        M += np.einsum("nia,nij,njb->nab", frames, H, frames)
-    if fd:
-        def grad_sum(u):
-            u = u / np.linalg.norm(u, axis=1, keepdims=True)
-            out = np.zeros_like(u)
-            for p in fd:
-                out = out + p.grad(u)
-            return out
-
-        h = _FD_STEP
-        cols = []
-        for b in range(d - 1):
-            eb = frames[:, :, b]
-            gp2 = grad_sum(theta + 2 * h * eb)
-            gp1 = grad_sum(theta + h * eb)
-            gm1 = grad_sum(theta - h * eb)
-            gm2 = grad_sum(theta - 2 * h * eb)
-            dcol = (-gp2 + 8.0 * gp1 - 8.0 * gm1 + gm2) / (12.0 * h)
-            cols.append(np.einsum("nia,ni->na", frames, dcol))
-        Mfd = np.stack(cols, axis=2)  # (n, d-1, d-1) columns = directions
-        M += 0.5 * (Mfd + np.swapaxes(Mfd, 1, 2))
-    return M
+def _hessian_tangent(body: SupportBody, theta: np.ndarray,
+                     frames: np.ndarray) -> np.ndarray:
+    """Tangent-space block (n, d-1, d-1) of the extension Hessian in the given frames."""
+    return np.einsum("nia,nij,njb->nab", frames, body.hess(theta), frames)
 
 
 def principal_radii(body: SupportBody, theta: np.ndarray) -> np.ndarray:
     """Principal curvature radii (n, d-1), ascending, at unit normals theta."""
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    if body.is_point:
-        return np.zeros((theta.shape[0], body.dim - 1))
-    return np.linalg.eigvalsh(_hessian_tangent(body, theta))
+    return np.linalg.eigvalsh(_hessian_tangent(body, theta, _tangent_frames(theta)))
 
 
 def _certify(dim: int, kind: str, parts: tuple, check_strict: bool) -> SupportBody:

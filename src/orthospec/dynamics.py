@@ -37,17 +37,6 @@ _REALITY_TOL = 1e-10
 _MODE_MATCH_TOL = 1e-12
 
 
-def _as_mode_fn(value) -> Callable:
-    if callable(value):
-        return value
-    c = complex(value)
-
-    def const(theta: np.ndarray):
-        return np.full(np.atleast_2d(theta).shape[0], c)
-
-    return const
-
-
 @dataclass(frozen=True, eq=False)
 class TorusObservable:
     """Finitely many torus modes xi with amplitudes on the sphere.
@@ -75,8 +64,8 @@ class TorusObservable:
                 neg = tuple(-c for c in key)
                 if neg not in clean:
                     raise ValueError(f"real observable misses the mode {neg}")
-                a = np.asarray(_as_mode_fn(v)(probe))
-                b = np.asarray(_as_mode_fn(clean[neg])(probe))
+                a = np.asarray(spherequad._sphere_fn(v)(probe))
+                b = np.asarray(spherequad._sphere_fn(clean[neg])(probe))
                 if np.max(np.abs(np.conj(a) - b)) > _REALITY_TOL:
                     raise ValueError(f"reality pairing fails at frequency {key}")
         object.__setattr__(self, "dim", d)
@@ -95,8 +84,8 @@ class TorusObservable:
         key = tuple(int(c) for c in xi)
         for k, v in self.modes:
             if k == key:
-                return _as_mode_fn(v)
-        return _as_mode_fn(0.0)
+                return spherequad._sphere_fn(v)
+        return spherequad._sphere_fn(0.0)
 
     def x_values(self, x: np.ndarray) -> np.ndarray:
         """Evaluate an x-only observable at points x, shape (n, d)."""
@@ -194,7 +183,8 @@ def correlation_expansion(
 
     E_beta0 + (2 pi)^{(d-1)/2} sum_{xi,+-} e^{+-i(t lam - pi(d-1)/4)}
     (t lam)^{-(d-1)/2} phihat_xi(+-omega) psihat_{-xi}(+-omega) with
-    lam = |xi - beta0|; a mode sitting exactly at beta0 contributes its
+    lam = |xi - beta0|, the spherequad.stationary_phase value of each mode's
+    amplitude product; a mode sitting exactly at beta0 contributes its
     constant sphere pairing instead.
     """
     if t <= 0:
@@ -213,15 +203,7 @@ def correlation_expansion(
         if lam < _MODE_MATCH_TOL:
             total += complex(np.sum(g.weights * F(g.nodes)))
             continue
-        omega = (np.asarray(key, dtype=float) - beta0) / lam
-        for sgn in (+1.0, -1.0):
-            amp = complex(np.asarray(F((sgn * omega)[None, :]), dtype=complex)[0])
-            total += (
-                (2.0 * math.pi) ** ((d - 1) / 2.0)
-                * np.exp(1j * sgn * (t * lam - math.pi * (d - 1) / 4.0))
-                * (t * lam) ** (-(d - 1) / 2.0)
-                * amp
-            )
+        total += spherequad.stationary_phase(d, F, key, beta0, t)[0]
     return complex(total)
 
 
@@ -325,7 +307,7 @@ def aniso_norm(phi: TorusObservable, p: AnisoParams) -> float:
         raise ValueError("gamma dimension mismatch")
     total = 0.0
     for key, value in phi.modes:
-        fn = _as_mode_fn(value)
+        fn = spherequad._sphere_fn(value)
         xi = np.asarray(key, dtype=float)
         v = xi - gamma
         lam = float(np.linalg.norm(v))

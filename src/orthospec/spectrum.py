@@ -180,7 +180,7 @@ def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
         scale = np.maximum(1.0, np.linalg.norm(wa, axis=1))
         done = gnorm <= _NEWTON_TOL * scale
         f = np.einsum("ni,ni->n", th, wa) - L.h(th)
-        M = convex._hessian_tangent(L, th)
+        M = convex._hessian_tangent(L, th, frames)
         A = M + f[:, None, None] * np.eye(d - 1)[None, :, :]
         step = np.zeros_like(gE)
         solvable = np.ones(th.shape[0], dtype=bool)
@@ -210,7 +210,7 @@ def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
     gE = np.einsum("nia,ni->na", frames, diff)
     gnorm = np.linalg.norm(gE, axis=1)
     value = np.einsum("ni,ni->n", theta, w) - L.h(theta)
-    M = convex._hessian_tangent(L, theta)
+    M = convex._hessian_tangent(L, theta, frames)
     A = M + value[:, None, None] * np.eye(d - 1)[None, :, :]
     min_curv = np.min(np.abs(np.linalg.eigvalsh(A)), axis=1)
     value = np.where(gnorm <= 1e-10 * np.maximum(1.0, np.linalg.norm(w, axis=1)),
@@ -218,17 +218,10 @@ def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
     return theta, value, min_curv
 
 
-def _solve_chunk(L, xi_chunk, T0, T, h_lo, h_hi):
+def _solve_chunk(L, xi_chunk, T0, T):
     """Newton-solve one candidate chunk; returns accepted arrays and rejects."""
     w = 2 * math.pi * xi_chunk.astype(float)
     wn = np.linalg.norm(w, axis=1)
-    # t(xi) is pinched between |w| - max h and |w| - min h
-    could = (wn - h_hi <= T) & (wn - h_lo > T0)
-    xi_chunk, w, wn = xi_chunk[could], w[could], wn[could]
-    if xi_chunk.shape[0] == 0:
-        d = L.dim
-        z = np.zeros((0, d))
-        return xi_chunk, z, np.zeros(0), []
     theta0 = np.where(wn[:, None] > 0, w / np.maximum(wn, 1e-300)[:, None], 0.0)
     if np.any(wn == 0):
         rd = _restart_directions(L.dim)
@@ -245,19 +238,13 @@ def _solve_chunk(L, xi_chunk, T0, T, h_lo, h_hi):
                 L, w[i : i + 1], rd[int(np.argmax(vals))][None, :]
             )
             theta[i], value[i], min_curv[i] = t2[0], v2[0], c2[0]
-        still = np.isnan(value)
-        for i in np.flatnonzero(still):
-            # only fatal when the candidate could land inside (T0, T]
-            if wn[i] - h_hi <= T and wn[i] - h_lo > T0:
-                raise NewtonDiverged(
-                    f"lattice candidate {tuple(xi_chunk[i])} did not converge; "
-                    f"raise T0 or inspect the body curvature"
-                )
-        keepable = ~still
-        xi_chunk, w, theta, value, min_curv = (
-            xi_chunk[keepable], w[keepable], theta[keepable],
-            value[keepable], min_curv[keepable],
-        )
+        # every candidate passed the window prefilter, so it could land in (T0, T]
+        diverged = np.flatnonzero(np.isnan(value))
+        if diverged.size:
+            raise NewtonDiverged(
+                f"lattice candidate {tuple(xi_chunk[diverged[0]])} did not converge; "
+                f"raise T0 or inspect the body curvature"
+            )
     rejects = []
     degenerate = min_curv < _TRANSVERSALITY_TOL
     window = (value > T0) & (value <= T)
@@ -275,8 +262,13 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
     """Enumerate all orthogeodesics with length in (T0, T].
 
     T0 defaults to 2 (r_max(K1) + r_max(K2)) + 1, above the transversality
-    threshold for desk-scale bodies.  The lattice scan window is a certified
-    superset of the candidates; results are independent of worker count.
+    threshold for desk-scale bodies.  Results are independent of worker count.
+
+    The candidate window is certified: with [h_lo, h_hi] = L.h_range(), a
+    closed-form enclosure of h_L on the whole sphere, t(xi) lies between
+    |2 pi xi| - h_hi (take theta along xi) and |2 pi xi| - h_lo (as
+    theta . 2 pi xi <= |2 pi xi|), so no xi dropped by the prefilter
+    |2 pi xi| - h_hi <= T, |2 pi xi| - h_lo > T0 can have a length in (T0, T].
     """
     if K1.dim != K2.dim:
         raise ValueError("body dimension mismatch")
@@ -290,19 +282,14 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
         T0 = 2.0 * (K1.r_max + K2.r_max) + 1.0
     if not (T > T0 >= 0):
         raise ValueError("need T > T0 >= 0")
-    hb = L.h_bound()
-    g = spherequad.grid(d, 24)
-    hvals = L.h(g.nodes)
-    # pad the grid min/max so the pre-filter stays a certified superset
-    h_lo, h_hi = float(np.min(hvals)) - 1e-6, float(np.max(hvals)) + 1e-6
-    hi = T + hb + 1.0
-    cands = _lattice_box(d, int(math.floor(hi / (2 * math.pi))))
-    norms = 2 * math.pi * np.linalg.norm(cands, axis=1)
-    cands = cands[(norms >= max(0.0, T0 - hb)) & (norms <= hi)]
+    h_lo, h_hi = L.h_range()
+    cands = _lattice_box(d, int(math.floor((T + h_hi) / (2 * math.pi))))
+    norms = np.linalg.norm(2 * math.pi * cands.astype(float), axis=1)
+    cands = cands[(norms - h_hi <= T) & (norms - h_lo > T0)]
     chunks = [cands[i : i + _CHUNK] for i in range(0, max(cands.shape[0], 1), _CHUNK)]
 
     def work(chunk):
-        return _solve_chunk(L, chunk, T0, T, h_lo, h_hi)
+        return _solve_chunk(L, chunk, T0, T)
 
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:

@@ -189,11 +189,16 @@ class OscResult:
     pieces: Optional[dict] = None  # 'cap_plus', 'cap_minus', 'equator' when split
 
 
-def _constant_fn(c):
-    def f(theta: np.ndarray) -> np.ndarray:
-        return np.full(theta.shape[0], c, dtype=complex)
+def _sphere_fn(value) -> Callable:
+    """value itself when callable, else the constant complex function of (n, d) directions."""
+    if callable(value):
+        return value
+    c = complex(value)
 
-    return f
+    def const(theta: np.ndarray) -> np.ndarray:
+        return np.full(np.atleast_2d(theta).shape[0], c)
+
+    return const
 
 
 def _estimate_c1(xtilde: Callable, dim: int) -> float:
@@ -292,10 +297,7 @@ def osc_integral(
     """
     xi = np.zeros(dim) if xi is None else np.asarray(xi, dtype=float)
     beta0 = np.zeros(dim) if beta0 is None else np.asarray(beta0, dtype=float)
-    if F is None:
-        F = _constant_fn(1.0)
-    elif not callable(F):
-        F = _constant_fn(complex(F))
+    F = _sphere_fn(1.0 if F is None else F)
     if xtilde is not None and xtilde_scale is None:
         xtilde_scale = _estimate_c1(xtilde, dim)
     axis, sgn, lam = _polar_axis(xi - beta0)
@@ -344,10 +346,7 @@ def stationary_phase(
     """
     xi = np.asarray(xi, dtype=float)
     beta0 = np.zeros(dim) if beta0 is None else np.asarray(beta0, dtype=float)
-    if F is None:
-        F = _constant_fn(1.0)
-    elif not callable(F):
-        F = _constant_fn(complex(F))
+    F = _sphere_fn(1.0 if F is None else F)
     lam = float(np.linalg.norm(xi - beta0))
     if lam <= 0.0 or t <= 0.0:
         raise ValueError("stationary phase needs t > 0 and xi != beta0")

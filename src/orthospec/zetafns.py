@@ -500,7 +500,7 @@ def poincare_points_spectral(
 ) -> complex:
     """Dual-lattice form of the two-point Poincare series.
 
-    c_d e^{i(f(y)-f(x))} s sum_xi e^{i xi.(x-y)} (s^2 + kappa^2|xi+beta0|^2)^{-(d+1)/2}.
+    c_d e^{i(f(y)-f(x))} s sum_xi e^{i xi.(x-y)} (s^2 + |xi+beta0|^2)^{-(d+1)/2}.
     With an explicit cutoff the sum is truncated to |xi| <= cutoff; with
     cutoff=None (real s only) the full sum is evaluated by an Ewald split,
     exact to near machine precision.
@@ -514,20 +514,20 @@ def poincare_points_spectral(
         raise ValueError("x and y must differ modulo 2 pi Z^d")
     beta0 = np.zeros(d) if beta is None else beta.beta0
     fphase = _f_phase(beta, x, y)
-    kappa, c_d = spectral_constants(d)
+    _, c_d = spectral_constants(d)
     s = complex(s)
     p = (d + 1) / 2.0
     if cutoff is not None:
         xi = spectrum._lattice_box(d, int(math.ceil(cutoff)))
         xi = xi[np.sum(xi**2, axis=1) <= cutoff**2 + 1e-12]
         terms = np.exp(1j * (xi @ u)) * (
-            s**2 + kappa**2 * np.sum((xi + beta0) ** 2, axis=1)
+            s**2 + np.sum((xi + beta0) ** 2, axis=1)
         ) ** (-p)
         return complex(fphase * c_d * s * np.sum(terms))
     if abs(s.imag) > 0 or s.real <= 0:
         raise ValueError("the exact Ewald path needs real s > 0")
-    dual = _ewald_dual_sum(s.real / kappa, u, beta0, d)
-    return complex(fphase * c_d * s * kappa ** (-2.0 * p) * dual)
+    dual = _ewald_dual_sum(s.real, u, beta0, d)
+    return complex(fphase * c_d * s * dual)
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +577,11 @@ def alpha_grid(dim: int, j_max: int = 3) -> np.ndarray:
 
 def predicted_lines(dim: int, beta: Optional[spectrum.TwistForm],
                     y_max: float) -> np.ndarray:
-    """Sorted candidate singular locations kappa |xi - beta0| up to y_max."""
-    kappa, _ = spectral_constants(dim)
+    """Sorted candidate singular locations |xi - beta0| up to y_max."""
     beta0 = np.zeros(dim) if beta is None else beta.beta0
-    r = int(math.ceil((y_max / kappa + np.linalg.norm(beta0))) ) + 1
+    r = int(math.ceil(y_max + np.linalg.norm(beta0))) + 1
     xi = spectrum._lattice_box(dim, r)
-    rho = kappa * np.linalg.norm(xi - beta0, axis=1)
+    rho = np.linalg.norm(xi - beta0, axis=1)
     rho = np.unique(np.round(rho[rho <= y_max + 1e-9], 12))
     return rho
 
@@ -779,7 +778,7 @@ def guinand_pairing(
 
     length_side = sum_fwd phase phihat(l)/l - sum_bwd conj(phase) phihat(-l)/l;
     spectral_side = e^{i(f(y)-f(x))} (2 pi)^{-d} sum_m e^{i m.(y-x)}
-    ghat(|kappa m - beta0|).  Exact for point bodies in odd dimensions.
+    ghat(|m - beta0|).  Exact for point bodies in odd dimensions.
     """
     for sp in (spec_fwd, spec_bwd):
         if not (sp.body1.is_point and sp.body2.is_point):
@@ -813,13 +812,12 @@ def guinand_pairing(
         - np.sum(np.conj(wb) * window.transform(-lb) / lb)
     )
 
-    kappa, _ = spectral_constants(d)
     beta0 = np.zeros(d) if beta is None else beta.beta0
     if m_radius is None:
-        reach = (window.center + 12.0 * window.width) / kappa + np.linalg.norm(beta0)
+        reach = window.center + 12.0 * window.width + np.linalg.norm(beta0)
         m_radius = int(math.ceil(reach)) + 1
     m = spectrum._lattice_box(d, m_radius)
-    rho = np.linalg.norm(kappa * m - beta0, axis=1)
+    rho = np.linalg.norm(m - beta0, axis=1)
     keep = np.abs(rho - window.center) <= 12.0 * window.width + window.center
     m, rho = m[keep], rho[keep]
     v = y - x

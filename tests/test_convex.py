@@ -65,6 +65,8 @@ def test_minkowski_support_adds(v):
     theta = unit(v)[None, :]
     assert abs(float(S.h(theta)[0]) - float(A.h(theta)[0]) - float(B.h(theta)[0])) < 1e-13
     assert np.allclose(S.grad(theta), A.grad(theta) + B.grad(theta), atol=1e-12)
+    assert np.allclose(S.hess(theta), A.hess(theta) + B.hess(theta), atol=1e-12)
+    assert np.allclose(S.h_range(), np.add(A.h_range(), B.h_range()), atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,11 +155,66 @@ def test_harmonic_rejects_nonconvex_perturbation():
 
 
 def test_harmonic_body_is_usable():
-    body = convex.harmonic(convex.ball((0.0, 0.0), 1.0), [(4, (1.0, 0.0), 0.02)])
-    radii = convex.principal_radii(body, convex.spherequad.grid(2, 32).nodes)
-    assert np.all(radii > 0)
+    # h(phi) = 1 + c cos(4 phi): radius h + h'' = 1 - 15 c cos(4 phi),
+    # area (1/2) int h^2 - h'^2 = pi (1 - 15 c^2 / 2), half perimeter pi
+    c = 0.02
+    body = convex.harmonic(convex.ball((0.0, 0.0), 1.0), [(4, (1.0, 0.0), c)])
+    nodes = convex.spherequad.grid(2, 32).nodes
+    radii = convex.principal_radii(body, nodes)
+    phi = np.arctan2(nodes[:, 1], nodes[:, 0])
+    assert np.max(np.abs(radii[:, 0] - (1.0 - 15.0 * c * np.cos(4.0 * phi)))) < 1e-13
     D = convex.steiner(body)
-    assert D.volume > 0
+    assert abs(D.volume - math.pi * (1.0 - 7.5 * c**2)) < 1e-12
+    assert abs(D.intrinsic[1] - math.pi) < 1e-12
+    h_lo, h_hi = body.h_range()
+    assert (h_lo, h_hi) == (1.0 - c, 1.0 + c)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_zonal_hessian_matches_gradient_difference(dim, degree):
+    rng = np.random.default_rng(10 * dim + degree)
+    axis = unit(rng.normal(size=dim))
+    part = convex._Zonal(dim, degree, axis, 0.7)
+    theta = rng.normal(size=(40, dim))
+    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+    H = part.hess(theta)
+    assert np.array_equal(H, np.swapaxes(H, 1, 2))
+    assert np.max(np.abs(np.einsum("nij,nj->ni", H, theta))) < 1e-12
+    # central difference of the 0-homogeneous gradient, column by column
+    def grad0(x):
+        return part.grad(x / np.linalg.norm(x, axis=1, keepdims=True))
+
+    step = 1e-5
+    cols = [(grad0(theta + e) - grad0(theta - e)) / (2.0 * step) for e in step * np.eye(dim)]
+    fd = np.stack(cols, axis=2)
+    assert np.max(np.abs(H - fd)) < 1e-7
+
+
+def _rotation(dim, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
+    return q
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_h_range_encloses_h(dim):
+    nodes = convex.spherequad.grid(dim, 400 if dim == 2 else 120).nodes
+    c = np.linspace(0.3, -0.5, dim)
+    P = convex.point(c)
+    B = convex.ball(c, 0.6)
+    E0 = convex.ellipsoid(np.zeros(dim), np.linspace(1.3, 0.6, dim), rotation=_rotation(dim, dim))
+    E = convex.ellipsoid(c, np.linspace(1.3, 0.6, dim), rotation=_rotation(dim, dim))
+    Z = convex.harmonic(B, [(4, np.ones(dim), 0.01), (2, np.eye(dim)[0], 0.02)])
+    S = convex.minkowski_sum(E, Z)
+    for body in (P, B, E0, E, Z, S):
+        h_lo, h_hi = body.h_range()
+        h = body.h(nodes)
+        assert h_lo <= np.min(h) and np.max(h) <= h_hi
+    # the closed forms are attained for points, balls and centred ellipsoids
+    for body in (P, B, E0):
+        h_lo, h_hi = body.h_range()
+        h = body.h(nodes)
+        assert np.min(h) - h_lo < 1e-3 and h_hi - np.max(h) < 1e-3
 
 
 def test_as_direction_validates_unit_length():

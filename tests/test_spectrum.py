@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from orthospec import convex, spectrum
 
@@ -70,6 +72,57 @@ def test_ball_pair_closed_form_lengths():
     ks = spec.xi[axis, 0]
     want = 2.0 * math.pi * ks - 0.7
     assert np.max(np.abs(spec.lengths[axis] - want)) < 1e-10
+
+
+def test_window_edge_keeps_the_boundary_record():
+    # xi = (4, 2) has length T - 1e-4 and points almost along c, where h_L peaks
+    c = np.array([1.358, 0.670])
+    spec = spectrum.enumerate(convex.point(c), convex.point((0.0, 0.0)), T0=1.0, T=26.5852607)
+    assert len(spec) == 57
+    assert any(tuple(x) == (4, 2) for x in spec.xi)
+    want = np.linalg.norm(2.0 * math.pi * spec.xi - c, axis=1)
+    assert np.max(np.abs(spec.lengths - want)) < 1e-10
+
+
+def _closest_to_direction(xi, lengths, c, lo, hi, sign):
+    """Index of the lattice length in [lo, hi] whose arc direction is closest to sign * c."""
+    w = 2.0 * math.pi * xi
+    cosine = ((w - c) @ (sign * c)) / (np.linalg.norm(w - c, axis=1) * np.linalg.norm(c))
+    cosine[(lengths < lo) | (lengths > hi)] = -2.0
+    return int(np.argmax(cosine))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    c=st.lists(st.floats(-2.5, 2.5), min_size=3, max_size=3),
+    r=st.one_of(st.just(0.0), st.floats(0.05, 0.8)),
+    gap_T=st.floats(-1e-3, 1e-3).filter(lambda g: abs(g) > 1e-7),
+    gap_T0=st.floats(-1e-3, 1e-3).filter(lambda g: abs(g) > 1e-7),
+)
+# arcs within 1e-8 of e_d, where the tangent frames must stay tangent
+@example(dim=2, c=[7.2944767219227765e-09, 1.0, 0.0], r=0.0, gap_T=1e-3, gap_T0=6.3e-4)
+def test_window_matches_point_and_ball_closed_form(dim, c, r, gap_T, gap_T0):
+    # t(xi) = |2 pi xi - c| - r for points (r = 0) and balls; T and T0 sit
+    # just above or below true lengths whose arcs run along +c and -c, where
+    # h_L reaches its maximum and minimum
+    c = np.asarray(c[:dim])
+    assume(np.linalg.norm(c) > 0.3)
+    box = spectrum._lattice_box(dim, 8 if dim == 2 else 5)
+    exact = np.linalg.norm(2.0 * math.pi * box - c, axis=1) - r
+    hi = 40.0 if dim == 2 else 25.0
+    T = exact[_closest_to_direction(box, exact, c, 0.6 * hi, hi, 1.0)] + gap_T
+    T0 = exact[_closest_to_direction(box, exact, c, 5.0, 0.3 * hi, -1.0)] + gap_T0
+    assume(np.min(np.abs(exact - T)) > 1e-8 and np.min(np.abs(exact - T0)) > 1e-8)
+    if r == 0.0:
+        K1, K2 = convex.point(c), convex.point(np.zeros(dim))
+    else:
+        K1, K2 = convex.ball(c, 0.5 * r), convex.ball(np.zeros(dim), 0.5 * r)
+    spec = spectrum.enumerate(K1, K2, T0=T0, T=T)
+    want = (exact > T0) & (exact <= T)
+    assert spec.rejects == ()
+    assert sorted(map(tuple, spec.xi)) == sorted(map(tuple, box[want]))
+    assert np.allclose(np.sort(spec.lengths), np.sort(exact[want]), atol=1e-9, rtol=0.0)
 
 
 def test_translation_invariance():
