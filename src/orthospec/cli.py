@@ -390,11 +390,10 @@ def _cmd_poincare(cfg, out, workers, log):
         y = k2.grad(np.eye(model.spec.dim)[:1])[0]
         if np.linalg.norm(x - y) > 1e-9:
             rows = []
-            for s in s_grid:
+            for s, direct in zip(s_grid, values):
                 # the exact dual-sum path is available on the real axis only
                 if s.real <= 0 or s.imag != 0.0:
                     continue
-                direct = zetafns.poincare_eval(model, s)
                 spectral = zetafns.poincare_points_spectral(
                     x, y, None if trivial else beta, s)
                 rows.append((s, direct, spectral))

@@ -40,6 +40,7 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX = 50
 _TRANSVERSALITY_TOL = 1e-6
 _CHUNK = 200_000
+_CSV_ROWS = 4096  # rows formatted per writerows call
 
 _ORIENTATIONS = ("+-", "-+")
 
@@ -379,15 +380,18 @@ def to_csv(spec: LengthSpectrum, csv_path, meta_path=None) -> None:
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
-        for i in range(len(spec)):
-            row = (
-                [int(c) for c in spec.xi[i]]
-                + [repr(float(c)) for c in spec.theta[i]]
-                + [repr(float(spec.lengths[i])),
-                   repr(float(spec.phases[i].real)),
-                   repr(float(spec.phases[i].imag))]
+        # csv writes Python ints and floats as str(), which is repr(); slices
+        # keep the Python-object copies of the columns bounded
+        for i in range(0, len(spec), _CSV_ROWS):
+            sl = slice(i, i + _CSV_ROWS)
+            cols = (
+                spec.xi[sl].T.tolist()
+                + spec.theta[sl].T.tolist()
+                + [spec.lengths[sl].tolist(),
+                   spec.phases[sl].real.tolist(),
+                   spec.phases[sl].imag.tolist()]
             )
-            wr.writerow(row)
+            wr.writerows(zip(*cols))
     if meta_path is not None:
         meta = {
             "dim": d,

@@ -58,6 +58,8 @@ __all__ = [
 
 _POLE_TOL = 1e-8
 _EPS_FLOOR = 1e-3
+_BLOCK_ENTRIES = 2_000_000  # complex entries of one phase block
+_ANCHOR_ROWS = 64           # rows rotated from one exact exponential
 _TAIL_REL = 1e-6
 _MASS_TOL = 1e-12
 
@@ -586,17 +588,33 @@ def predicted_lines(dim: int, beta: Optional[spectrum.TwistForm],
     return rho
 
 
-def _head_boundary_values(lengths, weights, eps_ladder, y_grid):
-    """Z(eps_k + i y) for every ladder point, chunked over the y grid."""
-    n_eps = len(eps_ladder)
-    damp = [weights * np.exp(-e * lengths) for e in eps_ladder]
-    out = np.empty((n_eps, y_grid.size), dtype=complex)
-    step = max(1, int(2_000_000 // max(lengths.size, 1)))
-    for start in range(0, y_grid.size, step):
-        sl = slice(start, min(start + step, y_grid.size))
-        phase = np.exp(-1j * np.outer(y_grid[sl], lengths))
-        for k in range(n_eps):
-            out[k, sl] = phase @ damp[k]
+def _head_boundary_values(lengths, damp, y_grid):
+    """sum_k damp[k, c] exp(-i y_j l_k) as a (y_grid.size, n_columns) matrix.
+
+    A uniform grid is walked in blocks of _ANCHOR_ROWS rows: the first row of
+    a block is the exact exponential and each further row is the previous one
+    times exp(-i dy l); the re-anchoring keeps rounding from drifting.  Any
+    other grid runs the same loop with one exact row per block.  Lengths are
+    cut into chunks so that no block exceeds _BLOCK_ENTRIES entries.
+    """
+    n_y = y_grid.size
+    out = np.zeros((n_y, damp.shape[1]), dtype=complex)
+    dy = (y_grid[-1] - y_grid[0]) / max(n_y - 1, 1)
+    # linspace rounds each node to within a few ulps of y_0 + j dy
+    drift = np.abs(y_grid - (y_grid[0] + dy * np.arange(n_y)))
+    uniform = n_y > 1 and drift.max() <= 4.0 * np.spacing(np.abs(y_grid).max())
+    rows = _ANCHOR_ROWS if uniform else 1
+    width = _BLOCK_ENTRIES // rows
+    for c0 in range(0, lengths.size, width):
+        ell = lengths[c0:c0 + width]
+        phase = np.empty((rows, ell.size), dtype=complex)
+        rot = np.exp(-1j * dy * ell) if uniform else None
+        for r0 in range(0, n_y, rows):
+            n = min(rows, n_y - r0)
+            np.exp(-1j * y_grid[r0] * ell, out=phase[0])
+            for k in range(1, n):
+                np.multiply(phase[k - 1], rot, out=phase[k])
+            out[r0:r0 + n] += phase[:n] @ damp[c0:c0 + width]
     return out
 
 
@@ -611,16 +629,35 @@ def _smooth_laplace(rho: np.ndarray, T: float, s: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _peak_indices(mag: np.ndarray, max_peaks: int = 16) -> list:
-    # scipy.signal is imported here, not at module level: it is about half of
-    # the package's import time and only the singularity scan needs it.
-    from scipy.signal import find_peaks
+def _local_maxima(x: np.ndarray):
+    """Strict local maxima of x and their prominences.
 
-    raw, props = find_peaks(mag, prominence=0.0)
+    A plateau counts once, at its left-rounded midpoint, and only when both
+    neighbouring values are lower; the end samples are never maxima.  The
+    prominence is x[peak] minus the higher of the two minima taken between
+    the peak and the nearest strictly higher sample (or the array end) on
+    each side.
+    """
+    starts = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
+    v = x[starts]
+    runs = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[runs] + starts[runs + 1] - 1) // 2
+    prominences = np.empty(peaks.size)
+    for j, p in enumerate(peaks):
+        left = np.flatnonzero(x[:p] > x[p])
+        right = np.flatnonzero(x[p + 1:] > x[p])
+        lo = left[-1] + 1 if left.size else 0
+        hi = p + 1 + right[0] if right.size else x.size
+        prominences[j] = x[p] - max(x[lo:p + 1].min(), x[p:hi].min())
+    return peaks, prominences
+
+
+def _peak_indices(mag: np.ndarray, max_peaks: int = 16) -> list:
+    raw, prominences = _local_maxima(mag)
     floor = 2.0 * float(np.median(mag))
     idx = [
         int(i)
-        for i, prom in zip(raw, props["prominences"])
+        for i, prom in zip(raw, prominences)
         if mag[i] > floor and prom >= 0.15 * mag[i]
     ]
     if mag.size > 1 and mag[0] > mag[1] and mag[0] > floor:
@@ -642,6 +679,13 @@ def singularity_scan(
     p = alpha - 1, and a matched filter against F_alpha recovers the
     coefficient.  The ladder must resolve the head truncation:
     min(eps) * T >= 6 keeps the discarded tail below the fit noise.
+
+    The head is summed once for all ladder points and the 0.85 T short head
+    together, as one matrix product per block of y rows.  On a uniform y
+    grid a block holds 64 rows: its first row is the exact exp(-i y l) and
+    the others follow by the phase rotation exp(-i dy l), so exp runs once
+    per length per 64 rows.  Any other grid takes the exact exponential on
+    every row.
     """
     if beta is None:
         beta = model.beta
@@ -665,19 +709,22 @@ def singularity_scan(
         weights = model.spec.phases
     else:
         weights = _phase_weights(model.spec, beta)
-    values = _head_boundary_values(lengths, weights, eps_ladder, y_grid)
+    # one column per ladder point, then the short head: truncation ripples
+    # move when the head is shortened while genuine peaks persist
+    n_eps = eps_ladder.size
+    ladder = np.append(eps_ladder, eps_ladder[-1])
+    damp = weights[:, None] * np.exp(-np.outer(lengths, ladder))
+    damp[np.searchsorted(lengths, 0.85 * model.spec.T):, n_eps] = 0.0
+    boundary = _head_boundary_values(lengths, damp, y_grid).T
+    values = boundary[:n_eps]
     s_mat = eps_ladder[:, None] + 1j * y_grid[None, :]
     # deflate the truncated Laplace transform of the smooth density: this
     # removes the pole stack at y = 0 together with its shoulder, leaving
     # the spectral lines standing on the fluctuation floor
     deflated = values - _smooth_laplace(model.rho, model.spec.T, s_mat)
-    # truncation ripples move when the head is shortened; genuine peaks
-    # persist, so detect on the pointwise minimum of both magnitudes
-    n_trunc = int(np.searchsorted(lengths, 0.85 * model.spec.T))
-    short = _head_boundary_values(
-        lengths[:n_trunc], weights[:n_trunc], eps_ladder[-1:], y_grid
-    ) - _smooth_laplace(model.rho, 0.85 * model.spec.T, s_mat[-1:])
-    detect = np.minimum(np.abs(deflated[-1]), np.abs(short[0]))
+    short = boundary[n_eps] - _smooth_laplace(model.rho, 0.85 * model.spec.T, s_mat[-1])
+    # detect on the pointwise minimum of the full and short magnitudes
+    detect = np.minimum(np.abs(deflated[-1]), np.abs(short))
 
     d = model.dim
     grid = alpha_grid(d)

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -212,12 +213,30 @@ def test_steiner_density_points():
     assert abs(spectrum.steiner_density(p, p, "+-", t) - want) < 1e-12
 
 
-def test_to_csv_round_trip(tmp_path, points2_60):
+def test_to_csv_round_trip(tmp_path):
+    # an f-mode twist makes every phase complex; the spectrum spans several
+    # formatting slices
+    beta = spectrum.TwistForm((math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0)),
+                              {(1, 0): 0.3 + 0.2j, (-1, 0): 0.3 - 0.2j})
+    spec = spectrum.enumerate(convex.point((0.1, 0.2)), convex.point((0.7, -0.4)),
+                              T=260.0, beta=beta)
+    assert len(spec) > spectrum._CSV_ROWS
     csv_path = tmp_path / "spec.csv"
-    meta_path = tmp_path / "spec.meta.json"
-    spectrum.to_csv(points2_60, csv_path, meta_path)
-    rows = csv_path.read_text().strip().splitlines()
-    assert rows[0].split(",")[:2] == ["xi_1", "xi_2"]
-    assert len(rows) == 1 + len(points2_60)
-    first = rows[1].split(",")
-    assert float(first[4]) == pytest.approx(2.0 * math.pi, abs=1e-12)
+    spectrum.to_csv(spec, csv_path, tmp_path / "spec.meta.json")
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, *body = list(csv.reader(fh))
+    assert header == ["xi_1", "xi_2", "theta_1", "theta_2", "length",
+                      "phase_re", "phase_im"]
+    assert len(body) == len(spec)
+    assert [[int(c) for c in row[:2]] for row in body] == spec.xi.tolist()
+    cells = np.array([[float(c) for c in row[2:]] for row in body])
+
+    def same_bits(a, b):
+        return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                              np.ascontiguousarray(b).view(np.uint64))
+
+    assert same_bits(cells[:, :2], spec.theta)
+    assert same_bits(cells[:, 2], spec.lengths)
+    assert same_bits(cells[:, 3], spec.phases.real)
+    assert same_bits(cells[:, 4], spec.phases.imag)
+    assert np.all(spec.phases.imag != 0.0)

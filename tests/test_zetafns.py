@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthospec import convex, spectrum, zetafns
 
@@ -245,6 +247,61 @@ def test_singularity_scan_locates_the_lines(model3):
     assert first.line_distance <= 0.02
     for f in fits:
         assert f.residual <= 0.35
+
+
+def dense_boundary_values(lengths, damp, y_grid):
+    """sum_k damp[k, c] exp(-i y l_k), one exact exponential per (y, l) pair."""
+    return np.array([np.exp(-1j * y * lengths) @ damp for y in y_grid])
+
+
+@pytest.mark.parametrize("y_grid, uniform", [
+    (np.linspace(0.0, 3.2, 641), True),
+    # linspace rounding is largest relative to dy far from the origin
+    (np.linspace(40.0, 43.0, 301), True),
+    (np.array([0.0, 0.31, 0.5, 1.7, 1.71, 2.9, 3.2]), False),
+    (np.array([1.234]), False),
+], ids=["default", "offset", "explicit", "single"])
+def test_head_boundary_values_match_the_dense_sum(model3, y_grid, uniform, monkeypatch):
+    lengths = model3.spec.lengths
+    assert lengths.size > zetafns._BLOCK_ENTRIES // zetafns._ANCHOR_ROWS
+    beta = spectrum.TwistForm((math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0), 0.25))
+    weights = zetafns._phase_weights(model3.spec, beta)
+    damp = weights[:, None] * np.exp(-np.outer(lengths, [0.1, 0.04]))
+    evaluated = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    got = zetafns._head_boundary_values(lengths, damp, y_grid)
+    monkeypatch.undo()
+    # one exact row per anchor block, plus the rotation on a uniform grid
+    rows = math.ceil(y_grid.size / zetafns._ANCHOR_ROWS) + 1 if uniform else y_grid.size
+    assert sum(evaluated) == rows * lengths.size
+    want = dense_boundary_values(lengths, damp, y_grid)
+    err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert np.all(err <= 1e-12), err
+
+
+samples = st.one_of(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
+    # small integers make plateaus, ties between bases and equal neighbours
+    st.lists(st.integers(0, 3).map(float), min_size=1, max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples)
+def test_local_maxima_match_find_peaks(x):
+    from scipy.signal import find_peaks
+
+    x = np.array(x)
+    want, props = find_peaks(x, prominence=0.0)
+    peaks, prominences = zetafns._local_maxima(x)
+    assert np.array_equal(peaks, want)
+    assert prominences.tobytes() == props["prominences"].tobytes()
 
 
 def test_singularity_scan_ladder_validation(model3):
