@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import eval_chebyt, eval_gegenbauer, gamma as _gamma
-from scipy.special import binom as _binom
 
 from . import spherequad
 
@@ -140,17 +138,21 @@ class _Ellipsoid:
 def _zonal_profile(dim: int, k: int, s, m: int):
     """m-th s-derivative of the degree-k zonal harmonic on S^(dim-1), normalized to 1 at s=1.
 
-    The profile is T_k(s) for dim = 2 and C^lam_k(s) / C^lam_k(1) with
-    lam = (dim-2)/2 otherwise; derivatives use d/ds C^lam_n = 2 lam
-    C^(lam+1)_(n-1) and T_k' = k C^1_(k-1).  Requires m <= k.
+    The profile is T_k(s) = C^1_k(s) - s C^1_(k-1)(s) for dim = 2 and
+    C^lam_k(s) / C^lam_k(1) with lam = (dim-2)/2 otherwise; derivatives use
+    d/ds C^lam_n = 2 lam C^(lam+1)_(n-1) and T_k' = k C^1_(k-1).  Requires
+    m <= k.
     """
     if dim == 2:
         if m == 0:
-            return eval_chebyt(k, s)
-        return k * 2.0 ** (m - 1) * math.factorial(m - 1) * eval_gegenbauer(k - m, float(m), s)
+            c, cm = spherequad._gegenbauer(k, 1.0, s)
+            return c - s * cm
+        c, _ = spherequad._gegenbauer(k - m, float(m), s)
+        return k * 2.0 ** (m - 1) * math.factorial(m - 1) * c
     lam = (dim - 2) / 2.0
     rising = math.prod(lam + j for j in range(m))
-    return 2.0 ** m * rising * eval_gegenbauer(k - m, lam + m, s) / _binom(k + dim - 3, k)
+    c, _ = spherequad._gegenbauer(k - m, lam + m, s)
+    return 2.0 ** m * rising * c / math.comb(k + dim - 3, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,8 +446,8 @@ def steiner(body: SupportBody, order: int = 48) -> SteinerData:
     steiner_coeffs = np.zeros(d + 1)
     steiner_coeffs[0] = vol2
     steiner_coeffs[1:] = m2 / np.arange(1, d + 1)
-    ell = np.arange(d + 1)
-    intrinsic_rev = steiner_coeffs * _gamma(ell / 2.0 + 1.0) / math.pi ** (ell / 2.0)
+    intrinsic_rev = steiner_coeffs * np.array(
+        [math.gamma(ell / 2.0 + 1.0) / math.pi ** (ell / 2.0) for ell in range(d + 1)])
     return SteinerData(
         dim=d,
         volume=vol2,

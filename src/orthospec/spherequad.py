@@ -1,10 +1,12 @@
 """Quadrature and oscillatory integrals on round spheres.
 
-Grids are tensor products of Gauss-Jacobi rules in the polar cosines and a
-uniform (trapezoid) rule in the azimuth.  ``grid(dim, order)`` integrates all
-polynomials of total degree <= 2*order - 1 exactly.  ``grid(dim, order,
-inner)`` keeps ``order`` nodes in the outermost polar cosine (the first
-coordinate) and puts ``grid(dim - 1, inner)`` on the sphere beside it.
+Grids are tensor products of Gauss-Gegenbauer rules in the polar cosines and
+a uniform (trapezoid) rule in the azimuth.  The Gauss rules are computed
+here, by Newton's method on the Gegenbauer three-term recurrence.
+``grid(dim, order)`` integrates all polynomials of total degree <= 2*order - 1
+exactly.  ``grid(dim, order, inner)`` keeps ``order`` nodes in the outermost
+polar cosine (the first coordinate) and puts ``grid(dim - 1, inner)`` on the
+sphere beside it.
 
 Oscillatory integrals use such a grid with its polar axis turned onto the
 stationary points +-omega of the phase: only the polar rule has to follow
@@ -24,9 +26,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import jv as _besselj
-from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
     "SphericalGrid",
@@ -35,12 +34,14 @@ __all__ = [
     "sphere_area",
     "grid",
     "integrate",
-    "bessel_surface",
     "pole_cutoffs",
     "osc_integral",
     "stationary_phase",
     "cap_decay_check",
 ]
+
+
+_NEWTON_STEPS = 30  # before a Gauss rule counts as failed
 
 
 class UnderResolved(Exception):
@@ -63,7 +64,7 @@ class SphericalGrid:
 
 def sphere_area(dim: int) -> float:
     """Surface measure of S^(dim-1): 2 pi^(d/2) / Gamma(d/2)."""
-    return 2.0 * math.pi ** (dim / 2.0) / _gamma(dim / 2.0)
+    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
 def _circle_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,11 +76,59 @@ def _circle_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _gegenbauer(n: int, lam: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """(C^lam_n(x), C^lam_(n-1)(x)) by C_k = (2x(k+lam-1) C_(k-1) - (k+2lam-2) C_(k-2)) / k."""
+    x = np.asarray(x, dtype=float)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(1, n + 1):
+        prev, cur = cur, (2.0 * (k + lam - 1.0) * x * cur - (k + 2.0 * lam - 2.0) * prev) / k
+    return cur, prev
+
+
+def _gauss_gegenbauer(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Order-n Gauss rule for the weight (1 - u^2)^(lam - 1/2) on [-1, 1], lam > 0.
+
+    Newton's method finds the n // 2 positive roots of C^lam_n, starting
+    from the Gatteschi-Pittaluga asymptotic angles; the other nodes are
+    their mirror images and, for odd n, zero.  The weights are proportional
+    to 1 / ((1 - u^2) C_n'(u)^2) and scaled to the total mass
+    sqrt(pi) Gamma(lam + 1/2) / Gamma(lam + 1).  They take (1 - u^2) C_n' =
+    (n + 2 lam - 1) C_(n-1) - n u C_n in full: C_(n-1) alone equals it at
+    the root but follows the last bit of u near the ends far more closely
+    (end weights 1.6e-8 off at n = 1000, against 2e-11).  Nodes are
+    ascending and exactly symmetric.
+    """
+    big_n = n + lam
+    phi = (np.arange(1, n // 2 + 1) + 0.5 * lam - 0.5) * (math.pi / big_n)
+    u = np.cos(phi + (0.25 - (lam - 0.5) ** 2) / (2.0 * big_n * big_n * np.tan(phi)))
+    for _ in range(_NEWTON_STEPS):
+        c, cm = _gegenbauer(n, lam, u)
+        du = (n + 2.0 * lam - 1.0) * cm - n * u * c  # (1 - u^2) C_n'(u)
+        step = c * (1.0 - u) * (1.0 + u) / du
+        u = u - step
+        converged = bool(np.all(np.abs(step) <= 1e-15))
+        if converged:
+            break
+    if n % 2:
+        u = np.append(u, 0.0)
+    c, cm = _gegenbauer(n, lam, u)
+    # distinct consecutive roots of C_n enclose a root of C_(n-1)
+    if not (converged and np.all(u >= 0.0) and np.all(cm[1:] * cm[:-1] < 0.0)):
+        raise ArithmeticError(f"Gauss-Gegenbauer Newton iteration failed (n={n}, lam={lam})")
+    du = (n + 2.0 * lam - 1.0) * cm - n * u * c
+    w = (1.0 - u) * (1.0 + u) / (du * du)
+    half = n // 2
+    nodes = np.concatenate([-u[:half], u[::-1]])
+    weights = np.concatenate([w[:half], w[::-1]])
+    mass = math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0)
+    return nodes, weights * (mass / np.sum(weights))
+
+
 @lru_cache(maxsize=64)
 def grid(dim: int, order: int, inner: Optional[int] = None) -> SphericalGrid:
     """Product quadrature grid on S^(dim-1).
 
-    The first coordinate takes an order-``order`` Gauss-Jacobi rule and the
+    The first coordinate takes an order-``order`` Gauss-Gegenbauer rule and the
     rest is ``grid(dim - 1, inner)``; ``inner=None`` means ``inner = order``,
     which is exact to polynomial degree 2*order-1.  On the circle (dim 2) the
     azimuth rule has order ``order`` and ``inner`` is unused.
@@ -92,12 +141,7 @@ def grid(dim: int, order: int, inner: Optional[int] = None) -> SphericalGrid:
     nodes, weights = _circle_grid(order if dim == 2 else inner)
     for j in range(3, dim + 1):
         # S^(j-1) from S^(j-2): dsigma = (1-u^2)^((j-3)/2) du dsigma'.
-        n = order if j == dim else inner
-        alpha = (j - 3) / 2.0
-        if alpha == 0.0:
-            u, w = roots_legendre(n)
-        else:
-            u, w = roots_jacobi(n, alpha, alpha)
+        u, w = _gauss_gegenbauer(order if j == dim else inner, (j - 2) / 2.0)
         sin_part = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
         # new first coordinate u, remaining coordinates scaled previous node
         nodes = np.concatenate(
@@ -118,21 +162,6 @@ def integrate(g: SphericalGrid, f) -> complex | float:
     """Integrate f over the sphere; f is a callable on (n, d) arrays or an array of node values."""
     vals = f(g.nodes) if callable(f) else np.asarray(f)
     return np.sum(g.weights * vals)
-
-
-def bessel_surface(dim: int, rho) -> np.ndarray | float:
-    """Radial Fourier transform of the sphere: integral of e^{i rho theta.e} dsigma.
-
-    Equals (2 pi)^(d/2) rho^(1-d/2) J_{d/2-1}(rho); tends to the sphere area
-    as rho -> 0.
-    """
-    rho = np.asarray(rho, dtype=float)
-    nu = dim / 2.0 - 1.0
-    small = np.abs(rho) < 1e-12
-    safe = np.where(small, 1.0, rho)
-    out = (2.0 * math.pi) ** (dim / 2.0) * safe ** (1.0 - dim / 2.0) * _besselj(nu, safe)
-    out = np.where(small, sphere_area(dim), out)
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erfcx, gamma as _gamma, gammaincc
 
 from . import convex, spectrum, spherequad
 
@@ -62,6 +61,10 @@ _BLOCK_ENTRIES = 2_000_000  # complex entries of one phase block
 _ANCHOR_ROWS = 64           # rows rotated from one exact exponential
 _TAIL_REL = 1e-6
 _MASS_TOL = 1e-12
+_CF_FROM = 2.0   # erfcx takes its continued fraction from here on,
+_CF_TERMS = 60   # at a depth that converges to an ulp there
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 class PoleHit(Exception):
@@ -232,7 +235,7 @@ def _ball_density(ell: int, d: int) -> float:
     The counting-density coefficient of t^{ell-1} per unit intrinsic volume
     V_{d-ell} of the difference body.
     """
-    return ell * math.pi ** (ell / 2.0) / ((2 * math.pi) ** d * _gamma(ell / 2.0 + 1.0))
+    return ell * math.pi ** (ell / 2.0) / ((2 * math.pi) ** d * math.gamma(ell / 2.0 + 1.0))
 
 
 def _require_untwisted(model: ZetaModel, what: str) -> None:
@@ -433,23 +436,67 @@ def poincare_tail_bound(model: ZetaModel, s: complex) -> float:
     sig = complex(s).real
     if sig <= 0:
         raise ValueError("tail bound needs Re(s) > 0")
-    k = np.arange(1, model.dim + 1)
-    terms = model.rho * _gamma(k) * sig ** (-k.astype(float)) * gammaincc(
-        k, sig * model.T
-    )
+    terms = [
+        model.rho[k - 1] * math.factorial(k - 1) * sig ** -k * _gammaincc(k, sig * model.T)
+        for k in range(1, model.dim + 1)
+    ]
     return float(np.sum(terms))
 
 
+def _erfcx(x: np.ndarray) -> np.ndarray:
+    """e^{x^2} erfc(x) for x >= 0, to a few ulps.
+
+    The product itself below _CF_FROM; from there on the continued fraction
+    1 / (sqrt(pi) (x + (1/2) / (x + 1 / (x + (3/2) / (x + ...))))) at a
+    fixed depth, since e^{x^2} loses x^2 ulps and erfc(x) underflows past
+    x = 26.5.
+    """
+    x = np.asarray(x, dtype=float)
+    near = x < _CF_FROM
+    xn = np.where(near, x, 0.0)
+    xf = np.where(near, _CF_FROM, x)
+    f = xf
+    for k in range(_CF_TERMS, 0, -1):
+        f = xf + 0.5 * k / f
+    return np.where(near, np.exp(xn * xn) * _erfc(xn), 1.0 / (math.sqrt(math.pi) * f))
+
+
+def _gammaincc(p: float, x) -> np.ndarray:
+    """Regularized upper incomplete gamma Q(p, x) for p = 1/2, 1, 3/2, ...
+
+    Upward from Q(1, x) = e^{-x} or Q(1/2, x) = erfc(sqrt(x)) by
+    Q(a + 1, x) = Q(a, x) + x^a e^{-x} / Gamma(a + 1), a sum of positive terms.
+    """
+    if p < 0.5 or 2.0 * p != round(2.0 * p):
+        raise ValueError("p must be a positive multiple of 1/2")
+    x = np.asarray(x, dtype=float)
+    ex = np.exp(-x)
+    a = 1.0 if p == round(p) else 0.5
+    q = ex if a == 1.0 else _erfc(np.sqrt(x))
+    while a < p:
+        q = q + x**a * ex / math.gamma(a + 1.0)
+        a += 1.0
+    return q
+
+
 def _H_theta(a: float, b: np.ndarray) -> np.ndarray:
-    # int_0^1 tau^{-1/2} exp(-a tau - b / tau) dtau, a > 0, b >= 0
+    """int_0^1 tau^{-1/2} exp(-a tau - b / tau) dtau for a > 0, b >= 0.
+
+    It equals (1/2) sqrt(pi/a) [erfc(sb - sa) e^{-2 sa sb} - erfc(sa + sb)
+    e^{2 sa sb}] with sa = sqrt(a), sb = sqrt(b).  Each term is taken as
+    erfcx(x) e^{-a} e^{-b}, which neither overflows nor loses the exponent
+    to rounding; only the first term at sb < sa keeps its erfc form, where
+    erfc lies in (1, 2] and e^{(sb - sa)^2} could overflow.
+    """
     sa, sb = math.sqrt(a), np.sqrt(b)
-    t1 = -erfcx(sa + sb) * np.exp(-a - b)
-    t2 = np.where(
-        sb >= sa,
-        erfcx(np.abs(sb - sa)) * np.exp(-a - b),
-        2.0 * np.exp(-2.0 * sa * sb) - erfcx(np.abs(sa - sb)) * np.exp(-a - b),
+    x = sb - sa
+    e_ab = np.exp(-a) * np.exp(-b)
+    first = np.where(
+        x < 0.0,
+        _erfc(np.minimum(x, 0.0)) * np.exp(-2.0 * sa * sb),
+        _erfcx(np.maximum(x, 0.0)) * e_ab,
     )
-    return 0.5 * math.sqrt(math.pi) / math.sqrt(a) * (t1 + t2)
+    return 0.5 * math.sqrt(math.pi / a) * (first - _erfcx(sa + sb) * e_ab)
 
 
 def _ewald_dual_sum(s: float, u: np.ndarray, beta0: np.ndarray, dim: int) -> complex:
@@ -461,12 +508,12 @@ def _ewald_dual_sum(s: float, u: np.ndarray, beta0: np.ndarray, dim: int) -> com
     p = (dim + 1) / 2.0
     m = spectrum._lattice_box(dim, 8)
     A = s**2 + np.sum((m + beta0) ** 2, axis=1)
-    lattice = np.sum(np.exp(1j * (m @ u)) * A ** (-p) * gammaincc(p, A))
+    lattice = np.sum(np.exp(1j * (m @ u)) * A ** (-p) * _gammaincc(p, A))
     n = spectrum._lattice_box(dim, 4)
     w = u - 2.0 * math.pi * n
     b = np.sum(w**2, axis=1) / 4.0
     phases = np.exp(-1j * (w @ beta0))
-    images = math.pi ** (dim / 2.0) / _gamma(p) * np.sum(phases * _H_theta(s**2, b))
+    images = math.pi ** (dim / 2.0) / math.gamma(p) * np.sum(phases * _H_theta(s**2, b))
     return complex(lattice + images)
 
 
@@ -548,12 +595,12 @@ def F_alpha(alpha: float, z) -> complex:
         raise ValueError("F_alpha is defined off the negative real axis")
     near_int = abs(alpha - round(alpha)) < 1e-12
     if alpha < 1.0 and not (near_int and round(alpha) >= 1):
-        out = _gamma(1.0 - alpha) * z ** (alpha - 1.0)
+        out = math.gamma(1.0 - alpha) * z ** (alpha - 1.0)
     elif near_int:
         n = int(round(alpha))
         out = ((-1.0) ** n / math.factorial(n)) * z ** (n - 1) * np.log(z)
     else:
-        out = math.pi / (math.sin(math.pi * alpha) * _gamma(alpha)) * z ** (
+        out = math.pi / (math.sin(math.pi * alpha) * math.gamma(alpha)) * z ** (
             alpha - 1.0
         )
     return complex(out) if np.ndim(z) == 0 else out

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.optimize import curve_fit
 
 from orthospec import convex, dynamics, spectrum, spherequad, zetafns
+from sphere_fourier import bessel_surface
 
 IRRATIONAL_BETA2 = (math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0))
 IRRATIONAL_BETA3 = (math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0),
@@ -121,7 +122,7 @@ def test_criterion_4_oscillatory_engine(capsys):
     rhos = np.linspace(0.5, 200.0, 400)
     errs = [
         abs(spherequad.osc_integral(3, xi=np.array([r, 0.0, 0.0]), t=1.0).value
-            - spherequad.bessel_surface(3, r))
+            - bessel_surface(3, r))
         for r in rhos
     ]
     exact_dev = max(errs)

@@ -250,25 +250,53 @@ def test_orientations_the_library_rejects_are_config_errors(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal would be about half of the import time of every
-    # subcommand: the singularity scan finds its peaks in numpy, and
-    # scipy.optimize has no use since the spectral constants are closed forms
+_NO_SCIPY_STEPS = """
+import sys
+
+def report(step):
+    # scipy and its subpackages, to two name levels
+    loaded = sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")})
+    print(step, ",".join(loaded) or "-")
+
+import orthospec.cli
+report("import")
+from orthospec import convex, spherequad, zetafns
+m = zetafns.build_zeta_model(convex.point((0.0, 0.0, 0.0)),
+                             convex.point((0.9, 0.4, -1.1)), T=60.0, sweep=(1.0,))
+assert len(zetafns.singularity_scan(m)) > 1
+report("singularity_scan")
+zetafns.poincare_points_spectral((0.0, 0.0), (0.9, 0.4), None, 0.5)
+report("ewald_d2")
+zetafns.poincare_points_spectral((0.0, 0.0, 0.0), (0.9, 0.4, -1.1), None, 0.5)
+report("ewald_d3")
+convex.steiner(convex.harmonic(convex.ball((0.0, 0.0), 1.0), [(4, (1.0, 0.0), 0.02)]))
+report("steiner_d2")
+convex.steiner(convex.harmonic(convex.ellipsoid((0.0, 0.0, 0.0), (1.0, 0.8, 0.7)),
+                               [(4, (0.0, 0.0, 1.0), 0.01), (6, (1.0, 0.0, 0.0), 0.005)]))
+report("steiner_d3")
+spherequad.grid(4, 30)
+spherequad.grid(5, 12)
+report("grid")
+"""
+
+
+def test_subcommands_never_load_scipy():
+    # scipy.special alone was more than half of the import time of every
+    # subcommand; the package computes its Gauss rules and special
+    # functions itself, so no step of any pipeline may load scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, orthospec.cli; "
-         "print('scipy.signal' in sys.modules, 'scipy.optimize' in sys.modules); "
-         "from orthospec import convex, zetafns; "
-         "m = zetafns.build_zeta_model(convex.point((0.0, 0.0, 0.0)), "
-         "convex.point((0.9, 0.4, -1.1)), T=60.0, sweep=(1.0,)); "
-         "fits = zetafns.singularity_scan(m); "
-         "print(len(fits) > 1, 'scipy.signal' in sys.modules)"],
+        [sys.executable, "-c", _NO_SCIPY_STEPS],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.split() == ["False", "False", "True", "False"]
+    steps = [line.split() for line in out.stdout.splitlines()]
+    assert [step for step, _ in steps] == [
+        "import", "singularity_scan", "ewald_d2", "ewald_d3", "steiner_d2",
+        "steiner_d3", "grid"]
+    assert all(loaded == "-" for _, loaded in steps), out.stdout
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,24 @@ def test_harmonic_body_is_usable():
     assert abs(D.intrinsic[1] - math.pi) < 1e-12
     h_lo, h_hi = body.h_range()
     assert (h_lo, h_hi) == (1.0 - c, 1.0 + c)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_zonal_profile_matches_mpmath(dim):
+    # m-th derivative of T_k (dim 2) or of C^lam_k / C^lam_k(1), lam = (dim-2)/2
+    s = np.array([-1.0, -0.73, -0.2, 0.31, 0.88, 1.0])
+    lam = mp.mpf(dim - 2) / 2
+    with mp.workdps(40):
+        for k in range(9):
+            if dim == 2:
+                f, norm = (lambda x: mp.chebyt(k, x)), 1
+            else:
+                f, norm = (lambda x: mp.gegenbauer(k, lam, x)), mp.gegenbauer(k, lam, 1)
+            for m in range(k + 1):
+                want = np.array([float(mp.diff(f, mp.mpf(v), m) / norm) for v in s])
+                got = convex._zonal_profile(dim, k, s, m)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale, (k, m)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

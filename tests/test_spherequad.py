@@ -1,11 +1,14 @@
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthospec import spherequad
+from sphere_fourier import bessel_surface
 
 
 def test_sphere_area_closed_forms():
@@ -31,16 +34,84 @@ def test_integrate_quadratic_exactly():
         assert abs(got) < 1e-13
 
 
+def _gauss_oracle(n, lam, u0):
+    """Root of C^lam_n refined from u0 at 40 digits, and its Christoffel weight.
+
+    w = (k_n / k_(n-1)) h_(n-1) / (C_n'(u) C_(n-1)(u)), with k_n / k_(n-1) =
+    2 (n + lam - 1) / n and h_m = pi 2^(1-2lam) Gamma(m + 2lam) /
+    (m! (m + lam) Gamma(lam)^2) the squared norm of C^lam_m.
+    """
+    def pair(u):
+        prev, cur = mp.mpf(0), mp.mpf(1)
+        for k in range(1, n + 1):
+            prev, cur = cur, (2 * (k + lam - 1) * u * cur - (k + 2 * lam - 2) * prev) / k
+        return cur, prev
+
+    def deriv(u, c, cm):
+        return ((n + 2 * lam - 1) * cm - n * u * c) / (1 - u * u)
+
+    lam, u = mp.mpf(lam), mp.mpf(u0)
+    for _ in range(2):
+        c, cm = pair(u)
+        u -= c / deriv(u, c, cm)
+    c, cm = pair(u)
+    h = (mp.pi * 2 ** (1 - 2 * lam) * mp.gamma(n - 1 + 2 * lam)
+         / (mp.factorial(n - 1) * (n - 1 + lam) * mp.gamma(lam) ** 2))
+    return u, 2 * (n + lam - 1) / n * h / (deriv(u, c, cm) * cm)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0])
+def test_gauss_gegenbauer_matches_a_40_digit_oracle(lam):
+    # the polar rules of S^2..S^5; at n = 1000 the eight nodes nearest the
+    # pole, where the weights are most sensitive, and two at the equator
+    for n in (1, 2, 8, 96, 1000):
+        u, w = spherequad._gauss_gegenbauer(n, lam)
+        assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(u) > 0.0)
+        rows = range(n // 2, n) if n <= 96 else [n // 2, n // 2 + 1, *range(n - 8, n)]
+        with mp.workdps(40):
+            for i in rows:
+                root, weight = _gauss_oracle(n, lam, u[i])
+                assert abs(u[i] - float(root)) <= 1e-15, (n, i)
+                assert abs(w[i] / float(weight) - 1.0) <= 1e-10, (n, i)
+
+
+def test_gauss_gegenbauer_refuses_a_failed_iteration():
+    # lam = 15 at n = 20 is far outside the sphere dimensions a grid can
+    # hold; the asymptotic start lets Newton land twice on one root
+    with pytest.raises(ArithmeticError):
+        spherequad._gauss_gegenbauer(20, 15.0)
+
+
+def _monomial_integral(powers):
+    # integral of prod x_i^a_i over S^(d-1)
+    if any(a % 2 for a in powers):
+        return 0.0
+    num = math.prod(math.gamma((a + 1) / 2.0) for a in powers)
+    return 2.0 * num / math.gamma((sum(powers) + len(powers)) / 2.0)
+
+
+@pytest.mark.parametrize("dim, orders", [(3, (1, 2, 3, 6)), (4, (1, 2, 4)), (5, (1, 2, 3))])
+def test_grid_integrates_monomials_to_degree_2n_minus_1(dim, orders):
+    for n in orders:
+        g = spherequad.grid(dim, n)
+        for powers in itertools.product(range(2 * n), repeat=dim):
+            if sum(powers) > 2 * n - 1:
+                continue
+            got = float(g.weights @ np.prod(g.nodes ** np.array(powers), axis=1))
+            assert abs(got - _monomial_integral(powers)) < 1e-13, (n, powers)
+
+
 def test_bessel_surface_dim3_closed_form():
     rho = np.linspace(0.5, 40.0, 80)
     want = 4.0 * math.pi * np.sin(rho) / rho
-    got = spherequad.bessel_surface(3, rho)
+    got = bessel_surface(3, rho)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_bessel_surface_at_zero_limit():
     for d in (2, 3, 5):
-        assert abs(spherequad.bessel_surface(d, 1e-8) - spherequad.sphere_area(d)) < 1e-6
+        assert abs(bessel_surface(d, 1e-8) - spherequad.sphere_area(d)) < 1e-6
 
 
 @settings(max_examples=40, deadline=None)
@@ -49,14 +120,14 @@ def test_osc_integral_matches_bessel(rho):
     # F = 1: the integral is the surface Fourier transform at radius rho
     xi = np.array([rho, 0.0, 0.0])
     val = spherequad.osc_integral(3, xi=xi, t=1.0).value
-    want = spherequad.bessel_surface(3, rho)
+    want = bessel_surface(3, rho)
     assert abs(val - want) < 1e-10
 
 
 def test_osc_integral_dim2_matches_bessel():
     for rho in (0.7, 5.0, 33.0, 101.5):
         val = spherequad.osc_integral(2, xi=np.array([0.0, rho]), t=1.0).value
-        want = spherequad.bessel_surface(2, rho)
+        want = bessel_surface(2, rho)
         assert abs(val - want) < 1e-10
 
 
@@ -116,7 +187,7 @@ def test_osc_integral_matches_bessel_in_any_direction(u, rho):
         val = spherequad.osc_integral(d, xi=xi, t=1.0).value
     finally:
         spherequad.grid.cache_clear()  # d = 4 grids at rho near 120 are tens of MB each
-    assert abs(val - spherequad.bessel_surface(d, rho)) < 1e-10
+    assert abs(val - bessel_surface(d, rho)) < 1e-10
 
 
 @pytest.mark.parametrize("xi, beta0, big", [

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,42 @@ def test_poincare_points_rejects_equal_points():
     x = np.zeros(3)
     with pytest.raises(ValueError):
         zetafns.poincare_points_spectral(x, x + 2.0 * math.pi, None, 0.5)
+
+
+def test_ewald_kernel_matches_a_40_digit_oracle():
+    # _H_theta(a, b) = (1/2) sqrt(pi/a) [erfc(sb - sa) e^{-2 sa sb}
+    # - erfc(sa + sb) e^{2 sa sb}]; the grid reaches sa + sb > 27, where
+    # erfc underflows, and s >= 16, where e^{2 sa sb} overflows
+    s_grid = np.concatenate([np.geomspace(0.05, 20.0, 24), [16.0, 26.0, 40.0]])
+    b = np.concatenate([[0.0, 1e-9], np.geomspace(1e-4, 2000.0, 40), [290.0, 720.0]])
+    with mp.workdps(40):
+        for s in s_grid:
+            got = zetafns._H_theta(s * s, b)
+            sa = mp.mpf(s)
+            for bi, gi in zip(b, got):
+                sb = mp.sqrt(mp.mpf(bi))
+                want = float(mp.sqrt(mp.pi) / (2 * sa) * (
+                    mp.erfc(sb - sa) * mp.exp(-2 * sa * sb)
+                    - mp.erfc(sa + sb) * mp.exp(2 * sa * sb)))
+                if want > 1e-300:
+                    assert abs(gi / want - 1.0) <= 1e-13, (s, bi)
+                else:
+                    assert abs(gi - want) <= 1e-300, (s, bi)
+        x = np.linspace(0.0, 50.0, 251)
+        want = [float(mp.exp(mp.mpf(v) ** 2) * mp.erfc(mp.mpf(v))) for v in x]
+        assert np.max(np.abs(zetafns._erfcx(x) / want - 1.0)) <= 2e-15
+
+
+def test_gammaincc_matches_a_40_digit_oracle():
+    # the regularized Q(p, x) of the Ewald lattice sum (p = (d+1)/2) and of
+    # the Poincare tail bound (integer p)
+    x = np.geomspace(1e-3, 300.0, 121)
+    with mp.workdps(40):
+        for p in (1.0, 1.5, 2.0, 2.5, 3.0):
+            want = [float(mp.gammainc(p, mp.mpf(v), mp.inf, regularized=True)) for v in x]
+            assert np.max(np.abs(zetafns._gammaincc(p, x) / want - 1.0)) <= 2e-15, p
+    with pytest.raises(ValueError):
+        zetafns._gammaincc(1.3, x)
 
 
 def test_spectral_constants_match_the_flat_closed_form():
