@@ -4,8 +4,9 @@ A body is a Minkowski sum of primitive parts (point, ball, ellipsoid, zonal
 harmonic bump).  Every primitive knows, in closed form, its support function
 h restricted to unit vectors, the gradient of the 1-homogeneous extension
 (the inverse Gauss map), the extension's Hessian, and an enclosure
-[h_lo, h_hi] of h on the whole sphere.  Principal curvature radii are the
-tangent-space eigenvalues of the Hessian.
+[h_lo, h_hi] of h on the whole sphere.  The Hessian H annihilates u, so its
+other d-1 eigenvalues are the principal curvature radii, and the area
+element's coefficients are their elementary symmetric functions e_j(H).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "area_element",
     "principal_radii",
     "steiner",
-    "as_direction",
 ]
 
 _MIN_RADIUS = 1e-6
@@ -41,15 +41,6 @@ _MIN_RADIUS = 1e-6
 
 class QuadratureDisagreement(Exception):
     """Doubling the quadrature order moved a Steiner integral past tolerance."""
-
-
-def as_direction(v) -> np.ndarray:
-    """Validate and return a unit vector (|v| = 1 within 1e-14)."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > 1e-14:
-        raise ValueError(f"direction must be unit length, got |v| = {n!r}")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -240,29 +231,17 @@ class SupportBody:
         return all(isinstance(p, _Point) for p in self.parts)
 
 
-def _tangent_frames(theta: np.ndarray) -> np.ndarray:
-    """Orthonormal frames (n, d, d-1) spanning the tangent space at each unit theta."""
-    d = theta.shape[1]
-    w = theta.copy()
-    w[:, -1] -= 1.0
-    # Householder Q = I - 2 w w^T / |w|^2 with w = theta - e_d maps e_d to theta; near
-    # e_d that w cancels and Q's columns are tangent only to within eps / |w|, so there
-    # w = theta + e_d, which maps -e_d to theta.  The first d-1 columns are tangent.
-    w[np.linalg.norm(w, axis=1) < 1e-2, -1] += 2.0
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    return np.eye(d)[None, :, : d - 1] - 2.0 * w[:, :, None] * w[:, None, : d - 1]
-
-
-def _hessian_tangent(body: SupportBody, theta: np.ndarray,
-                     frames: np.ndarray) -> np.ndarray:
-    """Tangent-space block (n, d-1, d-1) of the extension Hessian in the given frames."""
-    return np.einsum("nia,nij,njb->nab", frames, body.hess(theta), frames)
-
-
 def principal_radii(body: SupportBody, theta: np.ndarray) -> np.ndarray:
-    """Principal curvature radii (n, d-1), ascending, at unit normals theta."""
+    """Principal curvature radii (n, d-1), ascending, at unit normals theta.
+
+    Shifting theta's eigenvalue 0 of H to -(1 + |H|_F), below every other
+    eigenvalue, leaves the radii as the top d-1 eigenvalues.
+    """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    return np.linalg.eigvalsh(_hessian_tangent(body, theta, _tangent_frames(theta)))
+    H = body.hess(theta)
+    mu = 1.0 + np.linalg.norm(H, axis=(1, 2))
+    shifted = H - mu[:, None, None] * (theta[:, :, None] * theta[:, None, :])
+    return np.linalg.eigvalsh(shifted)[:, 1:]
 
 
 def _certify(dim: int, kind: str, parts: tuple, check_strict: bool) -> SupportBody:
@@ -385,22 +364,31 @@ def area_element(body: SupportBody, t, theta) -> np.ndarray:
     Monic of degree dim-1 in t; strictly positive for t >= 0 on strictly
     convex bodies; reduces to t^(dim-1) for points.
     """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    radii = principal_radii(body, theta)
-    t = np.asarray(t, dtype=float)
-    return np.prod(t[..., None, None] + radii[None, ...], axis=-1).squeeze()
+    coeffs = _area_coeffs(body, np.atleast_2d(np.asarray(theta, dtype=float)))
+    powers = np.asarray(t, dtype=float)[..., None] ** np.arange(body.dim)
+    return (powers @ coeffs.T).squeeze()
 
 
 def _area_coeffs(body: SupportBody, theta: np.ndarray) -> np.ndarray:
-    """Coefficients a_j(theta) of P(t, theta) = sum_j a_j t^j, shape (n, dim)."""
-    radii = principal_radii(body, theta)
-    n, dm1 = radii.shape
-    coeffs = np.zeros((n, dm1 + 1))
-    coeffs[:, 0] = 1.0
-    for i in range(dm1):
-        coeffs[:, 1 : i + 2] += coeffs[:, : i + 1] * radii[:, i : i + 1]
-    # coeffs[:, j] currently multiplies t^(dm1 - j); flip to ascending powers
-    return coeffs[:, ::-1]
+    """Coefficients a_j(theta) of P(t, theta) = sum_j a_j t^j, shape (n, dim).
+
+    a_j = e_(dim-1-j)(H), the elementary symmetric functions of the radii,
+    from the power sums p_k = tr(H^k) by Newton's identities
+    k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i.
+    """
+    H = body.hess(theta)
+    n, d, _ = H.shape
+    power_sums = [np.trace(H, axis1=1, axis2=2)]
+    Hk = H
+    for _ in range(2, d):
+        Hk = Hk @ H
+        power_sums.append(np.trace(Hk, axis1=1, axis2=2))
+    e = [np.ones(n)]
+    for k in range(1, d):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * power_sums[i - 1]
+                     for i in range(1, k + 1)) / k)
+    # one contiguous column per coefficient, so sphere moments are plain dot products
+    return np.stack(e[::-1]).T
 
 
 @dataclass(frozen=True)

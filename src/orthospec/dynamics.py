@@ -11,7 +11,6 @@ area element of the support parametrization.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ __all__ = [
     "aniso_norm",
     "equidistribute",
     "series_to_csv",
-    "norm_report_json",
 ]
 
 _REALITY_TOL = 1e-10
@@ -432,21 +430,3 @@ def series_to_csv(path, ts, values, expansions) -> None:
                     repr(abs(v - e)),
                 ]
             )
-
-
-def norm_report_json(path, phi: TorusObservable, params: AnisoParams,
-                     value: float) -> None:
-    report = {
-        "dim": phi.dim,
-        "modes": [list(k) for k in phi.frequencies],
-        "s0": params.s0,
-        "s1": params.s1,
-        "N0": params.N0,
-        "N1": params.N1,
-        "gamma": list(params.gamma),
-        "width": params.width,
-        "norm": value,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

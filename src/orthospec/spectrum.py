@@ -158,14 +158,34 @@ def _restart_directions(dim: int) -> np.ndarray:
     return spherequad.grid(dim, 8).nodes
 
 
+def _newton_system(L: convex.SupportBody, w: np.ndarray, theta: np.ndarray):
+    """Newton system (A, g, f) of theta.w - h_L(theta) at unit theta, in ambient coordinates.
+
+    f is the value, g the gradient w - grad h_L projected off theta, and
+    A = H + f (I - theta theta^T) + theta theta^T with H the Hessian of h_L.
+    As H theta = 0, A acts on the tangent space as the negated sphere Hessian
+    and maps theta to itself, so A^-1 g is the tangent Newton step and
+    min |eig A| is the transversality proxy capped at 1.
+    """
+    diff = w - L.grad(theta)
+    g = diff - np.einsum("ni,ni->n", theta, diff)[:, None] * theta
+    f = np.einsum("ni,ni->n", theta, w) - L.h(theta)
+    # A = H + f I + (1 - f) theta theta^T, in place: one (n, d, d) temporary
+    A = L.hess(theta)
+    A += (1.0 - f)[:, None, None] * theta[:, :, None] * theta[:, None, :]
+    diag = np.arange(w.shape[1])
+    A[:, diag, diag] += f[:, None]
+    return A, g, f
+
+
 def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
     """Maximize theta.w - h_L(theta) per row; returns (theta, value, min_curv).
 
-    min_curv is the smallest eigenvalue magnitude of the negated sphere
-    Hessian M + f I at the solution (the transversality proxy).  Rows that
-    fail to converge get value = nan.
+    min_curv is min(1, smallest eigenvalue magnitude of the negated sphere
+    Hessian) at the solution, the transversality proxy.  Rows that fail to
+    converge get value = nan.
     """
-    n, d = w.shape
+    n = w.shape[0]
     theta = theta0.copy()
     active = np.ones(n, dtype=bool)
     for _ in range(_NEWTON_MAX):
@@ -173,46 +193,35 @@ def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
             break
         th = theta[active]
         wa = w[active]
-        frames = convex._tangent_frames(th)
-        gradH = L.grad(th)
-        diff = wa - gradH
-        gE = np.einsum("nia,ni->na", frames, diff)
-        gnorm = np.linalg.norm(gE, axis=1)
+        A, g, _ = _newton_system(L, wa, th)
+        gnorm = np.linalg.norm(g, axis=1)
         scale = np.maximum(1.0, np.linalg.norm(wa, axis=1))
         done = gnorm <= _NEWTON_TOL * scale
-        f = np.einsum("ni,ni->n", th, wa) - L.h(th)
-        M = convex._hessian_tangent(L, th, frames)
-        A = M + f[:, None, None] * np.eye(d - 1)[None, :, :]
-        step = np.zeros_like(gE)
+        step = np.zeros_like(g)
         solvable = np.ones(th.shape[0], dtype=bool)
         try:
-            step = np.linalg.solve(A, gE[..., None])[..., 0]
+            step = np.linalg.solve(A, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
             for i in range(th.shape[0]):
                 try:
-                    step[i] = np.linalg.solve(A[i], gE[i])
+                    step[i] = np.linalg.solve(A[i], g[i])
                 except np.linalg.LinAlgError:
                     solvable[i] = False
-        # Newton step in the tangent frame; fall back to a short gradient
-        # ascent step when the local model is not positive or overshoots.
+        # fall back to a short gradient ascent step when the local model is
+        # not positive or overshoots
         bad = ~solvable | (np.linalg.norm(step, axis=1) > 0.5)
         if np.any(bad):
-            g = gE[bad]
-            gn = np.linalg.norm(g, axis=1, keepdims=True)
-            step[bad] = g / np.maximum(gn, 1e-30) * np.minimum(gn, 0.2)
-        new = th + np.einsum("nia,na->ni", frames, step)
+            gb = g[bad]
+            gn = np.linalg.norm(gb, axis=1, keepdims=True)
+            step[bad] = gb / np.maximum(gn, 1e-30) * np.minimum(gn, 0.2)
+        new = th + step
         new /= np.linalg.norm(new, axis=1, keepdims=True)
         new[done] = th[done]
         theta[active] = new
         idx = np.flatnonzero(active)
         active[idx[done]] = False
-    frames = convex._tangent_frames(theta)
-    diff = w - L.grad(theta)
-    gE = np.einsum("nia,ni->na", frames, diff)
-    gnorm = np.linalg.norm(gE, axis=1)
-    value = np.einsum("ni,ni->n", theta, w) - L.h(theta)
-    M = convex._hessian_tangent(L, theta, frames)
-    A = M + value[:, None, None] * np.eye(d - 1)[None, :, :]
+    A, g, value = _newton_system(L, w, theta)
+    gnorm = np.linalg.norm(g, axis=1)
     min_curv = np.min(np.abs(np.linalg.eigvalsh(A)), axis=1)
     value = np.where(gnorm <= 1e-10 * np.maximum(1.0, np.linalg.norm(w, axis=1)),
                      value, np.nan)
@@ -243,8 +252,8 @@ def _solve_chunk(L, xi_chunk, T0, T):
         diverged = np.flatnonzero(np.isnan(value))
         if diverged.size:
             raise NewtonDiverged(
-                f"lattice candidate {tuple(xi_chunk[diverged[0]])} did not converge; "
-                f"raise T0 or inspect the body curvature"
+                f"lattice candidate {tuple(int(c) for c in xi_chunk[diverged[0]])} did "
+                f"not converge; raise T0 or inspect the body curvature"
             )
     rejects = []
     degenerate = min_curv < _TRANSVERSALITY_TOL

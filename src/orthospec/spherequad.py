@@ -142,7 +142,7 @@ def grid(dim: int, order: int, inner: Optional[int] = None) -> SphericalGrid:
     for j in range(3, dim + 1):
         # S^(j-1) from S^(j-2): dsigma = (1-u^2)^((j-3)/2) du dsigma'.
         u, w = _gauss_gegenbauer(order if j == dim else inner, (j - 2) / 2.0)
-        sin_part = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+        sin_part = np.sqrt((1.0 - u) * (1.0 + u))  # Gauss nodes have |u| < 1
         # new first coordinate u, remaining coordinates scaled previous node
         nodes = np.concatenate(
             [

@@ -46,7 +46,6 @@ __all__ = [
     "poincare_points_spectral",
     "spectral_constants",
     "F_alpha",
-    "F_alpha_boundary",
     "alpha_grid",
     "singularity_scan",
     "predicted_lines",
@@ -604,13 +603,6 @@ def F_alpha(alpha: float, z) -> complex:
             alpha - 1.0
         )
     return complex(out) if np.ndim(z) == 0 else out
-
-
-def F_alpha_boundary(alpha: float, y, eps: float) -> complex:
-    """F_alpha evaluated at the boundary approach z = eps + i y."""
-    if eps <= 0:
-        raise ValueError("boundary evaluation needs eps > 0")
-    return F_alpha(alpha, eps + 1j * np.asarray(y, dtype=float))
 
 
 def alpha_grid(dim: int, j_max: int = 3) -> np.ndarray:

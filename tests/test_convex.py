@@ -87,10 +87,18 @@ def test_inverse_gauss_lands_on_the_boundary():
     assert np.max(np.abs(level.sum(axis=1) - 1.0)) < 1e-10
 
 
+def _uncertified(dim, *parts):
+    # skips the build-time validation grid, which in d = 5 holds 663,552
+    # nodes and takes seconds per body
+    return convex.SupportBody(dim=dim, kind="sum", parts=parts)
+
+
 def test_principal_radii_of_a_ball():
-    B = convex.ball((0.0, 0.0, 0.0), 0.35)
-    radii = convex.principal_radii(B, convex.spherequad.grid(3, 8).nodes)
-    assert np.max(np.abs(radii - 0.35)) < 1e-12
+    for dim in (2, 3, 4, 5):
+        B = _uncertified(dim, convex._Ball(np.linspace(0.4, -0.3, dim), 0.35))
+        radii = convex.principal_radii(B, convex.spherequad.grid(dim, 8).nodes)
+        assert radii.shape[1] == dim - 1
+        assert np.max(np.abs(radii - 0.35)) < 1e-12
 
 
 def test_area_element_point_power():
@@ -236,8 +244,86 @@ def test_h_range_encloses_h(dim):
         assert np.min(h) - h_lo < 1e-3 and h_hi - np.max(h) < 1e-3
 
 
-def test_as_direction_validates_unit_length():
-    v = convex.as_direction((0.6, 0.8))
-    assert np.allclose(v, [0.6, 0.8])
-    with pytest.raises(ValueError):
-        convex.as_direction((3.0, 4.0))
+def test_principal_radii_keep_a_negative_radius():
+    # h(phi) = 1 + c cos(4 phi) has radius h + h'' = 1 - 15 c cos(4 phi),
+    # negative near phi = 0 for c = 0.2; theta's own eigenvalue must not
+    # displace it
+    c = 0.2
+    body = _uncertified(2, convex._Ball(np.zeros(2), 1.0), convex._Zonal(2, 4, np.eye(2)[0], c))
+    nodes = convex.spherequad.grid(2, 32).nodes
+    radii = convex.principal_radii(body, nodes)
+    phi = np.arctan2(nodes[:, 1], nodes[:, 0])
+    want = 1.0 - 15.0 * c * np.cos(4.0 * phi)
+    assert np.min(want) < -1.0
+    assert np.max(np.abs(radii[:, 0] - want)) < 1e-13
+
+
+def _unit_rows(rng, n, dim):
+    theta = rng.normal(size=(n, dim))
+    return theta / np.linalg.norm(theta, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_ellipsoid_curvature_closed_form(dim):
+    # the product of the radii (1 / Gauss curvature) of an ellipsoid is
+    # (prod a_i)^2 / q^(d+1), q = sqrt(theta . B theta) the support function
+    # of the centred body
+    a = np.linspace(1.3, 0.6, dim)
+    R = _rotation(dim, dim)
+    B = R @ np.diag(a**2) @ R.T
+    E = _uncertified(dim, convex._Ellipsoid(np.linspace(0.3, -0.5, dim), B))
+    theta = _unit_rows(np.random.default_rng(dim), 400, dim)
+    q = np.sqrt(np.einsum("ni,ij,nj->n", theta, B, theta))
+    want = np.prod(a) ** 2 / q ** (dim + 1)
+    got = (convex._area_coeffs(E, theta)[:, 0], np.prod(convex.principal_radii(E, theta), axis=1))
+    for g in got:
+        assert np.max(np.abs(g / want - 1.0)) < 1e-13
+
+
+def _frame_radii(body, theta):
+    """Radii as eigenvalues of the Hessian in Householder tangent frames.
+
+    The reflection that maps e_d (or -e_d, within 1e-2 of e_d) to theta
+    carries e_1..e_(d-1) onto an orthonormal tangent basis.
+    """
+    d = theta.shape[1]
+    w = theta.copy()
+    w[:, -1] -= 1.0
+    w[np.linalg.norm(w, axis=1) < 1e-2, -1] += 2.0
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    frames = np.eye(d)[None, :, : d - 1] - 2.0 * w[:, :, None] * w[:, None, : d - 1]
+    return np.linalg.eigvalsh(np.einsum("nia,nij,njb->nab", frames, body.hess(theta), frames))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_area_coeffs_match_the_frame_radii(dim):
+    rng = np.random.default_rng(100 + dim)
+    c = np.linspace(0.3, -0.5, dim)
+    R = _rotation(dim, 7 * dim)
+    E = convex._Ellipsoid(c, R @ np.diag(np.linspace(1.3, 0.6, dim) ** 2) @ R.T)
+    bumps = (convex._Zonal(dim, 4, unit(np.ones(dim)), 0.01),
+             convex._Zonal(dim, 2, np.eye(dim)[0], 0.02))
+    Z = _uncertified(dim, convex._Ball(c, 0.6), *bumps)  # a harmonic body
+    S = _uncertified(dim, E, *Z.parts)                   # and its sum with E
+    theta = _unit_rows(rng, 300, dim)
+    # within 1e-8 of +-e_d, where the frames switch reflections
+    near = np.zeros((6, dim))
+    near[:, -1] = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+    near[:, :-1] = rng.normal(size=(6, dim - 1)) * np.array([1e-8, 1e-8, 1e-10, 1e-10, 0.0, 0.0])[:, None]
+    theta = np.vstack([theta, near / np.linalg.norm(near, axis=1, keepdims=True)])
+    ts = np.array([0.0, 0.5, 3.0])
+    for body in (Z, S):
+        radii = _frame_radii(body, theta)
+        # e_j of the radii, as coefficients of prod (t + r_i) in ascending powers
+        want = np.zeros((theta.shape[0], dim))
+        want[:, 0] = 1.0
+        for i in range(dim - 1):
+            want[:, 1 : i + 2] += want[:, : i + 1] * radii[:, i : i + 1]
+        want = want[:, ::-1]
+        coeffs = convex._area_coeffs(body, theta)
+        assert np.max(np.abs(coeffs / want - 1.0)) < 1e-13
+        assert np.max(np.abs(convex.principal_radii(body, theta) / radii - 1.0)) < 1e-13
+        area = convex.area_element(body, ts, theta)
+        assert area.shape == (ts.size, theta.shape[0])
+        want_area = np.prod(ts[:, None, None] + radii[None, :, :], axis=-1)
+        assert np.max(np.abs(area / want_area - 1.0)) < 1e-13

@@ -196,14 +196,3 @@ def test_series_to_csv_format(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "t,value_re,value_im,expansion_re,expansion_im,residual"
     assert rows[1] == "2.0,1.0,2.0,1.0,1.5,0.5"
-
-
-def test_norm_report_json(tmp_path):
-    import json
-    phi = dynamics.TorusObservable(2, {(1, 0): 1.0})
-    p = dynamics.AnisoParams(s0=1, s1=1, N0=0.5, N1=0.5, gamma=(0.0, 0.0))
-    path = tmp_path / "norm.json"
-    dynamics.norm_report_json(path, phi, p, 1.25)
-    data = json.loads(path.read_text())
-    assert data["norm"] == 1.25
-    assert data["modes"] == [[1, 0]]

@@ -101,7 +101,8 @@ def _closest_to_direction(xi, lengths, c, lo, hi, sign):
     gap_T=st.floats(-1e-3, 1e-3).filter(lambda g: abs(g) > 1e-7),
     gap_T0=st.floats(-1e-3, 1e-3).filter(lambda g: abs(g) > 1e-7),
 )
-# arcs within 1e-8 of e_d, where the tangent frames must stay tangent
+# arcs within 1e-8 of e_d, kept as a regression input: Newton once stepped
+# off the tangent space there and diverged
 @example(dim=2, c=[7.2944767219227765e-09, 1.0, 0.0], r=0.0, gap_T=1e-3, gap_T0=6.3e-4)
 def test_window_matches_point_and_ball_closed_form(dim, c, r, gap_T, gap_T0):
     # t(xi) = |2 pi xi - c| - r for points (r = 0) and balls; T and T0 sit
@@ -124,6 +125,27 @@ def test_window_matches_point_and_ball_closed_form(dim, c, r, gap_T, gap_T0):
     assert spec.rejects == ()
     assert sorted(map(tuple, spec.xi)) == sorted(map(tuple, box[want]))
     assert np.allclose(np.sort(spec.lengths), np.sort(exact[want]), atol=1e-9, rtol=0.0)
+
+
+def test_degenerate_maximizer_is_rejected():
+    # xi = (1, 0) has length 5e-7: the negated sphere Hessian of the point
+    # pair is the length itself, below the transversality threshold 1e-6
+    c = (2.0 * math.pi - 5e-7, 0.0)
+    spec = spectrum.enumerate(convex.point(c), convex.point((0.0, 0.0)), T0=0.0, T=10.0)
+    assert len(spec.rejects) == 1
+    xi, reason, length = spec.rejects[0]
+    assert (xi, reason) == ((1, 0), "NonUniqueMaximizer")
+    assert length == pytest.approx(5e-7, rel=1e-6)
+    assert (1, 0) not in set(map(tuple, spec.xi.tolist()))
+
+
+def test_newton_diverged_names_the_candidate(monkeypatch):
+    # one Newton step cannot converge from theta0 = xi / |xi| on an ellipse
+    monkeypatch.setattr(spectrum, "_NEWTON_MAX", 1)
+    K1 = convex.ellipsoid((0.0, 0.0), (1.3, 0.7))
+    K2 = convex.ball((0.1, 0.2), 0.3)
+    with pytest.raises(spectrum.NewtonDiverged, match=r"candidate \(-5, 0\) did"):
+        spectrum.enumerate(K1, K2, T=30.0)
 
 
 def test_translation_invariance():

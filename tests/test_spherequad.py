@@ -102,6 +102,21 @@ def test_grid_integrates_monomials_to_degree_2n_minus_1(dim, orders):
             assert abs(got - _monomial_integral(powers)) < 1e-13, (n, powers)
 
 
+@pytest.mark.parametrize("n", [100, 1000, 1500])
+def test_grid_sine_factor_near_the_poles(n):
+    # the scaled circle beside the polar cosine u has radius sqrt(1 - u^2),
+    # which 1 - u*u loses to cancellation at the nodes nearest the poles;
+    # the uncached builder keeps the large grids out of the grid cache
+    nodes = spherequad.grid.__wrapped__(3, n).nodes
+    m = nodes.shape[0] // n  # azimuth nodes per polar node
+    with mp.workdps(40):
+        for i in [*range(4), *range(n - 4, n)]:
+            u = nodes[i * m, 0]
+            want = float(mp.sqrt(1 - mp.mpf(u) ** 2))
+            got = np.linalg.norm(nodes[i * m : (i + 1) * m, 1:], axis=1)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-15, (n, i)
+
+
 def test_bessel_surface_dim3_closed_form():
     rho = np.linspace(0.5, 40.0, 80)
     want = 4.0 * math.pi * np.sin(rho) / rho

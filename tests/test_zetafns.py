@@ -251,10 +251,6 @@ def test_F_alpha_derivative_recurrence():
         assert abs(dz + zetafns.F_alpha(alpha - 1.0, z)) < 1e-5 * abs(dz)
 
 
-def test_F_alpha_boundary_is_a_shift():
-    assert zetafns.F_alpha_boundary(0.5, 1.2, 0.05) == zetafns.F_alpha(0.5, 0.05 + 1.2j)
-
-
 def test_alpha_grid_contents():
     g3 = set(np.round(zetafns.alpha_grid(3), 9))
     assert {1.0, 0.0, -1.0, -2.0}.issubset(g3)
