@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, convex, dynamics, spectrum, spherequad, zetafns
+from . import __version__, _tables, convex, dynamics, spectrum, spherequad, zetafns
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -51,6 +51,7 @@ _DEFAULTS = {
     "oscint": {"xi": None},
 }
 
+_VALUE_HEADER = ["s_re", "s_im", "value_re", "value_im"]
 _BODY_KINDS = {"point", "ball", "ellipsoid", "harmonic"}
 
 
@@ -92,6 +93,9 @@ def load_config(path) -> dict:
         raise ConfigError("bodies must map names to body descriptions")
     for name, spec in cfg["bodies"].items():
         _check_body(d, name, spec)
+    T0, T = cfg["ranges"]["T0"], cfg["ranges"]["T"]
+    if (T0 is not None and T0 < 0) or (None not in (T0, T) and T <= T0):
+        raise ConfigError("ranges need T > T0 >= 0")
     if cfg["pair"] is None and len(cfg["bodies"]) >= 2:
         cfg["pair"] = sorted(cfg["bodies"])[:2]
     if cfg["pair"] is not None:
@@ -153,30 +157,35 @@ def _parse_coeff(v) -> complex:
 
 
 def build_body(dim: int, spec: dict) -> convex.SupportBody:
+    """The body of a checked description; one the constructors reject is a ConfigError."""
     kind = spec["kind"]
-    if kind == "point":
-        return convex.point(spec.get("x", [0.0] * dim))
-    if kind == "ball":
-        return convex.ball(spec.get("center", [0.0] * dim), float(spec["radius"]))
-    if kind == "ellipsoid":
-        rot = spec.get("rotation")
-        return convex.ellipsoid(
-            spec.get("center", [0.0] * dim),
-            spec["semiaxes"],
-            rotation=None if rot is None else np.asarray(rot, dtype=float),
-        )
-    base = build_body(dim, spec["base"])
-    terms = [(int(t[0]), t[1], float(t[2])) for t in spec["terms"]]
-    return convex.harmonic(base, terms)
+    try:
+        if kind == "point":
+            body = convex.point(spec.get("x", [0.0] * dim))
+        elif kind == "ball":
+            body = convex.ball(spec.get("center", [0.0] * dim), float(spec["radius"]))
+        elif kind == "ellipsoid":
+            rot = spec.get("rotation")
+            body = convex.ellipsoid(
+                spec.get("center", [0.0] * dim),
+                spec["semiaxes"],
+                rotation=None if rot is None else np.asarray(rot, dtype=float),
+            )
+        else:
+            terms = [(int(t[0]), t[1], float(t[2])) for t in spec["terms"]]
+            body = convex.harmonic(build_body(dim, spec["base"]), terms)
+    except ValueError as exc:
+        raise ConfigError(f"{kind} body: {exc}") from exc
+    if body.dim != dim:
+        raise ConfigError(f"{kind} body has dimension {body.dim}, not {dim}")
+    return body
 
 
-def _twist_form(cfg: dict) -> spectrum.TwistForm:
+def _twist_form(cfg: dict) -> Optional[spectrum.TwistForm]:
+    """The configured twist, or None for the zero form."""
     modes = {_parse_freq(k): _parse_coeff(v) for k, v in cfg["twist"]["modes"].items()}
-    return spectrum.TwistForm(cfg["twist"]["beta0"], modes)
-
-
-def _is_trivial_twist(beta: spectrum.TwistForm) -> bool:
-    return not beta.modes and float(np.linalg.norm(beta.beta0)) == 0.0
+    beta = spectrum.TwistForm(cfg["twist"]["beta0"], modes)
+    return None if spectrum._untwisted(beta) else beta
 
 
 def _observable(cfg: dict, name: str) -> dynamics.TorusObservable:
@@ -214,15 +223,23 @@ def _s_grid_spec(spec, fallback: list) -> list:
     return [complex(float(p[0]), float(p[1])) for p in spec]
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _re_im(values) -> list:
+    """The real and imaginary columns of a sequence of complex numbers."""
+    z = np.asarray(values, dtype=complex)
+    return [z.real, z.imag]
+
+
+def _write_series(path, ts, values, expansions) -> None:
+    residual = [abs(complex(v) - complex(e)) for v, e in zip(values, expansions)]
+    _tables.write_csv(
+        path, ["t", "value_re", "value_im", "expansion_re", "expansion_im", "residual"],
+        [ts] + _re_im(values) + _re_im(expansions) + [residual],
+    )
 
 
 def _echo_config(cfg: dict, out: str) -> None:
-    _write_json(os.path.join(out, "config.resolved.json"),
-                {"version": __version__, "config": cfg})
+    _tables.write_json(os.path.join(out, "config.resolved.json"),
+                       {"version": __version__, "config": cfg})
 
 
 def _plot_script(path, title: str, lines: list) -> None:
@@ -253,7 +270,7 @@ def _cmd_volumes(cfg, out, workers, log):
             "intrinsic": {f"V{k}": v for k, v in enumerate(data.intrinsic)},
         }
         log(f"volumes[{name}]: V = [{', '.join(f'{v:.6f}' for v in data.intrinsic)}]")
-    _write_json(os.path.join(out, "volumes.json"), report)
+    _tables.write_json(os.path.join(out, "volumes.json"), report)
     _plot_script(
         os.path.join(out, "volumes.gp"),
         "intrinsic volumes",
@@ -269,21 +286,20 @@ def _cmd_spectrum(cfg, out, workers, log):
     T = float(r["T"]) if r["T"] is not None else 50.0
     spec = spectrum.enumerate(
         k1, k2, orient=cfg["orient"], T0=r["T0"], T=T,
-        beta=None if _is_trivial_twist(beta) else beta, workers=workers,
+        beta=beta, workers=workers,
     )
     log(f"spectrum: {spec.lengths.size} orthogeodesics in ({spec.T0:g}, {T:g}]")
     spectrum.to_csv(spec, os.path.join(out, "spectrum.csv"),
                     os.path.join(out, "spectrum.meta.json"))
     rho = spectrum.density_coeffs(k1, k2, cfg["orient"])
     ts = np.linspace(spec.T0 + 1.0, T, 60)
-    with open(os.path.join(out, "counting.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        fh.write("T,count,model,weighted_re,weighted_im\n")
-        for tv in ts:
-            n = spectrum.counting(spec, float(tv))
-            model = sum(rho[k - 1] * tv**k / k for k in range(1, spec.dim + 1))
-            wgt = spectrum.counting_weighted(spec, beta, float(tv))
-            fh.write(f"{tv!r},{n},{model!r},{wgt.real!r},{wgt.imag!r}\n")
+    counts = [spectrum.counting(spec, float(tv)) for tv in ts]
+    model = [sum(rho[k - 1] * tv**k / k for k in range(1, spec.dim + 1)) for tv in ts]
+    # the records carry the phases of beta itself, so N_beta(T) sums a prefix
+    weighted = [np.sum(spec.phases[:n]) for n in counts]
+    _tables.write_csv(os.path.join(out, "counting.csv"),
+                      ["T", "count", "model", "weighted_re", "weighted_im"],
+                      [ts, counts, model] + _re_im(weighted))
     _plot_script(
         os.path.join(out, "spectrum.gp"),
         "orthogeodesic counting",
@@ -296,37 +312,45 @@ def _cmd_spectrum(cfg, out, workers, log):
 def _cmd_zeta(cfg, out, workers, log, report_residues=False):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
-    trivial = _is_trivial_twist(beta)
     r = cfg["ranges"]
     model = zetafns.build_zeta_model(
-        k1, k2, orient=cfg["orient"], beta=None if trivial else beta,
+        k1, k2, orient=cfg["orient"], beta=beta,
         T=r["T"], T0=r["T0"], workers=workers, sweep=tuple(r["sweep"]),
     )
     d = model.spec.dim
     fallback = [complex(0.25 + 0.5 * k, 0.0) for k in range(2 * d + 1)]
     s_grid = _s_grid_spec(r["zeta_s_grid"], fallback)
-    if not trivial:
-        # twisted series: no rational tail model, report convergent head sums
-        s_grid = [s for s in s_grid if s.real > d]
-    cfg["ranges"]["zeta_s_grid"] = [[s.real, s.imag] for s in s_grid]
-    if trivial:
+    if beta is None:
         values = [zetafns.zeta_continue(model, s) for s in s_grid]
     else:
+        # twisted series: no rational tail model, report convergent head sums
+        s_grid = [s for s in s_grid if s.real > d]
         values = [zetafns.zeta_eval(model, s) for s in s_grid]
-    zetafns.values_to_csv(os.path.join(out, "zeta_values.csv"), s_grid, values)
+    cfg["ranges"]["zeta_s_grid"] = [[s.real, s.imag] for s in s_grid]
+    _tables.write_csv(os.path.join(out, "zeta_values.csv"), _VALUE_HEADER,
+                      _re_im(s_grid) + _re_im(values))
     if report_residues:
-        if not trivial:
+        if beta is not None:
             raise ConfigError("--report-residues needs the untwisted setting")
         ests = zetafns.residues(model)
-        zetafns.residues_to_json(os.path.join(out, "residues.json"), ests)
+        _tables.write_json(os.path.join(out, "residues.json"), [
+            {
+                "pole": est.pole,
+                "residue_re": est.residue.real,
+                "residue_im": est.residue.imag,
+                "err": est.error,
+                "predicted_from_volumes": est.predicted_from_volumes,
+            }
+            for est in ests
+        ])
         for est in ests:
             log(f"zeta: Res at s={est.pole} is {est.residue:.9g} "
                 f"(volumes predict {est.predicted_from_volumes:.9g})")
-    if not trivial:
+    if beta is not None:
         ladder = r["t_ladder"]
         rep = zetafns.twist_suppression(
             model, beta, t_ladder=None if ladder is None else list(ladder))
-        _write_json(os.path.join(out, "twist.json"), {
+        _tables.write_json(os.path.join(out, "twist.json"), {
             "mode": rep.mode,
             "certified": rep.certified,
             "t_ladder": list(rep.t_ladder),
@@ -346,17 +370,17 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
 def _cmd_poincare(cfg, out, workers, log):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
-    trivial = _is_trivial_twist(beta)
     r = cfg["ranges"]
     model = zetafns.build_zeta_model(
-        k1, k2, orient=cfg["orient"], beta=None if trivial else beta,
+        k1, k2, orient=cfg["orient"], beta=beta,
         T=r["T"], T0=r["T0"], workers=workers, sweep=tuple(r["sweep"]),
     )
     fallback = [complex(0.2, y) for y in np.linspace(0.0, 3.2, 33)]
     s_grid = _s_grid_spec(r["poincare_s_grid"], fallback)
     cfg["ranges"]["poincare_s_grid"] = [[s.real, s.imag] for s in s_grid]
     values = [zetafns.poincare_eval(model, s) for s in s_grid]
-    zetafns.values_to_csv(os.path.join(out, "poincare_values.csv"), s_grid, values)
+    _tables.write_csv(os.path.join(out, "poincare_values.csv"), _VALUE_HEADER,
+                      _re_im(s_grid) + _re_im(values))
     eps_ladder = r["eps_ladder"]
     y_spec = r["y_grid"]
     y_grid = None if y_spec is None else _grid_spec(y_spec, None)
@@ -365,7 +389,7 @@ def _cmd_poincare(cfg, out, workers, log):
         y_grid=y_grid,
     )
     kappa, _ = zetafns.spectral_constants(model.spec.dim)
-    _write_json(os.path.join(out, "scan.json"), {
+    _tables.write_json(os.path.join(out, "scan.json"), {
         "kappa": kappa,
         "lines": [
             {
@@ -386,25 +410,23 @@ def _cmd_poincare(cfg, out, workers, log):
         log(f"poincare: line at y={f.location:.4f} exponent {f.exponent:+.3f} "
             f"(nearest {f.nearest_line:.4f})")
     if k1.is_point and k2.is_point:
-        x = k1.grad(np.eye(model.spec.dim)[:1])[0]
-        y = k2.grad(np.eye(model.spec.dim)[:1])[0]
+        x = zetafns._point_location(k1)
+        y = zetafns._point_location(k2)
         if np.linalg.norm(x - y) > 1e-9:
-            rows = []
-            for s, direct in zip(s_grid, values):
-                # the exact dual-sum path is available on the real axis only
-                if s.real <= 0 or s.imag != 0.0:
-                    continue
-                spectral = zetafns.poincare_points_spectral(
-                    x, y, None if trivial else beta, s)
-                rows.append((s, direct, spectral))
-            with open(os.path.join(out, "spectral.csv"), "w", newline="",
-                      encoding="utf-8") as fh:
-                fh.write("s_re,s_im,series_re,series_im,spectral_re,"
-                         "spectral_im,rel_diff\n")
-                for s, a, b in rows:
-                    rel = abs(a - b) / max(abs(b), 1e-300)
-                    fh.write(f"{s.real!r},{s.imag!r},{a.real!r},{a.imag!r},"
-                             f"{b.real!r},{b.imag!r},{rel!r}\n")
+            # the exact dual-sum path is available on the real axis only
+            real = [(s, v) for s, v in zip(s_grid, values)
+                    if s.real > 0 and s.imag == 0.0]
+            s_real = [s for s, _ in real]
+            series = [v for _, v in real]
+            dual = [zetafns.poincare_points_spectral(x, y, beta, s)
+                    for s in s_real]
+            rel = [abs(a - b) / max(abs(b), 1e-300) for a, b in zip(series, dual)]
+            _tables.write_csv(
+                os.path.join(out, "spectral.csv"),
+                ["s_re", "s_im", "series_re", "series_im", "spectral_re",
+                 "spectral_im", "rel_diff"],
+                _re_im(s_real) + _re_im(series) + _re_im(dual) + [rel],
+            )
     _plot_script(
         os.path.join(out, "poincare.gp"),
         "Poincare series toward the boundary",
@@ -417,13 +439,12 @@ def _cmd_poincare(cfg, out, workers, log):
 def _cmd_guinand(cfg, out, workers, log):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
-    trivial = _is_trivial_twist(beta)
     r = cfg["ranges"]
     T = float(r["T"]) if r["T"] is not None else 50.0
     d = cfg["dim"]
     center = cfg["window"]["center"]
     if center is None:
-        lines = zetafns.predicted_lines(d, None if trivial else beta, 10.0)
+        lines = zetafns.predicted_lines(d, beta, 10.0)
         positive = lines[lines > 1e-9]
         if positive.size == 0:
             raise ConfigError("no spectral line available for the window center")
@@ -431,15 +452,14 @@ def _cmd_guinand(cfg, out, workers, log):
     width = float(cfg["window"]["width"])
     cfg["window"]["center"] = center
     window = zetafns.GaussianWindow(center, width)
-    twist = None if trivial else beta
     fwd = spectrum.enumerate(k1, k2, orient=cfg["orient"], T0=0.0, T=T,
-                             beta=twist, workers=workers)
+                             beta=beta, workers=workers)
     bwd = spectrum.enumerate(k2, k1, orient=cfg["orient"], T0=0.0, T=T,
-                             beta=twist, workers=workers)
-    res = zetafns.guinand_pairing(fwd, bwd, twist, window)
+                             beta=beta, workers=workers)
+    res = zetafns.guinand_pairing(fwd, bwd, beta, window)
     diff = abs(res.length_side - res.spectral_side)
     denom = max(abs(res.length_side), abs(res.spectral_side))
-    _write_json(os.path.join(out, "guinand.json"), {
+    _tables.write_json(os.path.join(out, "guinand.json"), {
         "window": {"center": center, "width": width},
         "length_side_re": res.length_side.real,
         "length_side_im": res.length_side.imag,
@@ -472,7 +492,7 @@ def _cmd_correlate(cfg, out, workers, log):
         values.append(dynamics.correlation(phi, psi, beta0, float(t),
                                            workers=workers))
         expans.append(dynamics.correlation_expansion(phi, psi, beta0, float(t)))
-    dynamics.series_to_csv(os.path.join(out, "correlate.csv"), ts, values, expans)
+    _write_series(os.path.join(out, "correlate.csv"), ts, values, expans)
     log(f"correlate: {len(ts)} samples, last residual "
         f"{abs(values[-1] - expans[-1]):.3e}")
     if cfg["aniso"] is not None:
@@ -485,7 +505,7 @@ def _cmd_correlate(cfg, out, workers, log):
             val = dynamics.aniso_norm(obs, params)
             report[name] = val
             log(f"correlate: aniso norm of {name} = {val:.6g}")
-        _write_json(os.path.join(out, "norms.json"), {
+        _tables.write_json(os.path.join(out, "norms.json"), {
             "params": {"s0": params.s0, "s1": params.s1, "N0": params.N0,
                        "N1": params.N1, "gamma": list(params.gamma),
                        "width": params.width},
@@ -506,15 +526,14 @@ def _cmd_correlate(cfg, out, workers, log):
 def _cmd_equidist(cfg, out, workers, log):
     name = cfg["body"]
     if name is None:
+        if not cfg["bodies"]:
+            raise ConfigError("equidist needs a body")
         name = cfg["pair"][0] if cfg["pair"] else sorted(cfg["bodies"])[0]
     if name not in cfg["bodies"]:
         raise ConfigError(f"unknown body '{name}'")
     body = build_body(cfg["dim"], cfg["bodies"][name])
     f = _observable(cfg, "f")
-    mean = 0.0 + 0.0j
-    for k, v in f.modes:
-        if all(c == 0 for c in k):
-            mean = complex(v)
+    mean = dynamics._torus_mean(f)
     ts = _grid_spec(cfg["ranges"]["t_grid"], np.geomspace(10.0, 500.0, 18))
     cfg["ranges"]["t_grid"] = [float(t) for t in ts]
     values = []
@@ -522,8 +541,7 @@ def _cmd_equidist(cfg, out, workers, log):
         res = dynamics.equidistribute(body, f, float(t), method="direct",
                                       workers=workers)
         values.append(res.average)
-    dynamics.series_to_csv(os.path.join(out, "equidist.csv"), ts, values,
-                           [mean] * len(ts))
+    _write_series(os.path.join(out, "equidist.csv"), ts, values, [mean] * len(ts))
     log(f"equidist: |error| from {abs(values[0] - mean):.3e} down to "
         f"{abs(values[-1] - mean):.3e}")
     _plot_script(
@@ -547,20 +565,21 @@ def _cmd_oscint(cfg, out, workers, log):
     ts = _grid_spec(cfg["ranges"]["t_grid"], np.geomspace(50.0, 800.0, 12))
     cfg["ranges"]["t_grid"] = [float(t) for t in ts]
     lam = float(np.linalg.norm(xi - beta0))
-    with open(os.path.join(out, "oscint.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        fh.write("t,value_re,value_im,stationary_re,stationary_im,"
-                 "scaled_residual\n")
-        for t in ts:
-            val = spherequad.osc_integral(d, xi=xi, beta0=beta0,
-                                          t=float(t)).value
-            sp, order = spherequad.stationary_phase(d, xi=xi, beta0=beta0,
-                                                    t=float(t))
-            scaled = abs(val - sp) * float(t) ** (-order)
-            fh.write(f"{float(t)!r},{val.real!r},{val.imag!r},"
-                     f"{sp.real!r},{sp.imag!r},{scaled!r}\n")
+    vals, sps, scaled = [], [], []
+    for t in ts:
+        val = spherequad.osc_integral(d, xi=xi, beta0=beta0, t=float(t)).value
+        sp, order = spherequad.stationary_phase(d, xi=xi, beta0=beta0, t=float(t))
+        vals.append(val)
+        sps.append(sp)
+        scaled.append(abs(val - sp) * float(t) ** (-order))
+    _tables.write_csv(
+        os.path.join(out, "oscint.csv"),
+        ["t", "value_re", "value_im", "stationary_re", "stationary_im",
+         "scaled_residual"],
+        [ts] + _re_im(vals) + _re_im(sps) + [scaled],
+    )
     report = spherequad.cap_decay_check(d, xi=xi, ts=list(ts), beta0=beta0)
-    _write_json(os.path.join(out, "oscint.json"), {
+    _tables.write_json(os.path.join(out, "oscint.json"), {
         "xi": [float(c) for c in xi],
         "lambda": lam,
         "remainder_order": -(1.0 + (d - 1) / 2.0),

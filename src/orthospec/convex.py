@@ -195,7 +195,9 @@ class SupportBody:
     dim: int
     kind: str
     parts: tuple
-    r_min: float = 0.0  # minimum principal radius on the validation grid
+    # least and greatest principal radius over the validation grid; a Minkowski
+    # sum takes the sums of its operands' values, which bracket its own (Weyl)
+    r_min: float = 0.0
     r_max: float = 0.0
 
     def h(self, u: np.ndarray) -> np.ndarray:
@@ -244,7 +246,7 @@ def principal_radii(body: SupportBody, theta: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(shifted)[:, 1:]
 
 
-def _certify(dim: int, kind: str, parts: tuple, check_strict: bool) -> SupportBody:
+def _certify(dim: int, kind: str, parts: tuple) -> SupportBody:
     body = SupportBody(dim=dim, kind=kind, parts=parts)
     if body.is_point:
         return body
@@ -252,7 +254,7 @@ def _certify(dim: int, kind: str, parts: tuple, check_strict: bool) -> SupportBo
     radii = principal_radii(body, g.nodes)
     r_min = float(np.min(radii))
     r_max = float(np.max(radii))
-    if check_strict and r_min <= _MIN_RADIUS:
+    if r_min <= _MIN_RADIUS:
         raise ValueError(
             f"body is not certifiably strictly convex: min principal radius "
             f"{r_min:.3e} <= {_MIN_RADIUS:g}"
@@ -269,7 +271,7 @@ def ball(center, radius: float) -> SupportBody:
     center = np.asarray(center, dtype=float)
     if radius <= 0:
         raise ValueError("ball radius must be positive")
-    return _certify(center.size, "ball", (_Ball(center, float(radius)),), True)
+    return _certify(center.size, "ball", (_Ball(center, float(radius)),))
 
 
 def ellipsoid(center, semiaxes, rotation: Optional[np.ndarray] = None) -> SupportBody:
@@ -282,8 +284,10 @@ def ellipsoid(center, semiaxes, rotation: Optional[np.ndarray] = None) -> Suppor
     B = np.diag(semiaxes ** 2)
     if rotation is not None:
         rotation = np.asarray(rotation, dtype=float)
+        if rotation.shape != B.shape:
+            raise ValueError("rotation must be a square matrix of the body dimension")
         B = rotation @ B @ rotation.T
-    return _certify(center.size, "ellipsoid", (_Ellipsoid(center, B),), True)
+    return _certify(center.size, "ellipsoid", (_Ellipsoid(center, B),))
 
 
 def harmonic(base: SupportBody, terms: Sequence[tuple]) -> SupportBody:
@@ -301,7 +305,7 @@ def harmonic(base: SupportBody, terms: Sequence[tuple]) -> SupportBody:
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
         parts.append(_Zonal(base.dim, degree, axis, float(coeff)))
-    return _certify(base.dim, "harmonic", tuple(parts), True)
+    return _certify(base.dim, "harmonic", tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +354,15 @@ def minkowski_sum(a: SupportBody, b: SupportBody) -> SupportBody:
         )
     else:
         kind = "sum"
-    return _certify(a.dim, kind, tuple(parts), False)
+    return SupportBody(dim=a.dim, kind=kind, parts=tuple(parts),
+                       r_min=a.r_min + b.r_min, r_max=a.r_max + b.r_max)
 
 
 def reflect(body: SupportBody) -> SupportBody:
     """The reflected body -K, whose support function is h(-u)."""
-    return _certify(body.dim, body.kind, tuple(p.reflected() for p in body.parts), False)
+    # the reflection's Hessian at u is H(-u) and the validation grid is
+    # antipodally symmetric, so its radii over the grid are the same
+    return replace(body, parts=tuple(p.reflected() for p in body.parts))
 
 
 def area_element(body: SupportBody, t, theta) -> np.ndarray:

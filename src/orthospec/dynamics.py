@@ -10,7 +10,6 @@ area element of the support parametrization.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ __all__ = [
     "correlation_expansion",
     "aniso_norm",
     "equidistribute",
-    "series_to_csv",
 ]
 
 _REALITY_TOL = 1e-10
@@ -337,6 +335,11 @@ def aniso_norm(phi: TorusObservable, p: AnisoParams) -> float:
 # equidistribution
 
 
+def _torus_mean(f: TorusObservable) -> complex:
+    """The mean of an x-only observable over the torus: its zero mode."""
+    return complex(dict(f.modes).get((0,) * f.dim, 0.0))
+
+
 def equidistribute(
     K: convex.SupportBody,
     f: TorusObservable,
@@ -358,10 +361,7 @@ def equidistribute(
     d = K.dim
     if f.dim != d:
         raise ValueError("observable dimension mismatch")
-    mean = 0.0 + 0.0j
-    for k, v in f.modes:
-        if all(c == 0 for c in k):
-            mean = complex(v)
+    mean = _torus_mean(f)
     g = spherequad.grid(d, 48)
     area = convex.area_element(K, t, g.nodes)
     mass = float(np.sum(g.weights * area))
@@ -405,28 +405,3 @@ def equidistribute(
         vals = [term(it) for it in items]
     err = complex(sum(vals)) / mass
     return EquidistResult(average=mean + err, error=err, method="modes")
-
-
-# ---------------------------------------------------------------------------
-# tables
-
-
-def series_to_csv(path, ts, values, expansions) -> None:
-    """(t, value_re, value_im, expansion_re, expansion_im, residual) rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(
-            ["t", "value_re", "value_im", "expansion_re", "expansion_im", "residual"]
-        )
-        for t, v, e in zip(ts, values, expansions):
-            v, e = complex(v), complex(e)
-            wr.writerow(
-                [
-                    repr(float(t)),
-                    repr(v.real),
-                    repr(v.imag),
-                    repr(e.real),
-                    repr(e.imag),
-                    repr(abs(v - e)),
-                ]
-            )

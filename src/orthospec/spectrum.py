@@ -11,8 +11,6 @@ twist one-form beta = beta0 . dx + df.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +18,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from . import convex, spherequad
+from . import _tables, convex, spherequad
 
 __all__ = [
     "TwistForm",
@@ -40,7 +38,6 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX = 50
 _TRANSVERSALITY_TOL = 1e-6
 _CHUNK = 200_000
-_CSV_ROWS = 4096  # rows formatted per writerows call
 
 _ORIENTATIONS = ("+-", "-+")
 
@@ -332,6 +329,11 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
     )
 
 
+def _untwisted(beta: Optional[TwistForm]) -> bool:
+    """True for no twist or the zero form, whose holonomy is 1 on every record."""
+    return beta is None or not (beta.modes or np.any(beta.beta0 != 0.0))
+
+
 def counting(spec: LengthSpectrum, T: float) -> int:
     """N(T): number of orthogeodesics with length in (T0, T]."""
     if T > spec.T + _GROUP_TOL:
@@ -363,9 +365,12 @@ def density_coeffs(K1: convex.SupportBody, K2: convex.SupportBody,
     rho'_k = (2 pi)^{-d} m_{k-1}(L) with m_j the surface moments of the
     difference body L.
     """
-    L = difference_body(K1, K2, orient)
-    data = convex.steiner(L)
-    return data.surface_moments / (2 * math.pi) ** K1.dim
+    return _density_from_steiner(convex.steiner(difference_body(K1, K2, orient)))
+
+
+def _density_from_steiner(data: convex.SteinerData) -> np.ndarray:
+    """density_coeffs from the Steiner data of the difference body."""
+    return data.surface_moments / (2 * math.pi) ** data.dim
 
 
 def steiner_density(K1: convex.SupportBody, K2: convex.SupportBody,
@@ -386,23 +391,13 @@ def to_csv(spec: LengthSpectrum, csv_path, meta_path=None) -> None:
         + [f"theta_{k+1}" for k in range(d)]
         + ["length", "phase_re", "phase_im"]
     )
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        # csv writes Python ints and floats as str(), which is repr(); slices
-        # keep the Python-object copies of the columns bounded
-        for i in range(0, len(spec), _CSV_ROWS):
-            sl = slice(i, i + _CSV_ROWS)
-            cols = (
-                spec.xi[sl].T.tolist()
-                + spec.theta[sl].T.tolist()
-                + [spec.lengths[sl].tolist(),
-                   spec.phases[sl].real.tolist(),
-                   spec.phases[sl].imag.tolist()]
-            )
-            wr.writerows(zip(*cols))
+    _tables.write_csv(
+        csv_path, header,
+        list(spec.xi.T) + list(spec.theta.T)
+        + [spec.lengths, spec.phases.real, spec.phases.imag],
+    )
     if meta_path is not None:
-        meta = {
+        _tables.write_json(meta_path, {
             "dim": d,
             "orient": spec.orient,
             "T0": spec.T0,
@@ -414,7 +409,4 @@ def to_csv(spec: LengthSpectrum, csv_path, meta_path=None) -> None:
             "kind2": spec.body2.kind,
             "count": len(spec),
             "rejects": [list(r) for r in spec.rejects],
-        }
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })

@@ -13,8 +13,6 @@ lattice lines.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -50,8 +48,6 @@ __all__ = [
     "singularity_scan",
     "predicted_lines",
     "guinand_pairing",
-    "values_to_csv",
-    "residues_to_json",
 ]
 
 _POLE_TOL = 1e-8
@@ -133,8 +129,9 @@ class GaussianWindow:
 class ZetaModel:
     """Head/tail splice: enumerated spectrum below T, Steiner density above.
 
-    rho[k-1] is the coefficient of t^{k-1} in the smooth counting density;
-    the spectrum extends to T * max(sweep) so the splice point can be swept
+    rho[k-1] is the coefficient of t^{k-1} in the smooth counting density,
+    taken from steiner, the Steiner data of the difference body; the
+    spectrum extends to T * max(sweep) so the splice point can be swept
     for stability error bars.
     """
 
@@ -143,6 +140,7 @@ class ZetaModel:
     T: float
     sweep: tuple
     beta: Optional[spectrum.TwistForm]
+    steiner: convex.SteinerData
 
     @property
     def dim(self) -> int:
@@ -220,12 +218,13 @@ def build_zeta_model(
     spec = spectrum.enumerate(
         K1, K2, orient=orient, T0=T0, T=T * sweep[-1], beta=beta, workers=workers
     )
-    rho = spectrum.density_coeffs(K1, K2, orient)
+    steiner = convex.steiner(spectrum.difference_body(K1, K2, orient))
+    rho = spectrum._density_from_steiner(steiner)
     lead = _ball_density(d, d)
     if abs(rho[-1] - lead) > 1e-8 * lead:
         raise ValueError("tail density leading coefficient fails the sphere check")
     return ZetaModel(spec=spec, rho=np.asarray(rho, dtype=float), T=float(T),
-                     sweep=sweep, beta=beta)
+                     sweep=sweep, beta=beta, steiner=steiner)
 
 
 def _ball_density(ell: int, d: int) -> float:
@@ -238,10 +237,7 @@ def _ball_density(ell: int, d: int) -> float:
 
 
 def _require_untwisted(model: ZetaModel, what: str) -> None:
-    b = model.beta
-    if b is None:
-        return
-    if b.modes or np.any(b.beta0 != 0.0):
+    if not spectrum._untwisted(model.beta):
         raise ValueError(f"{what} requires the untwisted series (beta = 0)")
 
 
@@ -313,9 +309,7 @@ def residues(model: ZetaModel) -> list:
     if model.spec.orient != "+-":
         raise ValueError("residues are defined for the (+,-) orientation")
     d = model.dim
-    L = spectrum.difference_body(model.spec.body1, model.spec.body2,
-                                 model.spec.orient)
-    intrinsic = convex.steiner(L).intrinsic
+    intrinsic = model.steiner.intrinsic
     fits = _counting_fit(model)
     out = []
     for ell in range(1, d + 1):
@@ -917,33 +911,3 @@ def guinand_pairing(
         lines=tuple(float(r) for r in lines[np.argsort(np.abs(lines - window.center))][:8]),
         truncation_mass=mass,
     )
-
-
-# ---------------------------------------------------------------------------
-# tables
-
-
-def values_to_csv(path, s_values, values) -> None:
-    """(s_re, s_im, value_re, value_im) rows with repr floats."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["s_re", "s_im", "value_re", "value_im"])
-        for s, v in zip(s_values, values):
-            s, v = complex(s), complex(v)
-            wr.writerow([repr(s.real), repr(s.imag), repr(v.real), repr(v.imag)])
-
-
-def residues_to_json(path, estimates) -> None:
-    rows = [
-        {
-            "pole": est.pole,
-            "residue_re": est.residue.real,
-            "residue_im": est.residue.imag,
-            "err": est.error,
-            "predicted_from_volumes": est.predicted_from_volumes,
-        }
-        for est in estimates
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")

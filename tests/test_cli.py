@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthospec import cli
+from orthospec import cli, dynamics, spectrum, zetafns
 
 
 def write_config(path, cfg):
@@ -18,6 +19,41 @@ def write_config(path, cfg):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Output directories of one spectrum, poincare and oscint run each."""
+    root = tmp_path_factory.mktemp("runs")
+    configs = {
+        "spectrum": {
+            "dim": 2,
+            "bodies": {"p": {"kind": "point"}, "q": {"kind": "point"}},
+            "pair": ["p", "q"],
+            "ranges": {"T": 20.0},
+        },
+        "poincare": {
+            "dim": 3,
+            "bodies": {"p": {"kind": "point"},
+                       "q": {"kind": "point", "x": [0.9, 0.4, -1.1]}},
+            "pair": ["p", "q"],
+            "ranges": {"T": 150.0, "sweep": [1.0],
+                       "poincare_s_grid": [[0.3, 0.0], [0.8, 1.1], [2.0, 0.0]]},
+        },
+        "oscint": {
+            "dim": 3,
+            "bodies": {},
+            "ranges": {"t_grid": {"start": 40, "stop": 400, "num": 6,
+                                  "spacing": "log"}},
+        },
+    }
+    out = {}
+    for command, raw in configs.items():
+        out[command] = root / command
+        out[command].mkdir()
+        cfg = write_config(root / f"{command}.json", raw)
+        assert cli.main([command, "--config", cfg, "--out", str(out[command])]) == 0
+    return out
 
 
 def test_volumes_ball(tmp_path):
@@ -36,14 +72,8 @@ def test_volumes_ball(tmp_path):
     assert (tmp_path / "volumes.gp").exists()
 
 
-def test_spectrum_artifacts_and_multiplicity(tmp_path):
-    cfg = write_config(tmp_path / "c.json", {
-        "dim": 2,
-        "bodies": {"p": {"kind": "point"}, "q": {"kind": "point"}},
-        "pair": ["p", "q"],
-        "ranges": {"T": 20.0},
-    })
-    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+def test_spectrum_artifacts_and_multiplicity(runs):
+    tmp_path = runs["spectrum"]
     rows = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     lengths = [float(r.split(",")[4]) for r in rows[1:]]
     hits = sum(1 for l in lengths if abs(l - 2.0 * math.pi) < 1e-9)
@@ -108,16 +138,8 @@ def test_zeta_twist_report(tmp_path):
     assert len(rep["ratios"]) == 3
 
 
-def test_poincare_scan_and_spectral_table(tmp_path):
-    cfg = write_config(tmp_path / "c.json", {
-        "dim": 3,
-        "bodies": {"p": {"kind": "point"},
-                   "q": {"kind": "point", "x": [0.9, 0.4, -1.1]}},
-        "pair": ["p", "q"],
-        "ranges": {"T": 150.0, "sweep": [1.0],
-                   "poincare_s_grid": [[0.3, 0.0], [0.8, 1.1], [2.0, 0.0]]},
-    })
-    assert cli.main(["poincare", "--config", cfg, "--out", str(tmp_path)]) == 0
+def test_poincare_scan_and_spectral_table(runs):
+    tmp_path = runs["poincare"]
     scan = read_json(tmp_path / "scan.json")
     locs = [row["location"] for row in scan["lines"]]
     assert any(abs(l) < 1e-6 for l in locs)
@@ -181,14 +203,8 @@ def test_equidist_error_decays(tmp_path):
     assert float(last[-1]) < float(first[-1])
 
 
-def test_oscint_report(tmp_path):
-    cfg = write_config(tmp_path / "c.json", {
-        "dim": 3,
-        "bodies": {},
-        "ranges": {"t_grid": {"start": 40, "stop": 400, "num": 6,
-                              "spacing": "log"}},
-    })
-    assert cli.main(["oscint", "--config", cfg, "--out", str(tmp_path)]) == 0
+def test_oscint_report(runs):
+    tmp_path = runs["oscint"]
     rep = read_json(tmp_path / "oscint.json")
     assert rep["cap_exponent"] <= -3.0
     assert rep["remainder_order"] == -2.0
@@ -196,6 +212,122 @@ def test_oscint_report(tmp_path):
     # the two-pole term is exact for F = 1 in dimension 3: noise only
     scaled = [float(r.split(",")[-1]) for r in rows[1:]]
     assert max(scaled) < 1e-6
+
+
+def test_every_csv_is_numeric_with_one_line_terminator(runs):
+    tables = sorted(p for out in runs.values() for p in out.glob("*.csv"))
+    assert [p.name for p in tables] == [
+        "oscint.csv", "poincare_values.csv", "spectral.csv", "counting.csv",
+        "spectrum.csv"]
+    for path in tables:
+        data = path.read_bytes()
+        assert data.endswith(b"\r\n")
+        assert data.count(b"\n") == data.count(b"\r\n"), path.name
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *body = list(csv.reader(fh))
+        assert body and all(len(row) == len(header) for row in body)
+        for row in body:
+            for cell in row:
+                assert repr(float(cell)) == cell or str(int(cell)) == cell, (
+                    path.name, cell)
+
+
+@pytest.fixture(scope="module")
+def zeta_run(tmp_path_factory):
+    """A zeta run with residues, and the model the library builds for it."""
+    out = tmp_path_factory.mktemp("zeta")
+    cfg = write_config(out / "c.json", {
+        "dim": 2,
+        "bodies": {"B": {"kind": "ball", "radius": 0.3}, "p": {"kind": "point"}},
+        "pair": ["B", "p"],
+        "ranges": {"T": 40.0, "sweep": [1.0, 2.0],
+                   "zeta_s_grid": [[0.5, 1.0], [3.5, 0.0]]},
+    })
+    assert cli.main(["zeta", "--config", cfg, "--out", str(out),
+                     "--report-residues"]) == 0
+    k1, k2 = cli._pair_bodies(cli.load_config(cfg))
+    return out, zetafns.build_zeta_model(k1, k2, T=40.0, sweep=(1.0, 2.0))
+
+
+def test_zeta_values_csv_holds_repr_cells(zeta_run):
+    out, model = zeta_run
+    with open(out / "zeta_values.csv", newline="", encoding="utf-8") as fh:
+        header, *body = list(csv.reader(fh))
+    assert header == ["s_re", "s_im", "value_re", "value_im"]
+    want = []
+    for s in (0.5 + 1.0j, 3.5 + 0.0j):
+        v = zetafns.zeta_continue(model, s)
+        want.append([repr(s.real), repr(s.imag), repr(v.real), repr(v.imag)])
+    assert body == want
+
+
+def test_residues_json_round_trip(zeta_run):
+    out, model = zeta_run
+    want = [{"pole": est.pole, "residue_re": est.residue.real,
+             "residue_im": est.residue.imag, "err": est.error,
+             "predicted_from_volumes": est.predicted_from_volumes}
+            for est in zetafns.residues(model)]
+    text = (out / "residues.json").read_text()
+    assert json.loads(text) == want
+    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert [row["pole"] for row in want] == [1, 2]
+    assert want[1]["residue_re"] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+
+
+def test_series_csv_holds_repr_cells(tmp_path):
+    modes = {"phi": {"1,0": 1.0, "0,1": [0.0, 0.5]},
+             "psi": {"-1,0": 1.0, "0,-1": [0.0, -0.5]}}
+    cfg = write_config(tmp_path / "c.json", {
+        "dim": 2,
+        "twist": {"beta0": [0.15, -0.35]},
+        "observables": {k: {"modes": v} for k, v in modes.items()},
+        "ranges": {"t_grid": [2.0, 60.0]},
+    })
+    assert cli.main(["correlate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "correlate.csv", newline="", encoding="utf-8") as fh:
+        header, *body = list(csv.reader(fh))
+    assert header == ["t", "value_re", "value_im", "expansion_re",
+                      "expansion_im", "residual"]
+    phi, psi = (dynamics.TorusObservable(
+        2, {cli._parse_freq(k): cli._parse_coeff(c) for k, c in m.items()})
+        for m in modes.values())
+    want = []
+    for t in (2.0, 60.0):
+        v = dynamics.correlation(phi, psi, np.array([0.15, -0.35]), t)
+        e = dynamics.correlation_expansion(phi, psi, np.array([0.15, -0.35]), t)
+        want.append([repr(t), repr(v.real), repr(v.imag), repr(e.real),
+                     repr(e.imag), repr(abs(v - e))])
+    assert body == want
+
+
+_BAD_CONFIGS = {
+    "point-x-length": ("spectrum", {"dim": 2, "bodies": {
+        "p": {"kind": "point"}, "q": {"kind": "point", "x": [0.5, 0.1, 0.2]}}}),
+    "ball-center-length": ("spectrum", {"dim": 2, "bodies": {
+        "p": {"kind": "point"},
+        "b": {"kind": "ball", "center": [0.5, 0.1, 0.2], "radius": 0.3}}}),
+    "ball-radius": ("volumes", {"dim": 2, "bodies": {
+        "b": {"kind": "ball", "radius": -0.3}}}),
+    "rotation-shape": ("volumes", {"dim": 2, "bodies": {
+        "e": {"kind": "ellipsoid", "semiaxes": [1.0, 0.5],
+              "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}}),
+    "odd-harmonic-degree": ("volumes", {"dim": 2, "bodies": {
+        "h": {"kind": "harmonic", "base": {"kind": "ball", "radius": 1.0},
+              "terms": [[3, [1.0, 0.0], 0.02]]}}}),
+    "T-below-T0": ("spectrum", {"dim": 2, "bodies": {
+        "p": {"kind": "point"}, "q": {"kind": "point"}},
+        "ranges": {"T0": 10.0, "T": 5.0}}),
+    "equidist-without-bodies": ("equidist", {"dim": 2, "observables": {
+        "f": {"modes": {"0,0": 1.0}}}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
+def test_bad_body_and_range_configs_exit_2(tmp_path, capsys, case):
+    command, raw = _BAD_CONFIGS[case]
+    cfg = write_config(tmp_path / "c.json", raw)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_bad_config_exit_codes(tmp_path, capsys):

@@ -244,6 +244,30 @@ def test_h_range_encloses_h(dim):
         assert np.min(h) - h_lo < 1e-3 and h_hi - np.max(h) < 1e-3
 
 
+def _grid_radii(body):
+    radii = convex.principal_radii(body, convex.spherequad.grid(body.dim, 24).nodes)
+    return float(np.min(radii)), float(np.max(radii))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_derived_bodies_take_their_radii_from_the_operands(dim):
+    c = np.linspace(0.3, -0.5, dim)
+    B = convex.ball(c, 0.6)
+    E = convex.ellipsoid(c, np.linspace(1.3, 0.6, dim), rotation=_rotation(dim, dim))
+    Z = convex.harmonic(B, [(4, np.ones(dim), 0.01), (2, np.eye(dim)[0], 0.02)])
+    # the grid is antipodally symmetric: a reflection's grid radii keep their bits
+    for body in (B, E, Z):
+        R = convex.reflect(body)
+        assert (R.r_min, R.r_max) == (body.r_min, body.r_max) == _grid_radii(R)
+    # by Weyl's inequality the operand sums bracket the grid radii of the sum;
+    # the slack covers the rounding of the eigenvalue solver
+    for a, b in ((E, Z), (Z, convex.reflect(E)), (B, E)):
+        S = convex.minkowski_sum(a, b)
+        lo, hi = _grid_radii(S)
+        assert S.r_min == a.r_min + b.r_min and S.r_max == a.r_max + b.r_max
+        assert S.r_min <= lo + 1e-12 and hi <= S.r_max + 1e-12
+
+
 def test_principal_radii_keep_a_negative_radius():
     # h(phi) = 1 + c cos(4 phi) has radius h + h'' = 1 - 15 c cos(4 phi),
     # negative near phi = 0 for c = 0.2; theta's own eigenvalue must not

@@ -188,11 +188,3 @@ def test_equidistribute_worker_determinism(ellipse, five_modes):
     a = dynamics.equidistribute(ellipse, five_modes, 20.0, method="modes", workers=1)
     b = dynamics.equidistribute(ellipse, five_modes, 20.0, method="modes", workers=4)
     assert a.average == b.average
-
-
-def test_series_to_csv_format(tmp_path):
-    path = tmp_path / "series.csv"
-    dynamics.series_to_csv(path, [2.0], [1.0 + 2.0j], [1.0 + 1.5j])
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "t,value_re,value_im,expansion_re,expansion_im,residual"
-    assert rows[1] == "2.0,1.0,2.0,1.0,1.5,0.5"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from orthospec import convex, spectrum
+from orthospec import _tables, convex, spectrum
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +235,25 @@ def test_steiner_density_points():
     assert abs(spectrum.steiner_density(p, p, "+-", t) - want) < 1e-12
 
 
+def test_d5_difference_body_skips_the_validation_grid(monkeypatch):
+    # building a d = 5 ball evaluates 663,552 grid nodes, so the operands
+    # carry the radii the grid gives a ball; the difference body needs none
+    def ball5(center, radius):
+        return convex.SupportBody(dim=5, kind="ball", r_min=radius, r_max=radius,
+                                  parts=(convex._Ball(np.asarray(center), radius),))
+
+    def no_grid(*args):
+        raise AssertionError("difference_body evaluated a sphere grid")
+
+    monkeypatch.setattr(convex.spherequad, "grid", no_grid)
+    K1 = ball5([0.1, 0.0, 0.0, 0.0, 0.2], 0.3)
+    K2 = ball5([0.0, 0.3, 0.0, 0.0, 0.0], 0.5)
+    L = spectrum.difference_body(K1, K2)
+    assert L.kind == "ball" and (L.r_min, L.r_max) == (0.8, 0.8)
+    u = np.eye(5)
+    assert np.allclose(L.h(u), K1.h(u) + K2.h(-u), atol=1e-15)
+
+
 def test_to_csv_round_trip(tmp_path):
     # an f-mode twist makes every phase complex; the spectrum spans several
     # formatting slices
@@ -242,7 +261,7 @@ def test_to_csv_round_trip(tmp_path):
                               {(1, 0): 0.3 + 0.2j, (-1, 0): 0.3 - 0.2j})
     spec = spectrum.enumerate(convex.point((0.1, 0.2)), convex.point((0.7, -0.4)),
                               T=260.0, beta=beta)
-    assert len(spec) > spectrum._CSV_ROWS
+    assert len(spec) > _tables._ROWS_PER_WRITE
     csv_path = tmp_path / "spec.csv"
     spectrum.to_csv(spec, csv_path, tmp_path / "spec.meta.json")
     with open(csv_path, newline="", encoding="utf-8") as fh:

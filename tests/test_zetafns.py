@@ -409,20 +409,3 @@ def test_guinand_rejects_nonzero_T0():
     bwd = spectrum.enumerate(q, p, T=60.0)
     with pytest.raises(ValueError):
         zetafns.guinand_pairing(fwd, bwd, None, zetafns.GaussianWindow(1.0, 0.2))
-
-
-def test_values_to_csv_format(tmp_path):
-    path = tmp_path / "vals.csv"
-    zetafns.values_to_csv(path, [0.5 + 1.0j], [2.0 - 3.0j])
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "s_re,s_im,value_re,value_im"
-    assert rows[1] == "0.5,1.0,2.0,-3.0"
-
-
-def test_residues_to_json_round_trip(tmp_path, ellipse_model):
-    import json
-    path = tmp_path / "res.json"
-    zetafns.residues_to_json(path, zetafns.residues(ellipse_model))
-    data = json.loads(path.read_text())
-    assert [row["pole"] for row in data] == [1, 2]
-    assert data[1]["residue_re"] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
