@@ -51,6 +51,7 @@ _DEFAULTS = {
     "oscint": {"xi": None},
 }
 
+_SPECTRUM_T = 50.0  # the window end of spectrum and guinand when ranges.T is unset
 _VALUE_HEADER = ["s_re", "s_im", "value_re", "value_im"]
 _BODY_KINDS = {"point", "ball", "ellipsoid", "harmonic"}
 
@@ -204,6 +205,14 @@ def _pair_bodies(cfg: dict) -> tuple:
     return k1, k2
 
 
+def _window_T(cfg: dict, default: float, T0, reach: float = 1.0) -> float:
+    """ranges.T or its default; an empty window (T0, reach * T] is a ConfigError."""
+    T = default if cfg["ranges"]["T"] is None else float(cfg["ranges"]["T"])
+    if T0 is not None and reach * T <= T0:
+        raise ConfigError(f"ranges need T > T0 >= 0; the window ({T0:g}, {reach * T:g}] is empty")
+    return T
+
+
 def _grid_spec(spec, fallback: np.ndarray) -> np.ndarray:
     """Resolve a grid description: explicit list, {start, stop, num, spacing}."""
     if spec is None:
@@ -283,7 +292,7 @@ def _cmd_spectrum(cfg, out, workers, log):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     r = cfg["ranges"]
-    T = float(r["T"]) if r["T"] is not None else 50.0
+    T = _window_T(cfg, _SPECTRUM_T, r["T0"])
     spec = spectrum.enumerate(
         k1, k2, orient=cfg["orient"], T0=r["T0"], T=T,
         beta=beta, workers=workers,
@@ -309,14 +318,19 @@ def _cmd_spectrum(cfg, out, workers, log):
     return 0
 
 
+def _zeta_model(cfg, k1, k2, beta, workers) -> zetafns.ZetaModel:
+    r = cfg["ranges"]
+    sweep = tuple(r["sweep"])
+    T = _window_T(cfg, zetafns._default_T(cfg["dim"]), r["T0"], reach=max(sweep, default=1.0))
+    return zetafns.build_zeta_model(k1, k2, orient=cfg["orient"], beta=beta,
+                                    T=T, T0=r["T0"], workers=workers, sweep=sweep)
+
+
 def _cmd_zeta(cfg, out, workers, log, report_residues=False):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     r = cfg["ranges"]
-    model = zetafns.build_zeta_model(
-        k1, k2, orient=cfg["orient"], beta=beta,
-        T=r["T"], T0=r["T0"], workers=workers, sweep=tuple(r["sweep"]),
-    )
+    model = _zeta_model(cfg, k1, k2, beta, workers)
     d = model.spec.dim
     fallback = [complex(0.25 + 0.5 * k, 0.0) for k in range(2 * d + 1)]
     s_grid = _s_grid_spec(r["zeta_s_grid"], fallback)
@@ -371,10 +385,7 @@ def _cmd_poincare(cfg, out, workers, log):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     r = cfg["ranges"]
-    model = zetafns.build_zeta_model(
-        k1, k2, orient=cfg["orient"], beta=beta,
-        T=r["T"], T0=r["T0"], workers=workers, sweep=tuple(r["sweep"]),
-    )
+    model = _zeta_model(cfg, k1, k2, beta, workers)
     fallback = [complex(0.2, y) for y in np.linspace(0.0, 3.2, 33)]
     s_grid = _s_grid_spec(r["poincare_s_grid"], fallback)
     cfg["ranges"]["poincare_s_grid"] = [[s.real, s.imag] for s in s_grid]
@@ -439,8 +450,7 @@ def _cmd_poincare(cfg, out, workers, log):
 def _cmd_guinand(cfg, out, workers, log):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
-    r = cfg["ranges"]
-    T = float(r["T"]) if r["T"] is not None else 50.0
+    T = _window_T(cfg, _SPECTRUM_T, 0.0)
     d = cfg["dim"]
     center = cfg["window"]["center"]
     if center is None:
@@ -538,8 +548,7 @@ def _cmd_equidist(cfg, out, workers, log):
     cfg["ranges"]["t_grid"] = [float(t) for t in ts]
     values = []
     for t in ts:
-        res = dynamics.equidistribute(body, f, float(t), method="direct",
-                                      workers=workers)
+        res = dynamics.equidistribute(body, f, float(t), workers=workers)
         values.append(res.average)
     _write_series(os.path.join(out, "equidist.csv"), ts, values, [mean] * len(ts))
     log(f"equidist: |error| from {abs(values[0] - mean):.3e} down to "

@@ -4,8 +4,11 @@ Band-limited observables on the unit sphere bundle decompose into finitely
 many torus modes xi with spherical amplitudes; the flow acts per mode as a
 dilated oscillatory integral, so correlation asymptotics reduce to the
 two-pole stationary phase of the sphere.  Dilated convex boundaries
-equidistribute at the same rate, with the boundary current expressed by the
-area element of the support parametrization.
+equidistribute at the same rate: each torus mode xi of the observable
+contributes one oscillatory sphere integral I(xi) of the area element of the
+support parametrization, with the support point x_K as phase shift, and
+I(-xi) = conj I(xi).  Every sphere integral here except those of the
+anisotropic norms passes the order-doubling check of spherequad.osc_integral.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -116,7 +119,6 @@ class AnisoParams:
 class EquidistResult:
     average: complex
     error: complex
-    method: str
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +133,19 @@ def _pair_product(phi: TorusObservable, psi: TorusObservable, xi) -> Callable:
         return np.asarray(f(theta), dtype=complex) * np.asarray(g(theta), dtype=complex)
 
     return product
+
+
+def _pair_keys(phi: TorusObservable, psi: TorusObservable) -> list:
+    """The modes xi of phi and -xi of psi, sorted: the terms of the pairing."""
+    return sorted(set(phi.frequencies) | set(tuple(-c for c in k) for k in psi.frequencies))
+
+
+def _mode_integral(phi: TorusObservable, psi: TorusObservable, key, beta0, t: float) -> complex:
+    """The checked sphere integral of one mode of the correlation."""
+    return spherequad.osc_integral(
+        phi.dim, F=_pair_product(phi, psi, key), xi=np.asarray(key, dtype=float),
+        beta0=beta0, t=t,
+    ).value
 
 
 def correlation(
@@ -148,18 +163,11 @@ def correlation(
     """
     if phi.dim != psi.dim:
         raise ValueError("observable dimensions differ")
-    d = phi.dim
     beta0 = np.asarray(beta0, dtype=float)
-    keys = sorted(
-        set(phi.frequencies)
-        | set(tuple(-c for c in k) for k in psi.frequencies)
-    )
+    keys = _pair_keys(phi, psi)
 
     def term(key) -> complex:
-        F = _pair_product(phi, psi, key)
-        return spherequad.osc_integral(
-            d, F=F, xi=np.asarray(key, dtype=float), beta0=beta0, t=t
-        ).value
+        return _mode_integral(phi, psi, key, beta0, t)
 
     if workers > 1 and len(keys) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -187,19 +195,14 @@ def correlation_expansion(
         raise ValueError("the expansion needs t > 0")
     d = phi.dim
     beta0 = np.asarray(beta0, dtype=float)
-    g = spherequad.grid(d, 48)
-    keys = sorted(
-        set(phi.frequencies)
-        | set(tuple(-c for c in k) for k in psi.frequencies)
-    )
+    keys = _pair_keys(phi, psi)
     total = 0.0 + 0.0j
     for key in keys:
-        F = _pair_product(phi, psi, key)
         lam = float(np.linalg.norm(np.asarray(key, dtype=float) - beta0))
         if lam < _MODE_MATCH_TOL:
-            total += complex(np.sum(g.weights * F(g.nodes)))
+            total += _mode_integral(phi, psi, key, beta0, t)
             continue
-        total += spherequad.stationary_phase(d, F, key, beta0, t)[0]
+        total += spherequad.stationary_phase(d, _pair_product(phi, psi, key), key, beta0, t)[0]
     return complex(total)
 
 
@@ -344,15 +347,16 @@ def equidistribute(
     K: convex.SupportBody,
     f: TorusObservable,
     t: float,
-    method: str = "direct",
     workers: int = 1,
 ) -> EquidistResult:
     """Boundary average of f over the dilated body against its area measure.
 
-    average = int f(x_K(theta) + t theta) P_K(t, theta) dsigma / int P_K;
-    error = average - mean of f.  The mode path writes the numerator as
-    oscillatory sphere integrals with x-shift x_K and must agree with the
-    direct quadrature.
+    average = int f(x_K(theta) + t theta) P_K(t, theta) dsigma / int P_K =
+    mean + sum_{xi != 0} c_xi I(xi) / I(0), with I(xi) the osc_integral of
+    P_K(t, .) under the phase xi.(t theta + x_K(theta)); error = average -
+    mean.  P_K and x_K are real and xi, -xi see the same turned nodes, so
+    I(-xi) = conj I(xi) and a +- pair costs one integral.  Every I, the mass
+    I(0) included, passes the order-doubling check of osc_integral.
     """
     if t <= 0:
         raise ValueError("equidistribution needs t > 0")
@@ -362,46 +366,31 @@ def equidistribute(
     if f.dim != d:
         raise ValueError("observable dimension mismatch")
     mean = _torus_mean(f)
-    g = spherequad.grid(d, 48)
-    area = convex.area_element(K, t, g.nodes)
-    mass = float(np.sum(g.weights * area))
-    if method == "direct":
-        xi_max = max(
-            (float(np.linalg.norm(np.asarray(k, dtype=float))) for k, _ in f.modes),
-            default=0.0,
-        )
-        lead = np.zeros(d)
-        lead[0] = xi_max
-        n = spherequad.osc_order(d, lead, np.zeros(d), t, K.r_max)
-        gq = spherequad.grid(d, max(n, 48))
-        pts = K.grad(gq.nodes) + t * gq.nodes
-        dens = convex.area_element(K, t, gq.nodes)
-        avg = complex(np.sum(gq.weights * dens * f.x_values(pts)) /
-                      np.sum(gq.weights * dens))
-        return EquidistResult(average=avg, error=avg - mean, method="direct")
-    if method != "modes":
-        raise ValueError("method must be 'direct' or 'modes'")
+    zero = (0,) * d
+    # one representative per +- pair: the larger of the two frequency tuples
+    reps = sorted({max(key, tuple(-c for c in key)) for key in f.frequencies} | {zero})
 
-    def term(item) -> complex:
-        key, value = item
-        if all(c == 0 for c in key):
-            return 0.0 + 0.0j
-        osc = spherequad.osc_integral(
+    def boundary(key) -> complex:
+        return spherequad.osc_integral(
             d,
             F=lambda nodes: convex.area_element(K, t, nodes),
             xi=np.asarray(key, dtype=float),
-            beta0=np.zeros(d),
             t=t,
-            xtilde=lambda nodes: K.grad(nodes),
+            xtilde=K.grad,
             xtilde_scale=K.r_max,
         ).value
-        return complex(value) * osc
 
-    items = list(f.modes)
-    if workers > 1 and len(items) > 1:
+    if workers > 1 and len(reps) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            vals = list(ex.map(term, items))
+            vals = dict(zip(reps, ex.map(boundary, reps)))
     else:
-        vals = [term(it) for it in items]
-    err = complex(sum(vals)) / mass
-    return EquidistResult(average=mean + err, error=err, method="modes")
+        vals = {key: boundary(key) for key in reps}
+    mass = vals[zero].real
+    err = 0.0 + 0.0j
+    for key, value in f.modes:
+        if key == zero:
+            continue
+        osc = vals[key] if key in vals else vals[tuple(-c for c in key)].conjugate()
+        err += complex(value) * osc
+    err /= mass
+    return EquidistResult(average=mean + err, error=err)

@@ -198,6 +198,11 @@ class GuinandResult:
     truncation_mass: float
 
 
+def _default_T(dim: int) -> float:
+    """The head length T of build_zeta_model when none is given: 60 pi / dim."""
+    return 30.0 * 2.0 * math.pi / dim
+
+
 def build_zeta_model(
     K1: convex.SupportBody,
     K2: convex.SupportBody,
@@ -211,7 +216,7 @@ def build_zeta_model(
     """Enumerate the spectrum to T * max(sweep) and attach the tail density."""
     d = K1.dim
     if T is None:
-        T = 30.0 * 2.0 * math.pi / d
+        T = _default_T(d)
     sweep = tuple(sorted(float(f) for f in sweep))
     if not sweep or sweep[0] < 1.0:
         raise ValueError("sweep factors must be >= 1")
@@ -701,7 +706,6 @@ def _peak_indices(mag: np.ndarray, max_peaks: int = 16) -> list:
 
 def singularity_scan(
     model: ZetaModel,
-    beta: Optional[spectrum.TwistForm] = None,
     eps_ladder: Optional[Sequence[float]] = None,
     y_grid: Optional[np.ndarray] = None,
 ) -> list:
@@ -720,8 +724,6 @@ def singularity_scan(
     per length per 64 rows.  Any other grid takes the exact exponential on
     every row.
     """
-    if beta is None:
-        beta = model.beta
     if eps_ladder is None:
         # keep the fluctuation floor e^{-eps T} well under the weakest peaks
         lo = max(2e-2, 9.0 / model.spec.T)
@@ -736,17 +738,11 @@ def singularity_scan(
     y_grid = np.asarray(y_grid, dtype=float)
 
     lengths = model.spec.lengths
-    if beta is model.beta or (
-        beta is None and model.beta is None
-    ):
-        weights = model.spec.phases
-    else:
-        weights = _phase_weights(model.spec, beta)
     # one column per ladder point, then the short head: truncation ripples
     # move when the head is shortened while genuine peaks persist
     n_eps = eps_ladder.size
     ladder = np.append(eps_ladder, eps_ladder[-1])
-    damp = weights[:, None] * np.exp(-np.outer(lengths, ladder))
+    damp = model.spec.phases[:, None] * np.exp(-np.outer(lengths, ladder))
     damp[np.searchsorted(lengths, 0.85 * model.spec.T):, n_eps] = 0.0
     boundary = _head_boundary_values(lengths, damp, y_grid).T
     values = boundary[:n_eps]
@@ -761,7 +757,7 @@ def singularity_scan(
 
     d = model.dim
     grid = alpha_grid(d)
-    lines = predicted_lines(d, beta, float(y_grid[-1]) + 1.0)
+    lines = predicted_lines(d, model.beta, float(y_grid[-1]) + 1.0)
     log_eps = np.log(eps_ladder)
 
     def classify(y0, z):
@@ -852,7 +848,6 @@ def guinand_pairing(
     spec_bwd: spectrum.LengthSpectrum,
     beta: Optional[spectrum.TwistForm],
     window: GaussianWindow,
-    m_radius: Optional[int] = None,
 ) -> GuinandResult:
     """Pair the two-sided length measure against the dual spectral comb.
 
@@ -893,10 +888,8 @@ def guinand_pairing(
     )
 
     beta0 = np.zeros(d) if beta is None else beta.beta0
-    if m_radius is None:
-        reach = window.center + 12.0 * window.width + np.linalg.norm(beta0)
-        m_radius = int(math.ceil(reach)) + 1
-    m = spectrum._lattice_box(d, m_radius)
+    reach = window.center + 12.0 * window.width + np.linalg.norm(beta0)
+    m = spectrum._lattice_box(d, int(math.ceil(reach)) + 1)
     rho = np.linalg.norm(m - beta0, axis=1)
     keep = np.abs(rho - window.center) <= 12.0 * window.width + window.center
     m, rho = m[keep], rho[keep]

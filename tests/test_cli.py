@@ -319,6 +319,14 @@ _BAD_CONFIGS = {
         "ranges": {"T0": 10.0, "T": 5.0}}),
     "equidist-without-bodies": ("equidist", {"dim": 2, "observables": {
         "f": {"modes": {"0,0": 1.0}}}}),
+    # T0 beyond the default T: 50 for spectrum, 20 pi for the d = 3 zeta model
+    "T0-beyond-default-T-spectrum": ("spectrum", {"dim": 2, "bodies": {
+        "p": {"kind": "point"}, "q": {"kind": "point", "x": [0.5, 0.1]}},
+        "ranges": {"T0": 60.0}}),
+    **{f"T0-beyond-default-T-{command}": (command, {"dim": 3, "bodies": {
+        "p": {"kind": "point", "x": [0.0, 0.0, 0.0]},
+        "q": {"kind": "point", "x": [0.5, 0.1, 0.2]}},
+        "ranges": {"T0": 70.0, "sweep": [1.0]}}) for command in ("zeta", "poincare")},
 }
 
 

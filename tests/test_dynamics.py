@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orthospec import convex, dynamics, spherequad
+from sphere_fourier import bessel_surface
 
 
 @pytest.fixture
@@ -152,30 +153,83 @@ def ellipse():
     return convex.ellipsoid((0.0, 0.0), (1.3, 0.7))
 
 
+_FIVE = {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5, (1, 1): 0.25j, (-1, -1): -0.25j}
+
+
 @pytest.fixture(scope="module")
 def five_modes():
-    return dynamics.TorusObservable(
-        2,
-        {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5,
-         (1, 1): 0.25j, (-1, -1): -0.25j},
-        real=True,
-    )
+    return dynamics.TorusObservable(2, _FIVE, real=True)
 
 
-def test_equidistribute_paths_agree(ellipse, five_modes):
-    for t in (10.0, 50.0):
-        a = dynamics.equidistribute(ellipse, five_modes, t, method="direct")
-        b = dynamics.equidistribute(ellipse, five_modes, t, method="modes")
-        assert abs(a.average - b.average) < 1e-9
-        assert abs(a.error - b.error) < 1e-9
+# an observable whose +-xi coefficients are unrelated, with a lone mode (2, -1)
+_UNPAIRED = {(0, 0): 0.3, (1, 0): 0.5 + 0.2j, (-1, 0): -0.1j, (2, -1): 0.7}
+
+
+def _ellipse_average(a, b, modes, t, n=4096):
+    """Trapezoid oracle of the boundary average on the dilated ellipse with semiaxes a, b.
+
+    With theta = (cos s, sin s): h = sqrt(a^2 cos^2 s + b^2 sin^2 s), the
+    boundary point of normal theta is (a^2 cos s, b^2 sin s) / h, and the
+    dilated boundary has length density t + a^2 b^2 / h^3 in s.
+    """
+    s = 2.0 * math.pi * np.arange(n) / n
+    c, sn = np.cos(s), np.sin(s)
+    h = np.sqrt((a * c) ** 2 + (b * sn) ** 2)
+    x, y = a * a * c / h + t * c, b * b * sn / h + t * sn
+    dens = t + (a * b) ** 2 / h**3
+    f = sum(complex(v) * np.exp(1j * (k[0] * x + k[1] * y)) for k, v in modes.items())
+    return complex(np.sum(dens * f) / np.sum(dens))
+
+
+def _ball_average(center, r, modes, t):
+    """sum_xi c_xi e^{i xi.center} of the sphere transform at |xi| (t + r), over the area."""
+    d = len(center)
+    area = {2: 2.0 * math.pi, 3: 4.0 * math.pi}[d]
+    return complex(sum(
+        complex(v) * np.exp(1j * float(np.dot(k, center)))
+        * bessel_surface(d, float(np.linalg.norm(k)) * (t + r)) / area
+        for k, v in modes.items()
+    ))
+
+
+def test_equidistribute_paths_agree(ellipse):
+    # the one path against references that share no code with it: the
+    # trapezoid oracle on the ellipse and the sphere transform on balls
+    for modes in (_FIVE, _UNPAIRED):
+        f = dynamics.TorusObservable(2, modes)
+        for t in (10.0, 50.0):
+            res = dynamics.equidistribute(ellipse, f, t)
+            want = _ellipse_average(1.3, 0.7, modes, t)
+            assert abs(res.average - want) < 1e-12
+            assert abs(res.error - (want - modes[(0, 0)])) < 1e-12
+    ball_cases = [
+        ((0.3, -0.2), _FIVE),
+        ((0.3, -0.2), _UNPAIRED),
+        ((0.3, -0.2, 0.5), {(0, 0, 0): 1.5, (1, 0, 1): 0.4 - 0.3j, (-1, 0, -1): 0.4 + 0.3j,
+                            (0, 2, -1): 0.2j}),
+    ]
+    for center, modes in ball_cases:
+        K = convex.ball(center, 0.8)
+        f = dynamics.TorusObservable(len(center), modes)
+        for t in (10.0, 97.0):
+            got = dynamics.equidistribute(K, f, t).average
+            assert abs(got - _ball_average(center, 0.8, modes, t)) < 1e-12
+
+
+def test_equidistribute_refuses_an_under_resolved_boundary():
+    # a degree-24 bump of the support function outruns the rule at t = 10
+    K = convex.harmonic(convex.ball((0.0, 0.0, 0.0), 1.0), [(24, (0.3, 0.5, 0.8), 5e-4)])
+    f = dynamics.TorusObservable(3, {(0, 0, 0): 1.0, (1, 0, 0): 0.5, (-1, 0, 0): 0.5},
+                                 real=True)
+    with pytest.raises(spherequad.UnderResolved):
+        dynamics.equidistribute(K, f, 10.0)
 
 
 def test_equidistribute_constant_is_exact(ellipse):
     one = dynamics.TorusObservable(2, {(0, 0): 1.0})
-    for method in ("direct", "modes"):
-        res = dynamics.equidistribute(ellipse, one, 25.0, method=method)
-        assert res.error == 0.0
-        assert res.average == 1.0 + 0.0j
+    res = dynamics.equidistribute(ellipse, one, 25.0)
+    assert res.error == 0.0
+    assert res.average == 1.0 + 0.0j
 
 
 def test_equidistribute_rejects_direction_dependence(ellipse):
@@ -185,6 +239,6 @@ def test_equidistribute_rejects_direction_dependence(ellipse):
 
 
 def test_equidistribute_worker_determinism(ellipse, five_modes):
-    a = dynamics.equidistribute(ellipse, five_modes, 20.0, method="modes", workers=1)
-    b = dynamics.equidistribute(ellipse, five_modes, 20.0, method="modes", workers=4)
+    a = dynamics.equidistribute(ellipse, five_modes, 20.0, workers=1)
+    b = dynamics.equidistribute(ellipse, five_modes, 20.0, workers=4)
     assert a.average == b.average

@@ -222,7 +222,8 @@ def test_osc_integral_amplitude_and_xtilde_against_a_fine_grid(xi, beta0, big):
     def xtilde(n):
         return n @ M.T
 
-    got = spherequad.osc_integral(d, F=F, xi=xi, beta0=beta0, t=t, xtilde=xtilde).value
+    got = spherequad.osc_integral(d, F=F, xi=xi, beta0=beta0, t=t, xtilde=xtilde,
+                                  xtilde_scale=float(np.linalg.norm(M, 2))).value
     g = spherequad.grid(d, big)
     want = np.sum(g.weights * F(g.nodes)
                   * np.exp(1j * (t * g.nodes @ (xi - beta0) + xtilde(g.nodes) @ xi)))
@@ -270,6 +271,20 @@ def test_cap_decay_equator_piece():
 def test_cap_decay_needs_two_samples():
     with pytest.raises(ValueError):
         spherequad.cap_decay_check(3, xi=np.array([1.0, 0.0, 0.0]), ts=[50.0])
+
+
+def test_cap_decay_refuses_nonpositive_t_and_xi_at_beta0():
+    xi = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="t > 0"):
+        spherequad.cap_decay_check(3, xi=xi, ts=[0.0, 50.0])
+    with pytest.raises(ValueError, match="xi != beta0"):
+        spherequad.cap_decay_check(3, xi=xi, ts=[40.0, 50.0], beta0=xi)
+
+
+def test_osc_integral_xtilde_needs_a_scale():
+    with pytest.raises(ValueError, match="xtilde_scale"):
+        spherequad.osc_integral(3, xi=np.array([1.0, 0.0, 0.0]), t=2.0,
+                                xtilde=lambda n: 0.1 * n)
 
 
 def test_osc_integral_split_pieces_sum():
