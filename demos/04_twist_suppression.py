@@ -22,10 +22,10 @@ def main() -> None:
     level = 1.0 / (4.0 * math.pi)
     print("\nphased counting ratios |N_beta(T)| / T^2")
     for T in (100.0, 200.0, 400.0):
-        r = abs(spectrum.counting_weighted(spec, beta, T)) / T**2
+        r = abs(spectrum.counting_weighted(spec, T)) / T**2
         print(f"  T = {T:5.0f}: {r:.3e}   (untwisted level {level:.3e})")
 
-    report = zetafns.twist_suppression(model, beta)
+    report = zetafns.twist_suppression(model)
     print(f"\ntwist_suppression: mode = {report.mode}, "
           f"certified = {report.certified}")
     print(f"  ladder  {tuple(round(t, 1) for t in report.t_ladder)}")
@@ -37,7 +37,7 @@ def main() -> None:
     f_only = spectrum.TwistForm((0.0, 0.0), {(1, 0): 0.3, (-1, 0): 0.3})
     model2 = zetafns.build_zeta_model(p, convex.point((1.1, -0.7)),
                                       beta=f_only, T=120.0, sweep=(1.0, 2.0))
-    report2 = zetafns.twist_suppression(model2, f_only)
+    report2 = zetafns.twist_suppression(model2)
     print(f"\nf-only twist: mode = {report2.mode}, "
           f"certified = {report2.certified}, deviation {report2.deviation:.3f}")
 

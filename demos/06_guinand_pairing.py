@@ -27,7 +27,7 @@ def main() -> None:
     print("first predicted lines:", ", ".join(f"{v:.6f}" for v in lines[:4]))
 
     window = zetafns.GaussianWindow(float(lines[0]), 0.2)
-    res = zetafns.guinand_pairing(fwd, bwd, beta, window)
+    res = zetafns.guinand_pairing(fwd, bwd, window)
     rel = abs(res.length_side - res.spectral_side) / abs(res.spectral_side)
     print(f"\non-line window (center {window.center:.4f}, width 0.2)")
     print(f"  length side   {res.length_side:+.10f}")
@@ -38,7 +38,7 @@ def main() -> None:
     # lines are dense for irrational beta0 in d = 3, so the gap window
     # must be narrow and sit well inside the first gap
     off = zetafns.GaussianWindow(0.5 * float(lines[0]), 0.05)
-    res2 = zetafns.guinand_pairing(fwd, bwd, beta, off)
+    res2 = zetafns.guinand_pairing(fwd, bwd, off)
     print(f"\noff-line window (center {off.center:.4f}, width 0.05)")
     print(f"  |length side|   {abs(res2.length_side):.2e}")
     print(f"  |spectral side| {abs(res2.spectral_side):.2e}")

@@ -205,10 +205,15 @@ def _pair_bodies(cfg: dict) -> tuple:
     return k1, k2
 
 
-def _window_T(cfg: dict, default: float, T0, reach: float = 1.0) -> float:
-    """ranges.T or its default; an empty window (T0, reach * T] is a ConfigError."""
+def _window_T(cfg: dict, default: float, k1, k2, T0, reach: float = 1.0) -> float:
+    """ranges.T or its default; an empty window (T0, reach * T] is a ConfigError.
+
+    T0 = None stands for the start the enumeration takes from the bodies.
+    """
     T = default if cfg["ranges"]["T"] is None else float(cfg["ranges"]["T"])
-    if T0 is not None and reach * T <= T0:
+    if T0 is None:
+        T0 = spectrum._default_T0(k1, k2)
+    if reach * T <= T0:
         raise ConfigError(f"ranges need T > T0 >= 0; the window ({T0:g}, {reach * T:g}] is empty")
     return T
 
@@ -292,7 +297,7 @@ def _cmd_spectrum(cfg, out, workers, log):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     r = cfg["ranges"]
-    T = _window_T(cfg, _SPECTRUM_T, r["T0"])
+    T = _window_T(cfg, _SPECTRUM_T, k1, k2, r["T0"])
     spec = spectrum.enumerate(
         k1, k2, orient=cfg["orient"], T0=r["T0"], T=T,
         beta=beta, workers=workers,
@@ -304,8 +309,7 @@ def _cmd_spectrum(cfg, out, workers, log):
     ts = np.linspace(spec.T0 + 1.0, T, 60)
     counts = [spectrum.counting(spec, float(tv)) for tv in ts]
     model = [sum(rho[k - 1] * tv**k / k for k in range(1, spec.dim + 1)) for tv in ts]
-    # the records carry the phases of beta itself, so N_beta(T) sums a prefix
-    weighted = [np.sum(spec.phases[:n]) for n in counts]
+    weighted = [spectrum.counting_weighted(spec, float(tv)) for tv in ts]
     _tables.write_csv(os.path.join(out, "counting.csv"),
                       ["T", "count", "model", "weighted_re", "weighted_im"],
                       [ts, counts, model] + _re_im(weighted))
@@ -321,7 +325,8 @@ def _cmd_spectrum(cfg, out, workers, log):
 def _zeta_model(cfg, k1, k2, beta, workers) -> zetafns.ZetaModel:
     r = cfg["ranges"]
     sweep = tuple(r["sweep"])
-    T = _window_T(cfg, zetafns._default_T(cfg["dim"]), r["T0"], reach=max(sweep, default=1.0))
+    T = _window_T(cfg, zetafns._default_T(cfg["dim"]), k1, k2, r["T0"],
+                  reach=max(sweep, default=1.0))
     return zetafns.build_zeta_model(k1, k2, orient=cfg["orient"], beta=beta,
                                     T=T, T0=r["T0"], workers=workers, sweep=sweep)
 
@@ -363,7 +368,7 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
     if beta is not None:
         ladder = r["t_ladder"]
         rep = zetafns.twist_suppression(
-            model, beta, t_ladder=None if ladder is None else list(ladder))
+            model, t_ladder=None if ladder is None else list(ladder))
         _tables.write_json(os.path.join(out, "twist.json"), {
             "mode": rep.mode,
             "certified": rep.certified,
@@ -450,7 +455,7 @@ def _cmd_poincare(cfg, out, workers, log):
 def _cmd_guinand(cfg, out, workers, log):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
-    T = _window_T(cfg, _SPECTRUM_T, 0.0)
+    T = _window_T(cfg, _SPECTRUM_T, k1, k2, 0.0)
     d = cfg["dim"]
     center = cfg["window"]["center"]
     if center is None:
@@ -466,7 +471,7 @@ def _cmd_guinand(cfg, out, workers, log):
                              beta=beta, workers=workers)
     bwd = spectrum.enumerate(k2, k1, orient=cfg["orient"], T0=0.0, T=T,
                              beta=beta, workers=workers)
-    res = zetafns.guinand_pairing(fwd, bwd, beta, window)
+    res = zetafns.guinand_pairing(fwd, bwd, window)
     diff = abs(res.length_side - res.spectral_side)
     denom = max(abs(res.length_side), abs(res.spectral_side))
     _tables.write_json(os.path.join(out, "guinand.json"), {

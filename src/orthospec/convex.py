@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _MIN_RADIUS = 1e-6
+_VALIDATION_ORDER = 24  # grid on which a body's principal radii are checked
+_STEINER_ORDER = 48     # doubled once to validate the Steiner integrals
 
 
 class QuadratureDisagreement(Exception):
@@ -250,14 +252,14 @@ def _certify(dim: int, kind: str, parts: tuple) -> SupportBody:
     body = SupportBody(dim=dim, kind=kind, parts=parts)
     if body.is_point:
         return body
-    g = spherequad.grid(dim, 24)
+    g = spherequad.grid(dim, _VALIDATION_ORDER)
     radii = principal_radii(body, g.nodes)
     r_min = float(np.min(radii))
     r_max = float(np.max(radii))
     if r_min <= _MIN_RADIUS:
         raise ValueError(
-            f"body is not certifiably strictly convex: min principal radius "
-            f"{r_min:.3e} <= {_MIN_RADIUS:g}"
+            f"body is not strictly convex on the order-{_VALIDATION_ORDER} validation grid: "
+            f"min principal radius {r_min:.3e} <= {_MIN_RADIUS:g}"
         )
     return replace(body, r_min=r_min, r_max=r_max)
 
@@ -419,7 +421,7 @@ class SteinerData:
         return float(np.polyval(self.steiner_coeffs[::-1], t))
 
 
-def steiner(body: SupportBody, order: int = 48) -> SteinerData:
+def steiner(body: SupportBody) -> SteinerData:
     """Steiner data by sphere quadrature, validated by order doubling (tol 1e-8)."""
     d = body.dim
 
@@ -430,13 +432,13 @@ def steiner(body: SupportBody, order: int = 48) -> SteinerData:
         vol = float(g.weights @ (body.h(g.nodes) * coeffs[:, 0])) / d
         return vol, moments
 
-    vol1, m1 = compute(order)
-    vol2, m2 = compute(2 * order)
+    vol1, m1 = compute(_STEINER_ORDER)
+    vol2, m2 = compute(2 * _STEINER_ORDER)
     disagreement = max(abs(vol2 - vol1), float(np.max(np.abs(m2 - m1))))
     if disagreement > 1e-8:
         raise QuadratureDisagreement(
             f"steiner quadrature disagreement {disagreement:.3e} at orders "
-            f"{order}/{2 * order}"
+            f"{_STEINER_ORDER}/{2 * _STEINER_ORDER}"
         )
     steiner_coeffs = np.zeros(d + 1)
     steiner_coeffs[0] = vol2

@@ -75,6 +75,10 @@ class TwistForm:
         object.__setattr__(self, "beta0", beta0)
         object.__setattr__(self, "modes", tuple(items))
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TwistForm) and np.array_equal(self.beta0, other.beta0)
+                and self.modes == other.modes)
+
     @property
     def dim(self) -> int:
         return self.beta0.size
@@ -262,14 +266,23 @@ def _solve_chunk(L, xi_chunk, T0, T):
     return xi_chunk[keep], theta[keep], value[keep], rejects
 
 
+def _default_T0(K1: convex.SupportBody, K2: convex.SupportBody) -> float:
+    """The default window start 2 (r_max(K1) + r_max(K2)) + 1.
+
+    It lies above the transversality threshold for desk-scale bodies.
+    """
+    return 2.0 * (K1.r_max + K2.r_max) + 1.0
+
+
 def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-",
               T0: Optional[float] = None, T: float = 50.0,
               beta: Optional[TwistForm] = None,
               workers: int = 1) -> LengthSpectrum:
     """Enumerate all orthogeodesics with length in (T0, T].
 
-    T0 defaults to 2 (r_max(K1) + r_max(K2)) + 1, above the transversality
-    threshold for desk-scale bodies.  Results are independent of worker count.
+    T0 defaults to _default_T0(K1, K2).  The records, their order and their
+    lengths do not depend on beta, which only sets the phases.  Results are
+    independent of worker count.
 
     The candidate window is certified: with [h_lo, h_hi] = L.h_range(), a
     closed-form enclosure of h_L on the whole sphere, t(xi) lies between
@@ -286,7 +299,7 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
         raise ValueError("twist form dimension mismatch")
     L = difference_body(K1, K2, orient)
     if T0 is None:
-        T0 = 2.0 * (K1.r_max + K2.r_max) + 1.0
+        T0 = _default_T0(K1, K2)
     if not (T > T0 >= 0):
         raise ValueError("need T > T0 >= 0")
     h_lo, h_hi = L.h_range()
@@ -329,9 +342,9 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
     )
 
 
-def _untwisted(beta: Optional[TwistForm]) -> bool:
-    """True for no twist or the zero form, whose holonomy is 1 on every record."""
-    return beta is None or not (beta.modes or np.any(beta.beta0 != 0.0))
+def _untwisted(beta: TwistForm) -> bool:
+    """True for the zero form, whose holonomy is 1 on every record."""
+    return not (beta.modes or np.any(beta.beta0 != 0.0))
 
 
 def counting(spec: LengthSpectrum, T: float) -> int:
@@ -341,21 +354,9 @@ def counting(spec: LengthSpectrum, T: float) -> int:
     return int(np.searchsorted(spec.lengths, T + _GROUP_TOL, side="left"))
 
 
-def counting_weighted(spec: LengthSpectrum, beta: TwistForm, T: float) -> complex:
-    """N_beta(T): phase-weighted count with the supplied twist form."""
-    if T > spec.T + _GROUP_TOL:
-        raise ValueError("T exceeds the enumerated range")
-    n = counting(spec, T)
-    if n == 0:
-        return 0.0 + 0.0j
-    return complex(np.sum(_record_phases(spec, beta, n)))
-
-
-def _record_phases(spec: LengthSpectrum, beta: TwistForm,
-                   n: Optional[int] = None) -> np.ndarray:
-    """Holonomy of beta from start foot to end foot of the first n records (all by default)."""
-    start = spec.foot1 if spec.orient == "+-" else spec.foot2
-    return beta.holonomy(start[:n], spec.lengths[:n, None] * spec.theta[:n])
+def counting_weighted(spec: LengthSpectrum, T: float) -> complex:
+    """N_beta(T): the count weighted by the holonomy phases of the spectrum's own twist."""
+    return complex(np.sum(spec.phases[:counting(spec, T)]))
 
 
 def density_coeffs(K1: convex.SupportBody, K2: convex.SupportBody,

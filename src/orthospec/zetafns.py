@@ -58,6 +58,8 @@ _TAIL_REL = 1e-6
 _MASS_TOL = 1e-12
 _CF_FROM = 2.0   # erfcx takes its continued fraction from here on,
 _CF_TERMS = 60   # at a depth that converges to an ulp there
+_J_MAX = 3       # line orders run up to (d-1)/2 + _J_MAX
+_MAX_PEAKS = 16  # peaks refitted by one singularity scan
 
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
@@ -132,14 +134,13 @@ class ZetaModel:
     rho[k-1] is the coefficient of t^{k-1} in the smooth counting density,
     taken from steiner, the Steiner data of the difference body; the
     spectrum extends to T * max(sweep) so the splice point can be swept
-    for stability error bars.
+    for stability error bars.  The twist is the spectrum's own, spec.beta.
     """
 
     spec: spectrum.LengthSpectrum
     rho: np.ndarray
     T: float
     sweep: tuple
-    beta: Optional[spectrum.TwistForm]
     steiner: convex.SteinerData
 
     @property
@@ -229,7 +230,7 @@ def build_zeta_model(
     if abs(rho[-1] - lead) > 1e-8 * lead:
         raise ValueError("tail density leading coefficient fails the sphere check")
     return ZetaModel(spec=spec, rho=np.asarray(rho, dtype=float), T=float(T),
-                     sweep=sweep, beta=beta, steiner=steiner)
+                     sweep=sweep, steiner=steiner)
 
 
 def _ball_density(ell: int, d: int) -> float:
@@ -242,7 +243,7 @@ def _ball_density(ell: int, d: int) -> float:
 
 
 def _require_untwisted(model: ZetaModel, what: str) -> None:
-    if not spectrum._untwisted(model.beta):
+    if not spectrum._untwisted(model.spec.beta):
         raise ValueError(f"{what} requires the untwisted series (beta = 0)")
 
 
@@ -285,14 +286,13 @@ def zeta_continue(model: ZetaModel, s: complex, factor: float = 1.0) -> complex:
     return complex(head + tail)
 
 
-def _counting_fit(model: ZetaModel, weights: Optional[np.ndarray] = None):
-    """Least-squares polynomial residues from (weighted) counting data.
+def _counting_fit(model: ZetaModel):
+    """Least-squares polynomial residues from the phase-weighted counting data.
 
     Returns per-sweep-factor arrays of fitted residues ell * c_ell from
-    N(T') ~ sum c_k T'^k + c_0 over T' in [T0 + 1, factor * T].
+    N_beta(T') ~ sum c_k T'^k + c_0 over T' in [T0 + 1, factor * T].
     """
-    lengths = model.spec.lengths
-    w = np.ones(lengths.size, dtype=complex) if weights is None else weights
+    lengths, w = model.spec.lengths, model.spec.phases
     d = model.dim
     out = []
     for factor in model.sweep:
@@ -332,8 +332,8 @@ def residues(model: ZetaModel) -> list:
     return out
 
 
-def _weighted_density_residues(model: ZetaModel, beta: spectrum.TwistForm):
-    """Quadrature of the holonomy-weighted curvature moments.
+def _weighted_density_residues(model: ZetaModel):
+    """Quadrature of the curvature moments weighted by the holonomy of spec.beta.
 
     For an integer-representative beta0 the per-direction weight is the
     holonomy from the start foot along -x_L(theta), which ends on the other
@@ -347,26 +347,17 @@ def _weighted_density_residues(model: ZetaModel, beta: spectrum.TwistForm):
     theta = g.nodes
     coeffs = convex._area_coeffs(L, theta)
     start = (spec.body1 if spec.orient == "+-" else spec.body2).grad(theta)
-    w = beta.holonomy(start, -L.grad(theta))
+    w = spec.beta.holonomy(start, -L.grad(theta))
     scale = (2 * math.pi) ** (-d)
     return np.array([scale * np.sum(g.weights * w * coeffs[:, j])
                      for j in range(d)])
 
 
-def _phase_weights(spec: spectrum.LengthSpectrum,
-                   beta: Optional[spectrum.TwistForm]) -> np.ndarray:
-    """Holonomy weights for every record, recomputed for the given form."""
-    if beta is None:
-        return np.ones(spec.lengths.size, dtype=complex)
-    return spectrum._record_phases(spec, beta)
-
-
 def twist_suppression(
     model: ZetaModel,
-    beta: spectrum.TwistForm,
     t_ladder: Optional[Sequence[float]] = None,
 ) -> TwistReport:
-    """Certify the loss of the leading counting term under a twist.
+    """Certify the loss of the leading counting term under the model's twist.
 
     For beta0 without integer representative: |N_beta(T)| / T^d over a
     T-ladder, certified when the ratios decrease and the last sits below
@@ -376,12 +367,12 @@ def twist_suppression(
     """
     spec = model.spec
     d = model.dim
-    if not beta.is_integer:
+    if not spec.beta.is_integer:
         if t_ladder is None:
             t_ladder = tuple(spec.T * f for f in (0.25, 0.5, 1.0))
         t_ladder = tuple(float(t) for t in t_ladder)
         ratios = tuple(
-            abs(spectrum.counting_weighted(spec, beta, t)) / t**d
+            abs(spectrum.counting_weighted(spec, t)) / t**d
             for t in t_ladder
         )
         level = _ball_density(d, d) / d
@@ -395,8 +386,8 @@ def twist_suppression(
             untwisted_level=level,
             threshold=threshold,
         )
-    weighted = _weighted_density_residues(model, beta)
-    fits = _counting_fit(model, _phase_weights(spec, beta))
+    weighted = _weighted_density_residues(model)
+    fits = _counting_fit(model)
     emp = fits[-1]
     dev = float(np.max(np.abs(emp - weighted)))
     lead_scale = float(model.rho[-1])
@@ -542,15 +533,12 @@ def poincare_points_spectral(
     x,
     y,
     beta: Optional[spectrum.TwistForm],
-    s: complex,
-    cutoff: Optional[float] = None,
+    s: float,
 ) -> complex:
-    """Dual-lattice form of the two-point Poincare series.
+    """Dual-lattice form of the two-point Poincare series, for real s > 0.
 
-    c_d e^{i(f(y)-f(x))} s sum_xi e^{i xi.(x-y)} (s^2 + |xi+beta0|^2)^{-(d+1)/2}.
-    With an explicit cutoff the sum is truncated to |xi| <= cutoff; with
-    cutoff=None (real s only) the full sum is evaluated by an Ewald split,
-    exact to near machine precision.
+    c_d e^{i(f(y)-f(x))} s sum_xi e^{i xi.(x-y)} (s^2 + |xi+beta0|^2)^{-(d+1)/2},
+    the full sum evaluated by an Ewald split, exact to near machine precision.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -563,14 +551,6 @@ def poincare_points_spectral(
     fphase = _f_phase(beta, x, y)
     _, c_d = spectral_constants(d)
     s = complex(s)
-    p = (d + 1) / 2.0
-    if cutoff is not None:
-        xi = spectrum._lattice_box(d, int(math.ceil(cutoff)))
-        xi = xi[np.sum(xi**2, axis=1) <= cutoff**2 + 1e-12]
-        terms = np.exp(1j * (xi @ u)) * (
-            s**2 + np.sum((xi + beta0) ** 2, axis=1)
-        ) ** (-p)
-        return complex(fphase * c_d * s * np.sum(terms))
     if abs(s.imag) > 0 or s.real <= 0:
         raise ValueError("the exact Ewald path needs real s > 0")
     dual = _ewald_dual_sum(s.real, u, beta0, d)
@@ -604,15 +584,15 @@ def F_alpha(alpha: float, z) -> complex:
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def alpha_grid(dim: int, j_max: int = 3) -> np.ndarray:
-    """Candidate singular orders (d-1)/2 + j - l joined with the pole stack 1 - l."""
-    vals = set()
-    for j in range(j_max + 1):
-        for l in range(dim):
-            vals.add((dim - 1) / 2.0 + j - l)
-    for l in range(1, dim + 1):
-        vals.add(1.0 - l)
-    return np.array(sorted(vals))
+def _line_orders(dim: int) -> np.ndarray:
+    """Singular orders (d-1)/2 + j - l, j <= _J_MAX, l < d, of the lines off y = 0."""
+    return np.unique([(dim - 1) / 2.0 + j - l
+                      for j in range(_J_MAX + 1) for l in range(dim)])
+
+
+def alpha_grid(dim: int) -> np.ndarray:
+    """Candidate singular orders: the line orders joined with the y = 0 pole stack 1 - l."""
+    return np.union1d(_line_orders(dim), 1.0 - np.arange(1, dim + 1))
 
 
 def predicted_lines(dim: int, beta: Optional[spectrum.TwistForm],
@@ -690,7 +670,7 @@ def _local_maxima(x: np.ndarray):
     return peaks, prominences
 
 
-def _peak_indices(mag: np.ndarray, max_peaks: int = 16) -> list:
+def _peak_indices(mag: np.ndarray) -> list:
     raw, prominences = _local_maxima(mag)
     floor = 2.0 * float(np.median(mag))
     idx = [
@@ -701,7 +681,7 @@ def _peak_indices(mag: np.ndarray, max_peaks: int = 16) -> list:
     if mag.size > 1 and mag[0] > mag[1] and mag[0] > floor:
         idx.insert(0, 0)
     idx.sort(key=lambda i: -mag[i])
-    return sorted(idx[:max_peaks])
+    return sorted(idx[:_MAX_PEAKS])
 
 
 def singularity_scan(
@@ -714,8 +694,10 @@ def singularity_scan(
     Peaks of |Z(eps_min + iy)| over the y grid are refitted along the eps
     ladder: the log-log slope p picks the nearest model order alpha with
     p = alpha - 1, and a matched filter against F_alpha recovers the
-    coefficient.  The ladder must resolve the head truncation:
-    min(eps) * T >= 6 keeps the discarded tail below the fit noise.
+    coefficient.  A peak off y = 0 chooses among the line orders only; the
+    pole-stack orders 1 - l occur at y = 0 alone.  The ladder must resolve
+    the head truncation: min(eps) * T >= 6 keeps the discarded tail below
+    the fit noise.
 
     The head is summed once for all ladder points and the 0.85 T short head
     together, as one matrix product per block of y rows.  On a uniform y
@@ -756,11 +738,10 @@ def singularity_scan(
     detect = np.minimum(np.abs(deflated[-1]), np.abs(short))
 
     d = model.dim
-    grid = alpha_grid(d)
-    lines = predicted_lines(d, model.beta, float(y_grid[-1]) + 1.0)
+    lines = predicted_lines(d, model.spec.beta, float(y_grid[-1]) + 1.0)
     log_eps = np.log(eps_ladder)
 
-    def classify(y0, z):
+    def classify(y0, z, grid):
         log_mag = np.log(np.abs(z))
         (slope, _), cov = np.polyfit(log_eps, log_mag, 1, cov=True)
         sd = math.sqrt(max(float(cov[0, 0]), 0.0))
@@ -796,19 +777,20 @@ def singularity_scan(
     if y_grid[0] == 0.0 and raw_mag[0] > max(
         2.0 * float(np.median(raw_mag)), 4.0 * float(np.abs(deflated[-1, 0]))
     ):
-        stack = classify(0.0, values[:, 0].copy())
+        stack = classify(0.0, values[:, 0].copy(), alpha_grid(d))
         if stack is not None:
             fits.append(stack)
 
     accepted = []
-    for i in sorted(_peak_indices(detect, max_peaks=16), key=lambda k: -detect[k]):
+    line_orders = _line_orders(d)
+    for i in sorted(_peak_indices(detect), key=lambda k: -detect[k]):
         if y_grid[i] == 0.0:
             continue
         y0 = float(y_grid[i])
         z = deflated[:, i].copy()
         for yj, aj, cj in accepted:
             z -= cj * F_alpha(aj, eps_ladder + 1j * (y0 - yj))
-        fit = classify(y0, z)
+        fit = classify(y0, z, line_orders)
         if fit is None:
             continue
         accepted.append((y0, fit.alpha, fit.coefficient))
@@ -846,20 +828,23 @@ def _point_location(body: convex.SupportBody) -> np.ndarray:
 def guinand_pairing(
     spec_fwd: spectrum.LengthSpectrum,
     spec_bwd: spectrum.LengthSpectrum,
-    beta: Optional[spectrum.TwistForm],
     window: GaussianWindow,
 ) -> GuinandResult:
     """Pair the two-sided length measure against the dual spectral comb.
 
     length_side = sum_fwd phase phihat(l)/l - sum_bwd conj(phase) phihat(-l)/l;
     spectral_side = e^{i(f(y)-f(x))} (2 pi)^{-d} sum_m e^{i m.(y-x)}
-    ghat(|m - beta0|).  Exact for point bodies in odd dimensions.
+    ghat(|m - beta0|).  Both spectra must carry the same twist beta, whose
+    phases they hold.  Exact for point bodies in odd dimensions.
     """
     for sp in (spec_fwd, spec_bwd):
         if not (sp.body1.is_point and sp.body2.is_point):
             raise ValueError("the exact pairing needs point bodies")
         if sp.T0 != 0.0:
             raise ValueError("spectra must be enumerated from T0 = 0")
+    beta = spec_fwd.beta
+    if beta != spec_bwd.beta:
+        raise ValueError("spec_fwd and spec_bwd were enumerated under different twists")
     d = spec_fwd.dim
     if d % 2 == 0:
         raise ValueError("the pairing identity is implemented for odd d")
@@ -879,15 +864,13 @@ def guinand_pairing(
     if spec_bwd.orient == spec_fwd.orient and not reversed_pair:
         raise ValueError("spec_bwd must reverse spec_fwd (swap bodies or orientation)")
 
-    wf = _phase_weights(spec_fwd, beta)
-    wb = _phase_weights(spec_bwd, beta)
     lf, lb = spec_fwd.lengths, spec_bwd.lengths
     length_side = complex(
-        np.sum(wf * window.transform(lf) / lf)
-        - np.sum(np.conj(wb) * window.transform(-lb) / lb)
+        np.sum(spec_fwd.phases * window.transform(lf) / lf)
+        - np.sum(np.conj(spec_bwd.phases) * window.transform(-lb) / lb)
     )
 
-    beta0 = np.zeros(d) if beta is None else beta.beta0
+    beta0 = beta.beta0
     reach = window.center + 12.0 * window.width + np.linalg.norm(beta0)
     m = spectrum._lattice_box(d, int(math.ceil(reach)) + 1)
     rho = np.linalg.norm(m - beta0, axis=1)

@@ -28,9 +28,11 @@ def report(capsys, n, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def points2_400():
+    # the twist sets the phases only, so criterion 1 counts the same records
     p = convex.point((0.0, 0.0))
+    beta = spectrum.TwistForm(IRRATIONAL_BETA2)
     t0 = time.perf_counter()
-    spec = spectrum.enumerate(p, p, T=400.0, workers=1)
+    spec = spectrum.enumerate(p, p, T=400.0, beta=beta, workers=1)
     return spec, time.perf_counter() - t0
 
 
@@ -108,8 +110,7 @@ def test_criterion_2_residues_are_intrinsic_volumes(capsys):
 
 def test_criterion_3_twisted_counting_collapses(points2_400, capsys):
     spec, _ = points2_400
-    beta = spectrum.TwistForm(IRRATIONAL_BETA2)
-    ratios = [abs(spectrum.counting_weighted(spec, beta, t)) / t**2
+    ratios = [abs(spectrum.counting_weighted(spec, t)) / t**2
               for t in (100.0, 200.0, 400.0)]
     level = 1.0 / (4.0 * math.pi)
     ok = ratios[2] < 0.25 * level and ratios[0] > ratios[1] > ratios[2]
@@ -171,10 +172,10 @@ def test_criterion_6_guinand_meyer(guinand300, capsys):
     fwd, bwd, beta = guinand300
     lines = zetafns.predicted_lines(3, beta, 2.0)
     on = zetafns.guinand_pairing(
-        fwd, bwd, beta, zetafns.GaussianWindow(float(lines[0]), 0.2))
+        fwd, bwd, zetafns.GaussianWindow(float(lines[0]), 0.2))
     rel = abs(on.length_side - on.spectral_side) / abs(on.spectral_side)
     off = zetafns.guinand_pairing(
-        fwd, bwd, beta, zetafns.GaussianWindow(0.5 * float(lines[0]), 0.05))
+        fwd, bwd, zetafns.GaussianWindow(0.5 * float(lines[0]), 0.05))
     off_len, off_spec = abs(off.length_side), abs(off.spectral_side)
     ok = rel <= 1e-3 and off_len <= 1e-6 and off_spec <= 1e-6
     report(capsys, 6, "Guinand-Meyer summation", ok,

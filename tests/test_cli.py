@@ -327,6 +327,10 @@ _BAD_CONFIGS = {
         "p": {"kind": "point", "x": [0.0, 0.0, 0.0]},
         "q": {"kind": "point", "x": [0.5, 0.1, 0.2]}},
         "ranges": {"T0": 70.0, "sweep": [1.0]}}) for command in ("zeta", "poincare")},
+    # T0 left to its default 2 (r_max(a) + r_max(b)) + 1 = 27
+    "default-T0-beyond-T": ("spectrum", {"dim": 2, "bodies": {
+        "a": {"kind": "ball", "radius": 13.0}, "b": {"kind": "point"}},
+        "ranges": {"T": 20.0}}),
 }
 
 
@@ -336,6 +340,23 @@ def test_bad_body_and_range_configs_exit_2(tmp_path, capsys, case):
     cfg = write_config(tmp_path / "c.json", raw)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("y, T", [((0.9, 0.4), 200.0), ((0.3, 0.2), 120.0)],
+                         ids=["y=(0.9,0.4),T=200", "y=(0.3,0.2),T=120"])
+def test_poincare_scan_on_d2_point_pairs(tmp_path, y, T):
+    # these scans stopped on FitAmbiguous while the y = 0 pole-stack order
+    # -1 was offered at the lines, whose order is (1 - d)/2 = -0.5
+    cfg = write_config(tmp_path / "c.json", {
+        "dim": 2,
+        "bodies": {"a": {"kind": "point"}, "b": {"kind": "point", "x": list(y)}},
+        "ranges": {"T": T, "sweep": [1.0]},
+    })
+    assert cli.main(["poincare", "--config", cfg, "--out", str(tmp_path)]) == 0
+    fits = read_json(tmp_path / "scan.json")["lines"]
+    lines = [f for f in fits if f["location"] > 0.1]
+    assert len(lines) >= 2
+    assert all(f["alpha"] == -0.5 for f in lines)
 
 
 def test_bad_config_exit_codes(tmp_path, capsys):

@@ -146,6 +146,15 @@ def test_steiner_rotation_invariance():
     assert np.max(np.abs(E0.intrinsic - E1.intrinsic)) < 1e-9
 
 
+def test_steiner_refuses_an_under_resolved_body():
+    # a degree-60 bump needs more than the order-48 rule: doubling the order
+    # moves the moments by about 5e-6, far past the 1e-8 tolerance
+    bumped = convex.harmonic(convex.ball((0.0, 0.0, 0.0), 1.0),
+                             [(60, (0.3, 0.5, 0.8), 2e-5)])
+    with pytest.raises(convex.QuadratureDisagreement, match="48/96"):
+        convex.steiner(bumped)
+
+
 def test_ellipsoid_volume():
     D = convex.steiner(convex.ellipsoid((0.0, 0.0, 0.0), (1.2, 0.9, 0.5)))
     assert abs(D.volume - 4.0 * math.pi / 3.0 * 1.2 * 0.9 * 0.5) < 1e-9

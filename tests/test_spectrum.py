@@ -205,17 +205,20 @@ def test_twist_form_requires_hermitian_modes():
 
 
 def test_trivial_twist_weighted_count_equals_count(points2_60):
-    beta = spectrum.TwistForm((0.0, 0.0))
     n = spectrum.counting(points2_60, 50.0)
-    w = spectrum.counting_weighted(points2_60, beta, 50.0)
+    w = spectrum.counting_weighted(points2_60, 50.0)
     assert w == pytest.approx(n, abs=1e-12)
 
 
-def test_twisted_count_is_suppressed(points2_60):
+def test_twisted_count_is_suppressed():
+    p = convex.point((0.0, 0.0))
     beta = spectrum.TwistForm((math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0)))
-    n = spectrum.counting(points2_60, 60.0)
-    w = spectrum.counting_weighted(points2_60, beta, 60.0)
+    spec = spectrum.enumerate(p, p, T=60.0, beta=beta)
+    n = spectrum.counting(spec, 60.0)
+    w = spectrum.counting_weighted(spec, 60.0)
     assert abs(w) < 0.25 * n
+    with pytest.raises(ValueError):
+        spectrum.counting_weighted(spec, 61.0)
 
 
 def test_density_coeffs_ball_pair():

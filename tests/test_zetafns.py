@@ -22,9 +22,10 @@ def model2():
 
 
 @pytest.fixture(scope="module")
-def model2_400():
+def twisted2_400():
     p = convex.point((0.0, 0.0))
-    return zetafns.build_zeta_model(p, p, T=400.0, sweep=(1.0,))
+    beta = spectrum.TwistForm(IRRATIONAL_BETA0)
+    return zetafns.build_zeta_model(p, p, beta=beta, T=400.0, sweep=(1.0,))
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +114,8 @@ def test_residues_reject_twisted_models():
         zetafns.residues(m)
 
 
-def test_twist_suppression_decay_ladder(model2_400):
-    beta = spectrum.TwistForm(IRRATIONAL_BETA0)
-    rep = zetafns.twist_suppression(model2_400, beta)
+def test_twist_suppression_decay_ladder(twisted2_400):
+    rep = zetafns.twist_suppression(twisted2_400)
     assert rep.mode == "decay"
     assert rep.certified
     assert rep.t_ladder == (100.0, 200.0, 400.0)
@@ -131,7 +131,7 @@ def test_twist_suppression_weighted_mode():
     q = convex.point((1.1, -0.7))
     beta = spectrum.TwistForm((1.0, 0.0), {(1, 0): 0.2, (-1, 0): 0.2})
     m = zetafns.build_zeta_model(p, q, beta=beta, T=150.0, sweep=(1.0, 2.0))
-    rep = zetafns.twist_suppression(m, beta)
+    rep = zetafns.twist_suppression(m)
     assert rep.mode == "weighted"
     assert rep.certified
     assert len(rep.weighted) == 2 and len(rep.empirical) == 2
@@ -154,18 +154,12 @@ def test_poincare_eval_tail_guard(model3):
         zetafns.poincare_eval(model3, 1e-4)
 
 
-def test_poincare_points_literal_cutoff():
+def test_poincare_points_spectral_needs_real_positive_s():
     x = np.zeros(3)
     y = np.array([0.9, 0.4, -1.1])
-    s = 0.7
-    exact = zetafns.poincare_points_spectral(x, y, None, s)
-    literal = zetafns.poincare_points_spectral(x, y, None, s, cutoff=40.0)
-    assert abs(literal - exact) < 5e-2 * abs(exact)
-    # the literal path accepts complex s where the exact path refuses
-    with pytest.raises(ValueError):
-        zetafns.poincare_points_spectral(x, y, None, 0.5 + 0.4j)
-    val = zetafns.poincare_points_spectral(x, y, None, 0.5 + 0.4j, cutoff=25.0)
-    assert np.isfinite(val.real) and np.isfinite(val.imag)
+    for s in (0.5 + 0.4j, 0.0, -0.7):
+        with pytest.raises(ValueError):
+            zetafns.poincare_points_spectral(x, y, None, s)
 
 
 def test_poincare_points_rejects_equal_points():
@@ -218,19 +212,24 @@ def test_spectral_constants_match_the_flat_closed_form():
 
 
 def test_record_phases_have_one_path():
-    # the phase enumerate stores, the weighted count and the zeta weights
-    # are the same holonomy of the same feet, bit for bit
+    # the twist sets the phases enumerate stores and nothing else: the
+    # records match the untwisted ones bit for bit, and the weighted count
+    # is a prefix sum of the stored phases
     beta = spectrum.TwistForm(
         (0.3, -0.2),
         {(1, 0): 0.2 + 0.1j, (-1, 0): 0.2 - 0.1j, (1, 1): 0.3, (-1, -1): 0.3},
     )
-    spec = spectrum.enumerate(convex.ellipsoid((0.1, -0.2), (0.9, 0.5)),
-                              convex.point((0.4, 1.1)), orient="-+", T=40.0,
-                              beta=beta)
+    K1, K2 = convex.ellipsoid((0.1, -0.2), (0.9, 0.5)), convex.point((0.4, 1.1))
+    spec = spectrum.enumerate(K1, K2, orient="-+", T=40.0, beta=beta)
+    plain = spectrum.enumerate(K1, K2, orient="-+", T=40.0)
     assert len(spec) > 100
     assert np.max(np.abs(spec.phases - 1.0)) > 0.5
-    assert spectrum.counting_weighted(spec, spec.beta, spec.T) == np.sum(spec.phases)
-    assert np.array_equal(zetafns._phase_weights(spec, spec.beta), spec.phases)
+    assert np.all(plain.phases == 1.0)
+    for name in ("xi", "theta", "lengths", "foot1", "foot2"):
+        assert np.array_equal(getattr(spec, name), getattr(plain, name)), name
+    assert spectrum.counting_weighted(spec, spec.T) == np.sum(spec.phases)
+    n = spectrum.counting(spec, 30.0)
+    assert spectrum.counting_weighted(spec, 30.0) == np.sum(spec.phases[:n])
 
 
 def test_F_alpha_branches():
@@ -256,6 +255,9 @@ def test_alpha_grid_contents():
     assert {1.0, 0.0, -1.0, -2.0}.issubset(g3)
     g2 = set(np.round(zetafns.alpha_grid(2), 9))
     assert {0.5, -0.5, 0.0}.issubset(g2)
+    # the pole-stack orders 1 - l are offered at y = 0 only
+    assert set(zetafns._line_orders(2)) == {-0.5, 0.5, 1.5, 2.5, 3.5}
+    assert -2.0 not in set(zetafns._line_orders(3))
 
 
 def test_predicted_lines_unit_lattice():
@@ -282,6 +284,56 @@ def test_singularity_scan_locates_the_lines(model3):
         assert f.residual <= 0.35
 
 
+def random_point_pairs(n):
+    """n point pairs from one seeded stream: the first half in d = 2, the rest in d = 3."""
+    rng = np.random.default_rng(3)
+    for k in range(n):
+        d = 2 if k < n // 2 else 3
+        yield rng.uniform(0.0, 2.0 * math.pi, d), rng.uniform(0.0, 2.0 * math.pi, d)
+
+
+def test_singularity_scan_fits_the_line_order_on_random_pairs():
+    # Poisson summation puts alpha = (1 - d)/2 at every line off y = 0; the
+    # pole-stack orders 1 - l used to tie with it in d = 2 (FitAmbiguous)
+    for x, y in random_point_pairs(12):
+        d = x.size
+        T = 150.0 if d == 2 else 100.0
+        model = zetafns.build_zeta_model(convex.point(x), convex.point(y),
+                                         T=T, sweep=(1.0,))
+        lines = [f for f in zetafns.singularity_scan(model) if f.location > 0.1]
+        assert len(lines) >= 2, (x, y)
+        for f in lines:
+            assert f.alpha == (1.0 - d) / 2.0, (x, y, f)
+            assert f.line_distance <= 0.03, (x, y, f)
+
+
+def synthetic_model(power, T=300.0):
+    """A d = 3 model whose head sum 0.01 sum l^power e^{(1.3 i - s) l} peaks at y = 1.3.
+
+    Its slope there is -(1 + power), so the fitted order is -power: between
+    the line orders -1 and 0 for power = 0.66, on -1 for power = 1.
+    """
+    lengths = 0.01 * np.arange(1, int(round(T / 0.01)) + 1)
+    n = lengths.size
+    p = convex.point((0.0, 0.0, 0.0))
+    spec = spectrum.LengthSpectrum(
+        dim=3, body1=p, body2=p, orient="+-", T0=0.0, T=T,
+        beta=spectrum.TwistForm(np.zeros(3)), xi=np.zeros((n, 3), dtype=int),
+        theta=np.zeros((n, 3)), lengths=lengths, foot1=np.zeros((n, 3)),
+        foot2=np.zeros((n, 3)),
+        phases=0.01 * lengths**power * np.exp(1.3j * lengths))
+    return zetafns.ZetaModel(spec=spec, rho=np.zeros(3), T=T, sweep=(1.0,),
+                             steiner=None)
+
+
+def test_singularity_scan_raises_fit_ambiguous_between_line_orders():
+    with pytest.raises(zetafns.FitAmbiguous, match="y = 1.3000"):
+        zetafns.singularity_scan(synthetic_model(0.66))
+    (fit,) = zetafns.singularity_scan(synthetic_model(1.0))
+    assert fit.location == pytest.approx(1.3, abs=1e-9)
+    assert fit.alpha == -1.0
+
+
 def dense_boundary_values(lengths, damp, y_grid):
     """sum_k damp[k, c] exp(-i y l_k), one exact exponential per (y, l) pair."""
     return np.array([np.exp(-1j * y * lengths) @ damp for y in y_grid])
@@ -297,8 +349,9 @@ def dense_boundary_values(lengths, damp, y_grid):
 def test_head_boundary_values_match_the_dense_sum(model3, y_grid, uniform, monkeypatch):
     lengths = model3.spec.lengths
     assert lengths.size > zetafns._BLOCK_ENTRIES // zetafns._ANCHOR_ROWS
-    beta = spectrum.TwistForm((math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0), 0.25))
-    weights = zetafns._phase_weights(model3.spec, beta)
+    # unit-modulus weights that vary from record to record
+    beta0 = np.array([math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0), 0.25])
+    weights = np.exp(1j * (model3.spec.lengths[:, None] * model3.spec.theta) @ beta0)
     damp = weights[:, None] * np.exp(-np.outer(lengths, [0.1, 0.04]))
     evaluated = []
     exp = np.exp
@@ -378,7 +431,7 @@ def test_guinand_pairing_on_a_line(guinand_spectra):
     fwd, bwd, beta = guinand_spectra
     lines = zetafns.predicted_lines(3, beta, 2.0)
     window = zetafns.GaussianWindow(float(lines[0]), 0.2)
-    res = zetafns.guinand_pairing(fwd, bwd, beta, window)
+    res = zetafns.guinand_pairing(fwd, bwd, window)
     rel = abs(res.length_side - res.spectral_side) / abs(res.spectral_side)
     assert rel < 1e-6
     assert res.truncation_mass < 1e-12
@@ -390,16 +443,34 @@ def test_guinand_pairing_off_line(guinand_spectra):
     fwd, bwd, beta = guinand_spectra
     lines = zetafns.predicted_lines(3, beta, 2.0)
     window = zetafns.GaussianWindow(0.5 * float(lines[0]), 0.05)
-    res = zetafns.guinand_pairing(fwd, bwd, beta, window)
+    res = zetafns.guinand_pairing(fwd, bwd, window)
     assert abs(res.length_side) < 1e-6
     assert abs(res.spectral_side) < 1e-6
 
 
 def test_guinand_truncation_guard(guinand_spectra):
-    fwd, bwd, beta = guinand_spectra
+    fwd, bwd, _ = guinand_spectra
     window = zetafns.GaussianWindow(0.6, 0.01)   # needs far more spectrum
     with pytest.raises(zetafns.TruncationTooSmall):
-        zetafns.guinand_pairing(fwd, bwd, beta, window)
+        zetafns.guinand_pairing(fwd, bwd, window)
+
+
+def test_guinand_pairing_refuses_spectra_under_different_twists(guinand_spectra):
+    fwd, bwd, beta = guinand_spectra
+    p, q = bwd.body1, bwd.body2
+    window = zetafns.GaussianWindow(1.0, 0.2)
+    others = [
+        spectrum.TwistForm(np.zeros(3)),
+        spectrum.TwistForm(beta.beta0 + 1e-9),
+        spectrum.TwistForm(beta.beta0, {(1, 0, 0): 0.1, (-1, 0, 0): 0.1}),
+    ]
+    for other in others:
+        # the twist is checked before the truncation mass: a short spectrum will do
+        bwd_other = spectrum.enumerate(p, q, T0=0.0, T=20.0, beta=other)
+        with pytest.raises(ValueError, match="different twists"):
+            zetafns.guinand_pairing(fwd, bwd_other, window)
+        with pytest.raises(ValueError, match="different twists"):
+            zetafns.guinand_pairing(bwd_other, fwd, window)
 
 
 def test_guinand_rejects_nonzero_T0():
@@ -408,4 +479,4 @@ def test_guinand_rejects_nonzero_T0():
     fwd = spectrum.enumerate(p, q, T=60.0)
     bwd = spectrum.enumerate(q, p, T=60.0)
     with pytest.raises(ValueError):
-        zetafns.guinand_pairing(fwd, bwd, None, zetafns.GaussianWindow(1.0, 0.2))
+        zetafns.guinand_pairing(fwd, bwd, zetafns.GaussianWindow(1.0, 0.2))
