@@ -25,13 +25,13 @@ def main() -> None:
     print("\ndirect series vs Ewald dual sum on the real axis")
     for s in (0.25, 0.7, 1.4, 2.0):
         direct = zetafns.poincare_eval(model, s)
-        dual = zetafns.poincare_points_spectral(x, y, None, s)
+        dual = zetafns.poincare_points_spectral(x, y, model.spec.beta, s)
         rel = abs(direct - dual) / abs(dual)
         print(f"  s = {s:.2f}: {direct.real:+.8f}  rel diff {rel:.1e}")
 
     print("\nsingularity scan along the boundary")
     fits = zetafns.singularity_scan(model)
-    lines = zetafns.predicted_lines(3, None, 3.2)
+    lines = zetafns.predicted_lines(model.spec.beta, 3.2)
     for f in fits:
         print(f"  y = {f.location:.4f}  exponent {f.exponent:+.2f}  "
               f"nearest line {f.nearest_line:.4f}  "

@@ -23,7 +23,7 @@ def main() -> None:
     bwd = spectrum.enumerate(q, p, T0=0.0, T=160.0, beta=beta)
     print(f"spectra: {len(fwd)} forward, {len(bwd)} backward chords")
 
-    lines = zetafns.predicted_lines(3, beta, 2.0)
+    lines = zetafns.predicted_lines(beta, 2.0)
     print("first predicted lines:", ", ".join(f"{v:.6f}" for v in lines[:4]))
 
     window = zetafns.GaussianWindow(float(lines[0]), 0.2)

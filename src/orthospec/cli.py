@@ -182,11 +182,10 @@ def build_body(dim: int, spec: dict) -> convex.SupportBody:
     return body
 
 
-def _twist_form(cfg: dict) -> Optional[spectrum.TwistForm]:
-    """The configured twist, or None for the zero form."""
+def _twist_form(cfg: dict) -> spectrum.TwistForm:
+    """The configured twist."""
     modes = {_parse_freq(k): _parse_coeff(v) for k, v in cfg["twist"]["modes"].items()}
-    beta = spectrum.TwistForm(cfg["twist"]["beta0"], modes)
-    return None if spectrum._untwisted(beta) else beta
+    return spectrum.TwistForm(cfg["twist"]["beta0"], modes)
 
 
 def _observable(cfg: dict, name: str) -> dynamics.TorusObservable:
@@ -339,7 +338,7 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
     d = model.spec.dim
     fallback = [complex(0.25 + 0.5 * k, 0.0) for k in range(2 * d + 1)]
     s_grid = _s_grid_spec(r["zeta_s_grid"], fallback)
-    if beta is None:
+    if beta.is_zero:
         values = [zetafns.zeta_continue(model, s) for s in s_grid]
     else:
         # twisted series: no rational tail model, report convergent head sums
@@ -349,7 +348,7 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
     _tables.write_csv(os.path.join(out, "zeta_values.csv"), _VALUE_HEADER,
                       _re_im(s_grid) + _re_im(values))
     if report_residues:
-        if beta is not None:
+        if not beta.is_zero:
             raise ConfigError("--report-residues needs the untwisted setting")
         ests = zetafns.residues(model)
         _tables.write_json(os.path.join(out, "residues.json"), [
@@ -365,7 +364,7 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
         for est in ests:
             log(f"zeta: Res at s={est.pole} is {est.residue:.9g} "
                 f"(volumes predict {est.predicted_from_volumes:.9g})")
-    if beta is not None:
+    if not beta.is_zero:
         ladder = r["t_ladder"]
         rep = zetafns.twist_suppression(
             model, t_ladder=None if ladder is None else list(ladder))
@@ -456,10 +455,9 @@ def _cmd_guinand(cfg, out, workers, log):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     T = _window_T(cfg, _SPECTRUM_T, k1, k2, 0.0)
-    d = cfg["dim"]
     center = cfg["window"]["center"]
     if center is None:
-        lines = zetafns.predicted_lines(d, beta, 10.0)
+        lines = zetafns.predicted_lines(beta, 10.0)
         positive = lines[lines > 1e-9]
         if positive.size == 0:
             raise ConfigError("no spectral line available for the window center")

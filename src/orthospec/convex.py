@@ -248,6 +248,14 @@ def principal_radii(body: SupportBody, theta: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(shifted)[:, 1:]
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """value as a float array, refused unless every entry is finite."""
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 def _certify(dim: int, kind: str, parts: tuple) -> SupportBody:
     body = SupportBody(dim=dim, kind=kind, parts=parts)
     if body.is_point:
@@ -256,7 +264,8 @@ def _certify(dim: int, kind: str, parts: tuple) -> SupportBody:
     radii = principal_radii(body, g.nodes)
     r_min = float(np.min(radii))
     r_max = float(np.max(radii))
-    if r_min <= _MIN_RADIUS:
+    # np.min propagates a NaN radius, which only the pass condition refuses
+    if not r_min > _MIN_RADIUS:
         raise ValueError(
             f"body is not strictly convex on the order-{_VALIDATION_ORDER} validation grid: "
             f"min principal radius {r_min:.3e} <= {_MIN_RADIUS:g}"
@@ -265,27 +274,28 @@ def _certify(dim: int, kind: str, parts: tuple) -> SupportBody:
 
 
 def point(x0) -> SupportBody:
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _finite("point x0", x0)
     return SupportBody(dim=x0.size, kind="point", parts=(_Point(x0),))
 
 
 def ball(center, radius: float) -> SupportBody:
-    center = np.asarray(center, dtype=float)
+    center = _finite("ball center", center)
+    radius = float(_finite("ball radius", radius))
     if radius <= 0:
         raise ValueError("ball radius must be positive")
-    return _certify(center.size, "ball", (_Ball(center, float(radius)),))
+    return _certify(center.size, "ball", (_Ball(center, radius),))
 
 
 def ellipsoid(center, semiaxes, rotation: Optional[np.ndarray] = None) -> SupportBody:
-    center = np.asarray(center, dtype=float)
-    semiaxes = np.asarray(semiaxes, dtype=float)
+    center = _finite("ellipsoid center", center)
+    semiaxes = _finite("ellipsoid semiaxes", semiaxes)
     if np.any(semiaxes <= 0):
         raise ValueError("semiaxes must be positive")
     if center.size != semiaxes.size:
         raise ValueError("center and semiaxes dimension mismatch")
     B = np.diag(semiaxes ** 2)
     if rotation is not None:
-        rotation = np.asarray(rotation, dtype=float)
+        rotation = _finite("ellipsoid rotation", rotation)
         if rotation.shape != B.shape:
             raise ValueError("rotation must be a square matrix of the body dimension")
         B = rotation @ B @ rotation.T
@@ -306,7 +316,8 @@ def harmonic(base: SupportBody, terms: Sequence[tuple]) -> SupportBody:
             raise ValueError("harmonic degrees must be even and >= 2")
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
-        parts.append(_Zonal(base.dim, degree, axis, float(coeff)))
+        coeff = float(_finite("harmonic coeff", coeff))
+        parts.append(_Zonal(base.dim, degree, axis, coeff))
     return _certify(base.dim, "harmonic", tuple(parts))
 
 
@@ -434,8 +445,9 @@ def steiner(body: SupportBody) -> SteinerData:
 
     vol1, m1 = compute(_STEINER_ORDER)
     vol2, m2 = compute(2 * _STEINER_ORDER)
-    disagreement = max(abs(vol2 - vol1), float(np.max(np.abs(m2 - m1))))
-    if disagreement > 1e-8:
+    # np.max, unlike max(), propagates a NaN into the disagreement
+    disagreement = float(np.max(np.abs(np.append(m2 - m1, vol2 - vol1))))
+    if not disagreement <= 1e-8:
         raise QuadratureDisagreement(
             f"steiner quadrature disagreement {disagreement:.3e} at orders "
             f"{_STEINER_ORDER}/{2 * _STEINER_ORDER}"

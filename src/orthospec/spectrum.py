@@ -5,8 +5,9 @@ of the flat metric correspond to lattice vectors: for the difference body
 L = K1 + (-K2), the arc hitting both boundaries orthogonally with homotopy
 data xi has length t(xi) = max over unit theta of (theta . 2 pi xi -
 h_L(theta)).  The maximum is found by Riemannian Newton on the sphere; the
-resulting records carry direction, lifted feet, and the holonomy phase of a
-twist one-form beta = beta0 . dx + df.
+resulting records carry the lattice class, direction, length and the
+holonomy phase of a twist one-form beta = beta0 . dx + df; the feet are
+convex.inverse_gauss of the direction on the two bodies.
 """
 
 from __future__ import annotations
@@ -84,6 +85,11 @@ class TwistForm:
         return self.beta0.size
 
     @property
+    def is_zero(self) -> bool:
+        """True for the zero form, whose holonomy is 1 on every record."""
+        return not (self.modes or np.any(self.beta0 != 0.0))
+
+    @property
     def is_integer(self) -> bool:
         """True when beta0 has an integer representative (trivial holonomy class)."""
         return bool(np.all(np.abs(self.beta0 - np.round(self.beta0)) < 1e-12))
@@ -108,9 +114,12 @@ class TwistForm:
 class LengthSpectrum:
     """Sorted orthospectrum records plus the query that produced them.
 
-    Arrays are parallel and ordered by (length, xi lexicographic); rejects
-    holds (xi, "NonUniqueMaximizer", approximate length) tuples for
-    candidates that failed the transversality proxy.
+    Arrays are parallel and ordered by (length, xi lexicographic).  A record
+    is its lattice class xi, unit direction theta, length and the holonomy
+    phase of beta along it; its start foot is convex.inverse_gauss(theta) on
+    body1 for "+-" and on body2 for "-+", and the arc ends length * theta
+    further on.  rejects holds (xi, "NonUniqueMaximizer", approximate
+    length) tuples for candidates that failed the transversality proxy.
     """
 
     dim: int
@@ -123,8 +132,6 @@ class LengthSpectrum:
     xi: np.ndarray       # (n, d) int
     theta: np.ndarray    # (n, d)
     lengths: np.ndarray  # (n,)
-    foot1: np.ndarray    # (n, d)
-    foot2: np.ndarray    # (n, d)
     phases: np.ndarray   # (n,) complex, unit modulus
     rejects: tuple = field(default=())
 
@@ -280,9 +287,9 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
               workers: int = 1) -> LengthSpectrum:
     """Enumerate all orthogeodesics with length in (T0, T].
 
-    T0 defaults to _default_T0(K1, K2).  The records, their order and their
-    lengths do not depend on beta, which only sets the phases.  Results are
-    independent of worker count.
+    T0 defaults to _default_T0(K1, K2), and beta to the zero form.  The
+    records, their order and their lengths do not depend on beta, which only
+    sets the phases.  Results are independent of worker count.
 
     The candidate window is certified: with [h_lo, h_hi] = L.h_range(), a
     closed-form enclosure of h_L on the whole sphere, t(xi) lies between
@@ -325,26 +332,14 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
     order = np.lexsort(tuple(xi[:, k] for k in range(d - 1, -1, -1)) + (lengths,))
     xi, theta, lengths = xi[order], theta[order], lengths[order]
 
-    if orient == "+-":
-        start = convex.inverse_gauss(K1, theta) if len(lengths) else np.zeros((0, d))
-        foot1 = start
-        foot2 = start + lengths[:, None] * theta
-    else:
-        start = convex.inverse_gauss(K2, theta) if len(lengths) else np.zeros((0, d))
-        foot2 = start
-        foot1 = start + lengths[:, None] * theta
+    start = convex.inverse_gauss(K1 if orient == "+-" else K2, theta)
     phases = beta.holonomy(start, lengths[:, None] * theta)
 
     return LengthSpectrum(
         dim=d, body1=K1, body2=K2, orient=orient, T0=float(T0), T=float(T),
         beta=beta, xi=xi, theta=theta, lengths=lengths,
-        foot1=foot1, foot2=foot2, phases=phases, rejects=rejects,
+        phases=phases, rejects=rejects,
     )
-
-
-def _untwisted(beta: TwistForm) -> bool:
-    """True for the zero form, whose holonomy is 1 on every record."""
-    return not (beta.modes or np.any(beta.beta0 != 0.0))
 
 
 def counting(spec: LengthSpectrum, T: float) -> int:

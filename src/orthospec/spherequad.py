@@ -319,7 +319,7 @@ def osc_integral(
     f2 = _integrand(g2, axis, kappa, F, xi, xtilde)
     v2 = complex(np.sum(g2.weights * f2))
     err = abs(v2 - v1)
-    if err > 1e-9 * abs(v2) + 1e-12:
+    if not err <= 1e-9 * abs(v2) + 1e-12:
         raise UnderResolved(
             f"order doubling {n}->{2 * n} (inner {m}->{2 * m}) moved the value "
             f"by {err:.3e} (value {abs(v2):.3e})"

@@ -96,7 +96,7 @@ class GaussianWindow:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("window width must be positive")
 
     def value(self, lam):
@@ -185,7 +185,6 @@ class TwistReport:
     ratios: tuple = ()
     untwisted_level: float = 0.0
     threshold: float = 0.0
-    poles: tuple = ()
     weighted: tuple = ()
     empirical: tuple = ()
     deviation: float = 0.0
@@ -243,7 +242,7 @@ def _ball_density(ell: int, d: int) -> float:
 
 
 def _require_untwisted(model: ZetaModel, what: str) -> None:
-    if not spectrum._untwisted(model.spec.beta):
+    if not model.spec.beta.is_zero:
         raise ValueError(f"{what} requires the untwisted series (beta = 0)")
 
 
@@ -394,7 +393,6 @@ def twist_suppression(
     return TwistReport(
         mode="weighted",
         certified=bool(abs(emp[-1] - weighted[-1]) <= 0.05 * lead_scale),
-        poles=tuple(range(1, d + 1)),
         weighted=tuple(complex(z) for z in weighted),
         empirical=tuple(complex(z) for z in emp),
         deviation=dev,
@@ -413,7 +411,7 @@ def poincare_eval(model: ZetaModel, s: complex) -> complex:
     lengths, phases = model.head()
     value = complex(np.sum(phases * np.exp(-s * lengths)))
     bound = poincare_tail_bound(model, s)
-    if bound > _TAIL_REL * abs(value):
+    if not bound <= _TAIL_REL * abs(value):
         raise TailDominates(
             f"tail bound {bound:.3e} exceeds {_TAIL_REL:.0e} of |{value:.6e}|"
         )
@@ -521,18 +519,15 @@ def fit_spectral_normalization() -> tuple:
     return spectral_constants(3)
 
 
-def _f_phase(beta: Optional[spectrum.TwistForm], x: np.ndarray,
-             y: np.ndarray) -> complex:
+def _f_phase(beta: spectrum.TwistForm, x: np.ndarray, y: np.ndarray) -> complex:
     """exp(i (f(y) - f(x))): the exact part df of the twist, from x to y."""
-    if beta is None or not beta.modes:
-        return 1.0 + 0.0j
     return complex(np.exp(1j * (beta.f_eval(y[None, :]) - beta.f_eval(x[None, :])))[0])
 
 
 def poincare_points_spectral(
     x,
     y,
-    beta: Optional[spectrum.TwistForm],
+    beta: spectrum.TwistForm,
     s: float,
 ) -> complex:
     """Dual-lattice form of the two-point Poincare series, for real s > 0.
@@ -547,13 +542,12 @@ def poincare_points_spectral(
     wrapped = u - 2 * math.pi * np.round(u / (2 * math.pi))
     if np.linalg.norm(wrapped) < 1e-9:
         raise ValueError("x and y must differ modulo 2 pi Z^d")
-    beta0 = np.zeros(d) if beta is None else beta.beta0
     fphase = _f_phase(beta, x, y)
     _, c_d = spectral_constants(d)
     s = complex(s)
     if abs(s.imag) > 0 or s.real <= 0:
         raise ValueError("the exact Ewald path needs real s > 0")
-    dual = _ewald_dual_sum(s.real, u, beta0, d)
+    dual = _ewald_dual_sum(s.real, u, beta.beta0, d)
     return complex(fphase * c_d * s * dual)
 
 
@@ -595,12 +589,11 @@ def alpha_grid(dim: int) -> np.ndarray:
     return np.union1d(_line_orders(dim), 1.0 - np.arange(1, dim + 1))
 
 
-def predicted_lines(dim: int, beta: Optional[spectrum.TwistForm],
-                    y_max: float) -> np.ndarray:
+def predicted_lines(beta: spectrum.TwistForm, y_max: float) -> np.ndarray:
     """Sorted candidate singular locations |xi - beta0| up to y_max."""
-    beta0 = np.zeros(dim) if beta is None else beta.beta0
+    beta0 = beta.beta0
     r = int(math.ceil(y_max + np.linalg.norm(beta0))) + 1
-    xi = spectrum._lattice_box(dim, r)
+    xi = spectrum._lattice_box(beta.dim, r)
     rho = np.linalg.norm(xi - beta0, axis=1)
     rho = np.unique(np.round(rho[rho <= y_max + 1e-9], 12))
     return rho
@@ -738,7 +731,7 @@ def singularity_scan(
     detect = np.minimum(np.abs(deflated[-1]), np.abs(short))
 
     d = model.dim
-    lines = predicted_lines(d, model.spec.beta, float(y_grid[-1]) + 1.0)
+    lines = predicted_lines(model.spec.beta, float(y_grid[-1]) + 1.0)
     log_eps = np.log(eps_ladder)
 
     def classify(y0, z, grid):
@@ -850,7 +843,7 @@ def guinand_pairing(
         raise ValueError("the pairing identity is implemented for odd d")
     T = min(spec_fwd.T, spec_bwd.T)
     mass = math.exp(-0.5 * window.width**2 * T**2)
-    if mass > _MASS_TOL:
+    if not mass <= _MASS_TOL:
         raise TruncationTooSmall(
             f"window mass {mass:.2e} beyond T = {T}; enumerate further or widen"
         )

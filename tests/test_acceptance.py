@@ -158,7 +158,7 @@ def test_criterion_5_poincare_singularities(scan_model3, capsys):
     rels = []
     for s in np.linspace(0.2, 2.0, 19):
         direct = zetafns.poincare_eval(model, float(s))
-        spectral = zetafns.poincare_points_spectral(x, y, None, float(s))
+        spectral = zetafns.poincare_points_spectral(x, y, model.spec.beta, float(s))
         rels.append(abs(direct - spectral) / abs(spectral))
     ok = (len(lines) >= 3 and loc_dev <= 0.01 and exp_dev <= 0.2
           and stack_ok and max(rels) <= 1e-6)
@@ -170,7 +170,7 @@ def test_criterion_5_poincare_singularities(scan_model3, capsys):
 
 def test_criterion_6_guinand_meyer(guinand300, capsys):
     fwd, bwd, beta = guinand300
-    lines = zetafns.predicted_lines(3, beta, 2.0)
+    lines = zetafns.predicted_lines(beta, 2.0)
     on = zetafns.guinand_pairing(
         fwd, bwd, zetafns.GaussianWindow(float(lines[0]), 0.2))
     rel = abs(on.length_side - on.spectral_side) / abs(on.spectral_side)

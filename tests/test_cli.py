@@ -138,6 +138,42 @@ def test_zeta_twist_report(tmp_path):
     assert len(rep["ratios"]) == 3
 
 
+_POINT_PAIR = {"dim": 2, "bodies": {"a": {"kind": "point"},
+                                    "b": {"kind": "point", "x": [0.9, 0.4]}}}
+
+
+def test_zero_twist_written_out_is_no_twist(tmp_path):
+    given = {"none": {}, "zero": {"twist": {"beta0": [0, 0], "modes": {}}}}
+    for name, twist in given.items():
+        cfg = write_config(tmp_path / f"{name}.json", {
+            **_POINT_PAIR, **twist, "ranges": {"T": 200.0, "sweep": [1.0]}})
+        for command in ("zeta", "poincare"):
+            out = tmp_path / name / command
+            out.mkdir(parents=True)
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    for command in ("zeta", "poincare"):
+        # the resolved configs differ in how beta0 was written, 0 or 0.0
+        names = {name: sorted(p.name for p in (tmp_path / name / command).iterdir()
+                              if p.name != "config.resolved.json") for name in given}
+        assert names["none"] == names["zero"]
+        assert "twist.json" not in names["none"]
+        for name in names["none"]:
+            assert ((tmp_path / "none" / command / name).read_bytes()
+                    == (tmp_path / "zero" / command / name).read_bytes()), (command, name)
+
+
+def test_f_only_twist_is_twisted(tmp_path, capsys):
+    # beta0 = 0 with a nonzero f is not the zero form
+    cfg = write_config(tmp_path / "c.json", {
+        **_POINT_PAIR, "twist": {"modes": {"1,0": [0.2, 0.1], "-1,0": [0.2, -0.1]}},
+        "ranges": {"T": 100.0, "sweep": [1.0]}})
+    assert cli.main(["zeta", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "twist.json")["mode"] == "weighted"
+    assert cli.main(["zeta", "--config", cfg, "--out", str(tmp_path),
+                     "--report-residues"]) == 2
+    assert "untwisted" in capsys.readouterr().err
+
+
 def test_poincare_scan_and_spectral_table(runs):
     tmp_path = runs["poincare"]
     scan = read_json(tmp_path / "scan.json")
@@ -327,6 +363,9 @@ _BAD_CONFIGS = {
         "p": {"kind": "point", "x": [0.0, 0.0, 0.0]},
         "q": {"kind": "point", "x": [0.5, 0.1, 0.2]}},
         "ranges": {"T0": 70.0, "sweep": [1.0]}}) for command in ("zeta", "poincare")},
+    **{f"ball-radius-nan-{command}": (command, {"dim": 2, "bodies": {
+        "a": {"kind": "ball", "radius": math.nan}, "b": {"kind": "point"}}})
+       for command in ("volumes", "spectrum")},
     # T0 left to its default 2 (r_max(a) + r_max(b)) + 1 = 27
     "default-T0-beyond-T": ("spectrum", {"dim": 2, "bodies": {
         "a": {"kind": "ball", "radius": 13.0}, "b": {"kind": "point"}},
@@ -422,14 +461,14 @@ def report(step):
 
 import orthospec.cli
 report("import")
-from orthospec import convex, spherequad, zetafns
+from orthospec import convex, spectrum, spherequad, zetafns
 m = zetafns.build_zeta_model(convex.point((0.0, 0.0, 0.0)),
                              convex.point((0.9, 0.4, -1.1)), T=60.0, sweep=(1.0,))
 assert len(zetafns.singularity_scan(m)) > 1
 report("singularity_scan")
-zetafns.poincare_points_spectral((0.0, 0.0), (0.9, 0.4), None, 0.5)
+zetafns.poincare_points_spectral((0.0, 0.0), (0.9, 0.4), spectrum.TwistForm((0.0, 0.0)), 0.5)
 report("ewald_d2")
-zetafns.poincare_points_spectral((0.0, 0.0, 0.0), (0.9, 0.4, -1.1), None, 0.5)
+zetafns.poincare_points_spectral((0.0, 0.0, 0.0), (0.9, 0.4, -1.1), m.spec.beta, 0.5)
 report("ewald_d3")
 convex.steiner(convex.harmonic(convex.ball((0.0, 0.0), 1.0), [(4, (1.0, 0.0), 0.02)]))
 report("steiner_d2")

@@ -172,6 +172,29 @@ def test_harmonic_rejects_nonconvex_perturbation():
         convex.harmonic(base, [(4, (1.0, 0.0), 10.0)])
 
 
+_NON_FINITE = {
+    "point-x0": lambda: convex.point((0.0, math.nan)),
+    "ball-center": lambda: convex.ball((math.inf, 0.0), 0.5),
+    "ball-radius-nan": lambda: convex.ball((0.0, 0.0), math.nan),
+    "ball-radius-inf": lambda: convex.ball((0.0, 0.0), math.inf),
+    "ellipsoid-center": lambda: convex.ellipsoid((0.0, math.nan), (1.0, 0.5)),
+    "ellipsoid-semiaxes": lambda: convex.ellipsoid((0.0, 0.0), (1.0, math.nan)),
+    "ellipsoid-rotation": lambda: convex.ellipsoid(
+        (0.0, 0.0), (1.0, 0.5), rotation=[[1.0, 0.0], [0.0, math.nan]]),
+    "harmonic-coeff": lambda: convex.harmonic(
+        convex.ball((0.0, 0.0), 1.0), [(4, (1.0, 0.0), math.nan)]),
+    # NaN principal radii, refused by the validation grid
+    "harmonic-axis": lambda: convex.harmonic(
+        convex.ball((0.0, 0.0), 1.0), [(4, (math.nan, 0.0), 0.01)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_constructors_refuse_non_finite_parameters(case):
+    with pytest.raises(ValueError):
+        _NON_FINITE[case]()
+
+
 def test_harmonic_body_is_usable():
     # h(phi) = 1 + c cos(4 phi): radius h + h'' = 1 - 15 c cos(4 phi),
     # area (1/2) int h^2 - h'^2 = pi (1 - 15 c^2 / 2), half perimeter pi

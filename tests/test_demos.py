@@ -1,6 +1,7 @@
-"""Every demo script and every README command line runs to completion against src."""
+"""Every demo script, the README quick start and every README command line run against src."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,12 @@ def test_demo_runs(script, tmp_path):
         env={**os.environ, "PYTHONPATH": path}, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_python_quick_start_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "orthogeodesics" in capsys.readouterr().out
 
 
 def test_readme_shows_every_subcommand():

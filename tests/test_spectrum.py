@@ -60,9 +60,36 @@ def test_newton_closing_relation():
 def test_feet_close_up_on_the_cover(points2_60):
     # start at the first body, land on the lattice translate of the second
     spec = points2_60
-    assert np.max(np.abs(spec.foot1)) < 1e-12
-    assert np.max(np.abs(spec.foot2 - 2.0 * math.pi * spec.xi)) < 1e-9
-    assert np.max(np.abs(spec.foot2 - spec.foot1 - spec.lengths[:, None] * spec.theta)) < 1e-9
+    foot1 = convex.inverse_gauss(spec.body1, spec.theta)
+    foot2 = convex.inverse_gauss(spec.body2, -spec.theta) + 2.0 * math.pi * spec.xi
+    assert np.max(np.abs(foot1)) < 1e-12
+    assert np.max(np.abs(foot2 - 2.0 * math.pi * spec.xi)) < 1e-9
+    assert np.max(np.abs(foot2 - foot1 - spec.lengths[:, None] * spec.theta)) < 1e-9
+
+
+@pytest.mark.parametrize("orient", ["+-", "-+"])
+def test_phases_are_the_holonomy_from_the_start_foot(orient):
+    # the arc leaves K1 for "+-" and K2 for "-+" with outward normal theta
+    beta0 = np.array([0.3, -0.2])
+    modes = {(1, 0): 0.2 + 0.1j, (-1, 0): 0.2 - 0.1j, (1, 2): 0.3j, (-1, -2): -0.3j}
+    K1 = convex.ellipsoid((0.1, -0.2), (0.9, 0.5))
+    K2 = convex.ball((0.4, 1.1), 0.3)
+    spec = spectrum.enumerate(K1, K2, orient=orient, T=30.0,
+                              beta=spectrum.TwistForm(beta0, modes))
+
+    def f(x):
+        return sum(c * np.exp(1j * (x @ np.asarray(k, dtype=float)))
+                   for k, c in modes.items()).real
+
+    def phases(body):
+        start = convex.inverse_gauss(body, spec.theta)
+        end = start + spec.lengths[:, None] * spec.theta
+        return np.exp(1j * (spec.lengths * (spec.theta @ beta0) + f(end) - f(start)))
+
+    start_body, other = (K1, K2) if orient == "+-" else (K2, K1)
+    assert len(spec) > 20
+    assert np.max(np.abs(spec.phases - phases(start_body))) < 1e-12
+    assert np.max(np.abs(spec.phases - phases(other))) > 0.1
 
 
 def test_ball_pair_closed_form_lengths():

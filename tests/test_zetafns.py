@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthospec import convex, spectrum, zetafns
+from orthospec import convex, spectrum, spherequad, zetafns
 
 # closed forms frozen from independent high-precision evaluation
 EPSTEIN_S3_D2 = 0.036418520096128477853   # (2 pi)^-3 * 4 zeta(3/2) beta(3/2)
 HEAD_S3_T200 = 0.03562248231270755        # brute partial sum over l <= 200
 ELLIPSE_PERIMETER = 6.425370742838925     # arclength of (1.3, 0.7) ellipse
 IRRATIONAL_BETA0 = (math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0))
+ZERO3 = spectrum.TwistForm(np.zeros(3))
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +144,7 @@ def test_poincare_eval_matches_spectral_closed_form(model3):
     y = np.array([0.9, 0.4, -1.1])
     for s in (0.2, 0.55, 1.1, 2.0):
         direct = zetafns.poincare_eval(model3, s)
-        spectral = zetafns.poincare_points_spectral(x, y, None, s)
+        spectral = zetafns.poincare_points_spectral(x, y, model3.spec.beta, s)
         assert abs(direct - spectral) <= 1e-6 * abs(spectral)
 
 
@@ -159,13 +160,13 @@ def test_poincare_points_spectral_needs_real_positive_s():
     y = np.array([0.9, 0.4, -1.1])
     for s in (0.5 + 0.4j, 0.0, -0.7):
         with pytest.raises(ValueError):
-            zetafns.poincare_points_spectral(x, y, None, s)
+            zetafns.poincare_points_spectral(x, y, ZERO3, s)
 
 
 def test_poincare_points_rejects_equal_points():
     x = np.zeros(3)
     with pytest.raises(ValueError):
-        zetafns.poincare_points_spectral(x, x + 2.0 * math.pi, None, 0.5)
+        zetafns.poincare_points_spectral(x, x + 2.0 * math.pi, ZERO3, 0.5)
 
 
 def test_ewald_kernel_matches_a_40_digit_oracle():
@@ -225,7 +226,7 @@ def test_record_phases_have_one_path():
     assert len(spec) > 100
     assert np.max(np.abs(spec.phases - 1.0)) > 0.5
     assert np.all(plain.phases == 1.0)
-    for name in ("xi", "theta", "lengths", "foot1", "foot2"):
+    for name in ("xi", "theta", "lengths"):
         assert np.array_equal(getattr(spec, name), getattr(plain, name)), name
     assert spectrum.counting_weighted(spec, spec.T) == np.sum(spec.phases)
     n = spectrum.counting(spec, 30.0)
@@ -261,7 +262,7 @@ def test_alpha_grid_contents():
 
 
 def test_predicted_lines_unit_lattice():
-    lines = zetafns.predicted_lines(3, None, 2.0)
+    lines = zetafns.predicted_lines(ZERO3, 2.0)
     assert lines[0] == pytest.approx(0.0, abs=1e-9)
     assert lines[1] == pytest.approx(1.0, abs=1e-6)
     assert lines[2] == pytest.approx(math.sqrt(2.0), abs=1e-6)
@@ -318,12 +319,37 @@ def synthetic_model(power, T=300.0):
     p = convex.point((0.0, 0.0, 0.0))
     spec = spectrum.LengthSpectrum(
         dim=3, body1=p, body2=p, orient="+-", T0=0.0, T=T,
-        beta=spectrum.TwistForm(np.zeros(3)), xi=np.zeros((n, 3), dtype=int),
-        theta=np.zeros((n, 3)), lengths=lengths, foot1=np.zeros((n, 3)),
-        foot2=np.zeros((n, 3)),
+        beta=ZERO3, xi=np.zeros((n, 3), dtype=int),
+        theta=np.zeros((n, 3)), lengths=lengths,
         phases=0.01 * lengths**power * np.exp(1.3j * lengths))
     return zetafns.ZetaModel(spec=spec, rho=np.zeros(3), T=T, sweep=(1.0,),
                              steiner=None)
+
+
+def nan_phase_model():
+    model = synthetic_model(1.0)
+    model.spec.phases[5] = np.nan
+    return model
+
+
+# each guard raises unless its pass condition holds, and a comparison with a
+# NaN never holds
+_NAN_GUARDS = {
+    "osc_integral": (spherequad.UnderResolved, lambda: spherequad.osc_integral(
+        2, F=lambda n: np.full(n.shape[0], np.nan))),
+    "steiner": (convex.QuadratureDisagreement, lambda: convex.steiner(convex.SupportBody(
+        dim=2, kind="ball", parts=(convex._Ball(np.zeros(2), math.nan),)))),
+    "poincare_eval": (zetafns.TailDominates,
+                      lambda: zetafns.poincare_eval(nan_phase_model(), 0.5)),
+    "window": (ValueError, lambda: zetafns.GaussianWindow(1.0, math.nan)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAN_GUARDS))
+def test_guards_raise_on_nan(case):
+    error, call = _NAN_GUARDS[case]
+    with pytest.raises(error):
+        call()
 
 
 def test_singularity_scan_raises_fit_ambiguous_between_line_orders():
@@ -429,7 +455,7 @@ def guinand_spectra():
 
 def test_guinand_pairing_on_a_line(guinand_spectra):
     fwd, bwd, beta = guinand_spectra
-    lines = zetafns.predicted_lines(3, beta, 2.0)
+    lines = zetafns.predicted_lines(beta, 2.0)
     window = zetafns.GaussianWindow(float(lines[0]), 0.2)
     res = zetafns.guinand_pairing(fwd, bwd, window)
     rel = abs(res.length_side - res.spectral_side) / abs(res.spectral_side)
@@ -441,7 +467,7 @@ def test_guinand_pairing_on_a_line(guinand_spectra):
 def test_guinand_pairing_off_line(guinand_spectra):
     # below the first line the nearest spectral mass is many widths away
     fwd, bwd, beta = guinand_spectra
-    lines = zetafns.predicted_lines(3, beta, 2.0)
+    lines = zetafns.predicted_lines(beta, 2.0)
     window = zetafns.GaussianWindow(0.5 * float(lines[0]), 0.05)
     res = zetafns.guinand_pairing(fwd, bwd, window)
     assert abs(res.length_side) < 1e-6
