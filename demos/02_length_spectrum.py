@@ -26,7 +26,7 @@ def main() -> None:
         print(f"  length {spec.lengths[k]:.6f}  winding {xi}")
 
     # every chord satisfies the closing relation 2 pi xi = l theta + grad h_L
-    L = spectrum.difference_body(ball, egg, "+-")
+    L = spectrum.difference_body(ball, egg)
     resid = (2.0 * math.pi * spec.xi
              - spec.lengths[:, None] * spec.theta - L.grad(spec.theta))
     print(f"max closing residual: {np.max(np.linalg.norm(resid, axis=1)):.2e}")
@@ -35,7 +35,7 @@ def main() -> None:
     coeffs = spectrum.density_coeffs(ball, egg)
     for T in (20.0, 40.0, 80.0):
         got = spectrum.counting(spec, T)
-        want = spectrum.steiner_density(ball, egg, "+-", T)
+        want = spectrum.steiner_density(ball, egg, T)
         print(f"  T = {T:5.1f}: N = {got:6d}  density {want:9.1f}  "
               f"ratio {got / want:.4f}")
     print(f"leading coefficient: {coeffs[-1]:.6e}")

@@ -1,10 +1,10 @@
 """Summation formula pairing length and spectral sides.
 
 In odd dimension the tempered distribution built from a twisted pair of
-point orthospectra (both orientations) is a crystalline-type measure: a
-Gaussian window centred on a predicted line sees matching mass from the
-length side and from the dual-lattice side, while a window in a spectral
-gap sees nothing from either.
+point orthospectra, from p to q and from q to p (the swapped pair), is a
+crystalline-type measure: a Gaussian window centred on a predicted line
+sees matching mass from the length side and from the dual-lattice side,
+while a window in a spectral gap sees nothing from either.
 """
 
 import math

@@ -32,7 +32,6 @@ _DEFAULTS = {
     "bodies": {},
     "pair": None,            # [name, name]; defaults to the first two bodies
     "body": None,            # equidist target; defaults to pair[0]
-    "orient": "+-",
     "twist": {"beta0": None, "modes": {}},
     "ranges": {
         "T0": None,
@@ -103,8 +102,6 @@ def load_config(path) -> dict:
         if (not isinstance(cfg["pair"], list) or len(cfg["pair"]) != 2
                 or any(n not in cfg["bodies"] for n in cfg["pair"])):
             raise ConfigError("pair must name two bodies from 'bodies'")
-    if cfg["orient"] not in spectrum._ORIENTATIONS:
-        raise ConfigError(f"orient must be one of {spectrum._ORIENTATIONS}")
     if cfg["twist"]["beta0"] is None:
         cfg["twist"]["beta0"] = [0.0] * d
     if len(cfg["twist"]["beta0"]) != d:
@@ -183,9 +180,13 @@ def build_body(dim: int, spec: dict) -> convex.SupportBody:
 
 
 def _twist_form(cfg: dict) -> spectrum.TwistForm:
-    """The configured twist."""
-    modes = {_parse_freq(k): _parse_coeff(v) for k, v in cfg["twist"]["modes"].items()}
-    return spectrum.TwistForm(cfg["twist"]["beta0"], modes)
+    """The configured twist; one that TwistForm rejects is a ConfigError."""
+    try:
+        modes = {_parse_freq(k): _parse_coeff(v)
+                 for k, v in cfg["twist"]["modes"].items()}
+        return spectrum.TwistForm(cfg["twist"]["beta0"], modes)
+    except ValueError as exc:
+        raise ConfigError(f"twist: {exc}") from exc
 
 
 def _observable(cfg: dict, name: str) -> dynamics.TorusObservable:
@@ -233,7 +234,10 @@ def _grid_spec(spec, fallback: np.ndarray) -> np.ndarray:
 def _s_grid_spec(spec, fallback: list) -> list:
     if spec is None:
         return fallback
-    return [complex(float(p[0]), float(p[1])) for p in spec]
+    s_grid = [complex(float(p[0]), float(p[1])) for p in spec]
+    if not np.all(np.isfinite(s_grid)):
+        raise ConfigError("s grids need finite entries")
+    return s_grid
 
 
 def _re_im(values) -> list:
@@ -297,14 +301,11 @@ def _cmd_spectrum(cfg, out, workers, log):
     beta = _twist_form(cfg)
     r = cfg["ranges"]
     T = _window_T(cfg, _SPECTRUM_T, k1, k2, r["T0"])
-    spec = spectrum.enumerate(
-        k1, k2, orient=cfg["orient"], T0=r["T0"], T=T,
-        beta=beta, workers=workers,
-    )
+    spec = spectrum.enumerate(k1, k2, T0=r["T0"], T=T, beta=beta, workers=workers)
     log(f"spectrum: {spec.lengths.size} orthogeodesics in ({spec.T0:g}, {T:g}]")
     spectrum.to_csv(spec, os.path.join(out, "spectrum.csv"),
                     os.path.join(out, "spectrum.meta.json"))
-    rho = spectrum.density_coeffs(k1, k2, cfg["orient"])
+    rho = spectrum.density_coeffs(k1, k2)
     ts = np.linspace(spec.T0 + 1.0, T, 60)
     counts = [spectrum.counting(spec, float(tv)) for tv in ts]
     model = [sum(rho[k - 1] * tv**k / k for k in range(1, spec.dim + 1)) for tv in ts]
@@ -326,18 +327,18 @@ def _zeta_model(cfg, k1, k2, beta, workers) -> zetafns.ZetaModel:
     sweep = tuple(r["sweep"])
     T = _window_T(cfg, zetafns._default_T(cfg["dim"]), k1, k2, r["T0"],
                   reach=max(sweep, default=1.0))
-    return zetafns.build_zeta_model(k1, k2, orient=cfg["orient"], beta=beta,
-                                    T=T, T0=r["T0"], workers=workers, sweep=sweep)
+    return zetafns.build_zeta_model(k1, k2, beta=beta, T=T, T0=r["T0"],
+                                    workers=workers, sweep=sweep)
 
 
 def _cmd_zeta(cfg, out, workers, log, report_residues=False):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     r = cfg["ranges"]
-    model = _zeta_model(cfg, k1, k2, beta, workers)
-    d = model.spec.dim
+    d = cfg["dim"]
     fallback = [complex(0.25 + 0.5 * k, 0.0) for k in range(2 * d + 1)]
     s_grid = _s_grid_spec(r["zeta_s_grid"], fallback)
+    model = _zeta_model(cfg, k1, k2, beta, workers)
     if beta.is_zero:
         values = [zetafns.zeta_continue(model, s) for s in s_grid]
     else:
@@ -389,9 +390,9 @@ def _cmd_poincare(cfg, out, workers, log):
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     r = cfg["ranges"]
-    model = _zeta_model(cfg, k1, k2, beta, workers)
     fallback = [complex(0.2, y) for y in np.linspace(0.0, 3.2, 33)]
     s_grid = _s_grid_spec(r["poincare_s_grid"], fallback)
+    model = _zeta_model(cfg, k1, k2, beta, workers)
     cfg["ranges"]["poincare_s_grid"] = [[s.real, s.imag] for s in s_grid]
     values = [zetafns.poincare_eval(model, s) for s in s_grid]
     _tables.write_csv(os.path.join(out, "poincare_values.csv"), _VALUE_HEADER,
@@ -465,10 +466,8 @@ def _cmd_guinand(cfg, out, workers, log):
     width = float(cfg["window"]["width"])
     cfg["window"]["center"] = center
     window = zetafns.GaussianWindow(center, width)
-    fwd = spectrum.enumerate(k1, k2, orient=cfg["orient"], T0=0.0, T=T,
-                             beta=beta, workers=workers)
-    bwd = spectrum.enumerate(k2, k1, orient=cfg["orient"], T0=0.0, T=T,
-                             beta=beta, workers=workers)
+    fwd = spectrum.enumerate(k1, k2, T0=0.0, T=T, beta=beta, workers=workers)
+    bwd = spectrum.enumerate(k2, k1, T0=0.0, T=T, beta=beta, workers=workers)
     res = zetafns.guinand_pairing(fwd, bwd, window)
     diff = abs(res.length_side - res.spectral_side)
     denom = max(abs(res.length_side), abs(res.spectral_side))
@@ -594,7 +593,7 @@ def _cmd_oscint(cfg, out, workers, log):
     _tables.write_json(os.path.join(out, "oscint.json"), {
         "xi": [float(c) for c in xi],
         "lambda": lam,
-        "remainder_order": -(1.0 + (d - 1) / 2.0),
+        "remainder_order": order,
         "cap_exponent": report.exponent,
     })
     log(f"oscint: equator piece decays like t^{report.exponent:.2f}")

@@ -6,8 +6,9 @@ L = K1 + (-K2), the arc hitting both boundaries orthogonally with homotopy
 data xi has length t(xi) = max over unit theta of (theta . 2 pi xi -
 h_L(theta)).  The maximum is found by Riemannian Newton on the sphere; the
 resulting records carry the lattice class, direction, length and the
-holonomy phase of a twist one-form beta = beta0 . dx + df; the feet are
-convex.inverse_gauss of the direction on the two bodies.
+holonomy phase of a twist one-form beta = beta0 . dx + df.  Arcs run from K1
+to K2, leaving K1 at convex.inverse_gauss(K1, theta); the reverse spectrum,
+from K2 to K1, is the enumeration of the swapped pair.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ _NEWTON_MAX = 50
 _TRANSVERSALITY_TOL = 1e-6
 _CHUNK = 200_000
 
-_ORIENTATIONS = ("+-", "-+")
-
 
 class NewtonDiverged(Exception):
     """A candidate that could fall in the requested window failed to converge."""
@@ -52,20 +51,23 @@ class TwistForm:
     """Closed one-form beta0 . dx + df with f a real trigonometric polynomial.
 
     Modes map integer frequency tuples to complex coefficients and must be
-    Hermitian (c_{-xi} = conj(c_xi)) so that f is real-valued.
+    Hermitian (c_{-xi} = conj(c_xi)) so that f is real-valued; beta0 and
+    every coefficient must be finite.
     """
 
     beta0: np.ndarray
     modes: tuple = ()  # sorted ((xi tuple), coeff) pairs
 
     def __init__(self, beta0, modes: Optional[Mapping] = None):
-        beta0 = np.asarray(beta0, dtype=float)
+        beta0 = convex._finite("twist beta0", beta0)
         items = []
         if modes:
             m = {tuple(int(c) for c in k): complex(v) for k, v in modes.items()}
             for k, v in m.items():
+                if not np.isfinite(v):
+                    raise ValueError(f"twist mode {k} must have a finite coefficient")
                 neg = tuple(-c for c in k)
-                if neg not in m or abs(m[neg] - np.conj(v)) > 1e-12:
+                if neg not in m or not abs(m[neg] - np.conj(v)) <= 1e-12:
                     raise ValueError(
                         "twist modes must be Hermitian (real-valued f): "
                         f"offending frequency {k}"
@@ -116,16 +118,15 @@ class LengthSpectrum:
 
     Arrays are parallel and ordered by (length, xi lexicographic).  A record
     is its lattice class xi, unit direction theta, length and the holonomy
-    phase of beta along it; its start foot is convex.inverse_gauss(theta) on
-    body1 for "+-" and on body2 for "-+", and the arc ends length * theta
-    further on.  rejects holds (xi, "NonUniqueMaximizer", approximate
+    phase of beta along it; the arc leaves body1 at its start foot
+    convex.inverse_gauss(body1, theta) and ends length * theta further on,
+    on body2.  rejects holds (xi, "NonUniqueMaximizer", approximate
     length) tuples for candidates that failed the transversality proxy.
     """
 
     dim: int
     body1: convex.SupportBody
     body2: convex.SupportBody
-    orient: str
     T0: float
     T: float
     beta: TwistForm
@@ -139,17 +140,9 @@ class LengthSpectrum:
         return self.lengths.size
 
 
-def difference_body(K1: convex.SupportBody, K2: convex.SupportBody,
-                    orient: str = "+-") -> convex.SupportBody:
-    """The body governing the orthospectrum: K1 + (-K2) for "+-", reflected for "-+"."""
-    if orient not in _ORIENTATIONS:
-        raise ValueError(
-            f"unsupported orientation {orient!r}: only the two convex "
-            f"conventions {_ORIENTATIONS} give countable orthospectra"
-        )
-    if orient == "+-":
-        return convex.minkowski_sum(K1, convex.reflect(K2))
-    return convex.minkowski_sum(convex.reflect(K1), K2)
+def difference_body(K1: convex.SupportBody, K2: convex.SupportBody) -> convex.SupportBody:
+    """The body governing the orthospectrum from K1 to K2: L = K1 + (-K2)."""
+    return convex.minkowski_sum(K1, convex.reflect(K2))
 
 
 def _lattice_box(dim: int, radius: int) -> np.ndarray:
@@ -281,7 +274,7 @@ def _default_T0(K1: convex.SupportBody, K2: convex.SupportBody) -> float:
     return 2.0 * (K1.r_max + K2.r_max) + 1.0
 
 
-def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-",
+def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
               T0: Optional[float] = None, T: float = 50.0,
               beta: Optional[TwistForm] = None,
               workers: int = 1) -> LengthSpectrum:
@@ -304,7 +297,7 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
         beta = TwistForm(np.zeros(d))
     if beta.dim != d:
         raise ValueError("twist form dimension mismatch")
-    L = difference_body(K1, K2, orient)
+    L = difference_body(K1, K2)
     if T0 is None:
         T0 = _default_T0(K1, K2)
     if not (T > T0 >= 0):
@@ -332,11 +325,11 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody, orient: str = "+-"
     order = np.lexsort(tuple(xi[:, k] for k in range(d - 1, -1, -1)) + (lengths,))
     xi, theta, lengths = xi[order], theta[order], lengths[order]
 
-    start = convex.inverse_gauss(K1 if orient == "+-" else K2, theta)
+    start = convex.inverse_gauss(K1, theta)
     phases = beta.holonomy(start, lengths[:, None] * theta)
 
     return LengthSpectrum(
-        dim=d, body1=K1, body2=K2, orient=orient, T0=float(T0), T=float(T),
+        dim=d, body1=K1, body2=K2, T0=float(T0), T=float(T),
         beta=beta, xi=xi, theta=theta, lengths=lengths,
         phases=phases, rejects=rejects,
     )
@@ -354,14 +347,13 @@ def counting_weighted(spec: LengthSpectrum, T: float) -> complex:
     return complex(np.sum(spec.phases[:counting(spec, T)]))
 
 
-def density_coeffs(K1: convex.SupportBody, K2: convex.SupportBody,
-                   orient: str = "+-") -> np.ndarray:
+def density_coeffs(K1: convex.SupportBody, K2: convex.SupportBody) -> np.ndarray:
     """Coefficients rho'_k, k=1..d, of the model density rho'(t) = sum rho'_k t^{k-1}.
 
     rho'_k = (2 pi)^{-d} m_{k-1}(L) with m_j the surface moments of the
     difference body L.
     """
-    return _density_from_steiner(convex.steiner(difference_body(K1, K2, orient)))
+    return _density_from_steiner(convex.steiner(difference_body(K1, K2)))
 
 
 def _density_from_steiner(data: convex.SteinerData) -> np.ndarray:
@@ -370,9 +362,9 @@ def _density_from_steiner(data: convex.SteinerData) -> np.ndarray:
 
 
 def steiner_density(K1: convex.SupportBody, K2: convex.SupportBody,
-                    orient: str, t) -> np.ndarray | float:
+                    t) -> np.ndarray | float:
     """Smooth counting density rho'(t) = (2 pi)^{-d} d/dt Vol(L + tB)."""
-    coeffs = density_coeffs(K1, K2, orient)
+    coeffs = density_coeffs(K1, K2)
     t_arr = np.asarray(t, dtype=float)
     powers = t_arr[..., None] ** np.arange(coeffs.size)
     out = powers @ coeffs
@@ -395,7 +387,6 @@ def to_csv(spec: LengthSpectrum, csv_path, meta_path=None) -> None:
     if meta_path is not None:
         _tables.write_json(meta_path, {
             "dim": d,
-            "orient": spec.orient,
             "T0": spec.T0,
             "T": spec.T,
             "beta0": [float(b) for b in spec.beta.beta0],

@@ -53,7 +53,6 @@ class SphericalGrid:
     """Quadrature nodes and weights on the unit sphere S^(dim-1)."""
 
     dim: int
-    order: int           # of the polar rule in the first coordinate
     nodes: np.ndarray   # (n_nodes, dim), unit vectors
     weights: np.ndarray  # (n_nodes,), positive, sums to the sphere area
 
@@ -155,7 +154,7 @@ def grid(dim: int, order: int, inner: Optional[int] = None) -> SphericalGrid:
     nodes = np.ascontiguousarray(nodes)
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return SphericalGrid(dim=dim, order=order, nodes=nodes, weights=weights)
+    return SphericalGrid(dim=dim, nodes=nodes, weights=weights)
 
 
 def integrate(g: SphericalGrid, f) -> complex | float:
@@ -209,7 +208,6 @@ class OscResult:
 
     value: complex
     error_estimate: float
-    order_used: int
     pieces: Optional[dict] = None  # 'cap_plus', 'cap_minus', 'equator' when split
 
 
@@ -332,7 +330,7 @@ def osc_integral(
             name: complex(np.sum(g2.weights * chi * f2))
             for name, chi in (("cap_plus", chi_p), ("equator", chi_0), ("cap_minus", chi_m))
         }
-    return OscResult(value=v2, error_estimate=err, order_used=2 * n, pieces=pieces)
+    return OscResult(value=v2, error_estimate=err, pieces=pieces)
 
 
 def stationary_phase(

@@ -206,7 +206,6 @@ def _default_T(dim: int) -> float:
 def build_zeta_model(
     K1: convex.SupportBody,
     K2: convex.SupportBody,
-    orient: str = "+-",
     beta: Optional[spectrum.TwistForm] = None,
     T: Optional[float] = None,
     T0: Optional[float] = None,
@@ -220,10 +219,8 @@ def build_zeta_model(
     sweep = tuple(sorted(float(f) for f in sweep))
     if not sweep or sweep[0] < 1.0:
         raise ValueError("sweep factors must be >= 1")
-    spec = spectrum.enumerate(
-        K1, K2, orient=orient, T0=T0, T=T * sweep[-1], beta=beta, workers=workers
-    )
-    steiner = convex.steiner(spectrum.difference_body(K1, K2, orient))
+    spec = spectrum.enumerate(K1, K2, T0=T0, T=T * sweep[-1], beta=beta, workers=workers)
+    steiner = convex.steiner(spectrum.difference_body(K1, K2))
     rho = spectrum._density_from_steiner(steiner)
     lead = _ball_density(d, d)
     if abs(rho[-1] - lead) > 1e-8 * lead:
@@ -276,7 +273,7 @@ def zeta_continue(model: ZetaModel, s: complex, factor: float = 1.0) -> complex:
     _require_untwisted(model, "zeta_continue")
     s = complex(s)
     k = np.arange(1, model.dim + 1)
-    if np.min(np.abs(s - k)) < _POLE_TOL:
+    if not np.min(np.abs(s - k)) >= _POLE_TOL:
         raise PoleHit(f"s = {s} sits on a pole of the continued zeta")
     T = _check_factor(model, factor)
     lengths, phases = model.head(factor)
@@ -310,8 +307,6 @@ def _counting_fit(model: ZetaModel):
 def residues(model: ZetaModel) -> list:
     """Tail-model residues at s = 1..d with a counting-stability error bar."""
     _require_untwisted(model, "residues")
-    if model.spec.orient != "+-":
-        raise ValueError("residues are defined for the (+,-) orientation")
     d = model.dim
     intrinsic = model.steiner.intrinsic
     fits = _counting_fit(model)
@@ -340,12 +335,12 @@ def _weighted_density_residues(model: ZetaModel):
     residue at s = ell is (2 pi)^{-d} int w(theta) a_{ell-1}(theta) dsigma.
     """
     spec = model.spec
-    L = spectrum.difference_body(spec.body1, spec.body2, spec.orient)
+    L = spectrum.difference_body(spec.body1, spec.body2)
     d = model.dim
     g = spherequad.grid(d, 64 if d == 2 else 32)
     theta = g.nodes
     coeffs = convex._area_coeffs(L, theta)
-    start = (spec.body1 if spec.orient == "+-" else spec.body2).grad(theta)
+    start = spec.body1.grad(theta)
     w = spec.beta.holonomy(start, -L.grad(theta))
     scale = (2 * math.pi) ** (-d)
     return np.array([scale * np.sum(g.weights * w * coeffs[:, j])
@@ -827,14 +822,20 @@ def guinand_pairing(
 
     length_side = sum_fwd phase phihat(l)/l - sum_bwd conj(phase) phihat(-l)/l;
     spectral_side = e^{i(f(y)-f(x))} (2 pi)^{-d} sum_m e^{i m.(y-x)}
-    ghat(|m - beta0|).  Both spectra must carry the same twist beta, whose
-    phases they hold.  Exact for point bodies in odd dimensions.
+    ghat(|m - beta0|).  spec_bwd is the spectrum of the swapped pair, from
+    body2 back to body1, and both spectra must carry the same twist beta,
+    whose phases they hold.  Exact for point bodies in odd dimensions.
     """
     for sp in (spec_fwd, spec_bwd):
         if not (sp.body1.is_point and sp.body2.is_point):
             raise ValueError("the exact pairing needs point bodies")
         if sp.T0 != 0.0:
             raise ValueError("spectra must be enumerated from T0 = 0")
+    x = _point_location(spec_fwd.body1)
+    y = _point_location(spec_fwd.body2)
+    if not (np.allclose(_point_location(spec_bwd.body1), y, atol=1e-12)
+            and np.allclose(_point_location(spec_bwd.body2), x, atol=1e-12)):
+        raise ValueError("spec_bwd must be the spectrum of spec_fwd's swapped pair")
     beta = spec_fwd.beta
     if beta != spec_bwd.beta:
         raise ValueError("spec_fwd and spec_bwd were enumerated under different twists")
@@ -847,15 +848,6 @@ def guinand_pairing(
         raise TruncationTooSmall(
             f"window mass {mass:.2e} beyond T = {T}; enumerate further or widen"
         )
-    x = _point_location(spec_fwd.body1)
-    y = _point_location(spec_fwd.body2)
-    bx = _point_location(spec_bwd.body1)
-    by = _point_location(spec_bwd.body2)
-    reversed_pair = (
-        np.allclose(bx, y, atol=1e-12) and np.allclose(by, x, atol=1e-12)
-    )
-    if spec_bwd.orient == spec_fwd.orient and not reversed_pair:
-        raise ValueError("spec_bwd must reverse spec_fwd (swap bodies or orientation)")
 
     lf, lb = spec_fwd.lengths, spec_bwd.lengths
     length_side = complex(

@@ -246,7 +246,7 @@ def test_criterion_9_property_suites(capsys):
     e = convex.ellipsoid((0.3, 0.1), (1.3, 0.7))
     p = convex.ball((-0.2, 0.4), 0.5)
     spec = spectrum.enumerate(e, p, T=40.0)
-    L = spectrum.difference_body(e, p, "+-")
+    L = spectrum.difference_body(e, p)
     resid = (2.0 * math.pi * spec.xi - spec.lengths[:, None] * spec.theta
              - L.grad(spec.theta))
     checks.append(("newton residuals", float(

@@ -370,6 +370,17 @@ _BAD_CONFIGS = {
     "default-T0-beyond-T": ("spectrum", {"dim": 2, "bodies": {
         "a": {"kind": "ball", "radius": 13.0}, "b": {"kind": "point"}},
         "ranges": {"T": 20.0}}),
+    # twists and s grids that the library would refuse or turn into nan rows
+    **{f"twist-{name}": ("spectrum", {"dim": 2, "bodies": {
+        "a": {"kind": "point"}, "b": {"kind": "point", "x": [0.9, 0.4]}},
+        "twist": twist, "ranges": {"T": 30.0}}) for name, twist in (
+            ("beta0-nan", {"beta0": [math.nan, 0.0]}),
+            ("mode-nan", {"modes": {"1,0": [math.nan, 0.0], "-1,0": [math.nan, 0.0]}}),
+            ("modes-not-hermitian", {"modes": {"1,0": [0.2, 0.1], "-1,0": [0.2, 0.1]}}))},
+    **{f"{key}-nan": (command, {"dim": 2, "bodies": {
+        "a": {"kind": "point"}, "b": {"kind": "point", "x": [0.9, 0.4]}},
+        "ranges": {"T": 30.0, "sweep": [1.0], key: [[math.nan, 0.0], [0.5, 0.0]]}})
+       for command, key in (("zeta", "zeta_s_grid"), ("poincare", "poincare_s_grid"))},
 }
 
 
@@ -419,12 +430,11 @@ def test_module_error_exit_code(tmp_path, capsys):
     assert "orthospec:" in err
 
 
-def test_config_schema_validation(tmp_path):
+def test_config_schema_validation(tmp_path, capsys):
     cases = [
         {"dim": 1},
         {"dim": 2, "bodies": {"b": {"kind": "blob"}}},
         {"dim": 2, "bodies": {"b": {"kind": "ball"}}},
-        {"dim": 2, "orient": "+"},
         {"dim": 2, "twist": {"beta0": [0.1]}},
         {"dim": 2, "observables": {"phi": {"modes": {"1": 1.0}}}},
     ]
@@ -432,22 +442,20 @@ def test_config_schema_validation(tmp_path):
     ball = {"dim": 2, "bodies": {"b": {"kind": "ball", "radius": 0.5}}}
     cfg = write_config(tmp_path / "c.json", ball)
     assert cli.main(["volumes", "--config", cfg, "--out", str(tmp_path)]) == 0
-    cases += [dict(ball, seed=0), dict(ball, tolerances={})]
+    cases += [dict(ball, seed=0), dict(ball, tolerances={}), dict(ball, orient="+-")]
     for raw in cases:
         cfg = write_config(tmp_path / "c.json", raw)
         assert cli.main(["volumes", "--config", cfg, "--out", str(tmp_path)]) == 2
-
-
-def test_orientations_the_library_rejects_are_config_errors(tmp_path, capsys):
-    for orient in ("++", "--"):
-        cfg = write_config(tmp_path / "c.json", {
-            "dim": 2,
-            "bodies": {"p": {"kind": "point"}, "q": {"kind": "ball", "radius": 0.1}},
-            "orient": orient,
-            "ranges": {"T": 10.0},
-        })
+    # the pair order is the orientation: no value of "orient" is read
+    pair = {"dim": 2, "bodies": {"p": {"kind": "point"}, "q": {"kind": "ball", "radius": 0.1}},
+            "ranges": {"T": 10.0}}
+    cfg = write_config(tmp_path / "c.json", pair)
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for orient in ("+-", "-+", "++"):
+        cfg = write_config(tmp_path / "c.json", dict(pair, orient=orient))
         assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+        assert "unknown top-level key 'orient'" in capsys.readouterr().err
 
 
 _NO_SCIPY_STEPS = """

@@ -52,7 +52,7 @@ def test_newton_closing_relation():
     K1 = convex.ellipsoid((0.3, 0.1), (1.3, 0.7))
     K2 = convex.ball((-0.2, 0.4), 0.5)
     spec = spectrum.enumerate(K1, K2, T=40.0)
-    L = spectrum.difference_body(K1, K2, "+-")
+    L = spectrum.difference_body(K1, K2)
     resid = 2.0 * math.pi * spec.xi - spec.lengths[:, None] * spec.theta - L.grad(spec.theta)
     assert np.max(np.linalg.norm(resid, axis=1)) < 1e-9
 
@@ -67,14 +67,15 @@ def test_feet_close_up_on_the_cover(points2_60):
     assert np.max(np.abs(foot2 - foot1 - spec.lengths[:, None] * spec.theta)) < 1e-9
 
 
-@pytest.mark.parametrize("orient", ["+-", "-+"])
-def test_phases_are_the_holonomy_from_the_start_foot(orient):
-    # the arc leaves K1 for "+-" and K2 for "-+" with outward normal theta
+@pytest.mark.parametrize("swapped", [False, True], ids=["pair", "swapped"])
+def test_phases_are_the_holonomy_from_the_start_foot(swapped):
+    # the arc leaves the first body of the pair with outward normal theta
     beta0 = np.array([0.3, -0.2])
     modes = {(1, 0): 0.2 + 0.1j, (-1, 0): 0.2 - 0.1j, (1, 2): 0.3j, (-1, -2): -0.3j}
     K1 = convex.ellipsoid((0.1, -0.2), (0.9, 0.5))
     K2 = convex.ball((0.4, 1.1), 0.3)
-    spec = spectrum.enumerate(K1, K2, orient=orient, T=30.0,
+    start_body, other = (K2, K1) if swapped else (K1, K2)
+    spec = spectrum.enumerate(start_body, other, T=30.0,
                               beta=spectrum.TwistForm(beta0, modes))
 
     def f(x):
@@ -86,7 +87,6 @@ def test_phases_are_the_holonomy_from_the_start_foot(orient):
         end = start + spec.lengths[:, None] * spec.theta
         return np.exp(1j * (spec.lengths * (spec.theta @ beta0) + f(end) - f(start)))
 
-    start_body, other = (K1, K2) if orient == "+-" else (K2, K1)
     assert len(spec) > 20
     assert np.max(np.abs(spec.phases - phases(start_body))) < 1e-12
     assert np.max(np.abs(spec.phases - phases(other))) > 0.1
@@ -209,11 +209,11 @@ def test_worker_determinism():
 
 
 def test_orientation_reflection():
-    # swapping the reversed pair mirrors the spectrum: lengths agree
+    # the swapped pair runs the arcs backwards: lengths agree
     K1 = convex.ellipsoid((0.3, 0.0), (1.1, 0.6))
     K2 = convex.ball((0.0, -0.2), 0.4)
-    fwd = spectrum.enumerate(K1, K2, orient="+-", T=30.0)
-    bwd = spectrum.enumerate(K2, K1, orient="+-", T=30.0)
+    fwd = spectrum.enumerate(K1, K2, T=30.0)
+    bwd = spectrum.enumerate(K2, K1, T=30.0)
     assert np.max(np.abs(fwd.lengths - bwd.lengths)) < 1e-9
 
 
@@ -229,6 +229,17 @@ def test_twist_form_requires_hermitian_modes():
     tf = spectrum.TwistForm((0.0, 0.0), {(1, 0): 1.0 + 0.5j, (-1, 0): 1.0 - 0.5j})
     x = np.array([[0.3, 0.4], [0.0, 0.0]])
     assert np.max(np.abs(tf.f_eval(x).imag)) < 1e-14
+
+
+@pytest.mark.parametrize("beta0, modes", [
+    ((math.nan, 0.0), None),
+    ((0.0, math.inf), None),
+    ((0.0, 0.0), {(1, 0): complex(math.nan, 0.0), (-1, 0): complex(math.nan, 0.0)}),
+    ((0.0, 0.0), {(1, 0): complex(0.0, math.inf), (-1, 0): complex(0.0, -math.inf)}),
+], ids=["nan-beta0", "inf-beta0", "nan-mode", "inf-mode"])
+def test_twist_form_refuses_non_finite_entries(beta0, modes):
+    with pytest.raises(ValueError, match="finite"):
+        spectrum.TwistForm(beta0, modes)
 
 
 def test_trivial_twist_weighted_count_equals_count(points2_60):
@@ -262,7 +273,7 @@ def test_steiner_density_points():
     # rho'(t) = t^2 |S^2| / (2 pi)^3
     t = 7.0
     want = t**2 * 4.0 * math.pi / (2.0 * math.pi) ** 3
-    assert abs(spectrum.steiner_density(p, p, "+-", t) - want) < 1e-12
+    assert abs(spectrum.steiner_density(p, p, t) - want) < 1e-12
 
 
 def test_d5_difference_body_skips_the_validation_grid(monkeypatch):

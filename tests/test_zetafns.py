@@ -221,8 +221,8 @@ def test_record_phases_have_one_path():
         {(1, 0): 0.2 + 0.1j, (-1, 0): 0.2 - 0.1j, (1, 1): 0.3, (-1, -1): 0.3},
     )
     K1, K2 = convex.ellipsoid((0.1, -0.2), (0.9, 0.5)), convex.point((0.4, 1.1))
-    spec = spectrum.enumerate(K1, K2, orient="-+", T=40.0, beta=beta)
-    plain = spectrum.enumerate(K1, K2, orient="-+", T=40.0)
+    spec = spectrum.enumerate(K2, K1, T=40.0, beta=beta)
+    plain = spectrum.enumerate(K2, K1, T=40.0)
     assert len(spec) > 100
     assert np.max(np.abs(spec.phases - 1.0)) > 0.5
     assert np.all(plain.phases == 1.0)
@@ -318,7 +318,7 @@ def synthetic_model(power, T=300.0):
     n = lengths.size
     p = convex.point((0.0, 0.0, 0.0))
     spec = spectrum.LengthSpectrum(
-        dim=3, body1=p, body2=p, orient="+-", T0=0.0, T=T,
+        dim=3, body1=p, body2=p, T0=0.0, T=T,
         beta=ZERO3, xi=np.zeros((n, 3), dtype=int),
         theta=np.zeros((n, 3)), lengths=lengths,
         phases=0.01 * lengths**power * np.exp(1.3j * lengths))
@@ -342,6 +342,8 @@ _NAN_GUARDS = {
     "poincare_eval": (zetafns.TailDominates,
                       lambda: zetafns.poincare_eval(nan_phase_model(), 0.5)),
     "window": (ValueError, lambda: zetafns.GaussianWindow(1.0, math.nan)),
+    "zeta_continue": (zetafns.PoleHit, lambda: zetafns.zeta_continue(
+        synthetic_model(1.0), complex(math.nan, 0.0))),
 }
 
 
@@ -497,6 +499,19 @@ def test_guinand_pairing_refuses_spectra_under_different_twists(guinand_spectra)
             zetafns.guinand_pairing(fwd, bwd_other, window)
         with pytest.raises(ValueError, match="different twists"):
             zetafns.guinand_pairing(bwd_other, fwd, window)
+
+
+def test_guinand_pairing_refuses_a_bwd_that_is_not_the_swapped_pair(guinand_spectra):
+    fwd, bwd, beta = guinand_spectra
+    p, q = fwd.body1, fwd.body2
+    r = convex.point((0.9, 0.4, 1.1))
+    window = zetafns.GaussianWindow(1.0, 0.2)
+    # the pair is checked before the truncation mass: short spectra will do
+    for K1, K2 in ((p, q), (q, r), (r, p), (q, q)):
+        other = spectrum.enumerate(K1, K2, T0=0.0, T=20.0, beta=beta)
+        with pytest.raises(ValueError, match="swapped pair"):
+            zetafns.guinand_pairing(fwd, other, window)
+    zetafns.guinand_pairing(fwd, bwd, window)
 
 
 def test_guinand_rejects_nonzero_T0():
