@@ -446,16 +446,22 @@ def test_config_schema_validation(tmp_path, capsys):
     for raw in cases:
         cfg = write_config(tmp_path / "c.json", raw)
         assert cli.main(["volumes", "--config", cfg, "--out", str(tmp_path)]) == 2
-    # the pair order is the orientation: no value of "orient" is read
+    capsys.readouterr()
+
+
+def test_orientations_the_library_rejects_are_config_errors(tmp_path, capsys):
+    # the pair order is the orientation: every value of "orient" is an unknown key
     pair = {"dim": 2, "bodies": {"p": {"kind": "point"}, "q": {"kind": "ball", "radius": 0.1}},
             "ranges": {"T": 10.0}}
     cfg = write_config(tmp_path / "c.json", pair)
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    for orient in ("+-", "-+", "++"):
+    for orient in ("+-", "-+", "++", "--"):
         cfg = write_config(tmp_path / "c.json", dict(pair, orient=orient))
         assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "unknown top-level key 'orient'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "unknown top-level key 'orient'" in err
 
 
 _NO_SCIPY_STEPS = """
