@@ -10,6 +10,7 @@ next to the outputs so runs are self-describing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import os
@@ -42,7 +43,6 @@ _DEFAULTS = {
         "eps_ladder": None,
         "y_grid": None,
         "t_grid": None,
-        "t_ladder": None,
     },
     "window": {"center": None, "width": 0.2},
     "observables": {},
@@ -53,6 +53,15 @@ _DEFAULTS = {
 _SPECTRUM_T = 50.0  # the window end of spectrum and guinand when ranges.T is unset
 _VALUE_HEADER = ["s_re", "s_im", "value_re", "value_im"]
 _BODY_KINDS = {"point", "ball", "ellipsoid", "harmonic"}
+
+
+@contextlib.contextmanager
+def _config_errors(what: str):
+    """Raise a malformed entry's IndexError, KeyError, TypeError or ValueError as a ConfigError."""
+    try:
+        yield
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _merge_section(name: str, defaults: dict, given) -> dict:
@@ -142,10 +151,8 @@ def _check_body(d: int, name: str, spec) -> None:
 
 
 def _parse_freq(key: str) -> tuple:
-    try:
+    with _config_errors(f"bad frequency key '{key}'"):
         return tuple(int(c) for c in str(key).split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad frequency key '{key}'") from exc
 
 
 def _parse_coeff(v) -> complex:
@@ -157,7 +164,7 @@ def _parse_coeff(v) -> complex:
 def build_body(dim: int, spec: dict) -> convex.SupportBody:
     """The body of a checked description; one the constructors reject is a ConfigError."""
     kind = spec["kind"]
-    try:
+    with _config_errors(f"{kind} body"):
         if kind == "point":
             body = convex.point(spec.get("x", [0.0] * dim))
         elif kind == "ball":
@@ -172,8 +179,6 @@ def build_body(dim: int, spec: dict) -> convex.SupportBody:
         else:
             terms = [(int(t[0]), t[1], float(t[2])) for t in spec["terms"]]
             body = convex.harmonic(build_body(dim, spec["base"]), terms)
-    except ValueError as exc:
-        raise ConfigError(f"{kind} body: {exc}") from exc
     if body.dim != dim:
         raise ConfigError(f"{kind} body has dimension {body.dim}, not {dim}")
     return body
@@ -181,20 +186,19 @@ def build_body(dim: int, spec: dict) -> convex.SupportBody:
 
 def _twist_form(cfg: dict) -> spectrum.TwistForm:
     """The configured twist; one that TwistForm rejects is a ConfigError."""
-    try:
+    with _config_errors("twist"):
         modes = {_parse_freq(k): _parse_coeff(v)
                  for k, v in cfg["twist"]["modes"].items()}
         return spectrum.TwistForm(cfg["twist"]["beta0"], modes)
-    except ValueError as exc:
-        raise ConfigError(f"twist: {exc}") from exc
 
 
 def _observable(cfg: dict, name: str) -> dynamics.TorusObservable:
     if name not in cfg["observables"]:
         raise ConfigError(f"configuration lacks observable '{name}'")
     spec = cfg["observables"][name]
-    modes = {_parse_freq(k): _parse_coeff(v) for k, v in spec["modes"].items()}
-    return dynamics.TorusObservable(cfg["dim"], modes, real=bool(spec["real"]))
+    with _config_errors(f"observable '{name}'"):
+        modes = {_parse_freq(k): _parse_coeff(v) for k, v in spec["modes"].items()}
+        return dynamics.TorusObservable(cfg["dim"], modes, real=bool(spec["real"]))
 
 
 def _pair_bodies(cfg: dict) -> tuple:
@@ -222,19 +226,21 @@ def _grid_spec(spec, fallback: np.ndarray) -> np.ndarray:
     """Resolve a grid description: explicit list, {start, stop, num, spacing}."""
     if spec is None:
         return fallback
-    if isinstance(spec, dict):
-        num = int(spec.get("num", 20))
-        lo, hi = float(spec["start"]), float(spec["stop"])
-        if spec.get("spacing", "linear") == "log":
-            return np.geomspace(lo, hi, num)
-        return np.linspace(lo, hi, num)
-    return np.asarray([float(x) for x in spec])
+    with _config_errors("grid"):
+        if isinstance(spec, dict):
+            num = int(spec.get("num", 20))
+            lo, hi = float(spec["start"]), float(spec["stop"])
+            if spec.get("spacing", "linear") == "log":
+                return np.geomspace(lo, hi, num)
+            return np.linspace(lo, hi, num)
+        return np.asarray([float(x) for x in spec])
 
 
 def _s_grid_spec(spec, fallback: list) -> list:
     if spec is None:
         return fallback
-    s_grid = [complex(float(p[0]), float(p[1])) for p in spec]
+    with _config_errors("s grid"):
+        s_grid = [complex(float(p[0]), float(p[1])) for p in spec]
     if not np.all(np.isfinite(s_grid)):
         raise ConfigError("s grids need finite entries")
     return s_grid
@@ -324,9 +330,9 @@ def _cmd_spectrum(cfg, out, workers, log):
 
 def _zeta_model(cfg, k1, k2, beta, workers) -> zetafns.ZetaModel:
     r = cfg["ranges"]
-    sweep = tuple(r["sweep"])
-    T = _window_T(cfg, zetafns._default_T(cfg["dim"]), k1, k2, r["T0"],
-                  reach=max(sweep, default=1.0))
+    with _config_errors("ranges.sweep"):
+        sweep = zetafns._sweep_factors(r["sweep"])
+    T = _window_T(cfg, zetafns._default_T(cfg["dim"]), k1, k2, r["T0"], reach=sweep[-1])
     return zetafns.build_zeta_model(k1, k2, beta=beta, T=T, T0=r["T0"],
                                     workers=workers, sweep=sweep)
 
@@ -366,17 +372,17 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
             log(f"zeta: Res at s={est.pole} is {est.residue:.9g} "
                 f"(volumes predict {est.predicted_from_volumes:.9g})")
     if not beta.is_zero:
-        ladder = r["t_ladder"]
-        rep = zetafns.twist_suppression(
-            model, t_ladder=None if ladder is None else list(ladder))
-        _tables.write_json(os.path.join(out, "twist.json"), {
-            "mode": rep.mode,
-            "certified": rep.certified,
-            "t_ladder": list(rep.t_ladder),
-            "ratios": list(rep.ratios),
-            "untwisted_level": rep.untwisted_level,
-            "threshold": rep.threshold,
-        })
+        rep = zetafns.twist_suppression(model)
+        if rep.mode == "decay":
+            decided = {"t_ladder": list(rep.t_ladder), "ratios": list(rep.ratios),
+                       "untwisted_level": rep.untwisted_level, "threshold": rep.threshold}
+        else:
+            (w_re, w_im), (e_re, e_im) = _re_im(rep.weighted), _re_im(rep.empirical)
+            decided = {"weighted_re": w_re.tolist(), "weighted_im": w_im.tolist(),
+                       "empirical_re": e_re.tolist(), "empirical_im": e_im.tolist(),
+                       "deviation": rep.deviation}
+        _tables.write_json(os.path.join(out, "twist.json"),
+                           {"mode": rep.mode, "certified": rep.certified, **decided})
         log(f"zeta: twist suppression certified={rep.certified}")
     _plot_script(
         os.path.join(out, "zeta.gp"),
@@ -463,9 +469,10 @@ def _cmd_guinand(cfg, out, workers, log):
         if positive.size == 0:
             raise ConfigError("no spectral line available for the window center")
         center = float(positive[0])
-    width = float(cfg["window"]["width"])
+    with _config_errors("window"):
+        width = float(cfg["window"]["width"])
+        window = zetafns.GaussianWindow(center, width)
     cfg["window"]["center"] = center
-    window = zetafns.GaussianWindow(center, width)
     fwd = spectrum.enumerate(k1, k2, T0=0.0, T=T, beta=beta, workers=workers)
     bwd = spectrum.enumerate(k2, k1, T0=0.0, T=T, beta=beta, workers=workers)
     res = zetafns.guinand_pairing(fwd, bwd, window)
@@ -589,14 +596,14 @@ def _cmd_oscint(cfg, out, workers, log):
          "scaled_residual"],
         [ts] + _re_im(vals) + _re_im(sps) + [scaled],
     )
-    report = spherequad.cap_decay_check(d, xi=xi, ts=list(ts), beta0=beta0)
+    cap = spherequad.cap_decay_check(d, xi=xi, ts=list(ts), beta0=beta0)
     _tables.write_json(os.path.join(out, "oscint.json"), {
         "xi": [float(c) for c in xi],
         "lambda": lam,
         "remainder_order": order,
-        "cap_exponent": report.exponent,
+        "cap_exponent": cap,
     })
-    log(f"oscint: equator piece decays like t^{report.exponent:.2f}")
+    log(f"oscint: equator piece decays like t^{cap:.2f}")
     _plot_script(
         os.path.join(out, "oscint.gp"),
         "oscillatory integral against stationary phase",

@@ -16,6 +16,9 @@ the sign of omega whose largest-magnitude component is positive, so
 (xi, beta0, t) and (-xi, -beta0, -t) see the same nodes.  All reductions use
 numpy's pairwise summation over a fixed node ordering, which makes every
 value reproducible bit-for-bit for a given (dim, order, inner) and axis.
+
+The equator piece of a plane wave, for ``cap_decay_check``, is a midpoint
+sum in the polar angle.  Every value is checked against twice its order.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "UnderResolved",
     "sphere_area",
     "grid",
-    "integrate",
     "pole_cutoffs",
     "osc_integral",
     "stationary_phase",
@@ -157,12 +159,6 @@ def grid(dim: int, order: int, inner: Optional[int] = None) -> SphericalGrid:
     return SphericalGrid(dim=dim, nodes=nodes, weights=weights)
 
 
-def integrate(g: SphericalGrid, f) -> complex | float:
-    """Integrate f over the sphere; f is a callable on (n, d) arrays or an array of node values."""
-    vals = f(g.nodes) if callable(f) else np.asarray(f)
-    return np.sum(g.weights * vals)
-
-
 # ---------------------------------------------------------------------------
 # smooth pole/equator cutoffs
 
@@ -208,7 +204,6 @@ class OscResult:
 
     value: complex
     error_estimate: float
-    pieces: Optional[dict] = None  # 'cap_plus', 'cap_minus', 'equator' when split
 
 
 def _sphere_fn(value) -> Callable:
@@ -240,8 +235,8 @@ def _polar_axis(delta: np.ndarray) -> tuple[np.ndarray, float, float]:
 def _turn(nodes: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Nodes under the Householder reflection that maps e1 to the unit vector a."""
     tail = float(a[1:] @ a[1:])
-    if tail == 0.0:
-        return nodes
+    if tail < np.finfo(float).tiny:
+        return nodes  # a is e1 to double precision, and 2 / (v @ v) would overflow
     # v = e1 - a; its first entry 1 - a0 = tail / (1 + a0) without cancellation,
     # and 1 + a0 >= 1 - 1/sqrt(2) because a's largest entry is positive.
     v = -a
@@ -270,6 +265,14 @@ def osc_order(dim: int, xi, beta0, t: float, xtilde_scale: float = 0.0) -> int:
     return int(math.ceil(1.5 * freq + 20))
 
 
+def _doubling_error(v1: complex, v2: complex, what: str) -> float:
+    """|v2 - v1| for v2 at twice the order of v1; UnderResolved unless within 1e-9 |v2| + 1e-12."""
+    err = abs(v2 - v1)
+    if not err <= 1e-9 * abs(v2) + 1e-12:
+        raise UnderResolved(f"{what} moved the value by {err:.3e} (value {abs(v2):.3e})")
+    return err
+
+
 def osc_integral(
     dim: int,
     F=None,
@@ -278,8 +281,6 @@ def osc_integral(
     t: float = 0.0,
     xtilde: Optional[Callable] = None,
     xtilde_scale: Optional[float] = None,
-    split: bool = False,
-    order: Optional[int] = None,
 ) -> OscResult:
     """Integral of e^{i (xi-beta0).(t theta + xtilde)} e^{i beta0.xtilde} F(theta) over the sphere.
 
@@ -288,14 +289,12 @@ def osc_integral(
     The grid ``grid(dim, n, m)`` is turned so that its polar axis lies on
     +-omega: the polar order n = osc_order(dim, xi, beta0, t, xtilde_scale)
     follows t |xi - beta0|, the inner order m = osc_order(dim, xi, beta0, 0,
-    xtilde_scale) only the band limits of F and xtilde; an explicit ``order``
-    sets both.  An ``xtilde`` comes with ``xtilde_scale``, a bound on
-    |xtilde| such as the support radius of a body.  The value is computed
-    again with both orders doubled; disagreement beyond 1e-9 relative (plus
-    1e-12 absolute) raises UnderResolved.  The value is reproducible bit-for-bit for given inputs,
-    and (xi, beta0, t) and (-xi, -beta0, -t) see the same nodes.  With
-    split=True the result also carries the three pieces obtained from the
-    polar partition of unity around +-omega.
+    xtilde_scale) only the band limits of F and xtilde.  An ``xtilde`` comes
+    with ``xtilde_scale``, a bound on |xtilde| such as the support radius of
+    a body.  The value is computed again with both orders doubled;
+    disagreement beyond 1e-9 relative (plus 1e-12 absolute) raises
+    UnderResolved.  The value is reproducible bit-for-bit for given inputs,
+    and (xi, beta0, t) and (-xi, -beta0, -t) see the same nodes.
     """
     xi = np.zeros(dim) if xi is None else np.asarray(xi, dtype=float)
     beta0 = np.zeros(dim) if beta0 is None else np.asarray(beta0, dtype=float)
@@ -303,34 +302,15 @@ def osc_integral(
     if xtilde is not None and xtilde_scale is None:
         raise ValueError("xtilde needs xtilde_scale, a bound on |xtilde|")
     axis, sgn, lam = _polar_axis(xi - beta0)
-    if split and lam < 1e-14:
-        raise ValueError("splitting needs xi != beta0 to define the poles")
-    if order is not None:
-        n = m = order
-    else:
-        n = osc_order(dim, xi, beta0, t, xtilde_scale or 0.0)
-        m = osc_order(dim, xi, beta0, 0.0, xtilde_scale or 0.0)
+    n = osc_order(dim, xi, beta0, t, xtilde_scale or 0.0)
+    m = osc_order(dim, xi, beta0, 0.0, xtilde_scale or 0.0)
     kappa = sgn * t * lam
     g1 = grid(dim, n, m)
     v1 = complex(np.sum(g1.weights * _integrand(g1, axis, kappa, F, xi, xtilde)))
     g2 = grid(dim, 2 * n, 2 * m)
-    f2 = _integrand(g2, axis, kappa, F, xi, xtilde)
-    v2 = complex(np.sum(g2.weights * f2))
-    err = abs(v2 - v1)
-    if not err <= 1e-9 * abs(v2) + 1e-12:
-        raise UnderResolved(
-            f"order doubling {n}->{2 * n} (inner {m}->{2 * m}) moved the value "
-            f"by {err:.3e} (value {abs(v2):.3e})"
-        )
-    pieces = None
-    if split:
-        # the polar cosine about omega is sgn times the first unturned coordinate
-        chi_m, chi_0, chi_p = pole_cutoffs(sgn * g2.nodes[:, 0])
-        pieces = {
-            name: complex(np.sum(g2.weights * chi * f2))
-            for name, chi in (("cap_plus", chi_p), ("equator", chi_0), ("cap_minus", chi_m))
-        }
-    return OscResult(value=v2, error_estimate=err, pieces=pieces)
+    v2 = complex(np.sum(g2.weights * _integrand(g2, axis, kappa, F, xi, xtilde)))
+    err = _doubling_error(v1, v2, f"order doubling {n}->{2 * n} (inner {m}->{2 * m})")
+    return OscResult(value=v2, error_estimate=err)
 
 
 def stationary_phase(
@@ -339,9 +319,8 @@ def stationary_phase(
     xi=None,
     beta0=None,
     t: float = 1.0,
-    xtilde: Optional[Callable] = None,
 ) -> tuple[complex, float]:
-    """Leading two-pole stationary phase value for the integral of osc_integral.
+    """Leading two-pole stationary phase value of the osc_integral integral without xtilde.
 
     Returns (value, remainder_order); the remainder of the full integral is
     O(t^remainder_order) with remainder_order = -(1 + (dim-1)/2).
@@ -357,8 +336,6 @@ def stationary_phase(
     for sgn in (+1.0, -1.0):
         node = (sgn * omega)[None, :]
         amp = complex(np.asarray(F(node), dtype=complex)[0])
-        if xtilde is not None:
-            amp *= np.exp(1j * float(np.asarray(xtilde(node))[0] @ xi))
         total += (
             np.exp(1j * sgn * t * lam)
             * np.exp(-1j * sgn * math.pi * (dim - 1) / 4.0)
@@ -368,19 +345,38 @@ def stationary_phase(
     return complex(total), -(1.0 + (dim - 1) / 2.0)
 
 
-@dataclass(frozen=True)
-class CapDecayReport:
-    ts: np.ndarray
-    values: np.ndarray       # equator piece at each t
-    exponent: float          # fitted log-log slope of |value| against t
+def _equator_piece(dim: int, xi, beta0, t: float) -> complex:
+    """Integral of chi_0 e^{i t (xi - beta0).theta} over S^(dim-1), checked by doubling.
+
+    With chi_0 the equator cutoff of ``pole_cutoffs`` in the polar cosine
+    cos phi about xi - beta0 and kappa = t |xi - beta0|, it is |S^(dim-2)|
+    int_0^pi chi_0(cos phi) e^{i kappa cos phi} sin^(dim-2) phi dphi.  The
+    integrand vanishes near both poles, so the midpoint rule in phi converges
+    faster than any power of N; it takes N = max(2048, 2 osc_order) angles
+    and then 2N.
+    """
+    kappa = t * float(np.linalg.norm(xi - beta0))
+
+    def midpoint(n: int) -> complex:
+        phi = (np.arange(n) + 0.5) * (math.pi / n)
+        u = np.cos(phi)
+        f = pole_cutoffs(u)[1] * np.sin(phi) ** (dim - 2) * np.exp(1j * kappa * u)
+        return complex(sphere_area(dim - 1) * (math.pi / n) * np.sum(f))
+
+    n = max(2048, 2 * osc_order(dim, xi, beta0, t))
+    v2 = midpoint(2 * n)
+    _doubling_error(midpoint(n), v2, f"angle doubling {n}->{2 * n}")
+    return v2
 
 
-def cap_decay_check(dim: int, xi, ts: Sequence[float], beta0=None) -> CapDecayReport:
-    """Decay of the equator (non-stationary) piece of the split sphere transform.
+def cap_decay_check(dim: int, xi, ts: Sequence[float], beta0=None) -> float:
+    """Fitted log-log slope of |equator piece| against t.
 
-    The integrand is e^{i t (xi - beta0).theta} with no amplitude or shift,
-    so the phase is non-stationary on the support of the equator cutoff for
-    every t > 0 and the exact equator piece decays faster than any power of t.
+    The piece is the plane wave e^{i t (xi - beta0).theta} cut off from the
+    poles +-(xi - beta0)/|xi - beta0|, taken at each t by ``_equator_piece``
+    under its doubling check (UnderResolved).  Its phase is non-stationary
+    on the support of the cutoff for every t > 0, so the exact piece decays
+    faster than any power of t.
     """
     xi = np.asarray(xi, dtype=float)
     beta0 = np.zeros(dim) if beta0 is None else np.asarray(beta0, dtype=float)
@@ -391,11 +387,5 @@ def cap_decay_check(dim: int, xi, ts: Sequence[float], beta0=None) -> CapDecayRe
         raise ValueError("the decay fit needs t > 0")
     if float(np.linalg.norm(xi - beta0)) == 0.0:
         raise ValueError("the decay fit needs xi != beta0 to define the poles")
-    vals = np.asarray([
-        osc_integral(dim, xi=xi, beta0=beta0, t=float(t), split=True).pieces["equator"]
-        for t in ts
-    ])
-    mags = np.abs(vals)
-    mags = np.where(mags < 1e-300, 1e-300, mags)
-    slope = float(np.polyfit(np.log(ts), np.log(mags), 1)[0])
-    return CapDecayReport(ts=ts, values=vals, exponent=slope)
+    mags = np.maximum(np.abs([_equator_piece(dim, xi, beta0, float(t)) for t in ts]), 1e-300)
+    return float(np.polyfit(np.log(ts), np.log(mags), 1)[0])

@@ -216,9 +216,7 @@ def build_zeta_model(
     d = K1.dim
     if T is None:
         T = _default_T(d)
-    sweep = tuple(sorted(float(f) for f in sweep))
-    if not sweep or sweep[0] < 1.0:
-        raise ValueError("sweep factors must be >= 1")
+    sweep = _sweep_factors(sweep)
     spec = spectrum.enumerate(K1, K2, T0=T0, T=T * sweep[-1], beta=beta, workers=workers)
     steiner = convex.steiner(spectrum.difference_body(K1, K2))
     rho = spectrum._density_from_steiner(steiner)
@@ -227,6 +225,14 @@ def build_zeta_model(
         raise ValueError("tail density leading coefficient fails the sphere check")
     return ZetaModel(spec=spec, rho=np.asarray(rho, dtype=float), T=float(T),
                      sweep=sweep, steiner=steiner)
+
+
+def _sweep_factors(sweep: Sequence[float]) -> tuple:
+    """The sweep factors, sorted; a ValueError unless there are some, all finite and >= 1."""
+    sweep = tuple(sorted(float(f) for f in sweep))
+    if not sweep or not all(1.0 <= f < math.inf for f in sweep):
+        raise ValueError("sweep factors must be finite and >= 1")
+    return sweep
 
 
 def _ball_density(ell: int, d: int) -> float:
@@ -347,24 +353,20 @@ def _weighted_density_residues(model: ZetaModel):
                      for j in range(d)])
 
 
-def twist_suppression(
-    model: ZetaModel,
-    t_ladder: Optional[Sequence[float]] = None,
-) -> TwistReport:
+def twist_suppression(model: ZetaModel) -> TwistReport:
     """Certify the loss of the leading counting term under the model's twist.
 
-    For beta0 without integer representative: |N_beta(T)| / T^d over a
-    T-ladder, certified when the ratios decrease and the last sits below
-    a quarter of the untwisted level.  For integer beta0 (including the
+    For beta0 without integer representative: |N_beta(t)| / t^d on the
+    ladder t = (0.25, 0.5, 1) * T, T the window end of the spectrum,
+    certified when the ratios decrease and the last sits below a quarter of
+    the untwisted level.  For integer beta0 (including the
     f-only case): weighted residues by quadrature against the empirical
     counting fit.
     """
     spec = model.spec
     d = model.dim
     if not spec.beta.is_integer:
-        if t_ladder is None:
-            t_ladder = tuple(spec.T * f for f in (0.25, 0.5, 1.0))
-        t_ladder = tuple(float(t) for t in t_ladder)
+        t_ladder = tuple(float(spec.T * f) for f in (0.25, 0.5, 1.0))
         ratios = tuple(
             abs(spectrum.counting_weighted(spec, t)) / t**d
             for t in t_ladder

@@ -142,6 +142,25 @@ _POINT_PAIR = {"dim": 2, "bodies": {"a": {"kind": "point"},
                                     "b": {"kind": "point", "x": [0.9, 0.4]}}}
 
 
+def test_weighted_twist_report_holds_what_it_certified(tmp_path):
+    # beta0 = 0 with a nonzero f: certified when the leading weighted residue
+    # and the empirical fit agree to 5 % of the untwisted density rho_d
+    cfg = write_config(tmp_path / "c.json", {
+        **_POINT_PAIR, "twist": {"modes": {"1,0": [0.2, 0.1], "-1,0": [0.2, -0.1]}},
+        "ranges": {"T": 100.0, "sweep": [1.0]}})
+    assert cli.main(["zeta", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rep = read_json(tmp_path / "twist.json")
+    assert sorted(rep) == ["certified", "deviation", "empirical_im", "empirical_re",
+                           "mode", "weighted_im", "weighted_re"]
+    assert rep["mode"] == "weighted"
+    weighted = np.array(rep["weighted_re"]) + 1j * np.array(rep["weighted_im"])
+    empirical = np.array(rep["empirical_re"]) + 1j * np.array(rep["empirical_im"])
+    assert weighted.size == empirical.size == 2
+    assert rep["deviation"] == np.max(np.abs(empirical - weighted))
+    rho_d = zetafns._ball_density(2, 2)
+    assert rep["certified"] == bool(abs(empirical[-1] - weighted[-1]) <= 0.05 * rho_d)
+
+
 def test_zero_twist_written_out_is_no_twist(tmp_path):
     given = {"none": {}, "zero": {"twist": {"beta0": [0, 0], "modes": {}}}}
     for name, twist in given.items():
@@ -381,6 +400,21 @@ _BAD_CONFIGS = {
         "a": {"kind": "point"}, "b": {"kind": "point", "x": [0.9, 0.4]}},
         "ranges": {"T": 30.0, "sweep": [1.0], key: [[math.nan, 0.0], [0.5, 0.0]]}})
        for command, key in (("zeta", "zeta_s_grid"), ("poincare", "poincare_s_grid"))},
+    # entries of the wrong shape and values the library refuses
+    "zeta_s_grid-short-entry": ("zeta", {**_POINT_PAIR, "ranges": {
+        "T": 30.0, "sweep": [1.0], "zeta_s_grid": [[0.5]]}}),
+    "twist-mode-three-parts": ("spectrum", {**_POINT_PAIR, "twist": {"modes": {
+        "1,0": [0.1, 0.0, 3.0], "-1,0": [0.1, 0.0, 3.0]}}, "ranges": {"T": 30.0}}),
+    "harmonic-term-short": ("volumes", {"dim": 2, "bodies": {
+        "h": {"kind": "harmonic", "base": {"kind": "ball", "radius": 1.0},
+              "terms": [[2]]}}}),
+    "t_grid-without-start": ("equidist", {"dim": 2, "bodies": {
+        "b": {"kind": "ball", "radius": 0.5}}, "observables": {
+        "f": {"modes": {"1,0": 1.0}}}, "ranges": {"t_grid": {"stop": 20.0}}}),
+    **{f"sweep-{name}": ("zeta", {**_POINT_PAIR, "ranges": {"T": 30.0, "sweep": sweep}})
+       for name, sweep in (("empty", []), ("below-1", [0.5, 1.0]))},
+    "window-width-negative": ("guinand", {**_POINT_PAIR, "ranges": {"T": 30.0},
+                                          "window": {"width": -1.0}}),
 }
 
 

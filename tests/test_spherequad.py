@@ -28,9 +28,9 @@ def test_integrate_quadratic_exactly():
     # integral of theta_i theta_j over S^{d-1} is delta_ij |S^{d-1}| / d
     for d in (2, 3, 4):
         g = spherequad.grid(d, 16)
-        got = spherequad.integrate(g, lambda n: n[:, 0] * n[:, 0])
+        got = np.sum(g.weights * g.nodes[:, 0] * g.nodes[:, 0])
         assert abs(got - spherequad.sphere_area(d) / d) < 1e-12
-        got = spherequad.integrate(g, lambda n: n[:, 0] * n[:, 1])
+        got = np.sum(g.weights * g.nodes[:, 0] * g.nodes[:, 1])
         assert abs(got) < 1e-13
 
 
@@ -158,20 +158,32 @@ def test_osc_integral_xtilde_shift():
     assert abs(shifted - plain * np.exp(1j * xi @ x0)) < 1e-10
 
 
-def test_osc_integral_under_resolved():
-    with pytest.raises(spherequad.UnderResolved):
-        spherequad.osc_integral(2, xi=np.array([400.0, 0.0]), t=1.0, order=6)
-    with pytest.raises(spherequad.UnderResolved):
-        spherequad.osc_integral(3, xi=np.array([30.0, -50.0, 80.0]), t=1.0, order=6)
-
-    # the inner rule alone: cos(8 phi) about e1 aliases to 1 on the 8 azimuth
-    # nodes of order 4, and only doubling the inner order exposes it
+def test_osc_integral_under_resolved(monkeypatch):
     def F(n):
         return np.cos(8.0 * np.arctan2(n[:, 2], n[:, 1]))
 
     assert abs(spherequad.osc_integral(3, F=F).value) < 1e-12
+    monkeypatch.setattr(spherequad, "osc_order", lambda *args: 6)
     with pytest.raises(spherequad.UnderResolved):
-        spherequad.osc_integral(3, F=F, order=4)
+        spherequad.osc_integral(2, xi=np.array([400.0, 0.0]), t=1.0)
+    with pytest.raises(spherequad.UnderResolved):
+        spherequad.osc_integral(3, xi=np.array([30.0, -50.0, 80.0]), t=1.0)
+
+    # the inner rule alone: cos(8 phi) about e1 aliases to 1 on the 8 azimuth
+    # nodes of order 4, and only doubling the inner order exposes it
+    monkeypatch.setattr(spherequad, "osc_order", lambda *args: 4)
+    with pytest.raises(spherequad.UnderResolved):
+        spherequad.osc_integral(3, F=F)
+
+
+def test_osc_integral_with_an_axis_within_1e_154_of_e1():
+    # the Householder vector of such an axis would overflow 2 / (v @ v)
+    def F(n):
+        return 1.0 + 0.1 * n[:, 1] ** 2
+
+    near = spherequad.osc_integral(3, F=F, xi=np.array([50.0, 5e-154, 0.0]), t=1.0).value
+    on = spherequad.osc_integral(3, F=F, xi=np.array([50.0, 0.0, 0.0]), t=1.0).value
+    assert near == on
 
 
 def test_aligned_grid_with_equal_orders_is_the_product_grid():
@@ -264,8 +276,46 @@ def test_stationary_phase_residual_slope_dim2():
 
 def test_cap_decay_equator_piece():
     xi = np.array([1.0, 0.0, 0.0])
-    rep = spherequad.cap_decay_check(3, xi=xi, ts=np.geomspace(40.0, 400.0, 8))
-    assert rep.exponent <= -3.0
+    assert spherequad.cap_decay_check(3, xi=xi, ts=np.geomspace(40.0, 400.0, 8)) <= -3.0
+
+
+def _equator_piece_oracle(d, kappa):
+    """|S^(d-2)| int chi_0(u) e^{i kappa u} (1 - u^2)^((d-3)/2) du by mpmath.quad at 30 digits."""
+    def step(x):
+        if x <= 0:
+            return mp.mpf(0)
+        if x >= 1:
+            return mp.mpf(1)
+        a, b = mp.exp(-1 / x), mp.exp(-1 / (1 - x))
+        return a / (a + b)
+
+    def f(u):
+        chi0 = 1 - step((u - mp.mpf("0.8")) * 10) - step((-u - mp.mpf("0.8")) * 10)
+        return chi0 * mp.expj(kappa * u) * (1 - u * u) ** (mp.mpf(d - 3) / 2)
+
+    with mp.workdps(30):
+        # the ramps whole, the plateau in pieces of about 16 periods of the phase
+        pieces = int(mp.ceil(1.6 * kappa / (32 * mp.pi)))
+        pts = ([mp.mpf("-0.9")] + mp.linspace(mp.mpf("-0.8"), mp.mpf("0.8"), pieces + 1)
+               + [mp.mpf("0.9")])
+        area = 2 * mp.pi ** (mp.mpf(d - 1) / 2) / mp.gamma(mp.mpf(d - 1) / 2)
+        return complex(area * mp.quad(f, pts))
+
+
+@pytest.mark.parametrize("d, kappa", [(2, 800.0), (3, 40.0), (4, 137.0)])
+def test_equator_piece_matches_an_mpmath_reference(d, kappa):
+    xi = np.zeros(d)
+    xi[-1] = kappa / 2.0
+    got = spherequad._equator_piece(d, xi, np.zeros(d), 2.0)
+    assert abs(got - _equator_piece_oracle(d, kappa)) < 1e-13
+
+
+def test_cap_decay_check_refuses_too_few_angles(monkeypatch):
+    # with osc_order at 0 only the floor of 2048 angles is left, against the
+    # about 1400 periods of the phase at t = 5000
+    monkeypatch.setattr(spherequad, "osc_order", lambda *args: 0)
+    with pytest.raises(spherequad.UnderResolved, match="angle doubling 2048->4096"):
+        spherequad.cap_decay_check(3, xi=np.array([1.0, 0.0, 0.0]), ts=[400.0, 5000.0])
 
 
 def test_cap_decay_needs_two_samples():
@@ -285,11 +335,3 @@ def test_osc_integral_xtilde_needs_a_scale():
     with pytest.raises(ValueError, match="xtilde_scale"):
         spherequad.osc_integral(3, xi=np.array([1.0, 0.0, 0.0]), t=2.0,
                                 xtilde=lambda n: 0.1 * n)
-
-
-def test_osc_integral_split_pieces_sum():
-    xi = np.array([3.0, 1.0, 0.0])
-    res = spherequad.osc_integral(3, xi=xi, t=20.0, split=True)
-    total = sum(res.pieces.values())
-    assert abs(total - res.value) < 1e-10
-    assert set(res.pieces) == {"cap_plus", "equator", "cap_minus"}
