@@ -578,9 +578,13 @@ def _cmd_oscint(cfg, out, workers, log):
     d = cfg["dim"]
     xi = cfg["oscint"]["xi"]
     xi = np.asarray([1.0] + [0.0] * (d - 1) if xi is None else xi, dtype=float)
+    if xi.shape != (d,):
+        raise ConfigError(f"oscint.xi needs {d} entries")
     cfg["oscint"]["xi"] = [float(c) for c in xi]
     beta0 = np.asarray(cfg["twist"]["beta0"], dtype=float)
     ts = _grid_spec(cfg["ranges"]["t_grid"], np.geomspace(50.0, 800.0, 12))
+    if ts.size < 2:
+        raise ConfigError("oscint needs at least two t values to fit the cap decay")
     cfg["ranges"]["t_grid"] = [float(t) for t in ts]
     lam = float(np.linalg.norm(xi - beta0))
     vals, sps, scaled = [], [], []

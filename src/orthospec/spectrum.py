@@ -4,11 +4,13 @@ Between the torus projections of two strictly convex bodies, orthogeodesics
 of the flat metric correspond to lattice vectors: for the difference body
 L = K1 + (-K2), the arc hitting both boundaries orthogonally with homotopy
 data xi has length t(xi) = max over unit theta of (theta . 2 pi xi -
-h_L(theta)).  The maximum is found by Riemannian Newton on the sphere; the
-resulting records carry the lattice class, direction, length and the
-holonomy phase of a twist one-form beta = beta0 . dx + df.  Arcs run from K1
-to K2, leaving K1 at convex.inverse_gauss(K1, theta); the reverse spectrum,
-from K2 to K1, is the enumeration of the swapped pair.
+h_L(theta)).  When L is one point or one ball (centre c, radius r) the
+maximum is |2 pi xi - c| - r in closed form; otherwise it is found by
+Riemannian Newton on the sphere.  The resulting records carry the lattice
+class, direction, length and the holonomy phase of a twist one-form
+beta = beta0 . dx + df.  Arcs run from K1 to K2, leaving K1 at
+convex.inverse_gauss(K1, theta); the reverse spectrum, from K2 to K1, is
+the enumeration of the swapped pair.
 """
 
 from __future__ import annotations
@@ -116,7 +118,12 @@ class TwistForm:
 class LengthSpectrum:
     """Sorted orthospectrum records plus the query that produced them.
 
-    Arrays are parallel and ordered by (length, xi lexicographic).  A record
+    Arrays are parallel.  Sorted lengths are cut into groups wherever two
+    consecutive ones differ by more than _GROUP_TOL; records are ordered by
+    group, and by xi (lexicographic) within a group.  So lengths are
+    non-decreasing up to _GROUP_TOL, and tied lengths keep one order
+    whatever their last-bit roundoff.  A searchsorted cut at v is exact
+    unless v falls inside the span of one group.  A record
     is its lattice class xi, unit direction theta, length and the holonomy
     phase of beta along it; the arc leaves body1 at its start foot
     convex.inverse_gauss(body1, theta) and ends length * theta further on,
@@ -229,9 +236,26 @@ def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
     return theta, value, min_curv
 
 
-def _solve_chunk(L, xi_chunk, T0, T):
-    """Newton-solve one candidate chunk; returns accepted arrays and rejects."""
-    w = 2 * math.pi * xi_chunk.astype(float)
+def _closed_form(part, w: np.ndarray):
+    """theta.w - h_L(theta) maximized per row for L one point or ball: (theta, value, min_curv).
+
+    With centre c and radius r (0 for a point) the maximizer is
+    theta = (w - c)/|w - c| and the value |w - c| - r.  The negated sphere
+    Hessian is |w - c| times the identity on the tangent space, so the
+    transversality proxy is min(1, |w - c|), as Newton would report it.
+    theta is divided out only on rows with value > 0, the rows that can lie
+    in a window (T0, T] with T0 >= 0; w = c leaves a zero row and no warning.
+    """
+    c, r = (part.x0, 0.0) if isinstance(part, convex._Point) else (part.center, part.radius)
+    v = w - c
+    dist = np.linalg.norm(v, axis=1)
+    value = dist - r
+    theta = np.divide(v, dist[:, None], out=np.zeros_like(v), where=(value > 0)[:, None])
+    return theta, value, np.minimum(1.0, dist)
+
+
+def _newton_solve(L, xi_chunk, w: np.ndarray):
+    """Newton-solve one candidate chunk with restarts; returns (theta, value, min_curv)."""
     wn = np.linalg.norm(w, axis=1)
     theta0 = np.where(wn[:, None] > 0, w / np.maximum(wn, 1e-300)[:, None], 0.0)
     if np.any(wn == 0):
@@ -256,6 +280,20 @@ def _solve_chunk(L, xi_chunk, T0, T):
                 f"lattice candidate {tuple(int(c) for c in xi_chunk[diverged[0]])} did "
                 f"not converge; raise T0 or inspect the body curvature"
             )
+    return theta, value, min_curv
+
+
+def _solve_chunk(L, xi_chunk, T0, T):
+    """Solve one candidate chunk; returns accepted arrays and rejects.
+
+    A difference body that is one point or one ball takes the closed form;
+    every other body takes Newton.
+    """
+    w = 2 * math.pi * xi_chunk.astype(float)
+    if len(L.parts) == 1 and isinstance(L.parts[0], (convex._Point, convex._Ball)):
+        theta, value, min_curv = _closed_form(L.parts[0], w)
+    else:
+        theta, value, min_curv = _newton_solve(L, xi_chunk, w)
     rejects = []
     degenerate = min_curv < _TRANSVERSALITY_TOL
     window = (value > T0) & (value <= T)
@@ -274,6 +312,24 @@ def _default_T0(K1: convex.SupportBody, K2: convex.SupportBody) -> float:
     return 2.0 * (K1.r_max + K2.r_max) + 1.0
 
 
+def _record_order(lengths: np.ndarray) -> np.ndarray:
+    """The record order of candidates listed in lexicographic xi order.
+
+    Sorted lengths are cut into groups wherever two consecutive ones differ
+    by more than _GROUP_TOL, and each group is ordered by xi.  Mathematically
+    equal lengths share a group whatever their last-bit roundoff, so their
+    order is that of xi alone.
+    """
+    n = lengths.size
+    by_length = np.argsort(lengths, kind="stable")
+    group = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.diff(lengths[by_length]) > _GROUP_TOL, out=group[1:])
+    # a candidate's index is the lexicographic rank of its xi
+    key = group * n + by_length
+    key.sort()
+    return key % n
+
+
 def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
               T0: Optional[float] = None, T: float = 50.0,
               beta: Optional[TwistForm] = None,
@@ -283,6 +339,12 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
     T0 defaults to _default_T0(K1, K2), and beta to the zero form.  The
     records, their order and their lengths do not depend on beta, which only
     sets the phases.  Results are independent of worker count.
+
+    A difference body that is one point or one ball takes the closed form
+    theta = (w - c)/|w - c|, t = |w - c| - r with w = 2 pi xi; every other
+    body takes Newton.  Records are ordered by length groups within
+    _GROUP_TOL, then by xi, as LengthSpectrum describes; lengths are
+    non-decreasing up to _GROUP_TOL.
 
     The candidate window is certified: with [h_lo, h_hi] = L.h_range(), a
     closed-form enclosure of h_L on the whole sphere, t(xi) lies between
@@ -322,7 +384,9 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
     lengths = np.concatenate([p[2] for p in parts], axis=0)
     rejects = tuple(r for p in parts for r in p[3])
 
-    order = np.lexsort(tuple(xi[:, k] for k in range(d - 1, -1, -1)) + (lengths,))
+    # _lattice_box lists candidates in C order, lexicographic in xi, and
+    # every filter and the chunk loop keep that order
+    order = _record_order(lengths)
     xi, theta, lengths = xi[order], theta[order], lengths[order]
 
     start = convex.inverse_gauss(K1, theta)
@@ -336,7 +400,11 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
 
 
 def counting(spec: LengthSpectrum, T: float) -> int:
-    """N(T): number of orthogeodesics with length in (T0, T]."""
+    """N(T): number of orthogeodesics with length in (T0, T].
+
+    The cut at T + _GROUP_TOL splits no group of tied lengths unless a
+    length lies within _GROUP_TOL of it.
+    """
     if T > spec.T + _GROUP_TOL:
         raise ValueError("T exceeds the enumerated range")
     return int(np.searchsorted(spec.lengths, T + _GROUP_TOL, side="left"))

@@ -739,10 +739,11 @@ def singularity_scan(
         order = np.argsort(res)
         if res[order[0]] > 0.35:
             return None
-        if res[order[1]] < 2.0 * res[order[0]]:
+        # a NaN slope makes every residual NaN, which passes no comparison
+        if not res[order[1]] >= 2.0 * res[order[0]]:
             raise FitAmbiguous(
                 f"peak at y = {y0:.4f}: orders {grid[order[0]]} and "
-                f"{grid[order[1]]} fit within a factor 2"
+                f"{grid[order[1]]} fit within a factor 2 (slope {slope:.3g})"
             )
         a = float(grid[order[0]])
         fvals = F_alpha(a, eps_ladder.astype(complex))

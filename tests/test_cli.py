@@ -372,6 +372,10 @@ _BAD_CONFIGS = {
     "T-below-T0": ("spectrum", {"dim": 2, "bodies": {
         "p": {"kind": "point"}, "q": {"kind": "point"}},
         "ranges": {"T0": 10.0, "T": 5.0}}),
+    # oscint checks both before it writes oscint.csv
+    "oscint-xi-length": ("oscint", {"dim": 2, "oscint": {"xi": [1.0]},
+                                    "ranges": {"t_grid": [50.0, 60.0]}}),
+    "oscint-one-t": ("oscint", {"dim": 2, "ranges": {"t_grid": [50.0]}}),
     "equidist-without-bodies": ("equidist", {"dim": 2, "observables": {
         "f": {"modes": {"0,0": 1.0}}}}),
     # T0 beyond the default T: 50 for spectrum, 20 pi for the d = 3 zeta model
@@ -422,8 +426,11 @@ _BAD_CONFIGS = {
 def test_bad_body_and_range_configs_exit_2(tmp_path, capsys, case):
     command, raw = _BAD_CONFIGS[case]
     cfg = write_config(tmp_path / "c.json", raw)
-    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    # refused before any artifact is written
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("y, T", [((0.9, 0.4), 200.0), ((0.3, 0.2), 120.0)],

@@ -43,7 +43,8 @@ def test_counting_monotone(points2_60):
 
 def test_lengths_sorted_and_in_window(points2_60):
     spec = points2_60
-    assert np.all(np.diff(spec.lengths) >= 0)
+    # tied lengths are ordered by xi, so the order holds up to _GROUP_TOL
+    assert np.all(np.diff(spec.lengths) >= -spectrum._GROUP_TOL)
     assert spec.lengths[0] > spec.T0
     assert spec.lengths[-1] <= spec.T + 1e-9
 
@@ -90,6 +91,66 @@ def test_phases_are_the_holonomy_from_the_start_foot(swapped):
     assert len(spec) > 20
     assert np.max(np.abs(spec.phases - phases(start_body))) < 1e-12
     assert np.max(np.abs(spec.phases - phases(other))) > 0.1
+
+
+@pytest.mark.parametrize("K1, K2", [
+    (convex.ball((0.3, 0.1, -0.2), 0.4), convex.ball((0.0, 0.5, 0.0), 0.3)),
+    (convex.point((0.2, 0.1, -0.4)), convex.point((1.1, -0.3, 0.0))),
+], ids=["ball-pair", "point-pair"])
+def test_newton_batch_matches_the_closed_form(K1, K2):
+    # enumerate sends no point or ball pair to Newton; this keeps Newton
+    # checked against an exact answer
+    L = spectrum.difference_body(K1, K2)
+    assert L.kind in ("point", "ball")
+    xi = spectrum._lattice_box(3, 4)
+    w = 2.0 * math.pi * xi[np.any(xi != 0, axis=1)]
+    theta0 = w / np.linalg.norm(w, axis=1, keepdims=True)
+    theta, value, min_curv = spectrum._newton_batch(L, w, theta0)
+    want_theta, want_value, want_curv = spectrum._closed_form(L.parts[0], w)
+    assert np.all(want_value > 0.0)
+    assert np.max(np.abs(theta - want_theta)) < 1e-12
+    assert np.max(np.abs(value - want_value)) < 1e-12
+    assert np.max(np.abs(min_curv - want_curv)) < 1e-12
+
+
+def test_closed_form_skips_the_class_on_the_centre_offset():
+    # xi = (1, 0) puts w = 2 pi xi on c itself, where theta is undefined: no
+    # RuntimeWarning, and the class has length 0, outside every window
+    c = (2.0 * math.pi, 0.0)
+    spec = spectrum.enumerate(convex.point(c), convex.point((0.0, 0.0)), T0=0.0, T=10.0)
+    assert (1, 0) not in set(map(tuple, spec.xi.tolist()))
+    assert (0, 0) in set(map(tuple, spec.xi.tolist()))
+    assert spec.rejects == ()
+
+
+def _tied_pair(solver):
+    """A pair with many mathematically equal lengths, solved by the given path."""
+    if solver == "_closed_form":  # the four-fold classes of the square lattice
+        return convex.point((0.0, 0.0)), convex.point((0.0, 0.0)), 60.0
+    # the mirror classes (+-a, +-b) of an axis-aligned ellipse
+    return convex.ellipsoid((0.0, 0.0), (1.3, 0.7)), convex.point((0.0, 0.0)), 40.0
+
+
+@pytest.mark.parametrize("solver", ["_closed_form", "_newton_solve"])
+def test_last_bit_roundoff_leaves_the_row_order_alone(monkeypatch, solver):
+    K1, K2, T = _tied_pair(solver)
+    base = spectrum.enumerate(K1, K2, T=T)
+    # records are ordered by length groups within _GROUP_TOL, then by xi
+    group = np.concatenate(([0], np.cumsum(np.diff(base.lengths) > spectrum._GROUP_TOL)))
+    assert np.bincount(group).max() >= 4
+    assert np.array_equal(np.lexsort(tuple(base.xi.T[::-1]) + (group,)), np.arange(len(base)))
+    rng = np.random.default_rng(5)
+    solve = getattr(spectrum, solver)
+
+    def nudged(*args):
+        theta, value, min_curv = solve(*args)
+        step = np.where(rng.random(value.size) < 0.5, np.inf, -np.inf)
+        return theta, np.nextafter(value, step), min_curv
+
+    monkeypatch.setattr(spectrum, solver, nudged)
+    moved = spectrum.enumerate(K1, K2, T=T)
+    assert not np.array_equal(moved.lengths, base.lengths)
+    assert np.array_equal(moved.xi, base.xi)
 
 
 def test_ball_pair_closed_form_lengths():
@@ -198,14 +259,33 @@ def test_quarter_turn_invariance():
     assert np.max(np.abs(np.sort(a.lengths) - np.sort(b.lengths))) < 1e-9
 
 
-def test_worker_determinism():
-    p = convex.point((0.2, 0.1, -0.4))
-    q = convex.point((0.0, 0.0, 0.0))
-    a = spectrum.enumerate(p, q, T=25.0, workers=1)
-    b = spectrum.enumerate(p, q, T=25.0, workers=3)
-    assert np.array_equal(a.xi, b.xi)
-    assert np.array_equal(a.lengths, b.lengths)
-    assert np.array_equal(a.theta, b.theta)
+def test_worker_determinism(monkeypatch):
+    # small chunks, so that the thread pool splits the candidates
+    monkeypatch.setattr(spectrum, "_CHUNK", 64)
+    chunks = []
+    solve = spectrum._solve_chunk
+
+    def counted(L, xi_chunk, T0, T):
+        chunks.append(len(xi_chunk))
+        return solve(L, xi_chunk, T0, T)
+
+    monkeypatch.setattr(spectrum, "_solve_chunk", counted)
+    pairs = {
+        "newton": (convex.ellipsoid((0.1, 0.0, 0.2), (1.2, 0.8, 0.6)),
+                   convex.ball((0.0, 0.3, 0.0), 0.4)),
+        "closed form": (convex.point((0.2, 0.1, -0.4)), convex.point((0.0, 0.0, 0.0))),
+    }
+    for name, (K1, K2) in pairs.items():
+        runs = []
+        for workers in (1, 3):
+            chunks.clear()
+            runs.append(spectrum.enumerate(K1, K2, T=25.0, workers=workers))
+            assert len(chunks) >= 3, name
+        a, b = runs
+        assert len(a) > 0, name
+        assert np.array_equal(a.xi, b.xi), name
+        assert np.array_equal(a.theta, b.theta), name
+        assert np.array_equal(a.lengths, b.lengths), name
 
 
 def test_orientation_reflection():
@@ -293,6 +373,23 @@ def test_d5_difference_body_skips_the_validation_grid(monkeypatch):
     assert L.kind == "ball" and (L.r_min, L.r_max) == (0.8, 0.8)
     u = np.eye(5)
     assert np.allclose(L.h(u), K1.h(u) + K2.h(-u), atol=1e-15)
+
+
+def test_write_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
+    # two rows per slice, so the table spans several writes
+    monkeypatch.setattr(_tables, "_ROWS_PER_WRITE", 2)
+    header = ["n", "x", "y"]
+    columns = [
+        np.array([0, -3, 7, 2**53 + 1, 1]),
+        np.array([0.1, -0.0, math.nan, math.inf, -math.inf]),
+        [1e-300, 2.5, -1.0, 1.0 / 3.0, 5e300],
+    ]
+    _tables.write_csv(tmp_path / "joined.csv", header, columns)
+    with open(tmp_path / "module.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "module.csv").read_bytes()
 
 
 def test_to_csv_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -332,6 +333,20 @@ def nan_phase_model():
     return model
 
 
+def nan_ladder_row_scan():
+    """singularity_scan with the largest-eps head row NaN: the peak at y = 1.3
+    is still detected on the smallest eps, and its log-slope fit is NaN."""
+    head = zetafns._head_boundary_values
+
+    def nan_first_row(lengths, damp, y_grid):
+        out = head(lengths, damp, y_grid)
+        out[:, 0] = np.nan
+        return out
+
+    with mock.patch.object(zetafns, "_head_boundary_values", nan_first_row):
+        return zetafns.singularity_scan(synthetic_model(1.0))
+
+
 # each guard raises unless its pass condition holds, and a comparison with a
 # NaN never holds
 _NAN_GUARDS = {
@@ -341,6 +356,7 @@ _NAN_GUARDS = {
         dim=2, kind="ball", parts=(convex._Ball(np.zeros(2), math.nan),)))),
     "poincare_eval": (zetafns.TailDominates,
                       lambda: zetafns.poincare_eval(nan_phase_model(), 0.5)),
+    "singularity_scan": (zetafns.FitAmbiguous, nan_ladder_row_scan),
     "window": (ValueError, lambda: zetafns.GaussianWindow(1.0, math.nan)),
     "zeta_continue": (zetafns.PoleHit, lambda: zetafns.zeta_continue(
         synthetic_model(1.0), complex(math.nan, 0.0))),
