@@ -585,15 +585,20 @@ def _cmd_oscint(cfg, out, workers, log):
     ts = _grid_spec(cfg["ranges"]["t_grid"], np.geomspace(50.0, 800.0, 12))
     if ts.size < 2:
         raise ConfigError("oscint needs at least two t values to fit the cap decay")
+    if not np.all(ts > 0.0):
+        raise ConfigError("oscint needs t_grid entries > 0")
     cfg["ranges"]["t_grid"] = [float(t) for t in ts]
     lam = float(np.linalg.norm(xi - beta0))
-    vals, sps, scaled = [], [], []
+    if not lam > 0.0:
+        raise ConfigError("oscint needs oscint.xi != twist.beta0 for the stationary points")
+    vals, sps, scaled, errs = [], [], [], []
     for t in ts:
-        val = spherequad.osc_integral(d, xi=xi, beta0=beta0, t=float(t)).value
+        res = spherequad.osc_integral(d, xi=xi, beta0=beta0, t=float(t))
         sp, order = spherequad.stationary_phase(d, xi=xi, beta0=beta0, t=float(t))
-        vals.append(val)
+        vals.append(res.value)
+        errs.append(res.error_estimate)
         sps.append(sp)
-        scaled.append(abs(val - sp) * float(t) ** (-order))
+        scaled.append(abs(res.value - sp) * float(t) ** (-order))
     _tables.write_csv(
         os.path.join(out, "oscint.csv"),
         ["t", "value_re", "value_im", "stationary_re", "stationary_im",
@@ -606,6 +611,7 @@ def _cmd_oscint(cfg, out, workers, log):
         "lambda": lam,
         "remainder_order": order,
         "cap_exponent": cap,
+        "doubling_error_max": max(errs),
     })
     log(f"oscint: equator piece decays like t^{cap:.2f}")
     _plot_script(

@@ -11,11 +11,16 @@ sphere beside it.
 Oscillatory integrals use such a grid with its polar axis turned onto the
 stationary points +-omega of the phase: only the polar rule has to follow
 t |xi - beta0|, while the inner rule follows the band limits of the amplitude
-and of xtilde.  The turn is one Householder reflection e1 -> a, where a is
-the sign of omega whose largest-magnitude component is positive, so
-(xi, beta0, t) and (-xi, -beta0, -t) see the same nodes.  All reductions use
-numpy's pairwise summation over a fixed node ordering, which makes every
-value reproducible bit-for-bit for a given (dim, order, inner) and axis.
+and of xtilde.  The polar order is rounded up to the ladder
+{16, 19, 23, 27} x 2^k, which is closed under doubling, so the calls of a t
+grid share polar rules, and the doubled order of one call's check is the
+polar order of a call one octave up.  Each Gauss rule is built once per
+process and cached read-only.  The turn is one Householder reflection
+e1 -> a, where a is the sign of omega whose largest-magnitude component is
+positive, so (xi, beta0, t) and (-xi, -beta0, -t) see the same nodes.  All
+reductions use numpy's pairwise summation over a fixed node ordering, which
+makes every value reproducible bit-for-bit for a given (dim, order, inner)
+and axis.
 
 The equator piece of a plane wave, for ``cap_decay_check``, is a midpoint
 sum in the polar angle.  Every value is checked against twice its order.
@@ -44,6 +49,7 @@ __all__ = [
 
 
 _NEWTON_STEPS = 30  # before a Gauss rule counts as failed
+_RUNGS = (16, 19, 23, 27)  # times 2^k: the polar orders of osc_integral
 
 
 class UnderResolved(Exception):
@@ -86,6 +92,7 @@ def _gegenbauer(n: int, lam: float, x) -> tuple[np.ndarray, np.ndarray]:
     return cur, prev
 
 
+@lru_cache(maxsize=None)
 def _gauss_gegenbauer(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Order-n Gauss rule for the weight (1 - u^2)^(lam - 1/2) on [-1, 1], lam > 0.
 
@@ -97,7 +104,8 @@ def _gauss_gegenbauer(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     (n + 2 lam - 1) C_(n-1) - n u C_n in full: C_(n-1) alone equals it at
     the root but follows the last bit of u near the ends far more closely
     (end weights 1.6e-8 off at n = 1000, against 2e-11).  Nodes are
-    ascending and exactly symmetric.
+    ascending and exactly symmetric.  A rule is built once per (n, lam)
+    and its arrays are read-only.
     """
     big_n = n + lam
     phi = (np.arange(1, n // 2 + 1) + 0.5 * lam - 0.5) * (math.pi / big_n)
@@ -122,7 +130,10 @@ def _gauss_gegenbauer(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.concatenate([-u[:half], u[::-1]])
     weights = np.concatenate([w[:half], w[::-1]])
     mass = math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0)
-    return nodes, weights * (mass / np.sum(weights))
+    weights = weights * (mass / np.sum(weights))
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @lru_cache(maxsize=64)
@@ -265,6 +276,14 @@ def osc_order(dim: int, xi, beta0, t: float, xtilde_scale: float = 0.0) -> int:
     return int(math.ceil(1.5 * freq + 20))
 
 
+def _polar_rung(n: int) -> int:
+    """The smallest element of {16, 19, 23, 27} x 2^k that is >= n."""
+    scale = 1
+    while _RUNGS[-1] * scale < n:
+        scale *= 2
+    return next(b * scale for b in _RUNGS if b * scale >= n)
+
+
 def _doubling_error(v1: complex, v2: complex, what: str) -> float:
     """|v2 - v1| for v2 at twice the order of v1; UnderResolved unless within 1e-9 |v2| + 1e-12."""
     err = abs(v2 - v1)
@@ -287,11 +306,13 @@ def osc_integral(
     The phase simplifies to (xi - beta0).(t theta) + xi.xtilde(theta), whose
     t-term depends only on the polar cosine about omega = (xi-beta0)/|xi-beta0|.
     The grid ``grid(dim, n, m)`` is turned so that its polar axis lies on
-    +-omega: the polar order n = osc_order(dim, xi, beta0, t, xtilde_scale)
-    follows t |xi - beta0|, the inner order m = osc_order(dim, xi, beta0, 0,
-    xtilde_scale) only the band limits of F and xtilde.  An ``xtilde`` comes
-    with ``xtilde_scale``, a bound on |xtilde| such as the support radius of
-    a body.  The value is computed again with both orders doubled;
+    +-omega: the polar order n follows t |xi - beta0|, as osc_order(dim, xi,
+    beta0, t, xtilde_scale) rounded up to the ladder {16, 19, 23, 27} x 2^k,
+    and the inner order m = osc_order(dim, xi, beta0, 0, xtilde_scale) only
+    the band limits of F and xtilde.  Rounding never lowers an order; it lets
+    the calls of a t grid share the cached polar Gauss rules.  An ``xtilde``
+    comes with ``xtilde_scale``, a bound on |xtilde| such as the support
+    radius of a body.  The value is computed again with both orders doubled;
     disagreement beyond 1e-9 relative (plus 1e-12 absolute) raises
     UnderResolved.  The value is reproducible bit-for-bit for given inputs,
     and (xi, beta0, t) and (-xi, -beta0, -t) see the same nodes.
@@ -302,7 +323,7 @@ def osc_integral(
     if xtilde is not None and xtilde_scale is None:
         raise ValueError("xtilde needs xtilde_scale, a bound on |xtilde|")
     axis, sgn, lam = _polar_axis(xi - beta0)
-    n = osc_order(dim, xi, beta0, t, xtilde_scale or 0.0)
+    n = _polar_rung(osc_order(dim, xi, beta0, t, xtilde_scale or 0.0))
     m = osc_order(dim, xi, beta0, 0.0, xtilde_scale or 0.0)
     kappa = sgn * t * lam
     g1 = grid(dim, n, m)

@@ -77,7 +77,7 @@ class TruncationTooSmall(Exception):
 
 
 class FitAmbiguous(Exception):
-    """Two singular models fit a peak within a factor 2 of each other."""
+    """Two singular models fit a peak within a factor 2, or the scan values are not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +726,9 @@ def singularity_scan(
     short = boundary[n_eps] - _smooth_laplace(model.rho, 0.85 * model.spec.T, s_mat[-1])
     # detect on the pointwise minimum of the full and short magnitudes
     detect = np.minimum(np.abs(deflated[-1]), np.abs(short))
+    # a NaN phase or density coefficient leaves no peak to find, not no singularity
+    if not np.all(np.isfinite(detect)):
+        raise FitAmbiguous("the detection magnitudes are not all finite")
 
     d = model.dim
     lines = predicted_lines(model.spec.beta, float(y_grid[-1]) + 1.0)

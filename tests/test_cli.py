@@ -267,6 +267,10 @@ def test_oscint_report(runs):
     # the two-pole term is exact for F = 1 in dimension 3: noise only
     scaled = [float(r.split(",")[-1]) for r in rows[1:]]
     assert max(scaled) < 1e-6
+    # the largest order-doubling change on the t grid is within the check's tolerance
+    values = [abs(complex(float(r.split(",")[1]), float(r.split(",")[2]))) for r in rows[1:]]
+    err = rep["doubling_error_max"]
+    assert math.isfinite(err) and 0.0 <= err <= 1e-9 * max(values) + 1e-12
 
 
 def test_every_csv_is_numeric_with_one_line_terminator(runs):
@@ -372,10 +376,13 @@ _BAD_CONFIGS = {
     "T-below-T0": ("spectrum", {"dim": 2, "bodies": {
         "p": {"kind": "point"}, "q": {"kind": "point"}},
         "ranges": {"T0": 10.0, "T": 5.0}}),
-    # oscint checks both before it writes oscint.csv
+    # oscint checks these before it writes oscint.csv
     "oscint-xi-length": ("oscint", {"dim": 2, "oscint": {"xi": [1.0]},
                                     "ranges": {"t_grid": [50.0, 60.0]}}),
     "oscint-one-t": ("oscint", {"dim": 2, "ranges": {"t_grid": [50.0]}}),
+    "oscint-t-zero": ("oscint", {"dim": 2, "ranges": {"t_grid": [0.0, 60.0]}}),
+    # beta0 on the default xi = e1 leaves the phase without stationary points
+    "oscint-xi-at-beta0": ("oscint", {"dim": 2, "twist": {"beta0": [1.0, 0.0]}}),
     "equidist-without-bodies": ("equidist", {"dim": 2, "observables": {
         "f": {"modes": {"0,0": 1.0}}}}),
     # T0 beyond the default T: 50 for spectrum, 20 pi for the d = 3 zeta model

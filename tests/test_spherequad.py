@@ -197,6 +197,68 @@ def test_aligned_grid_with_equal_orders_is_the_product_grid():
         assert np.max(np.abs(np.linalg.norm(g.nodes, axis=1) - 1.0)) < 1e-13
 
 
+_LADDER = sorted(b << k for b in (16, 19, 23, 27) for k in range(12))
+
+
+def _recorded_grids(monkeypatch):
+    calls, real = [], spherequad.grid
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spherequad, "grid", recording)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_osc_integral_polar_orders_lie_on_the_ladder(d, monkeypatch):
+    calls = _recorded_grids(monkeypatch)
+    xi, beta0 = np.linspace(1.0, 2.0, d), np.full(d, 0.3)
+    for t in (0.0, 0.4, 1.0, 2.5, 7.0, 19.0, 40.0):
+        calls.clear()
+        spherequad.osc_integral(d, xi=xi, beta0=beta0, t=t)
+        want = spherequad.osc_order(d, xi, beta0, t)
+        (_, n, m), check = calls
+        # the smallest rung at or above osc_order; the inner order is not rounded
+        assert n in _LADDER and n >= want and _LADDER[_LADDER.index(n) - 1] < want, (t, n)
+        assert m == spherequad.osc_order(d, xi, beta0, 0.0)
+        assert check == (d, 2 * n, 2 * m)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_the_check_reuses_the_polar_rule_of_a_call_one_octave_up(d, monkeypatch):
+    spherequad.grid.cache_clear()
+    spherequad._gauss_gegenbauer.cache_clear()
+    calls = _recorded_grids(monkeypatch)
+    xi = np.array([1.0] + [0.0] * (d - 1))
+    spherequad.osc_integral(d, xi=xi, t=50.0)
+    (_, up, _), _ = calls
+    misses = spherequad._gauss_gegenbauer.cache_info().misses
+    calls.clear()
+    spherequad.osc_integral(d, xi=xi, t=20.0)
+    (_, n, _), _ = calls
+    assert 2 * n == up
+    # the check grid (2n, 2m) is new, but its polar rule of order 2n and the
+    # inner rules of orders m and 2m were built by the first call: only the
+    # polar rule of order n is
+    assert spherequad._gauss_gegenbauer.cache_info().misses == misses + 1
+
+
+def test_cached_rules_are_read_only_and_rebuild_bit_for_bit():
+    u, w = spherequad._gauss_gegenbauer(46, 1.0)
+    for a in (u, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    cached = spherequad.grid(4, 46, 20)
+    spherequad.grid.cache_clear()
+    spherequad._gauss_gegenbauer.cache_clear()
+    fresh = spherequad.grid(4, 46, 20)
+    assert fresh is not cached
+    assert fresh.nodes.tobytes() == cached.nodes.tobytes()
+    assert fresh.weights.tobytes() == cached.weights.tobytes()
+
+
 _UNIT_DIRECTIONS = st.sampled_from([3, 4]).flatmap(
     lambda d: st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
     .filter(lambda v: np.linalg.norm(v) > 0.1)

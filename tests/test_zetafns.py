@@ -333,6 +333,12 @@ def nan_phase_model():
     return model
 
 
+def nan_rho_model():
+    model = synthetic_model(1.0)
+    model.rho[0] = np.nan
+    return model
+
+
 def nan_ladder_row_scan():
     """singularity_scan with the largest-eps head row NaN: the peak at y = 1.3
     is still detected on the smallest eps, and its log-slope fit is NaN."""
@@ -357,6 +363,10 @@ _NAN_GUARDS = {
     "poincare_eval": (zetafns.TailDominates,
                       lambda: zetafns.poincare_eval(nan_phase_model(), 0.5)),
     "singularity_scan": (zetafns.FitAmbiguous, nan_ladder_row_scan),
+    "singularity_scan-phases": (zetafns.FitAmbiguous,
+                                lambda: zetafns.singularity_scan(nan_phase_model())),
+    "singularity_scan-rho": (zetafns.FitAmbiguous,
+                             lambda: zetafns.singularity_scan(nan_rho_model())),
     "window": (ValueError, lambda: zetafns.GaussianWindow(1.0, math.nan)),
     "zeta_continue": (zetafns.PoleHit, lambda: zetafns.zeta_continue(
         synthetic_model(1.0), complex(math.nan, 0.0))),
