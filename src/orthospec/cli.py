@@ -506,11 +506,8 @@ def _cmd_correlate(cfg, out, workers, log):
     psi = _observable(cfg, "psi")
     ts = _grid_spec(cfg["ranges"]["t_grid"], np.geomspace(50.0, 800.0, 16))
     cfg["ranges"]["t_grid"] = [float(t) for t in ts]
-    values, expans = [], []
-    for t in ts:
-        values.append(dynamics.correlation(phi, psi, beta0, float(t),
-                                           workers=workers))
-        expans.append(dynamics.correlation_expansion(phi, psi, beta0, float(t)))
+    values = dynamics.correlation(phi, psi, beta0, ts, workers=workers)
+    expans = [dynamics.correlation_expansion(phi, psi, beta0, float(t)) for t in ts]
     _write_series(os.path.join(out, "correlate.csv"), ts, values, expans)
     log(f"correlate: {len(ts)} samples, last residual "
         f"{abs(values[-1] - expans[-1]):.3e}")
@@ -555,11 +552,12 @@ def _cmd_equidist(cfg, out, workers, log):
     mean = dynamics._torus_mean(f)
     ts = _grid_spec(cfg["ranges"]["t_grid"], np.geomspace(10.0, 500.0, 18))
     cfg["ranges"]["t_grid"] = [float(t) for t in ts]
-    values = []
-    for t in ts:
-        res = dynamics.equidistribute(body, f, float(t), workers=workers)
-        values.append(res.average)
+    res = dynamics.equidistribute(body, f, ts, workers=workers)
+    values = res.average
     _write_series(os.path.join(out, "equidist.csv"), ts, values, [mean] * len(ts))
+    _tables.write_json(os.path.join(out, "equidist.json"), {
+        "doubling_error_max": float(np.max(res.error_estimate)),
+    })
     log(f"equidist: |error| from {abs(values[0] - mean):.3e} down to "
         f"{abs(values[-1] - mean):.3e}")
     _plot_script(
@@ -591,14 +589,13 @@ def _cmd_oscint(cfg, out, workers, log):
     lam = float(np.linalg.norm(xi - beta0))
     if not lam > 0.0:
         raise ConfigError("oscint needs oscint.xi != twist.beta0 for the stationary points")
-    vals, sps, scaled, errs = [], [], [], []
-    for t in ts:
-        res = spherequad.osc_integral(d, xi=xi, beta0=beta0, t=float(t))
-        sp, order = spherequad.stationary_phase(d, xi=xi, beta0=beta0, t=float(t))
-        vals.append(res.value)
-        errs.append(res.error_estimate)
+    res = spherequad.osc_integral(d, xi=xi, beta0=beta0, t=ts)
+    vals = res.value.tolist()
+    sps, scaled = [], []
+    for t, v in zip(ts.tolist(), vals):
+        sp, order = spherequad.stationary_phase(d, xi=xi, beta0=beta0, t=t)
         sps.append(sp)
-        scaled.append(abs(res.value - sp) * float(t) ** (-order))
+        scaled.append(abs(v - sp) * t ** (-order))
     _tables.write_csv(
         os.path.join(out, "oscint.csv"),
         ["t", "value_re", "value_im", "stationary_re", "stationary_im",
@@ -611,7 +608,7 @@ def _cmd_oscint(cfg, out, workers, log):
         "lambda": lam,
         "remainder_order": order,
         "cap_exponent": cap,
-        "doubling_error_max": max(errs),
+        "doubling_error_max": float(np.max(res.error_estimate)),
     })
     log(f"oscint: equator piece decays like t^{cap:.2f}")
     _plot_script(

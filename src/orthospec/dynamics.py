@@ -7,8 +7,12 @@ two-pole stationary phase of the sphere.  Dilated convex boundaries
 equidistribute at the same rate: each torus mode xi of the observable
 contributes one oscillatory sphere integral I(xi) of the area element of the
 support parametrization, with the support point x_K as phase shift, and
-I(-xi) = conj I(xi).  Every sphere integral here except those of the
-anisotropic norms passes the order-doubling check of spherequad.osc_integral.
+I(-xi) = conj I(xi).  ``correlation`` and ``equidistribute`` take a whole t
+grid, one spherequad.osc_integral call per mode.  Every sphere integral here
+except the boundary mass and those of the anisotropic norms passes the
+order-doubling check of osc_integral; the mass I(0) is the polynomial in t
+of the Steiner surface moments, which pass the doubling check of
+convex.steiner.
 """
 
 from __future__ import annotations
@@ -79,12 +83,9 @@ class TorusObservable:
     def x_only(self) -> bool:
         return all(not callable(v) for _, v in self.modes)
 
-    def amplitude(self, xi) -> Callable:
-        key = tuple(int(c) for c in xi)
-        for k, v in self.modes:
-            if k == key:
-                return spherequad._sphere_fn(v)
-        return spherequad._sphere_fn(0.0)
+    def amplitude(self, xi):
+        """The amplitude of mode xi as given: a complex constant or a callable; 0 if absent."""
+        return dict(self.modes).get(tuple(int(c) for c in xi), 0j)
 
     def x_values(self, x: np.ndarray) -> np.ndarray:
         """Evaluate an x-only observable at points x, shape (n, d)."""
@@ -117,17 +118,25 @@ class AnisoParams:
 
 @dataclass(frozen=True)
 class EquidistResult:
-    average: complex
-    error: complex
+    """Boundary averages, their distance from the torus mean, and the largest
+    order-doubling change over the mode integrals; arrays over an array t."""
+
+    average: complex | np.ndarray
+    error: complex | np.ndarray
+    error_estimate: float | np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # correlations
 
 
-def _pair_product(phi: TorusObservable, psi: TorusObservable, xi) -> Callable:
+def _pair_product(phi: TorusObservable, psi: TorusObservable, xi):
+    """phihat_xi psihat_{-xi}: a constant when both amplitudes are, else a callable."""
     f = phi.amplitude(xi)
     g = psi.amplitude(tuple(-c for c in xi))
+    if not (callable(f) or callable(g)):
+        return f * g
+    f, g = spherequad._sphere_fn(f), spherequad._sphere_fn(g)
 
     def product(theta: np.ndarray):
         return np.asarray(f(theta), dtype=complex) * np.asarray(g(theta), dtype=complex)
@@ -140,8 +149,8 @@ def _pair_keys(phi: TorusObservable, psi: TorusObservable) -> list:
     return sorted(set(phi.frequencies) | set(tuple(-c for c in k) for k in psi.frequencies))
 
 
-def _mode_integral(phi: TorusObservable, psi: TorusObservable, key, beta0, t: float) -> complex:
-    """The checked sphere integral of one mode of the correlation."""
+def _mode_integral(phi: TorusObservable, psi: TorusObservable, key, beta0, t):
+    """The checked sphere integral of one mode of the correlation, at a scalar or array t."""
     return spherequad.osc_integral(
         phi.dim, F=_pair_product(phi, psi, key), xi=np.asarray(key, dtype=float),
         beta0=beta0, t=t,
@@ -152,21 +161,23 @@ def correlation(
     phi: TorusObservable,
     psi: TorusObservable,
     beta0,
-    t: float,
+    t,
     workers: int = 1,
-) -> complex:
+):
     """sum_xi integral of phihat_xi psihat_{-xi} e^{i t (xi - beta0).theta}.
 
     The pairing of the flowed observable against psi reduces per mode to an
-    oscillatory sphere integral; each mode is resolved independently and the
-    reduction is ordered, so worker count cannot change the value.
+    oscillatory sphere integral, one osc_integral call over the whole t grid
+    (a scalar t gives a complex value, a 1-D array an array).  Each mode is
+    resolved independently and the reduction is ordered, so worker count
+    cannot change the value.
     """
     if phi.dim != psi.dim:
         raise ValueError("observable dimensions differ")
     beta0 = np.asarray(beta0, dtype=float)
     keys = _pair_keys(phi, psi)
 
-    def term(key) -> complex:
+    def term(key):
         return _mode_integral(phi, psi, key, beta0, t)
 
     if workers > 1 and len(keys) > 1:
@@ -174,7 +185,8 @@ def correlation(
             vals = list(ex.map(term, keys))
     else:
         vals = [term(k) for k in keys]
-    return complex(sum(vals))
+    total = sum(vals, np.zeros(np.shape(t), dtype=complex))
+    return complex(total) if np.ndim(t) == 0 else total
 
 
 def correlation_expansion(
@@ -346,19 +358,25 @@ def _torus_mean(f: TorusObservable) -> complex:
 def equidistribute(
     K: convex.SupportBody,
     f: TorusObservable,
-    t: float,
+    t,
     workers: int = 1,
 ) -> EquidistResult:
     """Boundary average of f over the dilated body against its area measure.
 
     average = int f(x_K(theta) + t theta) P_K(t, theta) dsigma / int P_K =
     mean + sum_{xi != 0} c_xi I(xi) / I(0), with I(xi) the osc_integral of
-    P_K(t, .) under the phase xi.(t theta + x_K(theta)); error = average -
-    mean.  P_K and x_K are real and xi, -xi see the same turned nodes, so
-    I(-xi) = conj I(xi) and a +- pair costs one integral.  Every I, the mass
-    I(0) included, passes the order-doubling check of osc_integral.
+    P_K(t, .) = sum_j a_j t^j under the phase xi.(t theta + x_K(theta)); error
+    = average - mean.  ``t`` is a scalar or a 1-D array, and each mode is one
+    osc_integral call over the whole grid, with the columns a_j of
+    convex._area_coeffs as its amplitude.  P_K and x_K are real and xi, -xi
+    see the same turned nodes, so I(-xi) = conj I(xi) and a +- pair costs one
+    integral.  The mass I(0) = sum_j surface_moments[j] t^j comes from
+    convex.steiner, which carries its own doubling check; every other I
+    passes the order-doubling check of osc_integral, and error_estimate is
+    the largest change that check saw over the modes.
     """
-    if t <= 0:
+    ts = np.asarray(t, dtype=float)
+    if not np.all(ts > 0):
         raise ValueError("equidistribution needs t > 0")
     if not f.x_only:
         raise ValueError("the boundary average takes an x-only observable")
@@ -368,29 +386,34 @@ def equidistribute(
     mean = _torus_mean(f)
     zero = (0,) * d
     # one representative per +- pair: the larger of the two frequency tuples
-    reps = sorted({max(key, tuple(-c for c in key)) for key in f.frequencies} | {zero})
+    reps = sorted({max(key, tuple(-c for c in key)) for key in f.frequencies} - {zero})
+    reach = K.h_range()[1]  # >= max h = max |x| over K >= |x_K|
 
-    def boundary(key) -> complex:
+    def boundary(key) -> spherequad.OscResult:
         return spherequad.osc_integral(
             d,
-            F=lambda nodes: convex.area_element(K, t, nodes),
+            F=lambda nodes: convex._area_coeffs(K, nodes),
             xi=np.asarray(key, dtype=float),
-            t=t,
+            t=ts,
             xtilde=K.grad,
-            xtilde_scale=K.r_max,
-        ).value
+            xtilde_scale=reach,
+        )
 
     if workers > 1 and len(reps) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             vals = dict(zip(reps, ex.map(boundary, reps)))
     else:
         vals = {key: boundary(key) for key in reps}
-    mass = vals[zero].real
-    err = 0.0 + 0.0j
+    mass = (ts[..., None] ** np.arange(d)) @ convex.steiner(K).surface_moments
+    err = np.zeros(ts.shape, dtype=complex)
     for key, value in f.modes:
         if key == zero:
             continue
-        osc = vals[key] if key in vals else vals[tuple(-c for c in key)].conjugate()
-        err += complex(value) * osc
-    err /= mass
-    return EquidistResult(average=mean + err, error=err)
+        osc = vals[key].value if key in vals else np.conj(vals[tuple(-c for c in key)].value)
+        err = err + complex(value) * osc
+    err = err / mass
+    estimate = np.max([r.error_estimate for r in vals.values()] + [np.zeros(ts.shape)], axis=0)
+    if ts.ndim == 0:
+        return EquidistResult(average=complex(mean + err), error=complex(err),
+                              error_estimate=float(estimate))
+    return EquidistResult(average=mean + err, error=err, error_estimate=estimate)

@@ -12,15 +12,21 @@ Oscillatory integrals use such a grid with its polar axis turned onto the
 stationary points +-omega of the phase: only the polar rule has to follow
 t |xi - beta0|, while the inner rule follows the band limits of the amplitude
 and of xtilde.  The polar order is rounded up to the ladder
-{16, 19, 23, 27} x 2^k, which is closed under doubling, so the calls of a t
-grid share polar rules, and the doubled order of one call's check is the
-polar order of a call one octave up.  Each Gauss rule is built once per
-process and cached read-only.  The turn is one Householder reflection
-e1 -> a, where a is the sign of omega whose largest-magnitude component is
-positive, so (xi, beta0, t) and (-xi, -beta0, -t) see the same nodes.  All
-reductions use numpy's pairwise summation over a fixed node ordering, which
-makes every value reproducible bit-for-bit for a given (dim, order, inner)
-and axis.
+{16, 19, 23, 27} x 2^k, which is closed under doubling, so the values of a
+t grid fall on shared rungs, and the doubled order of one value's check is
+the polar order of a value one octave up.  ``osc_integral`` takes the whole
+t grid in one call: t enters only through the zonal phase e^{i kappa u} and
+the powers t^j of the amplitude's columns, so each grid is turned, and F and
+xtilde evaluated on it, once per rung and folded into one sum per polar ring;
+each t is then a sum over the rings.  A constant amplitude without xtilde
+needs no grid at all in dim >= 3, only the polar Gauss rule.  Each Gauss
+rule is built once per process and cached read-only.  The turn is one
+Householder reflection e1 -> a, where a is the sign of omega whose
+largest-magnitude component is positive, so (xi, beta0, t) and
+(-xi, -beta0, -t) see the same nodes.  All reductions run in a fixed order
+over a fixed node ordering, which makes every value reproducible
+bit-for-bit for a given (dim, order, inner), axis and t, whatever the rest
+of the t grid.
 
 The equator piece of a plane wave, for ``cap_decay_check``, is a midpoint
 sum in the polar angle.  Every value is checked against twice its order.
@@ -211,10 +217,13 @@ def pole_cutoffs(s: np.ndarray, width: float = 0.2) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class OscResult:
-    """Value of a sphere oscillatory integral plus resolution diagnostics."""
+    """Value of a sphere oscillatory integral and its order-doubling change.
 
-    value: complex
-    error_estimate: float
+    Both are scalars for a scalar t and arrays over the grid for an array t.
+    """
+
+    value: complex | np.ndarray
+    error_estimate: float | np.ndarray
 
 
 def _sphere_fn(value) -> Callable:
@@ -255,17 +264,29 @@ def _turn(nodes: np.ndarray, a: np.ndarray) -> np.ndarray:
     return nodes - np.outer(nodes @ v, (2.0 / (v @ v)) * v)
 
 
-def _integrand(g: SphericalGrid, axis, kappa, F, xi, xtilde) -> np.ndarray:
-    """F e^{i phase} at the nodes of g turned onto the axis.
+def _ring_table(dim: int, n: int, m: int, axis, F, xi, xtilde) -> tuple:
+    """(u, G) for the grid of polar order n and inner order m turned onto the axis.
 
-    The phase is kappa u + xi.xtilde(theta), with u the first coordinate of
-    the unturned grid and kappa = t (xi - beta0).axis.
+    u holds the unturned polar cosines of the rings, and G[i, j] is the
+    weighted sum of F_j e^{i xi.xtilde} over ring i: the grid is polar-major,
+    so a ring is a run of consecutive nodes, and on the circle every node is
+    its own ring.  A constant F without xtilde needs no grid in dim >= 3:
+    its ring sums are the polar Gauss weights times F |S^(dim-2)|.
     """
+    if xtilde is None and not callable(F) and dim > 2:
+        u, w = _gauss_gegenbauer(n, (dim - 2) / 2.0)
+        return u, (w * (F * sphere_area(dim - 1)))[:, None]
+    g = grid(dim, n, m) if dim > 2 else grid(2, n)  # the circle has no inner order
     nodes = _turn(g.nodes, axis)
-    phase = kappa * g.nodes[:, 0]
+    if callable(F):
+        vals = np.asarray(F(nodes), dtype=complex).reshape(g.n_nodes, -1)
+    else:
+        vals = np.full((g.n_nodes, 1), F)
     if xtilde is not None:
-        phase = phase + np.asarray(xtilde(nodes)) @ xi
-    return np.asarray(F(nodes), dtype=complex) * np.exp(1j * phase)
+        vals = vals * np.exp(1j * (np.asarray(xtilde(nodes)) @ xi))[:, None]
+    ring = g.n_nodes // n if dim > 2 else 1
+    table = (g.weights[:, None] * vals).reshape(-1, ring, vals.shape[1]).sum(axis=1)
+    return g.nodes[::ring, 0], table
 
 
 def osc_order(dim: int, xi, beta0, t: float, xtilde_scale: float = 0.0) -> int:
@@ -297,41 +318,65 @@ def osc_integral(
     F=None,
     xi=None,
     beta0=None,
-    t: float = 0.0,
+    t=0.0,
     xtilde: Optional[Callable] = None,
     xtilde_scale: Optional[float] = None,
 ) -> OscResult:
-    """Integral of e^{i (xi-beta0).(t theta + xtilde)} e^{i beta0.xtilde} F(theta) over the sphere.
+    """Integral of e^{i (xi-beta0).(t theta + xtilde)} e^{i beta0.xtilde} F(t, theta) over the sphere.
+
+    ``t`` is a scalar or a 1-D array; a scalar is a grid of one and gives a
+    complex value and a float error, an array gives arrays of both.  F is a
+    constant, a callable returning (n,) values at (n, dim) directions, or a
+    callable returning (n, k) columns of which column j multiplies t^j.
 
     The phase simplifies to (xi - beta0).(t theta) + xi.xtilde(theta), whose
-    t-term depends only on the polar cosine about omega = (xi-beta0)/|xi-beta0|.
+    t-term depends only on the polar cosine u about omega = (xi-beta0)/|xi-beta0|.
     The grid ``grid(dim, n, m)`` is turned so that its polar axis lies on
     +-omega: the polar order n follows t |xi - beta0|, as osc_order(dim, xi,
     beta0, t, xtilde_scale) rounded up to the ladder {16, 19, 23, 27} x 2^k,
     and the inner order m = osc_order(dim, xi, beta0, 0, xtilde_scale) only
-    the band limits of F and xtilde.  Rounding never lowers an order; it lets
-    the calls of a t grid share the cached polar Gauss rules.  An ``xtilde``
-    comes with ``xtilde_scale``, a bound on |xtilde| such as the support
-    radius of a body.  The value is computed again with both orders doubled;
-    disagreement beyond 1e-9 relative (plus 1e-12 absolute) raises
-    UnderResolved.  The value is reproducible bit-for-bit for given inputs,
+    the band limits of F and xtilde.  Rounding never lowers an order; it puts
+    the values of a t grid on shared rungs.  F and xtilde are evaluated once
+    per grid and folded into ring sums G (see ``_ring_table``), after which
+    each t costs sum_i e^{i kappa u_i} G_i(t) with kappa = +-t |xi - beta0|.
+    An ``xtilde`` comes with ``xtilde_scale``, a bound on |xtilde| such as
+    the largest support value of a body.  Every value is computed again with
+    both orders doubled; disagreement beyond 1e-9 relative (plus 1e-12
+    absolute) raises UnderResolved, naming the t.  The value at each t is
+    reproducible bit-for-bit for given inputs whatever the rest of the grid,
     and (xi, beta0, t) and (-xi, -beta0, -t) see the same nodes.
     """
     xi = np.zeros(dim) if xi is None else np.asarray(xi, dtype=float)
     beta0 = np.zeros(dim) if beta0 is None else np.asarray(beta0, dtype=float)
-    F = _sphere_fn(1.0 if F is None else F)
+    F = F if callable(F) else complex(1.0 if F is None else F)
     if xtilde is not None and xtilde_scale is None:
         raise ValueError("xtilde needs xtilde_scale, a bound on |xtilde|")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array")
+    scale = xtilde_scale or 0.0
     axis, sgn, lam = _polar_axis(xi - beta0)
-    n = _polar_rung(osc_order(dim, xi, beta0, t, xtilde_scale or 0.0))
-    m = osc_order(dim, xi, beta0, 0.0, xtilde_scale or 0.0)
-    kappa = sgn * t * lam
-    g1 = grid(dim, n, m)
-    v1 = complex(np.sum(g1.weights * _integrand(g1, axis, kappa, F, xi, xtilde)))
-    g2 = grid(dim, 2 * n, 2 * m)
-    v2 = complex(np.sum(g2.weights * _integrand(g2, axis, kappa, F, xi, xtilde)))
-    err = _doubling_error(v1, v2, f"order doubling {n}->{2 * n} (inner {m}->{2 * m})")
-    return OscResult(value=v2, error_estimate=err)
+    m = osc_order(dim, xi, beta0, 0.0, scale)
+    tables: dict = {}
+
+    def value(n: int, inner: int, tk: float) -> complex:
+        key = (n, inner if dim > 2 else 0)
+        if key not in tables:
+            tables[key] = _ring_table(dim, n, inner, axis, F, xi, xtilde)
+        u, table = tables[key]
+        return complex(np.exp(1j * (sgn * tk * lam * u)) @ (table @ tk ** np.arange(table.shape[1])))
+
+    values = np.empty(ts.size, dtype=complex)
+    errs = np.empty(ts.size)
+    for k, tk in enumerate(ts.ravel().tolist()):
+        n = _polar_rung(osc_order(dim, xi, beta0, tk, scale))
+        v1 = value(n, m, tk)
+        values[k] = value(2 * n, 2 * m, tk)
+        errs[k] = _doubling_error(v1, values[k], f"at t = {tk!r}, order doubling "
+                                  f"{n}->{2 * n} (inner {m}->{2 * m})")
+    if ts.ndim == 0:
+        return OscResult(value=complex(values[0]), error_estimate=float(errs[0]))
+    return OscResult(value=values, error_estimate=errs)
 
 
 def stationary_phase(

@@ -256,6 +256,10 @@ def test_equidist_error_decays(tmp_path):
     rows = (tmp_path / "equidist.csv").read_text().strip().splitlines()
     first, last = rows[1].split(","), rows[-1].split(",")
     assert float(last[-1]) < float(first[-1])
+    # each mode integral is at most the mass 2 pi t + perimeter <= 2 pi (t + 1.3),
+    # so the doubling check held every change below 1e-9 of that at t = 160
+    err = read_json(tmp_path / "equidist.json")["doubling_error_max"]
+    assert math.isfinite(err) and 0.0 <= err <= 1e-9 * 2.0 * math.pi * (160.0 + 1.3) + 1e-12
 
 
 def test_oscint_report(runs):

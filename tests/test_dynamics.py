@@ -242,3 +242,79 @@ def test_equidistribute_worker_determinism(ellipse, five_modes):
     a = dynamics.equidistribute(ellipse, five_modes, 20.0, workers=1)
     b = dynamics.equidistribute(ellipse, five_modes, 20.0, workers=4)
     assert a.average == b.average
+
+
+_BODIES_3 = {
+    "ellipsoid": lambda: convex.ellipsoid((0.1, -0.2, 0.15), (1.1, 0.8, 0.6)),
+    "harmonic": lambda: convex.harmonic(
+        convex.ball((0.1, 0.0, -0.2), 0.5),
+        [(2, (0.3, 0.5, 0.8), 0.03), (4, (-0.6, 0.0, 0.8), 0.008)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BODIES_3))
+def test_the_steiner_mass_is_the_checked_zero_mode(name):
+    K = _BODIES_3[name]()
+    ts = np.array([0.5, 10.0, 10.3, 80.0])
+    checked = spherequad.osc_integral(
+        3, F=lambda n: convex._area_coeffs(K, n), xi=np.zeros(3), t=ts,
+        xtilde=K.grad, xtilde_scale=K.h_range()[1]).value
+    mass = (ts[:, None] ** np.arange(3)) @ convex.steiner(K).surface_moments
+    assert np.max(np.abs(checked - mass) / mass) < 1e-13
+
+
+def _rotation3(seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    return q
+
+
+_SCALE_BODIES = {
+    "off-centre disc": lambda: convex.ball((0.5, -0.3), 0.8),
+    "rotated off-centre ellipsoid": lambda: convex.ellipsoid(
+        (0.3, -0.2, 0.25), (1.1, 0.8, 0.6), _rotation3(5)),
+    "harmonic": _BODIES_3["harmonic"],
+    "minkowski sum": lambda: convex.minkowski_sum(
+        convex.ellipsoid((0.2, 0.0, -0.1), (0.7, 0.5, 0.4), _rotation3(6)),
+        convex.ball((-0.1, 0.3, 0.0), 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALE_BODIES))
+def test_equidistribute_bounds_the_support_point(name, monkeypatch):
+    # xtilde_scale must bound |xtilde| = |x_K(theta)| = |grad h(theta)|
+    K = _SCALE_BODIES[name]()
+    d = K.dim
+    scales, real = [], spherequad.osc_integral
+
+    def recording(*args, **kwargs):
+        scales.append(kwargs["xtilde_scale"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spherequad, "osc_integral", recording)
+    e1 = (1,) + (0,) * (d - 1)
+    f = dynamics.TorusObservable(d, {(0,) * d: 1.0, e1: 0.5, tuple(-c for c in e1): 0.5},
+                                 real=True)
+    dynamics.equidistribute(K, f, 10.0)
+    reach = float(np.max(np.linalg.norm(K.grad(spherequad.grid(d, 64).nodes), axis=1)))
+    assert scales and min(scales) >= reach
+
+
+def test_a_bench_shaped_t_grid_shares_its_ring_tables(monkeypatch):
+    # one +- mode at 32 values of t, 4 windows of 8 spaced 3 % apart: the
+    # values fall on 8 polar rungs, and each rung costs one ring table and one
+    # for its check; steiner adds its two orders.  One call per t and grid,
+    # as before the t grid was batched, would be 4 x 32 = 128.
+    K = convex.ellipsoid((0.1, -0.2, 0.15), (1.1, 0.8, 0.6), _rotation3(3))
+    f = dynamics.TorusObservable(3, {(0, 0, 0): 1.2, (1, 0, 0): 0.3 + 0.2j,
+                                     (-1, 0, 0): 0.3 - 0.2j}, real=True)
+    ts = np.array([t0 * (1.0 + 0.03 * j) for t0 in (10.0, 20.0, 40.0, 80.0) for j in range(8)])
+    calls, real = [], convex._area_coeffs
+
+    def counting(body, theta):
+        calls.append(theta.shape[0])
+        return real(body, theta)
+
+    monkeypatch.setattr(convex, "_area_coeffs", counting)
+    res = dynamics.equidistribute(K, f, ts)
+    assert res.average.shape == ts.shape
+    assert len(calls) <= 18, len(calls)

@@ -211,19 +211,28 @@ def _recorded_grids(monkeypatch):
     return calls
 
 
+def _tilted(n):
+    # a callable amplitude, so that osc_integral builds its grids
+    return 1.0 + 0.1 * n[:, 0]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_osc_integral_polar_orders_lie_on_the_ladder(d, monkeypatch):
     calls = _recorded_grids(monkeypatch)
     xi, beta0 = np.linspace(1.0, 2.0, d), np.full(d, 0.3)
     for t in (0.0, 0.4, 1.0, 2.5, 7.0, 19.0, 40.0):
         calls.clear()
-        spherequad.osc_integral(d, xi=xi, beta0=beta0, t=t)
+        spherequad.osc_integral(d, F=_tilted, xi=xi, beta0=beta0, t=t)
         want = spherequad.osc_order(d, xi, beta0, t)
-        (_, n, m), check = calls
+        (_, n, *inner), check = calls
         # the smallest rung at or above osc_order; the inner order is not rounded
         assert n in _LADDER and n >= want and _LADDER[_LADDER.index(n) - 1] < want, (t, n)
-        assert m == spherequad.osc_order(d, xi, beta0, 0.0)
-        assert check == (d, 2 * n, 2 * m)
+        if d == 2:
+            # the circle grid has no inner order, so none enters its cache key
+            assert inner == [] and check == (2, 2 * n)
+        else:
+            m = spherequad.osc_order(d, xi, beta0, 0.0)
+            assert inner == [m] and check == (d, 2 * n, 2 * m)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -232,11 +241,11 @@ def test_the_check_reuses_the_polar_rule_of_a_call_one_octave_up(d, monkeypatch)
     spherequad._gauss_gegenbauer.cache_clear()
     calls = _recorded_grids(monkeypatch)
     xi = np.array([1.0] + [0.0] * (d - 1))
-    spherequad.osc_integral(d, xi=xi, t=50.0)
+    spherequad.osc_integral(d, F=_tilted, xi=xi, t=50.0)
     (_, up, _), _ = calls
     misses = spherequad._gauss_gegenbauer.cache_info().misses
     calls.clear()
-    spherequad.osc_integral(d, xi=xi, t=20.0)
+    spherequad.osc_integral(d, F=_tilted, xi=xi, t=20.0)
     (_, n, _), _ = calls
     assert 2 * n == up
     # the check grid (2n, 2m) is new, but its polar rule of order 2n and the
@@ -257,6 +266,64 @@ def test_cached_rules_are_read_only_and_rebuild_bit_for_bit():
     assert fresh is not cached
     assert fresh.nodes.tobytes() == cached.nodes.tobytes()
     assert fresh.weights.tobytes() == cached.weights.tobytes()
+
+
+def test_circle_grids_are_cached_once_whatever_the_inner_order():
+    # the check grid of t = 20 (polar order 54 -> 108) is the base grid of
+    # t = 50 (108 -> 216): three circle grids, not four cache entries
+    spherequad.grid.cache_clear()
+    xi = np.array([1.0, 0.0])
+    spherequad.osc_integral(2, F=_tilted, xi=xi, t=50.0)
+    misses = spherequad.grid.cache_info().misses
+    spherequad.osc_integral(2, F=_tilted, xi=xi, t=20.0)
+    assert misses == 2 and spherequad.grid.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_t_grid_equals_its_scalar_calls_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    xi, beta0 = rng.normal(size=d), 0.2 * rng.normal(size=d)
+    M = 0.3 * rng.normal(size=(d, d))
+
+    def F(n):
+        # column j multiplies t^j
+        return np.stack([1.0 + n[:, 0] * n[:, -1], 0.5j * n[:, 1] ** 2, 0.01 + 0 * n[:, 0]], axis=1)
+
+    def xtilde(n):
+        return n @ M.T
+
+    kw = dict(F=F, xi=xi, beta0=beta0, xtilde=xtilde, xtilde_scale=float(np.linalg.norm(M, 2)))
+    ts = np.array([0.0, 0.7, 3.0, 3.1, 12.0, 40.0])
+    grid_res = spherequad.osc_integral(d, t=ts, **kw)
+    assert grid_res.value.shape == grid_res.error_estimate.shape == ts.shape
+    for k, t in enumerate(ts):
+        one = spherequad.osc_integral(d, t=float(t), **kw)
+        assert isinstance(one.value, complex) and isinstance(one.error_estimate, float)
+        assert one.value == grid_res.value[k] and one.error_estimate == grid_res.error_estimate[k]
+        # the columns are the coefficients of a polynomial in t
+        summed = spherequad.osc_integral(
+            d, t=float(t), **{**kw, "F": lambda n, t=t: F(n) @ (t ** np.arange(3))})
+        assert abs(summed.value - one.value) <= 1e-12 * (1.0 + abs(one.value))
+
+
+def test_an_under_resolved_t_is_named(monkeypatch):
+    monkeypatch.setattr(spherequad, "osc_order", lambda *args: 6)
+    xi = np.array([1.0, 0.0])
+    # polar order 16 and its doubling resolve e^{i t cos phi} for small t only
+    assert spherequad.osc_integral(2, xi=xi, t=[1.0, 2.0, 3.0]).error_estimate.max() < 1e-12
+    with pytest.raises(spherequad.UnderResolved, match=r"at t = 400\.0, order doubling 16->32"):
+        spherequad.osc_integral(2, xi=xi, t=[1.0, 2.0, 400.0, 3.0])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_a_constant_amplitude_without_xtilde_builds_no_grid(d):
+    u = np.arange(1.0, d + 1.0)
+    u /= np.linalg.norm(u)
+    ts = np.array([0.0, 0.5, 3.0, 40.0, 150.0])
+    before = spherequad.grid.cache_info()
+    got = spherequad.osc_integral(d, F=0.5 - 0.25j, xi=2.0 * u, beta0=0.5 * u, t=ts).value
+    assert spherequad.grid.cache_info() == before
+    assert np.max(np.abs(got - (0.5 - 0.25j) * bessel_surface(d, 1.5 * ts))) < 1e-10
 
 
 _UNIT_DIRECTIONS = st.sampled_from([3, 4]).flatmap(
