@@ -418,7 +418,6 @@ def _cmd_poincare(cfg, out, workers, log):
                 "location": f.location,
                 "alpha": f.alpha,
                 "exponent": f.exponent,
-                "exponent_ci": f.exponent_ci,
                 "coefficient_re": f.coefficient.real,
                 "coefficient_im": f.coefficient.imag,
                 "residual": f.residual,

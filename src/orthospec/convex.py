@@ -31,7 +31,6 @@ __all__ = [
     "inverse_gauss",
     "minkowski_sum",
     "reflect",
-    "area_element",
     "principal_radii",
     "steiner",
 ]
@@ -376,17 +375,6 @@ def reflect(body: SupportBody) -> SupportBody:
     # the reflection's Hessian at u is H(-u) and the validation grid is
     # antipodally symmetric, so its radii over the grid are the same
     return replace(body, parts=tuple(p.reflected() for p in body.parts))
-
-
-def area_element(body: SupportBody, t, theta) -> np.ndarray:
-    """Area element of the outer parallel body at distance t: product of (t + r_i(theta)).
-
-    Monic of degree dim-1 in t; strictly positive for t >= 0 on strictly
-    convex bodies; reduces to t^(dim-1) for points.
-    """
-    coeffs = _area_coeffs(body, np.atleast_2d(np.asarray(theta, dtype=float)))
-    powers = np.asarray(t, dtype=float)[..., None] ** np.arange(body.dim)
-    return (powers @ coeffs.T).squeeze()
 
 
 def _area_coeffs(body: SupportBody, theta: np.ndarray) -> np.ndarray:

@@ -127,8 +127,9 @@ class LengthSpectrum:
     is its lattice class xi, unit direction theta, length and the holonomy
     phase of beta along it; the arc leaves body1 at its start foot
     convex.inverse_gauss(body1, theta) and ends length * theta further on,
-    on body2.  rejects holds (xi, "NonUniqueMaximizer", approximate
-    length) tuples for candidates that failed the transversality proxy.
+    on body2.  rejects holds (xi, "NonUniqueMaximizer", length) tuples for
+    classes whose maximizer is degenerate: length + r_min(L) < 1e-6 for the
+    difference body L, so only a window with T0 < 1e-6 can produce one.
     """
 
     dim: int
@@ -166,32 +167,35 @@ def _restart_directions(dim: int) -> np.ndarray:
     return spherequad.grid(dim, 8).nodes
 
 
-def _newton_system(L: convex.SupportBody, w: np.ndarray, theta: np.ndarray):
-    """Newton system (A, g, f) of theta.w - h_L(theta) at unit theta, in ambient coordinates.
+def _newton_residual(L: convex.SupportBody, w: np.ndarray, theta: np.ndarray):
+    """Residual (g, f) of theta.w - h_L(theta) at unit theta, in ambient coordinates.
 
-    f is the value, g the gradient w - grad h_L projected off theta, and
-    A = H + f (I - theta theta^T) + theta theta^T with H the Hessian of h_L.
-    As H theta = 0, A acts on the tangent space as the negated sphere Hessian
-    and maps theta to itself, so A^-1 g is the tangent Newton step and
-    min |eig A| is the transversality proxy capped at 1.
+    f is the value and g the gradient w - grad h_L projected off theta.
     """
     diff = w - L.grad(theta)
     g = diff - np.einsum("ni,ni->n", theta, diff)[:, None] * theta
     f = np.einsum("ni,ni->n", theta, w) - L.h(theta)
+    return g, f
+
+
+def _newton_matrix(L: convex.SupportBody, theta: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """A = H + f (I - theta theta^T) + theta theta^T with H the Hessian of h_L.
+
+    As H theta = 0, A acts on the tangent space as the negated sphere
+    Hessian and maps theta to itself, so A^-1 g is the tangent Newton step.
+    """
     # A = H + f I + (1 - f) theta theta^T, in place: one (n, d, d) temporary
     A = L.hess(theta)
     A += (1.0 - f)[:, None, None] * theta[:, :, None] * theta[:, None, :]
-    diag = np.arange(w.shape[1])
+    diag = np.arange(theta.shape[1])
     A[:, diag, diag] += f[:, None]
-    return A, g, f
+    return A
 
 
 def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
-    """Maximize theta.w - h_L(theta) per row; returns (theta, value, min_curv).
+    """Maximize theta.w - h_L(theta) per row; returns (theta, value).
 
-    min_curv is min(1, smallest eigenvalue magnitude of the negated sphere
-    Hessian) at the solution, the transversality proxy.  Rows that fail to
-    converge get value = nan.
+    Rows that fail to converge get value = nan.
     """
     n = w.shape[0]
     theta = theta0.copy()
@@ -201,7 +205,8 @@ def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
             break
         th = theta[active]
         wa = w[active]
-        A, g, _ = _newton_system(L, wa, th)
+        g, f = _newton_residual(L, wa, th)
+        A = _newton_matrix(L, th, f)
         gnorm = np.linalg.norm(g, axis=1)
         scale = np.maximum(1.0, np.linalg.norm(wa, axis=1))
         done = gnorm <= _NEWTON_TOL * scale
@@ -228,74 +233,76 @@ def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
         theta[active] = new
         idx = np.flatnonzero(active)
         active[idx[done]] = False
-    A, g, value = _newton_system(L, w, theta)
+    g, value = _newton_residual(L, w, theta)
     gnorm = np.linalg.norm(g, axis=1)
-    min_curv = np.min(np.abs(np.linalg.eigvalsh(A)), axis=1)
     value = np.where(gnorm <= 1e-10 * np.maximum(1.0, np.linalg.norm(w, axis=1)),
                      value, np.nan)
-    return theta, value, min_curv
+    return theta, value
 
 
 def _closed_form(part, w: np.ndarray):
-    """theta.w - h_L(theta) maximized per row for L one point or ball: (theta, value, min_curv).
+    """theta.w - h_L(theta) maximized per row for L one point or ball: (theta, value).
 
     With centre c and radius r (0 for a point) the maximizer is
-    theta = (w - c)/|w - c| and the value |w - c| - r.  The negated sphere
-    Hessian is |w - c| times the identity on the tangent space, so the
-    transversality proxy is min(1, |w - c|), as Newton would report it.
-    theta is divided out only on rows with value > 0, the rows that can lie
-    in a window (T0, T] with T0 >= 0; w = c leaves a zero row and no warning.
+    theta = (w - c)/|w - c| and the value |w - c| - r.  theta is divided out
+    only on rows with value > 0, the rows that can lie in a window (T0, T]
+    with T0 >= 0; w = c leaves a zero row and no warning.
     """
     c, r = (part.x0, 0.0) if isinstance(part, convex._Point) else (part.center, part.radius)
     v = w - c
     dist = np.linalg.norm(v, axis=1)
     value = dist - r
     theta = np.divide(v, dist[:, None], out=np.zeros_like(v), where=(value > 0)[:, None])
-    return theta, value, np.minimum(1.0, dist)
+    return theta, value
+
+
+def _restart_theta(L: convex.SupportBody, w: np.ndarray) -> np.ndarray:
+    """Per row of w, the restart direction that maximizes theta.w - h_L(theta)."""
+    rd = _restart_directions(L.dim)
+    return rd[np.argmax(w @ rd.T - L.h(rd), axis=1)]
 
 
 def _newton_solve(L, xi_chunk, w: np.ndarray):
-    """Newton-solve one candidate chunk with restarts; returns (theta, value, min_curv)."""
+    """Newton-solve one candidate chunk with restarts; returns (theta, value).
+
+    Each row starts along w, the zero class from the best restart
+    direction; every row that fails to converge restarts once from its
+    best restart direction, all in one batch.
+    """
     wn = np.linalg.norm(w, axis=1)
-    theta0 = np.where(wn[:, None] > 0, w / np.maximum(wn, 1e-300)[:, None], 0.0)
-    if np.any(wn == 0):
-        rd = _restart_directions(L.dim)
-        vals = rd @ np.zeros(L.dim) - L.h(rd)
-        theta0[wn == 0] = rd[int(np.argmax(vals))]
-    theta, value, min_curv = _newton_batch(L, w, theta0)
-    stuck = np.isnan(value)
-    if np.any(stuck):
-        rd = _restart_directions(L.dim)
-        hs = L.h(rd)
-        for i in np.flatnonzero(stuck):
-            vals = rd @ w[i] - hs
-            t2, v2, c2 = _newton_batch(
-                L, w[i : i + 1], rd[int(np.argmax(vals))][None, :]
-            )
-            theta[i], value[i], min_curv[i] = t2[0], v2[0], c2[0]
+    zero = wn == 0
+    theta0 = w / np.where(zero, 1.0, wn)[:, None]
+    theta0[zero] = _restart_theta(L, w[zero])
+    theta, value = _newton_batch(L, w, theta0)
+    stuck = np.flatnonzero(np.isnan(value))
+    if stuck.size:
+        theta[stuck], value[stuck] = _newton_batch(L, w[stuck], _restart_theta(L, w[stuck]))
         # every candidate passed the window prefilter, so it could land in (T0, T]
-        diverged = np.flatnonzero(np.isnan(value))
+        diverged = stuck[np.isnan(value[stuck])]
         if diverged.size:
             raise NewtonDiverged(
                 f"lattice candidate {tuple(int(c) for c in xi_chunk[diverged[0]])} did "
                 f"not converge; raise T0 or inspect the body curvature"
             )
-    return theta, value, min_curv
+    return theta, value
 
 
 def _solve_chunk(L, xi_chunk, T0, T):
     """Solve one candidate chunk; returns accepted arrays and rejects.
 
     A difference body that is one point or one ball takes the closed form;
-    every other body takes Newton.
+    every other body takes Newton.  At the maximizer the negated sphere
+    Hessian has the eigenvalues t + r_i(theta), so a class is rejected as
+    degenerate when t + r_min(L) < _TRANSVERSALITY_TOL = 1e-6; only a
+    window with T0 < 1e-6 can hold such a class.
     """
     w = 2 * math.pi * xi_chunk.astype(float)
     if len(L.parts) == 1 and isinstance(L.parts[0], (convex._Point, convex._Ball)):
-        theta, value, min_curv = _closed_form(L.parts[0], w)
+        theta, value = _closed_form(L.parts[0], w)
     else:
-        theta, value, min_curv = _newton_solve(L, xi_chunk, w)
+        theta, value = _newton_solve(L, xi_chunk, w)
     rejects = []
-    degenerate = min_curv < _TRANSVERSALITY_TOL
+    degenerate = value + L.r_min < _TRANSVERSALITY_TOL
     window = (value > T0) & (value <= T)
     for i in np.flatnonzero(degenerate & window):
         rejects.append((tuple(int(c) for c in xi_chunk[i]),
@@ -345,6 +352,11 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
     body takes Newton.  Records are ordered by length groups within
     _GROUP_TOL, then by xi, as LengthSpectrum describes; lengths are
     non-decreasing up to _GROUP_TOL.
+
+    At the maximizer the negated sphere Hessian has the eigenvalues
+    t + r_i(theta), the length plus the principal radii of L.  A class with
+    t + r_min(L) < 1e-6 is rejected as degenerate and listed in rejects, so
+    only a window with T0 < 1e-6 can produce a reject.
 
     The candidate window is certified: with [h_lo, h_hi] = L.h_range(), a
     closed-form enclosure of h_L on the whole sphere, t(xi) lies between

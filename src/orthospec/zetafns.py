@@ -133,8 +133,10 @@ class ZetaModel:
 
     rho[k-1] is the coefficient of t^{k-1} in the smooth counting density,
     taken from steiner, the Steiner data of the difference body; the
-    spectrum extends to T * max(sweep) so the splice point can be swept
-    for stability error bars.  The twist is the spectrum's own, spec.beta.
+    spectrum extends to T * max(sweep): the counting fit of the residues
+    ends at each sweep factor times T for its error bars, and the Poincare
+    scan reads the whole spectrum.  The twist is the spectrum's own,
+    spec.beta.
     """
 
     spec: spectrum.LengthSpectrum
@@ -147,9 +149,9 @@ class ZetaModel:
     def dim(self) -> int:
         return self.spec.dim
 
-    def head(self, factor: float = 1.0):
-        """(lengths, phases) with length <= factor * T."""
-        n = int(np.searchsorted(self.spec.lengths, factor * self.T + 1e-12))
+    def head(self):
+        """(lengths, phases) of the records counted by N(T)."""
+        n = spectrum.counting(self.spec, self.T)
         return self.spec.lengths[:n], self.spec.phases[:n]
 
 
@@ -170,7 +172,6 @@ class SingularityFit:
     location: float
     alpha: float
     exponent: float
-    exponent_ci: tuple
     coefficient: complex
     residual: float
     nearest_line: float
@@ -249,42 +250,33 @@ def _require_untwisted(model: ZetaModel, what: str) -> None:
         raise ValueError(f"{what} requires the untwisted series (beta = 0)")
 
 
-def _check_factor(model: ZetaModel, factor: float) -> float:
-    if not 1.0 <= factor <= model.sweep[-1]:
-        raise ValueError("splice factor outside the enumerated sweep range")
-    return factor * model.T
-
-
-def zeta_eval(model: ZetaModel, s: complex, factor: float = 1.0) -> complex:
+def zeta_eval(model: ZetaModel, s: complex) -> complex:
     """Partial Dirichlet sum over the head; valid for Re(s) > d."""
     if s.real <= model.dim:
         raise ValueError("zeta_eval needs Re(s) > d; use zeta_continue instead")
-    _check_factor(model, factor)
-    lengths, phases = model.head(factor)
+    lengths, phases = model.head()
     return complex(np.sum(phases * lengths ** (-s)))
 
 
-def zeta_tail_bound(model: ZetaModel, s: complex, factor: float = 1.0) -> float:
+def zeta_tail_bound(model: ZetaModel, s: complex) -> float:
     """integral_T^inf t^{-Re(s)} rho'(t) dt, finite for Re(s) > d."""
     sig = s.real
     if sig <= model.dim:
         raise ValueError("tail integral diverges for Re(s) <= d")
-    T = _check_factor(model, factor)
     k = np.arange(1, model.dim + 1)
-    return float(np.sum(model.rho * T ** (k - sig) / (sig - k)))
+    return float(np.sum(model.rho * model.T ** (k - sig) / (sig - k)))
 
 
-def zeta_continue(model: ZetaModel, s: complex, factor: float = 1.0) -> complex:
+def zeta_continue(model: ZetaModel, s: complex) -> complex:
     """Head sum plus the exact rational tail; poles only at s = 1..d."""
     _require_untwisted(model, "zeta_continue")
     s = complex(s)
     k = np.arange(1, model.dim + 1)
     if not np.min(np.abs(s - k)) >= _POLE_TOL:
         raise PoleHit(f"s = {s} sits on a pole of the continued zeta")
-    T = _check_factor(model, factor)
-    lengths, phases = model.head(factor)
+    lengths, phases = model.head()
     head = np.sum(phases * np.exp(-s * np.log(lengths)))
-    tail = np.sum(model.rho * T ** (k - s) / (s - k))
+    tail = np.sum(model.rho * model.T ** (k - s) / (s - k))
     return complex(head + tail)
 
 
@@ -736,8 +728,7 @@ def singularity_scan(
 
     def classify(y0, z, grid):
         log_mag = np.log(np.abs(z))
-        (slope, _), cov = np.polyfit(log_eps, log_mag, 1, cov=True)
-        sd = math.sqrt(max(float(cov[0, 0]), 0.0))
+        slope, _ = np.polyfit(log_eps, log_mag, 1)
         res = np.abs(slope - (grid - 1.0))
         order = np.argsort(res)
         if res[order[0]] > 0.35:
@@ -757,7 +748,6 @@ def singularity_scan(
             location=y0,
             alpha=a,
             exponent=float(slope),
-            exponent_ci=(float(slope - 2 * sd), float(slope + 2 * sd)),
             coefficient=coeff,
             residual=float(res[order[0]]),
             nearest_line=nearest,

@@ -102,9 +102,12 @@ def test_principal_radii_of_a_ball():
 
 
 def test_area_element_point_power():
+    # a point's area element is t^(d-1): coefficients (0, ..., 0, 1)
     P = convex.point((0.0, 0.0, 0.0))
     theta = convex.spherequad.grid(3, 6).nodes
-    vals = convex.area_element(P, 2.5, theta)
+    coeffs = convex._area_coeffs(P, theta)
+    assert coeffs.shape == (theta.shape[0], 3)
+    vals = 2.5 ** np.arange(3) @ coeffs.T
     assert np.max(np.abs(vals - 2.5**2)) < 1e-12
 
 
@@ -379,7 +382,7 @@ def test_area_coeffs_match_the_frame_radii(dim):
         coeffs = convex._area_coeffs(body, theta)
         assert np.max(np.abs(coeffs / want - 1.0)) < 1e-13
         assert np.max(np.abs(convex.principal_radii(body, theta) / radii - 1.0)) < 1e-13
-        area = convex.area_element(body, ts, theta)
+        area = (ts[:, None] ** np.arange(dim)) @ coeffs.T
         assert area.shape == (ts.size, theta.shape[0])
         want_area = np.prod(ts[:, None, None] + radii[None, :, :], axis=-1)
         assert np.max(np.abs(area / want_area - 1.0)) < 1e-13

@@ -105,12 +105,11 @@ def test_newton_batch_matches_the_closed_form(K1, K2):
     xi = spectrum._lattice_box(3, 4)
     w = 2.0 * math.pi * xi[np.any(xi != 0, axis=1)]
     theta0 = w / np.linalg.norm(w, axis=1, keepdims=True)
-    theta, value, min_curv = spectrum._newton_batch(L, w, theta0)
-    want_theta, want_value, want_curv = spectrum._closed_form(L.parts[0], w)
+    theta, value = spectrum._newton_batch(L, w, theta0)
+    want_theta, want_value = spectrum._closed_form(L.parts[0], w)
     assert np.all(want_value > 0.0)
     assert np.max(np.abs(theta - want_theta)) < 1e-12
     assert np.max(np.abs(value - want_value)) < 1e-12
-    assert np.max(np.abs(min_curv - want_curv)) < 1e-12
 
 
 def test_closed_form_skips_the_class_on_the_centre_offset():
@@ -143,9 +142,9 @@ def test_last_bit_roundoff_leaves_the_row_order_alone(monkeypatch, solver):
     solve = getattr(spectrum, solver)
 
     def nudged(*args):
-        theta, value, min_curv = solve(*args)
+        theta, value = solve(*args)
         step = np.where(rng.random(value.size) < 0.5, np.inf, -np.inf)
-        return theta, np.nextafter(value, step), min_curv
+        return theta, np.nextafter(value, step)
 
     monkeypatch.setattr(spectrum, solver, nudged)
     moved = spectrum.enumerate(K1, K2, T=T)
@@ -225,6 +224,78 @@ def test_degenerate_maximizer_is_rejected():
     assert (xi, reason) == ((1, 0), "NonUniqueMaximizer")
     assert length == pytest.approx(5e-7, rel=1e-6)
     assert (1, 0) not in set(map(tuple, spec.xi.tolist()))
+
+
+def test_short_ball_pair_class_is_kept():
+    # xi = (1, 0) has length 5e-7, but the negated sphere Hessian t + r
+    # stays above the transversality threshold 1e-6
+    r = 1.5e-6
+    c = (2.0 * math.pi - 2.0 * r - 5e-7, 0.0)
+    spec = spectrum.enumerate(convex.ball(c, r), convex.ball((0.0, 0.0), r), T0=0.0, T=10.0)
+    assert spec.rejects == ()
+    first = spec.xi.tolist().index([1, 0])
+    assert spec.lengths[first] == pytest.approx(5e-7, rel=1e-6)
+
+
+def test_zero_class_of_a_disjoint_pair_is_the_distance():
+    # an ellipse and a point outside it in one cell: the class xi = 0 is the
+    # straight segment from the point to the ellipse
+    centre, axes, p = np.array([0.4, -0.2]), np.array([1.3, 0.7]), np.array([2.1, 1.3])
+    spec = spectrum.enumerate(convex.ellipsoid(centre, axes), convex.point(p), T0=0.0, T=3.0)
+    s = np.linspace(0.0, 2.0 * math.pi, 400_001)
+    boundary = centre + axes * np.stack([np.cos(s), np.sin(s)], axis=1)
+    brute = np.min(np.linalg.norm(boundary - p, axis=1))
+    zero = np.flatnonzero(np.all(spec.xi == 0, axis=1))
+    assert zero.size == 1
+    assert abs(spec.lengths[zero[0]] - brute) < 1e-9
+
+
+def test_enumerate_makes_no_stacked_eigendecomposition(monkeypatch):
+    # transversality comes from the body's r_min, not from the Hessians of
+    # the records
+    K1 = convex.ellipsoid((0.1, 0.0, 0.2), (1.2, 0.8, 0.6))
+    K2 = convex.ball((0.0, 0.3, 0.0), 0.4)
+    eigvalsh = np.linalg.eigvalsh
+    shapes = []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    spec = spectrum.enumerate(K1, K2, T=25.0)
+    assert len(spec) > 0
+    assert all(len(shape) == 2 for shape in shapes)
+
+
+def test_unconverged_rows_restart_in_one_batch(monkeypatch):
+    K1 = convex.ellipsoid((0.1, 0.0, 0.2), (1.2, 0.8, 0.6))
+    K2 = convex.ball((0.0, 0.3, 0.0), 0.4)
+    base = spectrum.enumerate(K1, K2, T=25.0)
+    monkeypatch.setattr(spectrum, "_CHUNK", 64)
+    chunks, calls = [], []
+    solve, batch = spectrum._solve_chunk, spectrum._newton_batch
+
+    def counted(L, xi_chunk, T0, T):
+        chunks.append(len(xi_chunk))
+        return solve(L, xi_chunk, T0, T)
+
+    def stalling(L, w, theta0):
+        # the first call of each chunk loses every third row
+        theta, value = batch(L, w, theta0)
+        if len(calls) == 2 * (len(chunks) - 1):
+            value[::3] = np.nan
+        calls.append(w.shape[0])
+        return theta, value
+
+    monkeypatch.setattr(spectrum, "_solve_chunk", counted)
+    monkeypatch.setattr(spectrum, "_newton_batch", stalling)
+    moved = spectrum.enumerate(K1, K2, T=25.0)
+    assert len(chunks) >= 3
+    assert len(calls) == 2 * len(chunks)
+    assert calls[1::2] == [-(-n // 3) for n in chunks]
+    assert np.array_equal(moved.xi, base.xi)
+    assert np.max(np.abs(moved.lengths - base.lengths)) < 1e-12
 
 
 def test_newton_diverged_names_the_candidate(monkeypatch):
