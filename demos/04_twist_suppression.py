@@ -33,13 +33,14 @@ def main() -> None:
     print(f"  threshold {report.threshold:.3e}")
 
     # integer beta0 plus an exact mode keeps the T^d term; the report
-    # switches to weighted residues checked against the counting fit
+    # switches to weighted residues checked against the Gaussian-smoothed
+    # estimate read off the phase-weighted spectrum
     f_only = spectrum.TwistForm((0.0, 0.0), {(1, 0): 0.3, (-1, 0): 0.3})
     model2 = zetafns.build_zeta_model(p, convex.point((1.1, -0.7)),
                                       beta=f_only, T=120.0, sweep=(1.0, 2.0))
     report2 = zetafns.twist_suppression(model2)
     print(f"\nf-only twist: mode = {report2.mode}, "
-          f"certified = {report2.certified}, deviation {report2.deviation:.3f}")
+          f"certified = {report2.certified}, deviation {report2.deviation:.1e}")
 
 
 if __name__ == "__main__":

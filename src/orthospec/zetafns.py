@@ -132,17 +132,16 @@ class ZetaModel:
     """Head/tail splice: enumerated spectrum below T, Steiner density above.
 
     rho[k-1] is the coefficient of t^{k-1} in the smooth counting density,
-    taken from steiner, the Steiner data of the difference body; the
-    spectrum extends to T * max(sweep): the counting fit of the residues
-    ends at each sweep factor times T for its error bars, and the Poincare
-    scan reads the whole spectrum.  The twist is the spectrum's own,
-    spec.beta.
+    taken from steiner, the Steiner data of the difference body; spec runs
+    on to T * max(sweep).  The Poincare scan reads all of it, and so does
+    the Gaussian-smoothed estimate of rho behind residues and
+    twist_suppression (width sigma, error about exp(-sigma^2 / 2)).  The
+    twist is the spectrum's own, spec.beta.
     """
 
     spec: spectrum.LengthSpectrum
     rho: np.ndarray
     T: float
-    sweep: tuple
     steiner: convex.SteinerData
 
     @property
@@ -225,7 +224,7 @@ def build_zeta_model(
     if abs(rho[-1] - lead) > 1e-8 * lead:
         raise ValueError("tail density leading coefficient fails the sphere check")
     return ZetaModel(spec=spec, rho=np.asarray(rho, dtype=float), T=float(T),
-                     sweep=sweep, steiner=steiner)
+                     steiner=steiner)
 
 
 def _sweep_factors(sweep: Sequence[float]) -> tuple:
@@ -280,44 +279,45 @@ def zeta_continue(model: ZetaModel, s: complex) -> complex:
     return complex(head + tail)
 
 
-def _counting_fit(model: ZetaModel):
-    """Least-squares polynomial residues from the phase-weighted counting data.
-
-    Returns per-sweep-factor arrays of fitted residues ell * c_ell from
-    N_beta(T') ~ sum c_k T'^k + c_0 over T' in [T0 + 1, factor * T].
-    """
-    lengths, w = model.spec.lengths, model.spec.phases
-    d = model.dim
-    out = []
-    for factor in model.sweep:
-        hi = factor * model.T
-        lo = min(model.spec.T0 + 1.0, 0.5 * hi)
-        grid = np.linspace(lo, hi, 200)
-        counts = np.array(
-            [np.sum(w[: np.searchsorted(lengths, t + 1e-12)]) for t in grid]
-        )
-        cols = np.vstack([grid**k for k in range(d + 1)]).T
-        coef, *_ = np.linalg.lstsq(cols, counts, rcond=None)
-        out.append(np.arange(1, d + 1) * coef[1:])
-    return out
+def _smoothed_density(spec: spectrum.LengthSpectrum) -> np.ndarray:
+    """rho[0..d-1] from the phase-weighted window sums of the whole spectrum (see residues)."""
+    d = spec.dim
+    sigma = min(8.0, (spec.T - spec.T0) / 25.0)
+    mu = np.linspace(spec.T0 + 8.5 * sigma, spec.T - 8.5 * sigma, 2 * d)
+    sums = [np.sum(spec.phases * GaussianWindow(m, sigma).value(spec.lengths)) for m in mu]
+    moments = [np.ones_like(mu), mu]  # E[(mu + sigma Z)^k]
+    for k in range(2, d):
+        moments.append(mu * moments[-1] + (k - 1) * sigma**2 * moments[-2])
+    cols = sigma * math.sqrt(2.0 * math.pi) * np.stack(moments[:d], axis=1)
+    rho, *_ = np.linalg.lstsq(cols, sums, rcond=None)
+    return rho
 
 
 def residues(model: ZetaModel) -> list:
-    """Tail-model residues at s = 1..d with a counting-stability error bar."""
+    """Steiner residues rho[ell-1] at s = 1..d, each with its distance from the spectrum.
+
+    Poisson summation at the zero dual frequency turns the window sums
+    sum phase * GaussianWindow(mu, sigma).value(l) over the whole spectrum
+    into sum_k rho[k-1] int t^{k-1} g(t) dt; 2d centres mu in
+    [T0 + 8.5 sigma, T - 8.5 sigma], sigma = min(8, (T - T0) / 25), and
+    one least-squares solve against the Gaussian moments give the
+    estimate, and error is |estimate - residue|.  The nonzero dual
+    frequencies leave about exp(-sigma^2 / 2) of it: a short window
+    reports an unresolved identity, it does not move the residue.
+    """
     _require_untwisted(model, "residues")
     d = model.dim
     intrinsic = model.steiner.intrinsic
-    fits = _counting_fit(model)
+    estimate = _smoothed_density(model.spec)
     out = []
     for ell in range(1, d + 1):
         exact = float(model.rho[ell - 1])
         predicted = _ball_density(ell, d) * intrinsic[d - ell]
-        err = max(abs(complex(f[ell - 1]) - exact) for f in fits)
         out.append(
             ResidueEstimate(
                 pole=ell,
                 residue=complex(exact),
-                error=float(err),
+                error=float(abs(estimate[ell - 1] - exact)),
                 predicted_from_volumes=float(predicted),
             )
         )
@@ -352,8 +352,8 @@ def twist_suppression(model: ZetaModel) -> TwistReport:
     ladder t = (0.25, 0.5, 1) * T, T the window end of the spectrum,
     certified when the ratios decrease and the last sits below a quarter of
     the untwisted level.  For integer beta0 (including the
-    f-only case): weighted residues by quadrature against the empirical
-    counting fit.
+    f-only case): weighted residues by quadrature against the estimate of
+    residues over the phase-weighted spectrum, good to about exp(-sigma^2 / 2).
     """
     spec = model.spec
     d = model.dim
@@ -375,8 +375,7 @@ def twist_suppression(model: ZetaModel) -> TwistReport:
             threshold=threshold,
         )
     weighted = _weighted_density_residues(model)
-    fits = _counting_fit(model)
-    emp = fits[-1]
+    emp = _smoothed_density(spec)
     dev = float(np.max(np.abs(emp - weighted)))
     lead_scale = float(model.rho[-1])
     return TwistReport(

@@ -102,10 +102,12 @@ def test_criterion_2_residues_are_intrinsic_volumes(capsys):
                 / ((2.0 * math.pi) ** 3 * math.gamma(ell / 2.0 + 1.0))
                 * volumes[3 - ell])
         devs3.append(abs(est.residue.real / want - 1.0))
+    # the spectral deviation: the Gaussian-smoothed estimate off the Steiner value
+    spec2, spec3 = (max(e.error / abs(e.residue) for e in ests) for ests in (ests2, ests3))
     ok = dev1 <= 0.01 and dev2 <= 0.005 and max(devs3) <= 0.03
     report(capsys, 2, "residue identity", ok,
-           f"ellipse devs {dev1:.2e}/{dev2:.2e}; ball devs "
-           + "/".join(f"{d:.1e}" for d in devs3))
+           f"ellipse devs {dev1:.2e}/{dev2:.2e}, spectral {spec2:.1e}; ball devs "
+           + "/".join(f"{d:.1e}" for d in devs3) + f", spectral {spec3:.1e}")
 
 
 def test_criterion_3_twisted_counting_collapses(points2_400, capsys):

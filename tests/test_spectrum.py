@@ -268,6 +268,33 @@ def test_enumerate_makes_no_stacked_eigendecomposition(monkeypatch):
     assert all(len(shape) == 2 for shape in shapes)
 
 
+def test_singular_solves_fall_back_to_gradient_steps(monkeypatch):
+    # a stacked solve that raises is redone row by row, and a row whose own
+    # solve raises takes the short gradient step; the spectrum is unchanged
+    K1 = convex.ellipsoid((0.1, 0.0, 0.2), (1.2, 0.8, 0.6))
+    K2 = convex.ball((0.0, 0.3, 0.0), 0.4)
+    base = spectrum.enumerate(K1, K2, T0=4.0, T=25.0)
+    solve = np.linalg.solve
+    calls = {"stacked": 0, "rows": 0, "singular": 0}
+
+    def flaky(A, b):
+        if np.ndim(A) == 3:
+            calls["stacked"] += 1
+            raise np.linalg.LinAlgError("singular stack")
+        calls["rows"] += 1
+        if calls["rows"] % 97 == 0:
+            calls["singular"] += 1
+            raise np.linalg.LinAlgError("singular row")
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky)
+    moved = spectrum.enumerate(K1, K2, T0=4.0, T=25.0)
+    monkeypatch.undo()
+    assert calls["stacked"] > 0 and calls["singular"] > 0
+    assert np.array_equal(moved.xi, base.xi)
+    assert np.max(np.abs(moved.lengths - base.lengths)) < 1e-12
+
+
 def test_unconverged_rows_restart_in_one_batch(monkeypatch):
     K1 = convex.ellipsoid((0.1, 0.0, 0.2), (1.2, 0.8, 0.6))
     K2 = convex.ball((0.0, 0.3, 0.0), 0.4)

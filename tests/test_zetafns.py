@@ -103,10 +103,37 @@ def test_residues_of_the_ellipse(ellipse_model):
         ELLIPSE_PERIMETER / (2.0 * math.pi) ** 2, rel=1e-9)
     assert res2.residue.real == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
     assert res1.predicted_from_volumes == pytest.approx(res1.residue.real, rel=1e-9)
-    # counting-fit error bars: tight for the leading pole, looser below it
     assert all(e.error >= 0.0 for e in ests)
     assert res2.error < 0.02 * abs(res2.residue)
     assert res1.error < 0.10 * abs(res1.residue)
+    # the default model enumerates to 4 T = 120 pi, so sigma = 8 and the
+    # dual frequencies sit at exp(-32) of the zero-frequency term
+    for est in ests:
+        assert est.error <= 1e-9 * abs(est.residue), est
+
+
+def test_residues_err_reads_an_ellipsoid_ball_spectrum():
+    # d = 3 with curvature: the spectrum must run to 200 (sigma = 7.9); to
+    # 160 (sigma = 6.3) the estimate is off by 4e-5 at ell = 1
+    E = convex.ellipsoid((0.0, 0.0, 0.0), (0.5, 0.35, 0.25))
+    B = convex.ball((0.0, 0.0, 0.0), 0.2)
+    model = zetafns.build_zeta_model(E, B, T=100.0, sweep=(1.0, 2.0))
+    assert model.spec.T == 200.0
+    ests = zetafns.residues(model)
+    assert [e.pole for e in ests] == [1, 2, 3]
+    for est in ests:
+        assert est.error <= 1e-8 * abs(est.residue), est
+
+
+def test_residues_err_flags_a_short_window():
+    # a spectrum to 40 gives sigma = 1.5: the dual frequencies swamp the sums,
+    # and err says the identity is unresolved instead of moving the residue
+    b1 = convex.ball((0.0, 0.0, 0.0), 0.3)
+    b2 = convex.ball((0.0, 0.0, 0.0), 0.2)
+    model = zetafns.build_zeta_model(b1, b2, T=20.0, sweep=(1.0, 2.0))
+    res1 = zetafns.residues(model)[0]
+    assert res1.residue.real == model.rho[0]
+    assert res1.error >= 0.1 * abs(res1.residue)
 
 
 def test_residues_reject_twisted_models():
@@ -138,7 +165,7 @@ def test_twist_suppression_weighted_mode():
     assert rep.mode == "weighted"
     assert rep.certified
     assert len(rep.weighted) == 2 and len(rep.empirical) == 2
-    assert rep.deviation < 0.05
+    assert rep.deviation < 1e-9
 
 
 def test_poincare_eval_matches_spectral_closed_form(model3):
@@ -324,8 +351,7 @@ def synthetic_model(power, T=300.0):
         beta=ZERO3, xi=np.zeros((n, 3), dtype=int),
         theta=np.zeros((n, 3)), lengths=lengths,
         phases=0.01 * lengths**power * np.exp(1.3j * lengths))
-    return zetafns.ZetaModel(spec=spec, rho=np.zeros(3), T=T, sweep=(1.0,),
-                             steiner=None)
+    return zetafns.ZetaModel(spec=spec, rho=np.zeros(3), T=T, steiner=None)
 
 
 def nan_phase_model():
