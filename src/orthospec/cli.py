@@ -4,7 +4,9 @@ Every capability is a subcommand reading one JSON configuration document and
 writing CSV/JSON artifacts plus a gnuplot script into the output directory.
 Identical configurations produce byte-identical artifacts regardless of the
 worker count; the fully resolved configuration and tool version are echoed
-next to the outputs so runs are self-describing.
+next to the outputs so runs are self-describing.  Each subcommand imports
+only the modules it runs, inside its own function: ``oscint`` loads
+spherequad alone, and no oscillatory subcommand loads spectrum or zetafns.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import copy
 import json
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import __version__, _tables, convex, dynamics, spectrum, spherequad, zetafns
+from . import __version__, _tables
+
+if TYPE_CHECKING:  # the subcommands import these inside their functions
+    from . import convex, dynamics, spectrum, zetafns
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -163,6 +168,7 @@ def _parse_coeff(v) -> complex:
 
 def build_body(dim: int, spec: dict) -> convex.SupportBody:
     """The body of a checked description; one the constructors reject is a ConfigError."""
+    from . import convex
     kind = spec["kind"]
     with _config_errors(f"{kind} body"):
         if kind == "point":
@@ -186,6 +192,7 @@ def build_body(dim: int, spec: dict) -> convex.SupportBody:
 
 def _twist_form(cfg: dict) -> spectrum.TwistForm:
     """The configured twist; one that TwistForm rejects is a ConfigError."""
+    from . import spectrum
     with _config_errors("twist"):
         modes = {_parse_freq(k): _parse_coeff(v)
                  for k, v in cfg["twist"]["modes"].items()}
@@ -193,6 +200,7 @@ def _twist_form(cfg: dict) -> spectrum.TwistForm:
 
 
 def _observable(cfg: dict, name: str) -> dynamics.TorusObservable:
+    from . import dynamics
     if name not in cfg["observables"]:
         raise ConfigError(f"configuration lacks observable '{name}'")
     spec = cfg["observables"][name]
@@ -214,6 +222,7 @@ def _window_T(cfg: dict, default: float, k1, k2, T0, reach: float = 1.0) -> floa
 
     T0 = None stands for the start the enumeration takes from the bodies.
     """
+    from . import spectrum
     T = default if cfg["ranges"]["T"] is None else float(cfg["ranges"]["T"])
     if T0 is None:
         T0 = spectrum._default_T0(k1, k2)
@@ -279,6 +288,7 @@ def _plot_script(path, title: str, lines: list) -> None:
 
 
 def _cmd_volumes(cfg, out, workers, log):
+    from . import convex
     if not cfg["bodies"]:
         raise ConfigError("volumes needs at least one body")
     report = {}
@@ -303,6 +313,7 @@ def _cmd_volumes(cfg, out, workers, log):
 
 
 def _cmd_spectrum(cfg, out, workers, log):
+    from . import spectrum
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     r = cfg["ranges"]
@@ -329,6 +340,7 @@ def _cmd_spectrum(cfg, out, workers, log):
 
 
 def _zeta_model(cfg, k1, k2, beta, workers) -> zetafns.ZetaModel:
+    from . import zetafns
     r = cfg["ranges"]
     with _config_errors("ranges.sweep"):
         sweep = zetafns._sweep_factors(r["sweep"])
@@ -338,6 +350,7 @@ def _zeta_model(cfg, k1, k2, beta, workers) -> zetafns.ZetaModel:
 
 
 def _cmd_zeta(cfg, out, workers, log, report_residues=False):
+    from . import zetafns
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     r = cfg["ranges"]
@@ -393,6 +406,7 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
 
 
 def _cmd_poincare(cfg, out, workers, log):
+    from . import zetafns
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     r = cfg["ranges"]
@@ -458,6 +472,7 @@ def _cmd_poincare(cfg, out, workers, log):
 
 
 def _cmd_guinand(cfg, out, workers, log):
+    from . import spectrum, zetafns
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
     T = _window_T(cfg, _SPECTRUM_T, k1, k2, 0.0)
@@ -500,6 +515,7 @@ def _cmd_guinand(cfg, out, workers, log):
 
 
 def _cmd_correlate(cfg, out, workers, log):
+    from . import dynamics
     beta0 = np.asarray(cfg["twist"]["beta0"], dtype=float)
     phi = _observable(cfg, "phi")
     psi = _observable(cfg, "psi")
@@ -539,6 +555,7 @@ def _cmd_correlate(cfg, out, workers, log):
 
 
 def _cmd_equidist(cfg, out, workers, log):
+    from . import dynamics
     name = cfg["body"]
     if name is None:
         if not cfg["bodies"]:
@@ -572,6 +589,7 @@ def _cmd_equidist(cfg, out, workers, log):
 
 
 def _cmd_oscint(cfg, out, workers, log):
+    from . import spherequad
     d = cfg["dim"]
     xi = cfg["oscint"]["xi"]
     xi = np.asarray([1.0] + [0.0] * (d - 1) if xi is None else xi, dtype=float)

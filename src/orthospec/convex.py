@@ -196,8 +196,9 @@ class SupportBody:
     dim: int
     kind: str
     parts: tuple
-    # least and greatest principal radius over the validation grid; a Minkowski
-    # sum takes the sums of its operands' values, which bracket its own (Weyl)
+    # least and greatest principal radius: a ball's radius, else over the
+    # validation grid; a Minkowski sum takes the sums of its operands' values,
+    # which bracket its own (Weyl)
     r_min: float = 0.0
     r_max: float = 0.0
 
@@ -280,9 +281,11 @@ def point(x0) -> SupportBody:
 def ball(center, radius: float) -> SupportBody:
     center = _finite("ball center", center)
     radius = float(_finite("ball radius", radius))
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
-    return _certify(center.size, "ball", (_Ball(center, radius),))
+    if not radius > _MIN_RADIUS:
+        raise ValueError(f"ball radius {radius:.3e} must exceed {_MIN_RADIUS:g}")
+    # every principal radius of a ball is its radius: no validation grid
+    return SupportBody(dim=center.size, kind="ball", parts=(_Ball(center, radius),),
+                       r_min=radius, r_max=radius)
 
 
 def ellipsoid(center, semiaxes, rotation: Optional[np.ndarray] = None) -> SupportBody:

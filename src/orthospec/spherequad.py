@@ -1,12 +1,25 @@
 """Quadrature and oscillatory integrals on round spheres.
 
 Grids are tensor products of Gauss-Gegenbauer rules in the polar cosines and
-a uniform (trapezoid) rule in the azimuth.  The Gauss rules are computed
-here, by Newton's method on the Gegenbauer three-term recurrence.
-``grid(dim, order)`` integrates all polynomials of total degree <= 2*order - 1
-exactly.  ``grid(dim, order, inner)`` keeps ``order`` nodes in the outermost
-polar cosine (the first coordinate) and puts ``grid(dim - 1, inner)`` on the
+a uniform (trapezoid) rule in the azimuth.  ``grid(dim, order)`` integrates
+all polynomials of total degree <= 2*order - 1 exactly.
+``grid(dim, order, inner)`` keeps ``order`` nodes in the outermost polar
+cosine (the first coordinate) and puts ``grid(dim - 1, inner)`` on the
 sphere beside it.
+
+The Gauss rules are computed here, by Newton's method in the polar angle
+theta (u = cos theta), and no evaluation loops over the order n.  Away from
+the poles C^lam_n(cos theta) is the Darboux-Szego expansion
+[2 Gamma(n + 2 lam) / (Gamma(lam) Gamma(n + lam + 1))] sum_m [(lam)_m
+(1 - lam)_m / (m! (n + lam + 1)_m)] cos((n + m + lam) theta - (m + lam) pi/2)
+/ (2 sin theta)^(m + lam), cut at its first negligible term; for integer lam
+it ends at m = lam, is exact, and serves every angle.  Near the poles, where
+(n + lam) theta < 25, a non-integer lam takes the exact positive cosine sum
+sum_k g_k g_(n-k) cos((n - 2k) theta), g_k = (lam)_k / k!.  The weights are
+proportional to 1 / (dC/dtheta)^2 and scaled to the mass.  A rule raises
+ArithmeticError unless Newton converged (its last step moved every node by
+at most 1e-15), every root lies in (0, pi/2], and consecutive dC/dtheta
+alternate in sign.
 
 Oscillatory integrals use such a grid with its polar axis turned onto the
 stationary points +-omega of the phase: only the polar rule has to follow
@@ -55,6 +68,8 @@ __all__ = [
 
 
 _NEWTON_STEPS = 30  # before a Gauss rule counts as failed
+_POLE_PHASE = 25.0  # (n + lam) theta below which a non-integer lam takes the cosine sum
+_SZEGO_TERMS = 25   # most terms of the Darboux-Szego expansion
 _RUNGS = (16, 19, 23, 27)  # times 2^k: the polar orders of osc_integral
 
 
@@ -98,40 +113,126 @@ def _gegenbauer(n: int, lam: float, x) -> tuple[np.ndarray, np.ndarray]:
     return cur, prev
 
 
+def _gegenbauer_angle(n: int, lam: float, x, polar, pole_sum) -> tuple[np.ndarray, np.ndarray]:
+    """(C^lam_n(cos theta), dC/dtheta) with theta = x on ``polar`` and pi/2 - x elsewhere.
+
+    The two sums of ``_gauss_gegenbauer``, with no loop over n: the cosine
+    sum on ``pole_sum`` (all of them polar), folded onto k <= n/2, and
+    elsewhere the Szego expansion.  Its term m is a_m z^m e^{i phi_0} with
+    z = r e^{i (theta - pi/2)} = (1 - i cot theta) / 2, r = 1 / (2 sin theta)
+    and phi_0 = (n + lam) theta - lam pi/2, so one (angles x terms) array of
+    powers of z serves the value and the derivative.  It is cut before its
+    first term below 1e-17 at the smallest sin theta and after at most 25
+    terms.
+    """
+    c = np.empty_like(x)
+    dc = np.empty_like(x)
+    if np.any(pole_sum):
+        k = np.arange(n // 2 + 1)
+        g = np.cumprod(np.concatenate([[1.0], (lam + np.arange(n)) / np.arange(1.0, n + 1)]))
+        coef = g[k] * g[n - k] * np.where(2 * k < n, 2.0, 1.0)
+        freq = n - 2.0 * k
+        phase = np.outer(x[pole_sum], freq)
+        c[pole_sum] = np.sum(np.cos(phase) * coef, axis=1)
+        dc[pole_sum] = -np.sum(np.sin(phase) * (coef * freq), axis=1)
+    szego = ~pole_sum
+    if np.any(szego):
+        xs, ps = x[szego], polar[szego]
+        sin_t = np.where(ps, np.sin(xs), np.cos(xs))
+        cot = np.where(ps, np.cos(xs), np.sin(xs)) / sin_t
+        r_max = float(np.max(0.5 / sin_t))
+        a = [1.0]  # (lam)_m (1 - lam)_m / (m! (n + lam + 1)_m)
+        while len(a) < _SZEGO_TERMS:
+            m = len(a)
+            a_m = a[-1] * (lam + m - 1.0) * (m - lam) / (m * (n + lam + m))
+            if abs(a_m) * r_max ** m < 1e-17:
+                break
+            a.append(a_m)
+        a = np.asarray(a)
+        powers = np.vander(0.5 - 0.5j * cot, a.size, increasing=True)
+        # phi_0 from pi/2 - theta is n pi/2 - (n + lam) psi, with n pi/2 taken exactly
+        phi0 = np.where(ps, (n + lam) * xs - lam * (math.pi / 2.0),
+                        (n % 4) * (math.pi / 2.0) - (n + lam) * xs)
+        turn = np.exp(1j * phi0)
+        # sum_m a_m r^m e^{i phi_m}, and the same with a factor m; summed
+        # element-wise, since BLAS products here stalled rule builds for
+        # ~60 ms at a time on a 2-core host
+        s0 = turn * np.sum(powers * a, axis=1)
+        s1 = turn * np.sum(powers * (np.arange(a.size) * a), axis=1)
+        # 2 Gamma(n + 2 lam) / (Gamma(lam) Gamma(n + lam + 1)) without overflow:
+        # Gamma(n + 2 lam) / Gamma(n + lam + 1) over its value at n = 0 is
+        # prod_(j < n) (1 + (lam - 1) / (j + lam + 1))
+        growth = math.fsum(np.log1p((lam - 1.0) / (np.arange(n) + lam + 1.0)))
+        scale = (2.0 * math.gamma(2.0 * lam) / (math.gamma(lam) * math.gamma(lam + 1.0))
+                 * math.exp(growth) * (2.0 * sin_t) ** -lam)
+        c[szego] = scale * s0.real
+        # d/dtheta of a_m r^(m + lam) cos(phi_m) is
+        # -a_m r^(m + lam) [(n + m + lam) sin(phi_m) + (m + lam) cot(theta) cos(phi_m)]
+        dc[szego] = -scale * ((n + lam) * s0.imag + s1.imag + cot * (lam * s0.real + s1.real))
+    return c, dc
+
+
 @lru_cache(maxsize=None)
 def _gauss_gegenbauer(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Order-n Gauss rule for the weight (1 - u^2)^(lam - 1/2) on [-1, 1], lam > 0.
 
-    Newton's method finds the n // 2 positive roots of C^lam_n, starting
-    from the Gatteschi-Pittaluga asymptotic angles; the other nodes are
-    their mirror images and, for odd n, zero.  The weights are proportional
-    to 1 / ((1 - u^2) C_n'(u)^2) and scaled to the total mass
-    sqrt(pi) Gamma(lam + 1/2) / Gamma(lam + 1).  They take (1 - u^2) C_n' =
-    (n + 2 lam - 1) C_(n-1) - n u C_n in full: C_(n-1) alone equals it at
-    the root but follows the last bit of u near the ends far more closely
-    (end weights 1.6e-8 off at n = 1000, against 2e-11).  Nodes are
-    ascending and exactly symmetric.  A rule is built once per (n, lam)
-    and its arrays are read-only.
+    Newton's method in the polar angle theta (u = cos theta) finds the
+    n // 2 roots of C^lam_n in (0, pi/2), starting from the
+    Gatteschi-Pittaluga asymptotic angles; the other nodes are their mirror
+    images and, for odd n, zero.  No evaluation loops over n.  For
+    non-integer lam, roots with (n + lam) theta < 25 use the exact positive
+    cosine sum
+
+        C^lam_n(cos theta) = sum_k g_k g_(n-k) cos((n - 2k) theta),  g_k = (lam)_k / k!,
+
+    and the others, and every root for integer lam, the Darboux-Szego
+    expansion
+
+        C^lam_n(cos theta) = [2 Gamma(n + 2 lam) / (Gamma(lam) Gamma(n + lam + 1))]
+            sum_m [(lam)_m (1 - lam)_m / (m! (n + lam + 1)_m)]
+                  cos((n + m + lam) theta - (m + lam) pi/2) / (2 sin theta)^(m + lam),
+
+    cut at its first negligible term.  For integer lam the expansion stops
+    at m = lam and is exact.  A root on the cosine sum or below pi/4 is
+    carried as theta and the others as pi/2 - theta, so that u is as fine
+    near 0 as near 1.  The weights are proportional to
+    1 / (dC/dtheta)^2, since (1 - u^2) C_n'(u)^2 = (dC/dtheta)^2, and scaled
+    to the total mass sqrt(pi) Gamma(lam + 1/2) / Gamma(lam + 1).  The rule
+    raises ArithmeticError unless Newton converged, every root's last step
+    moving u by at most 1e-15, every root lies in (0, pi/2], and consecutive
+    dC/dtheta over the sorted roots alternate in sign, so that no root is
+    found twice.  Nodes are ascending and exactly symmetric.  A rule is
+    built once per (n, lam) and its arrays are read-only.
     """
     big_n = n + lam
     phi = (np.arange(1, n // 2 + 1) + 0.5 * lam - 0.5) * (math.pi / big_n)
-    u = np.cos(phi + (0.25 - (lam - 0.5) ** 2) / (2.0 * big_n * big_n * np.tan(phi)))
+    theta = phi + (0.25 - (lam - 0.5) ** 2) / (2.0 * big_n * big_n * np.tan(phi))
+    integer = lam == math.floor(lam)
+    pole_sum = (big_n * theta < _POLE_PHASE) & (not integer)
+    polar = pole_sum | (theta < math.pi / 4.0)
+    x = np.where(polar, theta, math.pi / 2.0 - theta)
+    sin_theta = np.sin(theta)
     for _ in range(_NEWTON_STEPS):
-        c, cm = _gegenbauer(n, lam, u)
-        du = (n + 2.0 * lam - 1.0) * cm - n * u * c  # (1 - u^2) C_n'(u)
-        step = c * (1.0 - u) * (1.0 + u) / du
-        u = u - step
-        converged = bool(np.all(np.abs(step) <= 1e-15))
+        c, dc = _gegenbauer_angle(n, lam, x, polar, pole_sum)
+        step = c / dc  # in theta, and -step in pi/2 - theta
+        x = x - np.where(polar, step, -step)
+        converged = bool(np.all(np.abs(step) * sin_theta <= 1e-15))
         if converged:
             break
-    if n % 2:
-        u = np.append(u, 0.0)
-    c, cm = _gegenbauer(n, lam, u)
-    # distinct consecutive roots of C_n enclose a root of C_(n-1)
-    if not (converged and np.all(u >= 0.0) and np.all(cm[1:] * cm[:-1] < 0.0)):
+    if n % 2:  # the root at the equator
+        x, polar = np.append(x, math.pi / 2.0), np.append(polar, True)
+        pole_sum = np.append(pole_sum, big_n * math.pi / 2.0 < _POLE_PHASE and not integer)
+    theta = np.where(polar, x, math.pi / 2.0 - x)
+    order = np.argsort(theta)
+    theta, x, polar, pole_sum = (v[order] for v in (theta, x, polar, pole_sum))
+    _, dc = _gegenbauer_angle(n, lam, x, polar, pole_sum)
+    if not (converged and np.all(theta > 0.0) and np.all(theta <= math.pi / 2.0)
+            and np.all(dc[1:] * dc[:-1] < 0.0)):
         raise ArithmeticError(f"Gauss-Gegenbauer Newton iteration failed (n={n}, lam={lam})")
-    du = (n + 2.0 * lam - 1.0) * cm - n * u * c
-    w = (1.0 - u) * (1.0 + u) / (du * du)
+    u = np.where(polar, np.cos(x), np.sin(x))
+    if n % 2:
+        u[-1] = 0.0
+    w = 1.0 / (dc * dc)
     half = n // 2
     nodes = np.concatenate([-u[:half], u[::-1]])
     weights = np.concatenate([w[:half], w[::-1]])

@@ -565,6 +565,57 @@ def test_subcommands_never_load_scipy():
     assert all(loaded == "-" for _, loaded in steps), out.stdout
 
 
+_LOADED_MODULES = """
+import sys
+from orthospec import cli
+
+code = cli.main(sys.argv[1:])
+print(code, ",".join(sorted(m for m in sys.modules if m.startswith("orthospec."))))
+"""
+
+_SCOPED_RUNS = {
+    "oscint": {"dim": 3, "ranges": {"t_grid": [40.0, 80.0]}},
+    "correlate": {
+        "dim": 3,
+        "observables": {"phi": {"modes": {"1,0,0": 1.0}},
+                        "psi": {"modes": {"-1,0,0": 1.0}}},
+        "ranges": {"t_grid": [40.0, 80.0]},
+    },
+    "equidist": {
+        "dim": 2,
+        "bodies": {"B": {"kind": "ball", "radius": 0.5}},
+        "observables": {"f": {"modes": {"0,0": 1.0, "1,0": 0.5}}},
+        "ranges": {"t_grid": [10.0, 20.0]},
+    },
+    "volumes": {"dim": 2, "bodies": {"B": {"kind": "ball", "radius": 0.5}}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SCOPED_RUNS))
+def test_subcommands_import_only_the_modules_they_run(command, tmp_path):
+    # every fresh process pays for what it imports before its first
+    # integral, so an oscillatory subcommand loads no enumeration or zeta
+    # code, and volumes no dynamics
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cfg = write_config(tmp_path / "c.json", _SCOPED_RUNS[command])
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, command, "--config", cfg,
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, loaded = out.stdout.split()
+    assert code == "0", out.stderr
+    loaded = {m.removeprefix("orthospec.") for m in loaded.split(",")}
+    if command == "oscint":
+        assert loaded == {"cli", "_tables", "spherequad"}
+    elif command == "volumes":
+        assert not loaded & {"spectrum", "zetafns", "dynamics"}, loaded
+    else:
+        assert not loaded & {"spectrum", "zetafns"}, loaded
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -290,10 +290,12 @@ def test_derived_bodies_take_their_radii_from_the_operands(dim):
     B = convex.ball(c, 0.6)
     E = convex.ellipsoid(c, np.linspace(1.3, 0.6, dim), rotation=_rotation(dim, dim))
     Z = convex.harmonic(B, [(4, np.ones(dim), 0.01), (2, np.eye(dim)[0], 0.02)])
-    # the grid is antipodally symmetric: a reflection's grid radii keep their bits
+    # the grid is antipodally symmetric: a reflection's grid radii keep their
+    # bits; a ball carries its radius exactly
     for body in (B, E, Z):
         R = convex.reflect(body)
-        assert (R.r_min, R.r_max) == (body.r_min, body.r_max) == _grid_radii(R)
+        want = (0.6, 0.6) if body is B else _grid_radii(R)
+        assert (R.r_min, R.r_max) == (body.r_min, body.r_max) == want
     # by Weyl's inequality the operand sums bracket the grid radii of the sum;
     # the slack covers the rounding of the eigenvalue solver
     for a, b in ((E, Z), (Z, convex.reflect(E)), (B, E)):
@@ -301,6 +303,18 @@ def test_derived_bodies_take_their_radii_from_the_operands(dim):
         lo, hi = _grid_radii(S)
         assert S.r_min == a.r_min + b.r_min and S.r_max == a.r_max + b.r_max
         assert S.r_min <= lo + 1e-12 and hi <= S.r_max + 1e-12
+
+
+def test_a_ball_takes_its_radii_in_closed_form(monkeypatch):
+    # a d = 5 validation grid has 663,552 nodes; a ball needs none
+    def no_grid(*args):
+        raise AssertionError("ball() evaluated a sphere grid")
+
+    monkeypatch.setattr(convex.spherequad, "grid", no_grid)
+    B = convex.ball([0.1, 0.0, -0.2, 0.0, 0.3], 0.7)
+    assert B.r_min == B.r_max == 0.7
+    with pytest.raises(ValueError):
+        convex.ball(np.zeros(5), convex._MIN_RADIUS)
 
 
 def test_principal_radii_keep_a_negative_radius():

@@ -455,18 +455,13 @@ def test_steiner_density_points():
 
 
 def test_d5_difference_body_skips_the_validation_grid(monkeypatch):
-    # building a d = 5 ball evaluates 663,552 grid nodes, so the operands
-    # carry the radii the grid gives a ball; the difference body needs none
-    def ball5(center, radius):
-        return convex.SupportBody(dim=5, kind="ball", r_min=radius, r_max=radius,
-                                  parts=(convex._Ball(np.asarray(center), radius),))
-
+    # balls carry their radii in closed form, and the difference body sums them
     def no_grid(*args):
         raise AssertionError("difference_body evaluated a sphere grid")
 
     monkeypatch.setattr(convex.spherequad, "grid", no_grid)
-    K1 = ball5([0.1, 0.0, 0.0, 0.0, 0.2], 0.3)
-    K2 = ball5([0.0, 0.3, 0.0, 0.0, 0.0], 0.5)
+    K1 = convex.ball([0.1, 0.0, 0.0, 0.0, 0.2], 0.3)
+    K2 = convex.ball([0.0, 0.3, 0.0, 0.0, 0.0], 0.5)
     L = spectrum.difference_body(K1, K2)
     assert L.kind == "ball" and (L.r_min, L.r_max) == (0.8, 0.8)
     u = np.eye(5)

@@ -62,18 +62,35 @@ def _gauss_oracle(n, lam, u0):
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0])
 def test_gauss_gegenbauer_matches_a_40_digit_oracle(lam):
-    # the polar rules of S^2..S^5; at n = 1000 the eight nodes nearest the
-    # pole, where the weights are most sensitive, and two at the equator
-    for n in (1, 2, 8, 96, 1000):
+    # the polar rules of S^2..S^5; from n = 1000 on the eight nodes nearest
+    # the pole, where the weights are most sensitive, and two at the equator;
+    # 1023 (odd: a node at u = 0) and 2048 (a polar rung) are large polar
+    # rules of S^2 and S^4
+    sizes = (1, 2, 8, 96, 1000) + ((1023, 2048) if lam in (0.5, 1.5) else ())
+    for n in sizes:
         u, w = spherequad._gauss_gegenbauer(n, lam)
         assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
         assert np.all(np.diff(u) > 0.0)
         rows = range(n // 2, n) if n <= 96 else [n // 2, n // 2 + 1, *range(n - 8, n)]
+        weight_tol = 1e-11 if n >= 1000 else 1e-10
         with mp.workdps(40):
             for i in rows:
                 root, weight = _gauss_oracle(n, lam, u[i])
                 assert abs(u[i] - float(root)) <= 1e-15, (n, i)
-                assert abs(w[i] / float(weight) - 1.0) <= 1e-10, (n, i)
+                assert abs(w[i] / float(weight) - 1.0) <= weight_tol, (n, i)
+
+
+def test_gauss_gegenbauer_never_runs_the_recurrence(monkeypatch):
+    # every rule comes from the cosine sum and the Szego expansion; the
+    # three-term recurrence serves only the zonal harmonics of convex bodies
+    def refuse(*args):
+        raise AssertionError("a Gauss rule ran the three-term recurrence")
+
+    monkeypatch.setattr(spherequad, "_gegenbauer", refuse)
+    for lam in (0.5, 1.0, 1.5, 2.0):
+        for n in (1, 2, 7, 96, 1000):
+            u, w = spherequad._gauss_gegenbauer.__wrapped__(n, lam)
+            assert u.size == n and np.all(w > 0.0)
 
 
 def test_gauss_gegenbauer_refuses_a_failed_iteration():
