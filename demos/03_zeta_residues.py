@@ -8,13 +8,14 @@ to convex geometry.
 
 import math
 
-from orthospec import convex, zetafns
+from orthospec import convex, spectrum, zetafns
 
 
 def main() -> None:
     ellipse = convex.ellipsoid((0.0, 0.0), (1.3, 0.7))
     origin = convex.point((0.0, 0.0))
-    model = zetafns.build_zeta_model(ellipse, origin)
+    head = 60.0 * math.pi / 2  # the splice T; the spectrum runs on to 4 T
+    model = zetafns.build_zeta_model(spectrum.enumerate(ellipse, origin, T=head * 4.0), head)
     print(f"zeta model: d = {model.spec.dim}, splice T = {model.T:.2f}, "
           f"{model.spec.lengths.size} lengths")
 

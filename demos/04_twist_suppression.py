@@ -15,7 +15,7 @@ def main() -> None:
     p = convex.point((0.0, 0.0))
     beta = spectrum.TwistForm((math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0)))
 
-    model = zetafns.build_zeta_model(p, p, beta=beta, T=200.0, sweep=(1.0, 2.0))
+    model = zetafns.build_zeta_model(spectrum.enumerate(p, p, T=200.0 * 2.0, beta=beta), 200.0)
     spec = model.spec
     print(f"twisted spectrum to T = {spec.T:.0f}: {len(spec)} lengths")
 
@@ -36,8 +36,8 @@ def main() -> None:
     # switches to weighted residues checked against the Gaussian-smoothed
     # estimate read off the phase-weighted spectrum
     f_only = spectrum.TwistForm((0.0, 0.0), {(1, 0): 0.3, (-1, 0): 0.3})
-    model2 = zetafns.build_zeta_model(p, convex.point((1.1, -0.7)),
-                                      beta=f_only, T=120.0, sweep=(1.0, 2.0))
+    model2 = zetafns.build_zeta_model(
+        spectrum.enumerate(p, convex.point((1.1, -0.7)), T=120.0 * 2.0, beta=f_only), 120.0)
     report2 = zetafns.twist_suppression(model2)
     print(f"\nf-only twist: mode = {report2.mode}, "
           f"certified = {report2.certified}, deviation {report2.deviation:.1e}")

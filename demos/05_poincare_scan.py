@@ -9,14 +9,14 @@ independent check on the real axis.
 
 import numpy as np
 
-from orthospec import convex, zetafns
+from orthospec import convex, spectrum, zetafns
 
 
 def main() -> None:
     x = np.zeros(3)
     y = np.array([0.9, 0.4, -1.1])
-    model = zetafns.build_zeta_model(convex.point(x), convex.point(y),
-                                     T=150.0, sweep=(1.0,))
+    model = zetafns.build_zeta_model(spectrum.enumerate(convex.point(x), convex.point(y),
+                                                        T=150.0), 150.0)
     print(f"point-pair model in d = 3, head to T = {model.T:.0f}")
 
     kappa, c3 = zetafns.spectral_constants(3)

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import copy
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Optional
@@ -217,18 +218,24 @@ def _pair_bodies(cfg: dict) -> tuple:
     return k1, k2
 
 
-def _window_T(cfg: dict, default: float, k1, k2, T0, reach: float = 1.0) -> float:
-    """ranges.T or its default; an empty window (T0, reach * T] is a ConfigError.
+def _enumerated(cfg: dict, k1, k2, beta, workers: int, default_T: float,
+                reach: float = 1.0) -> spectrum.LengthSpectrum:
+    """The spectrum of the pair (k1, k2) on (T0, reach * T].
 
-    T0 = None stands for the start the enumeration takes from the bodies.
+    T is ranges.T or default_T, and T0 is ranges.T0 or the start
+    spectrum.enumerate takes from the bodies; an empty window is a
+    ConfigError.  The T0 and T used are written back into cfg["ranges"], so
+    config.resolved.json records the window of the run.
     """
     from . import spectrum
-    T = default if cfg["ranges"]["T"] is None else float(cfg["ranges"]["T"])
-    if T0 is None:
-        T0 = spectrum._default_T0(k1, k2)
-    if reach * T <= T0:
+    r = cfg["ranges"]
+    T = default_T if r["T"] is None else float(r["T"])
+    T0 = spectrum._default_T0(k1, k2) if r["T0"] is None else r["T0"]
+    if not reach * T > T0:  # so a NaN T or T0 fails too
         raise ConfigError(f"ranges need T > T0 >= 0; the window ({T0:g}, {reach * T:g}] is empty")
-    return T
+    spec = spectrum.enumerate(k1, k2, T0=T0, T=reach * T, beta=beta, workers=workers)
+    r["T0"], r["T"] = spec.T0, T
+    return spec
 
 
 def _grid_spec(spec, fallback: np.ndarray) -> np.ndarray:
@@ -315,15 +322,12 @@ def _cmd_volumes(cfg, out, workers, log):
 def _cmd_spectrum(cfg, out, workers, log):
     from . import spectrum
     k1, k2 = _pair_bodies(cfg)
-    beta = _twist_form(cfg)
-    r = cfg["ranges"]
-    T = _window_T(cfg, _SPECTRUM_T, k1, k2, r["T0"])
-    spec = spectrum.enumerate(k1, k2, T0=r["T0"], T=T, beta=beta, workers=workers)
-    log(f"spectrum: {spec.lengths.size} orthogeodesics in ({spec.T0:g}, {T:g}]")
+    spec = _enumerated(cfg, k1, k2, _twist_form(cfg), workers, _SPECTRUM_T)
+    log(f"spectrum: {spec.lengths.size} orthogeodesics in ({spec.T0:g}, {spec.T:g}]")
     spectrum.to_csv(spec, os.path.join(out, "spectrum.csv"),
                     os.path.join(out, "spectrum.meta.json"))
     rho = spectrum.density_coeffs(k1, k2)
-    ts = np.linspace(spec.T0 + 1.0, T, 60)
+    ts = np.linspace(spec.T0 + 1.0, spec.T, 60)
     counts = [spectrum.counting(spec, float(tv)) for tv in ts]
     model = [sum(rho[k - 1] * tv**k / k for k in range(1, spec.dim + 1)) for tv in ts]
     weighted = [spectrum.counting_weighted(spec, float(tv)) for tv in ts]
@@ -340,13 +344,14 @@ def _cmd_spectrum(cfg, out, workers, log):
 
 
 def _zeta_model(cfg, k1, k2, beta, workers) -> zetafns.ZetaModel:
+    """The model with head T (default 60 pi / d) of the spectrum to T * max(ranges.sweep)."""
     from . import zetafns
-    r = cfg["ranges"]
     with _config_errors("ranges.sweep"):
-        sweep = zetafns._sweep_factors(r["sweep"])
-    T = _window_T(cfg, zetafns._default_T(cfg["dim"]), k1, k2, r["T0"], reach=sweep[-1])
-    return zetafns.build_zeta_model(k1, k2, beta=beta, T=T, T0=r["T0"],
-                                    workers=workers, sweep=sweep)
+        sweep = [float(f) for f in cfg["ranges"]["sweep"]]
+    if not sweep or not all(1.0 <= f < math.inf for f in sweep):
+        raise ConfigError("ranges.sweep: sweep factors must be finite and >= 1")
+    spec = _enumerated(cfg, k1, k2, beta, workers, 60.0 * math.pi / cfg["dim"], max(sweep))
+    return zetafns.build_zeta_model(spec, cfg["ranges"]["T"])
 
 
 def _cmd_zeta(cfg, out, workers, log, report_residues=False):
@@ -447,7 +452,7 @@ def _cmd_poincare(cfg, out, workers, log):
     if k1.is_point and k2.is_point:
         x = zetafns._point_location(k1)
         y = zetafns._point_location(k2)
-        if np.linalg.norm(x - y) > 1e-9:
+        if not zetafns._same_torus_point(x, y):
             # the exact dual-sum path is available on the real axis only
             real = [(s, v) for s, v in zip(s_grid, values)
                     if s.real > 0 and s.imag == 0.0]
@@ -472,10 +477,12 @@ def _cmd_poincare(cfg, out, workers, log):
 
 
 def _cmd_guinand(cfg, out, workers, log):
-    from . import spectrum, zetafns
+    from . import zetafns
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
-    T = _window_T(cfg, _SPECTRUM_T, k1, k2, 0.0)
+    if cfg["ranges"]["T0"] not in (None, 0):
+        raise ConfigError("guinand enumerates from T0 = 0; ranges.T0 must be 0 or unset")
+    cfg["ranges"]["T0"] = 0.0
     center = cfg["window"]["center"]
     if center is None:
         lines = zetafns.predicted_lines(beta, 10.0)
@@ -487,8 +494,8 @@ def _cmd_guinand(cfg, out, workers, log):
         width = float(cfg["window"]["width"])
         window = zetafns.GaussianWindow(center, width)
     cfg["window"]["center"] = center
-    fwd = spectrum.enumerate(k1, k2, T0=0.0, T=T, beta=beta, workers=workers)
-    bwd = spectrum.enumerate(k2, k1, T0=0.0, T=T, beta=beta, workers=workers)
+    fwd = _enumerated(cfg, k1, k2, beta, workers, _SPECTRUM_T)
+    bwd = _enumerated(cfg, k2, k1, beta, workers, _SPECTRUM_T)
     res = zetafns.guinand_pairing(fwd, bwd, window)
     diff = abs(res.length_side - res.spectral_side)
     denom = max(abs(res.length_side), abs(res.spectral_side))

@@ -20,11 +20,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from . import convex, spherequad
+from . import spherequad
+
+if TYPE_CHECKING:  # equidistribute imports convex inside its body
+    from . import convex
 
 __all__ = [
     "TorusObservable",
@@ -375,6 +378,7 @@ def equidistribute(
     passes the order-doubling check of osc_integral, and error_estimate is
     the largest change that check saw over the modes.
     """
+    from . import convex
     ts = np.asarray(t, dtype=float)
     if not np.all(ts > 0):
         raise ValueError("equidistribution needs t > 0")

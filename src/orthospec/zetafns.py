@@ -132,8 +132,8 @@ class ZetaModel:
     """Head/tail splice: enumerated spectrum below T, Steiner density above.
 
     rho[k-1] is the coefficient of t^{k-1} in the smooth counting density,
-    taken from steiner, the Steiner data of the difference body; spec runs
-    on to T * max(sweep).  The Poincare scan reads all of it, and so does
+    taken from steiner, the Steiner data of the difference body; spec may
+    run on beyond T.  The Poincare scan reads all of it, and so does
     the Gaussian-smoothed estimate of rho behind residues and
     twist_suppression (width sigma, error about exp(-sigma^2 / 2)).  The
     twist is the spectrum's own, spec.beta.
@@ -198,41 +198,22 @@ class GuinandResult:
     truncation_mass: float
 
 
-def _default_T(dim: int) -> float:
-    """The head length T of build_zeta_model when none is given: 60 pi / dim."""
-    return 30.0 * 2.0 * math.pi / dim
+def build_zeta_model(spec: spectrum.LengthSpectrum, T: Optional[float] = None) -> ZetaModel:
+    """Splice the head of spec, cut at T (default spec.T), to the Steiner tail density.
 
-
-def build_zeta_model(
-    K1: convex.SupportBody,
-    K2: convex.SupportBody,
-    beta: Optional[spectrum.TwistForm] = None,
-    T: Optional[float] = None,
-    T0: Optional[float] = None,
-    workers: int = 1,
-    sweep: Sequence[float] = (1.0, 2.0, 4.0),
-) -> ZetaModel:
-    """Enumerate the spectrum to T * max(sweep) and attach the tail density."""
-    d = K1.dim
-    if T is None:
-        T = _default_T(d)
-    sweep = _sweep_factors(sweep)
-    spec = spectrum.enumerate(K1, K2, T0=T0, T=T * sweep[-1], beta=beta, workers=workers)
-    steiner = convex.steiner(spectrum.difference_body(K1, K2))
+    The density is that of the difference body of spec's pair; a T beyond
+    spec.T is a ValueError, as spectrum.counting refuses it.
+    """
+    T = spec.T if T is None else float(T)
+    if T > spec.T:
+        raise ValueError(f"head T = {T:g} exceeds the enumerated range T = {spec.T:g}")
+    d = spec.dim
+    steiner = convex.steiner(spectrum.difference_body(spec.body1, spec.body2))
     rho = spectrum._density_from_steiner(steiner)
     lead = _ball_density(d, d)
     if abs(rho[-1] - lead) > 1e-8 * lead:
         raise ValueError("tail density leading coefficient fails the sphere check")
-    return ZetaModel(spec=spec, rho=np.asarray(rho, dtype=float), T=float(T),
-                     steiner=steiner)
-
-
-def _sweep_factors(sweep: Sequence[float]) -> tuple:
-    """The sweep factors, sorted; a ValueError unless there are some, all finite and >= 1."""
-    sweep = tuple(sorted(float(f) for f in sweep))
-    if not sweep or not all(1.0 <= f < math.inf for f in sweep):
-        raise ValueError("sweep factors must be finite and >= 1")
-    return sweep
+    return ZetaModel(spec=spec, rho=np.asarray(rho, dtype=float), T=T, steiner=steiner)
 
 
 def _ball_density(ell: int, d: int) -> float:
@@ -512,6 +493,12 @@ def _f_phase(beta: spectrum.TwistForm, x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.exp(1j * (beta.f_eval(y[None, :]) - beta.f_eval(x[None, :])))[0])
 
 
+def _same_torus_point(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether x and y agree modulo 2 pi Z^d, to 1e-9."""
+    u = x - y
+    return bool(np.linalg.norm(u - 2 * math.pi * np.round(u / (2 * math.pi))) < 1e-9)
+
+
 def poincare_points_spectral(
     x,
     y,
@@ -527,8 +514,7 @@ def poincare_points_spectral(
     y = np.asarray(y, dtype=float)
     d = x.size
     u = x - y
-    wrapped = u - 2 * math.pi * np.round(u / (2 * math.pi))
-    if np.linalg.norm(wrapped) < 1e-9:
+    if _same_torus_point(x, y):
         raise ValueError("x and y must differ modulo 2 pi Z^d")
     fphase = _f_phase(beta, x, y)
     _, c_d = spectral_constants(d)

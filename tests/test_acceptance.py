@@ -40,7 +40,7 @@ def points2_400():
 def scan_model3():
     p = convex.point((0.0, 0.0, 0.0))
     q = convex.point((0.9, 0.4, -1.1))
-    return zetafns.build_zeta_model(p, q, T=300.0, sweep=(1.0,))
+    return zetafns.build_zeta_model(spectrum.enumerate(p, q, T=300.0), 300.0)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,9 @@ def test_criterion_1_counting_law(points2_400, capsys):
 def test_criterion_2_residues_are_intrinsic_volumes(capsys):
     e = convex.ellipsoid((0.0, 0.0), (1.3, 0.7))
     p = convex.point((0.0, 0.0))
-    ests2 = zetafns.residues(zetafns.build_zeta_model(e, p))
+    head = 60.0 * math.pi / 2
+    ests2 = zetafns.residues(
+        zetafns.build_zeta_model(spectrum.enumerate(e, p, T=head * 4.0), head))
     perimeter = quad(
         lambda t: math.hypot(1.3 * math.sin(t), 0.7 * math.cos(t)),
         0.0, 2.0 * math.pi, epsabs=1e-12, epsrel=1e-12)[0]
@@ -92,7 +94,7 @@ def test_criterion_2_residues_are_intrinsic_volumes(capsys):
     b1 = convex.ball((0.0, 0.0, 0.0), 0.3)
     b2 = convex.ball((0.0, 0.0, 0.0), 0.2)
     ests3 = zetafns.residues(
-        zetafns.build_zeta_model(b1, b2, T=50.0, sweep=(1.0, 2.0)))
+        zetafns.build_zeta_model(spectrum.enumerate(b1, b2, T=50.0 * 2.0), 50.0))
     r = 0.5  # difference body is the ball of the summed radii
     volumes = [1.0, 4.0 * r, 2.0 * math.pi * r**2, 4.0 * math.pi * r**3 / 3.0]
     devs3 = []

@@ -193,6 +193,44 @@ def test_f_only_twist_is_twisted(tmp_path, capsys):
     assert "untwisted" in capsys.readouterr().err
 
 
+def test_resolved_config_records_the_enumerated_window(tmp_path):
+    # a window left to its defaults is echoed as the one the run enumerated;
+    # guinand enumerates from 0, the others from 2 (r_max(a) + r_max(b)) + 1
+    ball = {"dim": 3, "bodies": {"a": {"kind": "ball", "radius": 0.3},
+                                 "b": {"kind": "point", "x": [0.9, 0.4, -1.1]}}}
+    points = {"dim": 3, "bodies": {"a": {"kind": "point"},
+                                   "b": {"kind": "point", "x": [0.9, 0.4, -1.1]}}}
+    cases = {
+        "spectrum": (ball, (1.6, 50.0)),
+        "zeta": (dict(ball, ranges={"sweep": [1.0]}), (1.6, 20.0 * math.pi)),
+        "guinand": (points, (0.0, 50.0)),
+    }
+    for command, (raw, window) in cases.items():
+        out = tmp_path / command
+        cfg = write_config(tmp_path / f"{command}.json", raw)
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        ranges = read_json(out / "config.resolved.json")["config"]["ranges"]
+        assert (ranges["T0"], ranges["T"]) == pytest.approx(window, rel=1e-15), command
+        if command == "spectrum":
+            meta = read_json(out / "spectrum.meta.json")
+            assert (ranges["T0"], ranges["T"]) == (meta["T0"], meta["T"])
+
+
+def test_poincare_on_a_lattice_shifted_point_pair(tmp_path):
+    # y = x + 2 pi e1 is x on the torus: no dual-sum table, and no failure
+    names = {}
+    for name, y in (("equal", [0.0, 0.0, 0.0]), ("shifted", [2.0 * math.pi, 0.0, 0.0])):
+        cfg = write_config(tmp_path / f"{name}.json", {
+            "dim": 3, "bodies": {"x": {"kind": "point", "x": [0.0, 0.0, 0.0]},
+                                 "y": {"kind": "point", "x": y}},
+            "ranges": {"T": 80.0, "sweep": [1.0], "poincare_s_grid": [[1.0, 0.0], [2.0, 0.0]]}})
+        out = tmp_path / name
+        assert cli.main(["poincare", "--config", cfg, "--out", str(out)]) == 0
+        names[name] = sorted(p.name for p in out.iterdir())
+    assert names["shifted"] == names["equal"]
+    assert "spectral.csv" not in names["equal"]
+
+
 def test_poincare_scan_and_spectral_table(runs):
     tmp_path = runs["poincare"]
     scan = read_json(tmp_path / "scan.json")
@@ -309,7 +347,7 @@ def zeta_run(tmp_path_factory):
     assert cli.main(["zeta", "--config", cfg, "--out", str(out),
                      "--report-residues"]) == 0
     k1, k2 = cli._pair_bodies(cli.load_config(cfg))
-    return out, zetafns.build_zeta_model(k1, k2, T=40.0, sweep=(1.0, 2.0))
+    return out, zetafns.build_zeta_model(spectrum.enumerate(k1, k2, T=40.0 * 2.0), 40.0)
 
 
 def test_zeta_values_csv_holds_repr_cells(zeta_run):
@@ -430,6 +468,9 @@ _BAD_CONFIGS = {
        for name, sweep in (("empty", []), ("below-1", [0.5, 1.0]))},
     "window-width-negative": ("guinand", {**_POINT_PAIR, "ranges": {"T": 30.0},
                                           "window": {"width": -1.0}}),
+    # the pairing needs spectra from T0 = 0; any other start was silently replaced
+    "guinand-T0-nonzero": ("guinand", {**_POINT_PAIR, "ranges": {"T0": 5.0, "T": 30.0}}),
+    "T-nan": ("spectrum", {**_POINT_PAIR, "ranges": {"T": math.nan}}),
 }
 
 
@@ -528,8 +569,8 @@ def report(step):
 import orthospec.cli
 report("import")
 from orthospec import convex, spectrum, spherequad, zetafns
-m = zetafns.build_zeta_model(convex.point((0.0, 0.0, 0.0)),
-                             convex.point((0.9, 0.4, -1.1)), T=60.0, sweep=(1.0,))
+m = zetafns.build_zeta_model(spectrum.enumerate(convex.point((0.0, 0.0, 0.0)),
+                                                convex.point((0.9, 0.4, -1.1)), T=60.0), 60.0)
 assert len(zetafns.singularity_scan(m)) > 1
 report("singularity_scan")
 zetafns.poincare_points_spectral((0.0, 0.0), (0.9, 0.4), spectrum.TwistForm((0.0, 0.0)), 0.5)
@@ -610,6 +651,8 @@ def test_subcommands_import_only_the_modules_they_run(command, tmp_path):
     loaded = {m.removeprefix("orthospec.") for m in loaded.split(",")}
     if command == "oscint":
         assert loaded == {"cli", "_tables", "spherequad"}
+    elif command == "correlate":
+        assert loaded == {"cli", "_tables", "spherequad", "dynamics"}
     elif command == "volumes":
         assert not loaded & {"spectrum", "zetafns", "dynamics"}, loaded
     else:

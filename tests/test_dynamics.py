@@ -141,6 +141,18 @@ def test_aniso_norm_order_cap_in_higher_dim():
         dynamics.aniso_norm(obs, p)
 
 
+@pytest.mark.parametrize("s0, squared, rel", [(1, 4.0 * math.pi, 1e-10),
+                                               (2, 12.0 * math.pi, 1e-6)])
+def test_aniso_norm_sphere_derivatives_closed_form(s0, squared, rel):
+    # theta_1 on S^2 with gamma = xi: the mask is 1 and <xi>^{2 N0} = 1.  The
+    # gradient of x_1/|x| has |.|^2 = 1 - theta_1^2 and its Hessian has
+    # squared Frobenius norm 2, so the squared norm is 4 pi/3 + 8 pi/3, plus
+    # 8 pi at s0 = 2, where 1e-6 is the error of the h = 1e-3 finite differences
+    obs = dynamics.TorusObservable(3, {(1, 0, 0): lambda n: n[:, 0]})
+    p = dynamics.AnisoParams(s0=s0, s1=0, N0=0.0, N1=0.0, gamma=(1.0, 0.0, 0.0))
+    assert dynamics.aniso_norm(obs, p) == pytest.approx(math.sqrt(squared), rel=rel)
+
+
 def test_aniso_params_validation():
     with pytest.raises(ValueError):
         dynamics.AnisoParams(s0=-1, s1=0, N0=0.0, N1=0.0, gamma=(0.0, 0.0))

@@ -21,28 +21,29 @@ ZERO3 = spectrum.TwistForm(np.zeros(3))
 @pytest.fixture(scope="module")
 def model2():
     p = convex.point((0.0, 0.0))
-    return zetafns.build_zeta_model(p, p, T=200.0, sweep=(1.0, 2.0, 4.0))
+    return zetafns.build_zeta_model(spectrum.enumerate(p, p, T=200.0 * 4.0), 200.0)
 
 
 @pytest.fixture(scope="module")
 def twisted2_400():
     p = convex.point((0.0, 0.0))
     beta = spectrum.TwistForm(IRRATIONAL_BETA0)
-    return zetafns.build_zeta_model(p, p, beta=beta, T=400.0, sweep=(1.0,))
+    return zetafns.build_zeta_model(spectrum.enumerate(p, p, T=400.0, beta=beta), 400.0)
 
 
 @pytest.fixture(scope="module")
 def model3():
     p = convex.point((0.0, 0.0, 0.0))
     q = convex.point((0.9, 0.4, -1.1))
-    return zetafns.build_zeta_model(p, q, T=150.0, sweep=(1.0,))
+    return zetafns.build_zeta_model(spectrum.enumerate(p, q, T=150.0), 150.0)
 
 
 @pytest.fixture(scope="module")
 def ellipse_model():
     e = convex.ellipsoid((0.0, 0.0), (1.3, 0.7))
     p = convex.point((0.0, 0.0))
-    return zetafns.build_zeta_model(e, p)
+    head = 60.0 * math.pi / 2
+    return zetafns.build_zeta_model(spectrum.enumerate(e, p, T=head * 4.0), head)
 
 
 def test_zeta_eval_matches_brute_head(model2):
@@ -89,10 +90,27 @@ def test_zeta_continue_pole_guard(model2):
         zetafns.zeta_continue(model2, 2.0)
 
 
-def test_build_model_validates_sweep():
+def test_build_model_reads_the_spectrum_it_is_given(monkeypatch):
+    # the model enumerates nothing: it cuts the given spectrum at T
     p = convex.point((0.0, 0.0))
+    spec = spectrum.enumerate(p, p, T=100.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_zeta_model enumerated")
+
+    monkeypatch.setattr(spectrum, "enumerate", refuse)
+    model = zetafns.build_zeta_model(spec, 50.0)
+    assert model.spec is spec and model.T == 50.0
+    assert zetafns.build_zeta_model(spec).T == spec.T
+    lengths, _ = model.head()
+    assert lengths.size == spectrum.counting(spec, 50.0) and lengths[-1] <= 50.0
+
+
+def test_build_model_refuses_a_head_beyond_the_spectrum():
+    p = convex.point((0.0, 0.0))
+    spec = spectrum.enumerate(p, p, T=50.0)
     with pytest.raises(ValueError):
-        zetafns.build_zeta_model(p, p, T=50.0, sweep=(0.5, 1.0))
+        zetafns.build_zeta_model(spec, 50.5)
 
 
 def test_residues_of_the_ellipse(ellipse_model):
@@ -117,7 +135,7 @@ def test_residues_err_reads_an_ellipsoid_ball_spectrum():
     # 160 (sigma = 6.3) the estimate is off by 4e-5 at ell = 1
     E = convex.ellipsoid((0.0, 0.0, 0.0), (0.5, 0.35, 0.25))
     B = convex.ball((0.0, 0.0, 0.0), 0.2)
-    model = zetafns.build_zeta_model(E, B, T=100.0, sweep=(1.0, 2.0))
+    model = zetafns.build_zeta_model(spectrum.enumerate(E, B, T=100.0 * 2.0), 100.0)
     assert model.spec.T == 200.0
     ests = zetafns.residues(model)
     assert [e.pole for e in ests] == [1, 2, 3]
@@ -130,7 +148,7 @@ def test_residues_err_flags_a_short_window():
     # and err says the identity is unresolved instead of moving the residue
     b1 = convex.ball((0.0, 0.0, 0.0), 0.3)
     b2 = convex.ball((0.0, 0.0, 0.0), 0.2)
-    model = zetafns.build_zeta_model(b1, b2, T=20.0, sweep=(1.0, 2.0))
+    model = zetafns.build_zeta_model(spectrum.enumerate(b1, b2, T=20.0 * 2.0), 20.0)
     res1 = zetafns.residues(model)[0]
     assert res1.residue.real == model.rho[0]
     assert res1.error >= 0.1 * abs(res1.residue)
@@ -139,7 +157,7 @@ def test_residues_err_flags_a_short_window():
 def test_residues_reject_twisted_models():
     p = convex.point((0.0, 0.0))
     beta = spectrum.TwistForm(IRRATIONAL_BETA0)
-    m = zetafns.build_zeta_model(p, p, beta=beta, T=60.0, sweep=(1.0,))
+    m = zetafns.build_zeta_model(spectrum.enumerate(p, p, T=60.0, beta=beta), 60.0)
     with pytest.raises(ValueError):
         zetafns.residues(m)
 
@@ -160,7 +178,7 @@ def test_twist_suppression_weighted_mode():
     p = convex.point((0.0, 0.0))
     q = convex.point((1.1, -0.7))
     beta = spectrum.TwistForm((1.0, 0.0), {(1, 0): 0.2, (-1, 0): 0.2})
-    m = zetafns.build_zeta_model(p, q, beta=beta, T=150.0, sweep=(1.0, 2.0))
+    m = zetafns.build_zeta_model(spectrum.enumerate(p, q, T=150.0 * 2.0, beta=beta), 150.0)
     rep = zetafns.twist_suppression(m)
     assert rep.mode == "weighted"
     assert rep.certified
@@ -328,8 +346,8 @@ def test_singularity_scan_fits_the_line_order_on_random_pairs():
     for x, y in random_point_pairs(12):
         d = x.size
         T = 150.0 if d == 2 else 100.0
-        model = zetafns.build_zeta_model(convex.point(x), convex.point(y),
-                                         T=T, sweep=(1.0,))
+        model = zetafns.build_zeta_model(
+            spectrum.enumerate(convex.point(x), convex.point(y), T=T), T)
         lines = [f for f in zetafns.singularity_scan(model) if f.location > 0.1]
         assert len(lines) >= 2, (x, y)
         for f in lines:
