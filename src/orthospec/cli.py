@@ -109,6 +109,8 @@ def load_config(path) -> dict:
     for name, spec in cfg["bodies"].items():
         _check_body(d, name, spec)
     T0, T = cfg["ranges"]["T0"], cfg["ranges"]["T"]
+    if any(isinstance(v, bool) or not isinstance(v, (int, float, type(None))) for v in (T0, T)):
+        raise ConfigError("ranges.T0 and ranges.T must be numbers")
     if (T0 is not None and T0 < 0) or (None not in (T0, T) and T <= T0):
         raise ConfigError("ranges need T > T0 >= 0")
     if cfg["pair"] is None and len(cfg["bodies"]) >= 2:
@@ -358,6 +360,8 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
     from . import zetafns
     k1, k2 = _pair_bodies(cfg)
     beta = _twist_form(cfg)
+    if report_residues and not beta.is_zero:
+        raise ConfigError("--report-residues needs the untwisted setting")
     r = cfg["ranges"]
     d = cfg["dim"]
     fallback = [complex(0.25 + 0.5 * k, 0.0) for k in range(2 * d + 1)]
@@ -373,8 +377,6 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
     _tables.write_csv(os.path.join(out, "zeta_values.csv"), _VALUE_HEADER,
                       _re_im(s_grid) + _re_im(values))
     if report_residues:
-        if not beta.is_zero:
-            raise ConfigError("--report-residues needs the untwisted setting")
         ests = zetafns.residues(model)
         _tables.write_json(os.path.join(out, "residues.json"), [
             {
@@ -391,16 +393,12 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
                 f"(volumes predict {est.predicted_from_volumes:.9g})")
     if not beta.is_zero:
         rep = zetafns.twist_suppression(model)
-        if rep.mode == "decay":
-            decided = {"t_ladder": list(rep.t_ladder), "ratios": list(rep.ratios),
-                       "untwisted_level": rep.untwisted_level, "threshold": rep.threshold}
-        else:
-            (w_re, w_im), (e_re, e_im) = _re_im(rep.weighted), _re_im(rep.empirical)
-            decided = {"weighted_re": w_re.tolist(), "weighted_im": w_im.tolist(),
-                       "empirical_re": e_re.tolist(), "empirical_im": e_im.tolist(),
-                       "deviation": rep.deviation}
-        _tables.write_json(os.path.join(out, "twist.json"),
-                           {"mode": rep.mode, "certified": rep.certified, **decided})
+        (w_re, w_im), (e_re, e_im) = _re_im(rep.weighted), _re_im(rep.empirical)
+        _tables.write_json(os.path.join(out, "twist.json"), {
+            "mode": rep.mode, "certified": rep.certified,
+            "weighted_re": w_re.tolist(), "weighted_im": w_im.tolist(),
+            "empirical_re": e_re.tolist(), "empirical_im": e_im.tolist(),
+            "deviation": rep.deviation, "bound": rep.bound})
         log(f"zeta: twist suppression certified={rep.certified}")
     _plot_script(
         os.path.join(out, "zeta.gp"),

@@ -60,6 +60,7 @@ _CF_FROM = 2.0   # erfcx takes its continued fraction from here on,
 _CF_TERMS = 60   # at a depth that converges to an ulp there
 _J_MAX = 3       # line orders run up to (d-1)/2 + _J_MAX
 _MAX_PEAKS = 16  # peaks refitted by one singularity scan
+_TWIST_TOL = 0.05  # a twist bound certifies up to this share of rho_d
 
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
@@ -135,8 +136,8 @@ class ZetaModel:
     taken from steiner, the Steiner data of the difference body; spec may
     run on beyond T.  The Poincare scan reads all of it, and so does
     the Gaussian-smoothed estimate of rho behind residues and
-    twist_suppression (width sigma, error about exp(-sigma^2 / 2)).  The
-    twist is the spectrum's own, spec.beta.
+    twist_suppression (width sigma, error about exp(-sigma^2 delta^2 / 2),
+    delta = dist(beta0, Z^d) or 1).  The twist is the spectrum's own, spec.beta.
     """
 
     spec: spectrum.LengthSpectrum
@@ -179,15 +180,12 @@ class SingularityFit:
 
 @dataclass(frozen=True)
 class TwistReport:
-    mode: str                      # "decay" or "weighted"
+    mode: str          # "weighted" (beta0 in Z^d) or "suppressed"
     certified: bool
-    t_ladder: tuple = ()
-    ratios: tuple = ()
-    untwisted_level: float = 0.0
-    threshold: float = 0.0
-    weighted: tuple = ()
-    empirical: tuple = ()
-    deviation: float = 0.0
+    weighted: tuple    # weighted residues by quadrature; zeros when suppressed
+    empirical: tuple   # _smoothed_density of the phase-weighted spectrum
+    deviation: float   # |empirical - weighted| in the leading coefficient
+    bound: float       # what the deviation may reach (see twist_suppression)
 
 
 @dataclass(frozen=True)
@@ -260,36 +258,35 @@ def zeta_continue(model: ZetaModel, s: complex) -> complex:
     return complex(head + tail)
 
 
-def _smoothed_density(spec: spectrum.LengthSpectrum) -> np.ndarray:
-    """rho[0..d-1] from the phase-weighted window sums of the whole spectrum (see residues)."""
+def _smoothed_density(spec: spectrum.LengthSpectrum) -> tuple:
+    """(rho, sigma, cols, mags): the window-sum estimate, moment matrix, sums of |terms|."""
     d = spec.dim
     sigma = min(8.0, (spec.T - spec.T0) / 25.0)
     mu = np.linspace(spec.T0 + 8.5 * sigma, spec.T - 8.5 * sigma, 2 * d)
-    sums = [np.sum(spec.phases * GaussianWindow(m, sigma).value(spec.lengths)) for m in mu]
+    windows = (GaussianWindow(m, sigma).value(spec.lengths) for m in mu)
+    sums, mags = zip(*((np.sum(spec.phases * g), np.sum(g)) for g in windows))
     moments = [np.ones_like(mu), mu]  # E[(mu + sigma Z)^k]
     for k in range(2, d):
         moments.append(mu * moments[-1] + (k - 1) * sigma**2 * moments[-2])
     cols = sigma * math.sqrt(2.0 * math.pi) * np.stack(moments[:d], axis=1)
     rho, *_ = np.linalg.lstsq(cols, sums, rcond=None)
-    return rho
+    return rho, sigma, cols, mags
 
 
 def residues(model: ZetaModel) -> list:
     """Steiner residues rho[ell-1] at s = 1..d, each with its distance from the spectrum.
 
-    Poisson summation at the zero dual frequency turns the window sums
-    sum phase * GaussianWindow(mu, sigma).value(l) over the whole spectrum
-    into sum_k rho[k-1] int t^{k-1} g(t) dt; 2d centres mu in
-    [T0 + 8.5 sigma, T - 8.5 sigma], sigma = min(8, (T - T0) / 25), and
-    one least-squares solve against the Gaussian moments give the
-    estimate, and error is |estimate - residue|.  The nonzero dual
-    frequencies leave about exp(-sigma^2 / 2) of it: a short window
-    reports an unresolved identity, it does not move the residue.
+    error is |estimate - residue|, the estimate solving the window sums
+    sum phase * GaussianWindow(mu, sigma).value(l) at 2d centres mu in
+    [T0 + 8.5 sigma, T - 8.5 sigma], sigma = min(8, (T - T0) / 25), against
+    their Gaussian moments: the zero dual frequency of Poisson summation.
+    The others leave about exp(-sigma^2 / 2) (twist_suppression derives the
+    bound): a short window reports an unresolved identity, not a new residue.
     """
     _require_untwisted(model, "residues")
     d = model.dim
     intrinsic = model.steiner.intrinsic
-    estimate = _smoothed_density(model.spec)
+    estimate = _smoothed_density(model.spec)[0]
     out = []
     for ell in range(1, d + 1):
         exact = float(model.rho[ell - 1])
@@ -305,7 +302,7 @@ def residues(model: ZetaModel) -> list:
     return out
 
 
-def _weighted_density_residues(model: ZetaModel):
+def _weighted_density_residues(model: ZetaModel, order: int):
     """Quadrature of the curvature moments weighted by the holonomy of spec.beta.
 
     For an integer-representative beta0 the per-direction weight is the
@@ -315,56 +312,61 @@ def _weighted_density_residues(model: ZetaModel):
     """
     spec = model.spec
     L = spectrum.difference_body(spec.body1, spec.body2)
-    d = model.dim
-    g = spherequad.grid(d, 64 if d == 2 else 32)
-    theta = g.nodes
-    coeffs = convex._area_coeffs(L, theta)
-    start = spec.body1.grad(theta)
-    w = spec.beta.holonomy(start, -L.grad(theta))
-    scale = (2 * math.pi) ** (-d)
-    return np.array([scale * np.sum(g.weights * w * coeffs[:, j])
-                     for j in range(d)])
+    g = spherequad.grid(model.dim, order)
+    w = g.weights * spec.beta.holonomy(spec.body1.grad(g.nodes), -L.grad(g.nodes))
+    return (2 * math.pi) ** (-model.dim) * (w @ convex._area_coeffs(L, g.nodes))
 
 
 def twist_suppression(model: ZetaModel) -> TwistReport:
-    """Certify the loss of the leading counting term under the model's twist.
+    """The leading smoothed density of the twisted spectrum against its Poisson value.
 
-    For beta0 without integer representative: |N_beta(t)| / t^d on the
-    ladder t = (0.25, 0.5, 1) * T, T the window end of the spectrum,
-    certified when the ratios decrease and the last sits below a quarter of
-    the untwisted level.  For integer beta0 (including the
-    f-only case): weighted residues by quadrature against the estimate of
-    residues over the phase-weighted spectrum, good to about exp(-sigma^2 / 2).
+    The record w = 2 pi xi = x_L(theta) + l theta has the phase e^{i beta0 . w} W(theta),
+    |W| = 1 (see _weighted_density_residues), so Poisson summation over 2 pi Z^d turns a
+    window sum S of _smoothed_density into (2 pi)^-d sum A(nu) over nu in Z^d + beta0,
+        A(nu) = int W e^{-i nu . x_L} int g_mu(t) a e^{-i t nu . theta} dt dtheta,
+    dx = a dt dtheta, a = prod_i (t + r_i(theta)) over the radii of L.  nu = 0 gives
+    S0 = cols @ weighted, and W = 1 the untwisted Z = cols @ rho, at least
+    sigma sqrt(2 pi) |bd(L + mu B)| as E (mu + sigma N)^j >= mu^j.  For nu != 0
+    the contour shift t -> t - i sigma^2 nu . theta leaves the factor
+    e^{-sigma^2 (nu . theta)^2 / 2} and the phase nu . (x_L + mu theta), stationary
+    only at theta = +-nu / |nu|, with Hessian |nu| (r_i + mu).  Stationary phase (for
+    a point L, the Hankel asymptotic of J_{d/2-1}) then gives |A(nu)| <= q Z
+    e^{-sigma^2 |nu|^2 / 2}, c_d = 2^((d-1)/2) Gamma(d/2) / sqrt(pi) and
+    q = c_d (1 + r_max/mu)^((d-1)/2) ((mu |nu|)^-2 + sigma^4/mu^4)^((d-1)/4) <= 1
+    (mu >= 8.5 sigma) once 8.5 sigma delta >= 2 c_d^(2/(d-1)) (1 + r_max/mu),
+    delta = dist(beta0, Z^d) or 1.  That holds wherever a certificate is possible:
+    P = pinv(cols) has P cols = I, so sum_j |P_j| Z_j >= rho_d, and
+    Theta = sum_{nu != 0} e^{-sigma^2 |nu|^2 / 2} <= _TWIST_TOL needs sigma delta >= 2.4.
+    So |S - S0| <= Z Theta, and the lead deviation from weighted = P S0 is at most
+        bound = sum_j |P_j| Z_j Theta + n eps sum_j |P_j| sum_i g_j(l_i) + quad,
+    adding the summation bound of the n-term window sums and the quadrature's
+    order-doubling delta (0, with weighted = 0, for beta0 outside Z^d).
+    certified = deviation <= bound <= _TWIST_TOL rho_d.
     """
     spec = model.spec
-    d = model.dim
-    if not spec.beta.is_integer:
-        t_ladder = tuple(float(spec.T * f) for f in (0.25, 0.5, 1.0))
-        ratios = tuple(
-            abs(spectrum.counting_weighted(spec, t)) / t**d
-            for t in t_ladder
-        )
-        level = _ball_density(d, d) / d
-        threshold = 0.25 * level
-        decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
-        return TwistReport(
-            mode="decay",
-            certified=bool(decreasing and ratios[-1] < threshold),
-            t_ladder=t_ladder,
-            ratios=ratios,
-            untwisted_level=level,
-            threshold=threshold,
-        )
-    weighted = _weighted_density_residues(model)
-    emp = _smoothed_density(spec)
-    dev = float(np.max(np.abs(emp - weighted)))
-    lead_scale = float(model.rho[-1])
+    emp, sigma, cols, mags = _smoothed_density(spec)
+    integer = spec.beta.is_integer
+    weighted, quad = np.zeros_like(emp), 0.0
+    if integer:
+        n = 64 if model.dim == 2 else 32
+        weighted = _weighted_density_residues(model, n)
+        quad = abs(_weighted_density_residues(model, 2 * n)[-1] - weighted[-1])
+    # Theta factors over the axes of nu = k + r, less nu = 0 when r = 0; the k
+    # past 2 + 10 / sigma add below e^-50, and rounding below 2 d eps < n eps
+    r = spec.beta.beta0 - np.round(spec.beta.beta0)
+    k = np.arange(-2 - int(10.0 / sigma), 3 + int(10.0 / sigma))[:, None]
+    theta_sum = float(np.prod(np.sum(np.exp(-0.5 * sigma**2 * (k + r) ** 2), axis=0))) - integer
+    p = np.abs(np.linalg.pinv(cols)[-1])
+    bound = float(p @ (cols @ model.rho) * theta_sum
+                  + len(spec) * np.finfo(float).eps * (p @ mags) + quad)
+    deviation = float(abs(emp[-1] - weighted[-1]))
     return TwistReport(
-        mode="weighted",
-        certified=bool(abs(emp[-1] - weighted[-1]) <= 0.05 * lead_scale),
+        mode="weighted" if integer else "suppressed",
+        certified=bool(deviation <= bound <= _TWIST_TOL * model.rho[-1]),
         weighted=tuple(complex(z) for z in weighted),
         empirical=tuple(complex(z) for z in emp),
-        deviation=dev,
+        deviation=deviation,
+        bound=bound,
     )
 
 

@@ -114,13 +114,16 @@ def test_criterion_2_residues_are_intrinsic_volumes(capsys):
 
 def test_criterion_3_twisted_counting_collapses(points2_400, capsys):
     spec, _ = points2_400
-    ratios = [abs(spectrum.counting_weighted(spec, t)) / t**2
-              for t in (100.0, 200.0, 400.0)]
-    level = 1.0 / (4.0 * math.pi)
-    ok = ratios[2] < 0.25 * level and ratios[0] > ratios[1] > ratios[2]
+    model = zetafns.build_zeta_model(spec)
+    rep = zetafns.twist_suppression(model)
+    delta = float(np.linalg.norm(np.array(IRRATIONAL_BETA2) - np.round(IRRATIONAL_BETA2)))
+    sigma = min(8.0, (spec.T - spec.T0) / 25.0)
+    rho_d = model.rho[-1]
+    ok = rep.mode == "suppressed" and rep.certified and rep.deviation <= rep.bound
     report(capsys, 3, "twisted holomorphy proxy", ok,
-           f"|N_b|/T^2 ladder {ratios[0]:.2e} > {ratios[1]:.2e} > "
-           f"{ratios[2]:.2e}, bound {0.25 * level:.2e}")
+           f"delta {delta:.3f}, sigma {sigma:.2f}: smoothed lead {rep.deviation / rho_d:.1e} "
+           f"<= bound {rep.bound / rho_d:.1e} rho_d (exp(-sigma^2 delta^2/2) "
+           f"{math.exp(-0.5 * (sigma * delta) ** 2):.1e})")
 
 
 def test_criterion_4_oscillatory_engine(capsys):

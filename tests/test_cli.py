@@ -124,18 +124,33 @@ def test_zeta_reports_residues_of_the_difference_body(tmp_path):
     assert len(vals) > 3
 
 
-def test_zeta_twist_report(tmp_path):
+def _irrational_twist_report(tmp_path, T):
     cfg = write_config(tmp_path / "c.json", {
         "dim": 2,
         "bodies": {"p": {"kind": "point"}, "q": {"kind": "point"}},
         "twist": {"beta0": [math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0)]},
-        "ranges": {"T": 100.0, "sweep": [1.0]},
+        "ranges": {"T": T, "sweep": [1.0]},
     })
     assert cli.main(["zeta", "--config", cfg, "--out", str(tmp_path)]) == 0
     rep = read_json(tmp_path / "twist.json")
-    assert rep["mode"] == "decay"
+    assert rep["mode"] == "suppressed"
+    assert rep["weighted_re"] == rep["weighted_im"] == [0.0, 0.0]
+    assert rep["deviation"] <= rep["bound"]
+    return rep
+
+
+def test_zeta_twist_report(tmp_path):
+    # sigma = (200 - 1) / 25 = 7.96 at delta = 0.59: the bound is 2.5e-5 rho_d
+    rep = _irrational_twist_report(tmp_path, 200.0)
     assert rep["certified"] is True
-    assert len(rep["ratios"]) == 3
+    assert rep["bound"] <= 0.05 * zetafns._ball_density(2, 2)
+
+
+def test_zeta_twist_report_on_a_short_window_is_uncertified(tmp_path):
+    # sigma = 3.96: the bound reaches 40 % of rho_d, so nothing is certified
+    rep = _irrational_twist_report(tmp_path, 100.0)
+    assert rep["certified"] is False
+    assert rep["bound"] > 0.05 * zetafns._ball_density(2, 2)
 
 
 _POINT_PAIR = {"dim": 2, "bodies": {"a": {"kind": "point"},
@@ -150,15 +165,15 @@ def test_weighted_twist_report_holds_what_it_certified(tmp_path):
         "ranges": {"T": 100.0, "sweep": [1.0]}})
     assert cli.main(["zeta", "--config", cfg, "--out", str(tmp_path)]) == 0
     rep = read_json(tmp_path / "twist.json")
-    assert sorted(rep) == ["certified", "deviation", "empirical_im", "empirical_re",
+    assert sorted(rep) == ["bound", "certified", "deviation", "empirical_im", "empirical_re",
                            "mode", "weighted_im", "weighted_re"]
     assert rep["mode"] == "weighted"
     weighted = np.array(rep["weighted_re"]) + 1j * np.array(rep["weighted_im"])
     empirical = np.array(rep["empirical_re"]) + 1j * np.array(rep["empirical_im"])
     assert weighted.size == empirical.size == 2
-    assert rep["deviation"] == np.max(np.abs(empirical - weighted))
+    assert rep["deviation"] == abs(empirical[-1] - weighted[-1])
     rho_d = zetafns._ball_density(2, 2)
-    assert rep["certified"] == bool(abs(empirical[-1] - weighted[-1]) <= 0.05 * rho_d)
+    assert rep["certified"] == (rep["deviation"] <= rep["bound"] <= 0.05 * rho_d)
 
 
 def test_zero_twist_written_out_is_no_twist(tmp_path):
@@ -471,6 +486,13 @@ _BAD_CONFIGS = {
     # the pairing needs spectra from T0 = 0; any other start was silently replaced
     "guinand-T0-nonzero": ("guinand", {**_POINT_PAIR, "ranges": {"T0": 5.0, "T": 30.0}}),
     "T-nan": ("spectrum", {**_POINT_PAIR, "ranges": {"T": math.nan}}),
+    # a string window was compared with 0 and raised TypeError (exit 1), or was parsed
+    "T0-string": ("spectrum", {**_POINT_PAIR, "ranges": {"T0": "5", "T": 30.0}}),
+    "T-string": ("spectrum", {**_POINT_PAIR, "ranges": {"T": "30"}}),
+    # refused only after zeta_values.csv was written
+    "residues-under-twist": ("zeta --report-residues", {
+        **_POINT_PAIR, "twist": {"modes": {"1,0": [0.2, 0.1], "-1,0": [0.2, -0.1]}},
+        "ranges": {"T": 100.0, "sweep": [1.0]}}),
 }
 
 
@@ -479,7 +501,7 @@ def test_bad_body_and_range_configs_exit_2(tmp_path, capsys, case):
     command, raw = _BAD_CONFIGS[case]
     cfg = write_config(tmp_path / "c.json", raw)
     out = tmp_path / "out"
-    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert cli.main(command.split() + ["--config", cfg, "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     # refused before any artifact is written
     assert not out.exists() or not any(out.iterdir())

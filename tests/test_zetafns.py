@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import math
+import re
+from pathlib import Path
 from unittest import mock
 
 import mpmath as mp
@@ -162,16 +165,90 @@ def test_residues_reject_twisted_models():
         zetafns.residues(m)
 
 
-def test_twist_suppression_decay_ladder(twisted2_400):
-    rep = zetafns.twist_suppression(twisted2_400)
-    assert rep.mode == "decay"
-    assert rep.certified
-    assert rep.t_ladder == (100.0, 200.0, 400.0)
-    assert rep.ratios[2] == pytest.approx(7.787159403513205e-06, rel=1e-9)
-    assert rep.ratios[0] == pytest.approx(3.77e-4, rel=2e-2)
-    assert rep.ratios[1] == pytest.approx(1.48e-4, rel=2e-2)
-    assert rep.threshold == pytest.approx(0.25 / (4.0 * math.pi), rel=1e-12)
-    assert rep.ratios[2] < rep.threshold
+def _twisted_model(K1, K2, beta0, T):
+    spec = spectrum.enumerate(K1, K2, T=T, beta=spectrum.TwistForm(beta0))
+    return zetafns.build_zeta_model(spec)
+
+
+def _poisson_bound(model):
+    """(delta, sigma, Theta, B) for beta0 outside Z^d, derived afresh from the spectrum.
+
+    The Gaussian moments come from the binomial expansion of E (mu + sigma N)^k,
+    and Theta from a brute sum over the shifted lattice box [-6, 6]^d.
+    """
+    spec, d = model.spec, model.dim
+    frac = np.asarray(spec.beta.beta0) - np.round(spec.beta.beta0)
+    delta = float(np.linalg.norm(frac))
+    sigma = min(8.0, (spec.T - spec.T0) / 25.0)
+    mu = np.linspace(spec.T0 + 8.5 * sigma, spec.T - 8.5 * sigma, 2 * d)
+    cols = np.array([[sum(math.comb(k, j) * m ** (k - j) * sigma**j
+                          * math.prod(range(j - 1, 0, -2)) for j in range(0, k + 1, 2))
+                      for k in range(d)] for m in mu])
+    cols *= sigma * math.sqrt(2.0 * math.pi)
+    p = np.abs(np.linalg.pinv(cols)[-1])
+    box = np.array(list(itertools.product(range(-6, 7), repeat=d)), dtype=float) + frac
+    theta = float(np.sum(np.exp(-0.5 * sigma**2 * np.sum(box**2, axis=1))))
+    mags = np.array([np.sum(np.exp(-0.5 * ((spec.lengths - m) / sigma) ** 2)) for m in mu])
+    bound = p @ (cols @ model.rho) * theta + len(spec) * np.finfo(float).eps * (p @ mags)
+    return delta, sigma, theta, float(bound)
+
+
+_TWIST_CASES = [
+    ("twisted2_400", True),
+    ("points3_200", True),
+    ("ellipse_ball_third_quarter", True),
+    # sigma = 3.96 at delta = 0.59: exp(-sigma^2 delta^2 / 2) = 6.4e-2, and
+    # sum_j |P_j| Z_j Theta comes to 40 % of rho_d
+    ("short_window", False),
+    # delta = 0.05 at sigma = 7.96: exp(-sigma^2 delta^2 / 2) = 0.92, so the
+    # window cannot tell the twist from none
+    ("near_lattice", False),
+]
+
+
+@pytest.mark.parametrize("case, certified", _TWIST_CASES, ids=[c for c, _ in _TWIST_CASES])
+def test_twist_suppression_holds_its_poisson_bound(case, certified, request):
+    # beta0 outside Z^d: the smoothed leading density vanishes up to the derived bound
+    p = convex.point((0.0, 0.0))
+    if case == "twisted2_400":
+        model = request.getfixturevalue("twisted2_400")
+    elif case == "points3_200":
+        model = _twisted_model(convex.point((0.0, 0.0, 0.0)), convex.point((0.9, 0.4, -1.1)),
+                               IRRATIONAL_BETA0 + (math.sqrt(5.0) - 2.0,), 200.0)
+    elif case == "ellipse_ball_third_quarter":
+        rot = np.array([[0.8, -0.6], [0.6, 0.8]])
+        model = _twisted_model(convex.ellipsoid((0.1, -0.2), (0.5, 0.3), rotation=rot),
+                               convex.ball((0.3, 0.2), 0.2), (1.0 / 3.0, 0.25), 200.0)
+    elif case == "short_window":
+        model = _twisted_model(p, p, IRRATIONAL_BETA0, 100.0)
+    else:
+        model = _twisted_model(p, p, (0.05, 0.0), 200.0)
+    delta, sigma, theta, bound = _poisson_bound(model)
+    rep = zetafns.twist_suppression(model)
+    assert rep.mode == "suppressed"
+    assert rep.weighted == (0j,) * model.dim
+    assert rep.deviation == abs(rep.empirical[-1])
+    assert rep.bound == pytest.approx(bound, rel=1e-9)
+    # Theta is at least its nearest term and not far above it
+    nearest = math.exp(-0.5 * (sigma * delta) ** 2)
+    assert nearest <= theta < 2**model.dim * nearest
+    assert rep.deviation <= rep.bound
+    assert (rep.bound <= 0.05 * model.rho[-1]) == certified
+    assert rep.certified is certified
+
+
+def test_twist_has_one_certificate_path():
+    # the decay ladder and its report fields are gone from the package, the
+    # demos and the README; twist_suppression is the only certificate
+    root = Path(__file__).resolve().parent.parent
+    texts = [root / "README.md", *sorted((root / "src").rglob("*.py")),
+             *sorted((root / "demos").rglob("*.py"))]
+    banned = re.compile(r"t_ladder|untwisted_level|[\"']decay[\"']")
+    hits = [f"{path.name}:{n}" for path in texts
+            for n, line in enumerate(path.read_text().splitlines(), 1) if banned.search(line)]
+    assert hits == []
+    assert [f.name for f in dataclasses.fields(zetafns.TwistReport)] == [
+        "mode", "certified", "weighted", "empirical", "deviation", "bound"]
 
 
 def test_twist_suppression_weighted_mode():
@@ -183,7 +260,8 @@ def test_twist_suppression_weighted_mode():
     assert rep.mode == "weighted"
     assert rep.certified
     assert len(rep.weighted) == 2 and len(rep.empirical) == 2
-    assert rep.deviation < 1e-9
+    assert rep.deviation == abs(rep.empirical[-1] - rep.weighted[-1])
+    assert rep.deviation <= rep.bound < 1e-9
 
 
 def test_poincare_eval_matches_spectral_closed_form(model3):
