@@ -21,7 +21,7 @@ def show(label: str, model: zetafns.ZetaModel) -> None:
     spec = model.spec
     beta0 = spec.beta.beta0
     delta = 1.0 if spec.beta.is_integer else float(np.linalg.norm(beta0 - np.round(beta0)))
-    sigma = min(8.0, (spec.T - spec.T0) / 25.0)
+    sigma = zetafns._smoothed_density(spec)[1]  # the width twist_suppression used
     rep = zetafns.twist_suppression(model)
     rho_d = model.rho[-1]
     print(f"\n{label}: beta0 = {tuple(round(float(b), 4) for b in beta0)}, T = {spec.T:.0f}")

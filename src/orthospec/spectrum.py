@@ -195,7 +195,7 @@ def _newton_matrix(L: convex.SupportBody, theta: np.ndarray, f: np.ndarray) -> n
 def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
     """Maximize theta.w - h_L(theta) per row; returns (theta, value).
 
-    Rows that fail to converge get value = nan.
+    Converged rows take one last step (w closes to rounding); unconverged rows get nan.
     """
     n = w.shape[0]
     theta = theta0.copy()
@@ -229,7 +229,6 @@ def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
             step[bad] = gb / np.maximum(gn, 1e-30) * np.minimum(gn, 0.2)
         new = th + step
         new /= np.linalg.norm(new, axis=1, keepdims=True)
-        new[done] = th[done]
         theta[active] = new
         idx = np.flatnonzero(active)
         active[idx[done]] = False

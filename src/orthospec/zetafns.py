@@ -329,9 +329,10 @@ def twist_suppression(model: ZetaModel) -> TwistReport:
     sigma sqrt(2 pi) |bd(L + mu B)| as E (mu + sigma N)^j >= mu^j.  For nu != 0
     the contour shift t -> t - i sigma^2 nu . theta leaves the factor
     e^{-sigma^2 (nu . theta)^2 / 2} and the phase nu . (x_L + mu theta), stationary
-    only at theta = +-nu / |nu|, with Hessian |nu| (r_i + mu).  Stationary phase (for
-    a point L, the Hankel asymptotic of J_{d/2-1}) then gives |A(nu)| <= q Z
-    e^{-sigma^2 |nu|^2 / 2}, c_d = 2^((d-1)/2) Gamma(d/2) / sqrt(pi) and
+    only at theta = +-nu / |nu|, with Hessian |nu| (r_i + mu).  Leading-order stationary
+    phase (for a point L, the Hankel asymptotic of J_{d/2-1}) gives |A(nu)| <= q Z
+    e^{-sigma^2 |nu|^2 / 2} up to a relative O((mu |nu|)^-1), so the bound is asymptotic,
+    checked on the test fixtures, not proven; c_d = 2^((d-1)/2) Gamma(d/2) / sqrt(pi) and
     q = c_d (1 + r_max/mu)^((d-1)/2) ((mu |nu|)^-2 + sigma^4/mu^4)^((d-1)/4) <= 1
     (mu >= 8.5 sigma) once 8.5 sigma delta >= 2 c_d^(2/(d-1)) (1 + r_max/mu),
     delta = dist(beta0, Z^d) or 1.  That holds wherever a certificate is possible:
@@ -339,8 +340,8 @@ def twist_suppression(model: ZetaModel) -> TwistReport:
     Theta = sum_{nu != 0} e^{-sigma^2 |nu|^2 / 2} <= _TWIST_TOL needs sigma delta >= 2.4.
     So |S - S0| <= Z Theta, and the lead deviation from weighted = P S0 is at most
         bound = sum_j |P_j| Z_j Theta + n eps sum_j |P_j| sum_i g_j(l_i) + quad,
-    adding the summation bound of the n-term window sums and the quadrature's
-    order-doubling delta (0, with weighted = 0, for beta0 outside Z^d).
+    adding the summation bound of the n-term window sums (the records close to rounding)
+    and the quadrature's order-doubling delta (0, weighted = 0, for beta0 outside Z^d).
     certified = deviation <= bound <= _TWIST_TOL rho_d.
     """
     spec = model.spec

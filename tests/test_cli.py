@@ -174,6 +174,8 @@ def test_weighted_twist_report_holds_what_it_certified(tmp_path):
     assert rep["deviation"] == abs(empirical[-1] - weighted[-1])
     rho_d = zetafns._ball_density(2, 2)
     assert rep["certified"] == (rep["deviation"] <= rep["bound"] <= 0.05 * rho_d)
+    # every written coefficient, not only the lead, agrees with the spectrum
+    assert np.max(np.abs(empirical - weighted)) <= 0.05 * rho_d
 
 
 def test_zero_twist_written_out_is_no_twist(tmp_path):

@@ -68,6 +68,19 @@ def test_feet_close_up_on_the_cover(points2_60):
     assert np.max(np.abs(foot2 - foot1 - spec.lengths[:, None] * spec.theta)) < 1e-9
 
 
+def test_newton_records_close_to_rounding():
+    # converged rows take their last Newton step, so 2 pi xi = x_L(theta) + t theta
+    # holds to rounding rather than to the stopping tolerance 1e-12 |w| (4.7e-11
+    # here without that step); the phases inherit the closure through beta0 . t theta
+    K1 = convex.ellipsoid((0.1, -0.2), (0.9, 0.5), rotation=np.array([[0.8, -0.6], [0.6, 0.8]]))
+    K2 = convex.point((0.4, 1.1))
+    spec = spectrum.enumerate(K1, K2, T=60.0)
+    L = spectrum.difference_body(K1, K2)
+    closure = 2.0 * math.pi * spec.xi - L.grad(spec.theta) - spec.lengths[:, None] * spec.theta
+    assert len(spec) > 200
+    assert np.max(np.abs(closure)) < 1e-12
+
+
 @pytest.mark.parametrize("swapped", [False, True], ids=["pair", "swapped"])
 def test_phases_are_the_holonomy_from_the_start_foot(swapped):
     # the arc leaves the first body of the pair with outward normal theta

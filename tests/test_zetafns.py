@@ -262,6 +262,8 @@ def test_twist_suppression_weighted_mode():
     assert len(rep.weighted) == 2 and len(rep.empirical) == 2
     assert rep.deviation == abs(rep.empirical[-1] - rep.weighted[-1])
     assert rep.deviation <= rep.bound < 1e-9
+    # the lower-order weighted residues agree with the spectrum too
+    assert np.max(np.abs(np.subtract(rep.empirical, rep.weighted))) < 1e-9
 
 
 def test_poincare_eval_matches_spectral_closed_form(model3):
