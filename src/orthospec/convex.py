@@ -1,12 +1,15 @@
 """Strictly convex bodies described by their support functions.
 
-A body is a Minkowski sum of primitive parts (point, ball, ellipsoid, zonal
-harmonic bump).  Every primitive knows, in closed form, its support function
-h restricted to unit vectors, the gradient of the 1-homogeneous extension
-(the inverse Gauss map), the extension's Hessian, and an enclosure
-[h_lo, h_hi] of h on the whole sphere.  The Hessian H annihilates u, so its
-other d-1 eigenvalues are the principal curvature radii, and the area
-element's coefficients are their elementary symmetric functions e_j(H).
+A body is a Minkowski sum of primitive parts (ball, a point being a ball of
+radius 0, ellipsoid, zonal harmonic bump).  Every primitive knows, in closed
+form, its support function h restricted to unit vectors, the gradient of the
+1-homogeneous extension (the inverse Gauss map), the extension's Hessian,
+and enclosures of h and of the principal radii on the whole sphere.  The
+Hessian H annihilates u, so its other d-1 eigenvalues are the principal
+curvature radii, and the area element's coefficients are their elementary
+symmetric functions e_j(H).  Hessians add under Minkowski sums, so by Weyl's
+inequality the parts' radius enclosures add (Schneider, Convex Bodies: The
+Brunn-Minkowski Theory, 2nd ed., 2.5).
 """
 
 from __future__ import annotations
@@ -31,12 +34,10 @@ __all__ = [
     "inverse_gauss",
     "minkowski_sum",
     "reflect",
-    "principal_radii",
     "steiner",
 ]
 
 _MIN_RADIUS = 1e-6
-_VALIDATION_ORDER = 24  # grid on which a body's principal radii are checked
 _STEINER_ORDER = 48     # doubled once to validate the Steiner integrals
 
 
@@ -49,31 +50,9 @@ class QuadratureDisagreement(Exception):
 
 
 @dataclass(frozen=True, eq=False)
-class _Point:
-    x0: np.ndarray
-
-    def h(self, u):
-        return u @ self.x0
-
-    def grad(self, u):
-        return np.broadcast_to(self.x0, u.shape).copy()
-
-    def hess(self, u):
-        n, d = u.shape
-        return np.zeros((n, d, d))
-
-    def h_range(self):
-        r = float(np.linalg.norm(self.x0))
-        return -r, r
-
-    def reflected(self):
-        return _Point(-self.x0)
-
-
-@dataclass(frozen=True, eq=False)
 class _Ball:
     center: np.ndarray
-    radius: float
+    radius: float  # 0 for a point
 
     def h(self, u):
         return u @ self.center + self.radius
@@ -89,6 +68,9 @@ class _Ball:
     def h_range(self):
         c = float(np.linalg.norm(self.center))
         return self.radius - c, self.radius + c
+
+    def radius_range(self):
+        return self.radius, self.radius
 
     def reflected(self):
         return _Ball(-self.center, self.radius)
@@ -123,6 +105,14 @@ class _Ellipsoid:
         c = float(np.linalg.norm(self.center))
         return math.sqrt(lam[0]) - c, math.sqrt(lam[-1]) + c
 
+    def radius_range(self):
+        # tangent unit v: v.Hv = det(B on span(u, v)) / q^3 >= lam_min / q and
+        # v.Hv <= v.Bv / q, q^2 in [lam_min, lam_max]: [a_min^2/a_max, a_max^2/a_min]
+        lo, hi = (float(v) for v in np.linalg.eigvalsh(self.quad_form)[[0, -1]])
+        if not lo > 0.0:  # a singular rotation flattens the body
+            return 0.0, math.inf
+        return lo / math.sqrt(hi), hi / math.sqrt(lo)
+
     def reflected(self):
         return _Ellipsoid(-self.center, self.quad_form)
 
@@ -145,6 +135,26 @@ def _zonal_profile(dim: int, k: int, s, m: int):
     rising = math.prod(lam + j for j in range(m))
     c, _ = spherequad._gegenbauer(k - m, lam + m, s)
     return 2.0 ** m * rising * c / math.comb(k + dim - 3, k)
+
+
+def _zonal_radius_extremes(dim: int, k: int) -> tuple:
+    """Least and greatest tangent eigenvalue of the degree-k zonal term with coefficient 1.
+
+    At s = u . axis they are G - s G' + (1 - s^2) G'' (along the axis) and,
+    for dim >= 3, G - s G' (normal to it): degree-k polynomials in s, whose
+    extremes on [-1, 1] lie at the endpoints and the real critical points.
+    """
+    def eigenvalues(s):
+        g, dg, ddg = (_zonal_profile(dim, k, s, m) for m in range(3))
+        return [g - s * dg + (1.0 - s * s) * ddg, g - s * dg][: min(dim - 1, 2)]
+
+    s = [np.array([-1.0, 1.0])]
+    for i in range(min(dim - 1, 2)):
+        p = np.polynomial.Chebyshev.interpolate(lambda x: eigenvalues(x)[i], k)
+        # a real root that rounding moved off the real line is still a sample
+        s.append(np.clip(p.deriv().roots().real, -1.0, 1.0))
+    values = np.concatenate(eigenvalues(np.concatenate(s)))
+    return float(np.min(values)), float(np.max(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +190,10 @@ class _Zonal:
         # a normalized zonal harmonic is bounded by its value 1 at the pole
         return -abs(self.coeff), abs(self.coeff)
 
+    def radius_range(self):
+        lo, hi = _zonal_radius_extremes(self.dim, self.degree)
+        return min(self.coeff * lo, self.coeff * hi), max(self.coeff * lo, self.coeff * hi)
+
     def reflected(self):
         # even degree: h(-theta) = h with the axis flipped
         return _Zonal(self.dim, self.degree, -self.axis, self.coeff)
@@ -196,11 +210,6 @@ class SupportBody:
     dim: int
     kind: str
     parts: tuple
-    # least and greatest principal radius: a ball's radius, else over the
-    # validation grid; a Minkowski sum takes the sums of its operands' values,
-    # which bracket its own (Weyl)
-    r_min: float = 0.0
-    r_max: float = 0.0
 
     def h(self, u: np.ndarray) -> np.ndarray:
         u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -230,22 +239,14 @@ class SupportBody:
         lo, hi = zip(*(p.h_range() for p in self.parts))
         return sum(lo), sum(hi)
 
+    def radius_range(self) -> tuple:
+        """(r_lo, r_hi) enclosing every principal radius at every unit u, from closed forms."""
+        lo, hi = zip(*(p.radius_range() for p in self.parts))
+        return sum(lo), sum(hi)
+
     @property
     def is_point(self) -> bool:
-        return all(isinstance(p, _Point) for p in self.parts)
-
-
-def principal_radii(body: SupportBody, theta: np.ndarray) -> np.ndarray:
-    """Principal curvature radii (n, d-1), ascending, at unit normals theta.
-
-    Shifting theta's eigenvalue 0 of H to -(1 + |H|_F), below every other
-    eigenvalue, leaves the radii as the top d-1 eigenvalues.
-    """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    H = body.hess(theta)
-    mu = 1.0 + np.linalg.norm(H, axis=(1, 2))
-    shifted = H - mu[:, None, None] * (theta[:, :, None] * theta[:, None, :])
-    return np.linalg.eigvalsh(shifted)[:, 1:]
+        return all(isinstance(p, _Ball) and p.radius == 0.0 for p in self.parts)
 
 
 def _finite(name: str, value) -> np.ndarray:
@@ -258,34 +259,25 @@ def _finite(name: str, value) -> np.ndarray:
 
 def _certify(dim: int, kind: str, parts: tuple) -> SupportBody:
     body = SupportBody(dim=dim, kind=kind, parts=parts)
-    if body.is_point:
-        return body
-    g = spherequad.grid(dim, _VALIDATION_ORDER)
-    radii = principal_radii(body, g.nodes)
-    r_min = float(np.min(radii))
-    r_max = float(np.max(radii))
-    # np.min propagates a NaN radius, which only the pass condition refuses
-    if not r_min > _MIN_RADIUS:
+    r_lo, _ = body.radius_range()
+    # a NaN bound fails the pass condition too
+    if not r_lo > _MIN_RADIUS:
         raise ValueError(
-            f"body is not strictly convex on the order-{_VALIDATION_ORDER} validation grid: "
-            f"min principal radius {r_min:.3e} <= {_MIN_RADIUS:g}"
+            f"body is not certified strictly convex: its principal radii are bounded "
+            f"below by {r_lo:.3e}, not above {_MIN_RADIUS:g}"
         )
-    return replace(body, r_min=r_min, r_max=r_max)
+    return body
 
 
 def point(x0) -> SupportBody:
     x0 = _finite("point x0", x0)
-    return SupportBody(dim=x0.size, kind="point", parts=(_Point(x0),))
+    return SupportBody(dim=x0.size, kind="point", parts=(_Ball(x0, 0.0),))
 
 
 def ball(center, radius: float) -> SupportBody:
     center = _finite("ball center", center)
     radius = float(_finite("ball radius", radius))
-    if not radius > _MIN_RADIUS:
-        raise ValueError(f"ball radius {radius:.3e} must exceed {_MIN_RADIUS:g}")
-    # every principal radius of a ball is its radius: no validation grid
-    return SupportBody(dim=center.size, kind="ball", parts=(_Ball(center, radius),),
-                       r_min=radius, r_max=radius)
+    return _certify(center.size, "ball", (_Ball(center, radius),))
 
 
 def ellipsoid(center, semiaxes, rotation: Optional[np.ndarray] = None) -> SupportBody:
@@ -308,15 +300,15 @@ def harmonic(base: SupportBody, terms: Sequence[tuple]) -> SupportBody:
     """Base body plus even zonal harmonic perturbations of the support function.
 
     Each term is (degree, axis, coeff) with even degree >= 2; the axis is
-    normalized.  Construction fails unless the perturbed body stays strictly
-    convex (min principal radius > 1e-6 on the validation grid).
+    normalized.  Construction fails unless the closed-form lower bound on the
+    principal radii, the base's plus each term's, exceeds 1e-6.
     """
     parts = list(base.parts)
     for degree, axis, coeff in terms:
         degree = int(degree)
         if degree < 2 or degree % 2 != 0:
             raise ValueError("harmonic degrees must be even and >= 2")
-        axis = np.asarray(axis, dtype=float)
+        axis = _finite("harmonic axis", axis)
         axis = axis / np.linalg.norm(axis)
         coeff = float(_finite("harmonic coeff", coeff))
         parts.append(_Zonal(base.dim, degree, axis, coeff))
@@ -341,21 +333,16 @@ def inverse_gauss(body: SupportBody, u) -> np.ndarray:
 
 
 def _simplify(parts: list) -> list:
-    points = [p for p in parts if isinstance(p, _Point)]
+    """Merge the balls and points into one ball, or shift an ellipsoid by the points."""
     balls = [p for p in parts if isinstance(p, _Ball)]
-    rest = [p for p in parts if not isinstance(p, (_Point, _Ball))]
-    out = []
-    if balls:
-        c = sum(b.center for b in balls) + sum(p.x0 for p in points)
-        out.append(_Ball(np.asarray(c, dtype=float), sum(b.radius for b in balls)))
-    elif points:
-        shift = np.asarray(sum(p.x0 for p in points), dtype=float)
-        if rest and isinstance(rest[0], _Ellipsoid):
-            e = rest.pop(0)
-            out.append(_Ellipsoid(e.center + shift, e.quad_form))
-        else:
-            out.append(_Point(shift))
-    return out + rest
+    rest = [p for p in parts if not isinstance(p, _Ball)]
+    if not balls:
+        return rest
+    c = np.asarray(sum(b.center for b in balls), dtype=float)
+    r = sum(b.radius for b in balls)
+    if r == 0.0 and rest and isinstance(rest[0], _Ellipsoid):
+        return [_Ellipsoid(rest[0].center + c, rest[0].quad_form)] + rest[1:]
+    return [_Ball(c, r)] + rest
 
 
 def minkowski_sum(a: SupportBody, b: SupportBody) -> SupportBody:
@@ -363,20 +350,16 @@ def minkowski_sum(a: SupportBody, b: SupportBody) -> SupportBody:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     parts = _simplify(list(a.parts) + list(b.parts))
-    if len(parts) == 1:
-        kind = {"_Point": "point", "_Ball": "ball", "_Ellipsoid": "ellipsoid"}.get(
-            type(parts[0]).__name__, "sum"
-        )
-    else:
-        kind = "sum"
-    return SupportBody(dim=a.dim, kind=kind, parts=tuple(parts),
-                       r_min=a.r_min + b.r_min, r_max=a.r_max + b.r_max)
+    kind = "sum"
+    if len(parts) == 1 and isinstance(parts[0], _Ellipsoid):
+        kind = "ellipsoid"
+    elif len(parts) == 1 and isinstance(parts[0], _Ball):
+        kind = "ball" if parts[0].radius else "point"
+    return SupportBody(dim=a.dim, kind=kind, parts=tuple(parts))
 
 
 def reflect(body: SupportBody) -> SupportBody:
     """The reflected body -K, whose support function is h(-u)."""
-    # the reflection's Hessian at u is H(-u) and the validation grid is
-    # antipodally symmetric, so its radii over the grid are the same
     return replace(body, parts=tuple(p.reflected() for p in body.parts))
 
 

@@ -128,8 +128,9 @@ class LengthSpectrum:
     phase of beta along it; the arc leaves body1 at its start foot
     convex.inverse_gauss(body1, theta) and ends length * theta further on,
     on body2.  rejects holds (xi, "NonUniqueMaximizer", length) tuples for
-    classes whose maximizer is degenerate: length + r_min(L) < 1e-6 for the
-    difference body L, so only a window with T0 < 1e-6 can produce one.
+    classes whose maximizer is degenerate: length + r_lo(L) < 1e-6, r_lo(L)
+    the lower end of radius_range() of the difference body L, so only a
+    window with T0 < 1e-6 can produce one.
     """
 
     dim: int
@@ -247,10 +248,9 @@ def _closed_form(part, w: np.ndarray):
     only on rows with value > 0, the rows that can lie in a window (T0, T]
     with T0 >= 0; w = c leaves a zero row and no warning.
     """
-    c, r = (part.x0, 0.0) if isinstance(part, convex._Point) else (part.center, part.radius)
-    v = w - c
+    v = w - part.center
     dist = np.linalg.norm(v, axis=1)
-    value = dist - r
+    value = dist - part.radius
     theta = np.divide(v, dist[:, None], out=np.zeros_like(v), where=(value > 0)[:, None])
     return theta, value
 
@@ -292,16 +292,17 @@ def _solve_chunk(L, xi_chunk, T0, T):
     A difference body that is one point or one ball takes the closed form;
     every other body takes Newton.  At the maximizer the negated sphere
     Hessian has the eigenvalues t + r_i(theta), so a class is rejected as
-    degenerate when t + r_min(L) < _TRANSVERSALITY_TOL = 1e-6; only a
-    window with T0 < 1e-6 can hold such a class.
+    degenerate when t + r_lo(L) < _TRANSVERSALITY_TOL = 1e-6, r_lo(L) the
+    lower end of L.radius_range(); only a window with T0 < 1e-6 can hold
+    such a class.
     """
     w = 2 * math.pi * xi_chunk.astype(float)
-    if len(L.parts) == 1 and isinstance(L.parts[0], (convex._Point, convex._Ball)):
+    if len(L.parts) == 1 and isinstance(L.parts[0], convex._Ball):
         theta, value = _closed_form(L.parts[0], w)
     else:
         theta, value = _newton_solve(L, xi_chunk, w)
     rejects = []
-    degenerate = value + L.r_min < _TRANSVERSALITY_TOL
+    degenerate = value + L.radius_range()[0] < _TRANSVERSALITY_TOL
     window = (value > T0) & (value <= T)
     for i in np.flatnonzero(degenerate & window):
         rejects.append((tuple(int(c) for c in xi_chunk[i]),
@@ -311,11 +312,11 @@ def _solve_chunk(L, xi_chunk, T0, T):
 
 
 def _default_T0(K1: convex.SupportBody, K2: convex.SupportBody) -> float:
-    """The default window start 2 (r_max(K1) + r_max(K2)) + 1.
+    """The default window start 2 (r_hi(K1) + r_hi(K2)) + 1, r_hi the upper end of radius_range().
 
     It lies above the transversality threshold for desk-scale bodies.
     """
-    return 2.0 * (K1.r_max + K2.r_max) + 1.0
+    return 2.0 * (K1.radius_range()[1] + K2.radius_range()[1]) + 1.0
 
 
 def _record_order(lengths: np.ndarray) -> np.ndarray:
@@ -354,8 +355,9 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
 
     At the maximizer the negated sphere Hessian has the eigenvalues
     t + r_i(theta), the length plus the principal radii of L.  A class with
-    t + r_min(L) < 1e-6 is rejected as degenerate and listed in rejects, so
-    only a window with T0 < 1e-6 can produce a reject.
+    t + r_lo(L) < 1e-6, r_lo(L) the closed-form lower bound on those radii,
+    is rejected as degenerate and listed in rejects, so only a window with
+    T0 < 1e-6 can produce a reject.
 
     The candidate window is certified: with [h_lo, h_hi] = L.h_range(), a
     closed-form enclosure of h_L on the whole sphere, t(xi) lies between

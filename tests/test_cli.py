@@ -212,7 +212,7 @@ def test_f_only_twist_is_twisted(tmp_path, capsys):
 
 def test_resolved_config_records_the_enumerated_window(tmp_path):
     # a window left to its defaults is echoed as the one the run enumerated;
-    # guinand enumerates from 0, the others from 2 (r_max(a) + r_max(b)) + 1
+    # guinand enumerates from 0, the others from 2 (r_hi(a) + r_hi(b)) + 1
     ball = {"dim": 3, "bodies": {"a": {"kind": "ball", "radius": 0.3},
                                  "b": {"kind": "point", "x": [0.9, 0.4, -1.1]}}}
     points = {"dim": 3, "bodies": {"a": {"kind": "point"},
@@ -455,7 +455,7 @@ _BAD_CONFIGS = {
     **{f"ball-radius-nan-{command}": (command, {"dim": 2, "bodies": {
         "a": {"kind": "ball", "radius": math.nan}, "b": {"kind": "point"}}})
        for command in ("volumes", "spectrum")},
-    # T0 left to its default 2 (r_max(a) + r_max(b)) + 1 = 27
+    # T0 left to its default 2 (r_hi(a) + r_hi(b)) + 1 = 27
     "default-T0-beyond-T": ("spectrum", {"dim": 2, "bodies": {
         "a": {"kind": "ball", "radius": 13.0}, "b": {"kind": "point"}},
         "ranges": {"T": 20.0}}),

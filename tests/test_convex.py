@@ -87,16 +87,29 @@ def test_inverse_gauss_lands_on_the_boundary():
     assert np.max(np.abs(level.sum(axis=1) - 1.0)) < 1e-10
 
 
+def principal_radii(body, theta):
+    """Principal curvature radii (n, d-1), ascending, at unit normals theta.
+
+    The reference the closed-form radius enclosures are checked against.
+    Shifting theta's eigenvalue 0 of H to -(1 + |H|_F), below every other
+    eigenvalue, leaves the radii as the top d-1 eigenvalues.
+    """
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    H = body.hess(theta)
+    mu = 1.0 + np.linalg.norm(H, axis=(1, 2))
+    shifted = H - mu[:, None, None] * (theta[:, :, None] * theta[:, None, :])
+    return np.linalg.eigvalsh(shifted)[:, 1:]
+
+
 def _uncertified(dim, *parts):
-    # skips the build-time validation grid, which in d = 5 holds 663,552
-    # nodes and takes seconds per body
+    # skips the strict-convexity refusal of the constructors
     return convex.SupportBody(dim=dim, kind="sum", parts=parts)
 
 
 def test_principal_radii_of_a_ball():
     for dim in (2, 3, 4, 5):
-        B = _uncertified(dim, convex._Ball(np.linspace(0.4, -0.3, dim), 0.35))
-        radii = convex.principal_radii(B, convex.spherequad.grid(dim, 8).nodes)
+        B = convex.ball(np.linspace(0.4, -0.3, dim), 0.35)
+        radii = principal_radii(B, convex.spherequad.grid(dim, 8).nodes)
         assert radii.shape[1] == dim - 1
         assert np.max(np.abs(radii - 0.35)) < 1e-12
 
@@ -186,7 +199,6 @@ _NON_FINITE = {
         (0.0, 0.0), (1.0, 0.5), rotation=[[1.0, 0.0], [0.0, math.nan]]),
     "harmonic-coeff": lambda: convex.harmonic(
         convex.ball((0.0, 0.0), 1.0), [(4, (1.0, 0.0), math.nan)]),
-    # NaN principal radii, refused by the validation grid
     "harmonic-axis": lambda: convex.harmonic(
         convex.ball((0.0, 0.0), 1.0), [(4, (math.nan, 0.0), 0.01)]),
 }
@@ -204,7 +216,7 @@ def test_harmonic_body_is_usable():
     c = 0.02
     body = convex.harmonic(convex.ball((0.0, 0.0), 1.0), [(4, (1.0, 0.0), c)])
     nodes = convex.spherequad.grid(2, 32).nodes
-    radii = convex.principal_radii(body, nodes)
+    radii = principal_radii(body, nodes)
     phi = np.arctan2(nodes[:, 1], nodes[:, 0])
     assert np.max(np.abs(radii[:, 0] - (1.0 - 15.0 * c * np.cos(4.0 * phi)))) < 1e-13
     D = convex.steiner(body)
@@ -279,9 +291,18 @@ def test_h_range_encloses_h(dim):
         assert np.min(h) - h_lo < 1e-3 and h_hi - np.max(h) < 1e-3
 
 
-def _grid_radii(body):
-    radii = convex.principal_radii(body, convex.spherequad.grid(body.dim, 24).nodes)
+def _dense_radii(body):
+    """Least and greatest principal radius over a dense sphere grid."""
+    order = {2: 400, 3: 120, 4: 28}[body.dim]
+    radii = principal_radii(body, convex.spherequad.grid(body.dim, order).nodes)
     return float(np.min(radii)), float(np.max(radii))
+
+
+def _assert_encloses(body):
+    # the slack covers the rounding of the eigenvalue solver where a bound is attained
+    r_lo, r_hi = body.radius_range()
+    lo, hi = _dense_radii(body)
+    assert r_lo <= lo + 1e-12 and hi <= r_hi + 1e-12, (r_lo, lo, hi, r_hi)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -290,31 +311,102 @@ def test_derived_bodies_take_their_radii_from_the_operands(dim):
     B = convex.ball(c, 0.6)
     E = convex.ellipsoid(c, np.linspace(1.3, 0.6, dim), rotation=_rotation(dim, dim))
     Z = convex.harmonic(B, [(4, np.ones(dim), 0.01), (2, np.eye(dim)[0], 0.02)])
-    # the grid is antipodally symmetric: a reflection's grid radii keep their
-    # bits; a ball carries its radius exactly
-    for body in (B, E, Z):
+    # the lump of the convex-bodies benchmark: ball 0.4 with degree-2 and degree-4 terms
+    lump = convex.harmonic(convex.ball(c, 0.4), [(2, np.ones(dim), 0.03),
+                                                 (4, np.linspace(-0.6, 0.8, dim), 0.008)])
+    for body in (B, E, Z, lump):
         R = convex.reflect(body)
-        want = (0.6, 0.6) if body is B else _grid_radii(R)
-        assert (R.r_min, R.r_max) == (body.r_min, body.r_max) == want
-    # by Weyl's inequality the operand sums bracket the grid radii of the sum;
-    # the slack covers the rounding of the eigenvalue solver
-    for a, b in ((E, Z), (Z, convex.reflect(E)), (B, E)):
+        assert R.radius_range() == body.radius_range()
+        _assert_encloses(body)
+        _assert_encloses(R)
+    for a, b in ((E, Z), (Z, convex.reflect(E)), (B, E), (lump, convex.reflect(lump))):
         S = convex.minkowski_sum(a, b)
-        lo, hi = _grid_radii(S)
-        assert S.r_min == a.r_min + b.r_min and S.r_max == a.r_max + b.r_max
-        assert S.r_min <= lo + 1e-12 and hi <= S.r_max + 1e-12
+        assert np.allclose(S.radius_range(), np.add(a.radius_range(), b.radius_range()),
+                           rtol=0.0, atol=1e-15)
+        _assert_encloses(S)
 
 
-def test_a_ball_takes_its_radii_in_closed_form(monkeypatch):
-    # a d = 5 validation grid has 663,552 nodes; a ball needs none
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.floats(0.2, 2.0),
+       st.lists(st.tuples(st.sampled_from([2, 4, 6]),
+                          st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+                          st.floats(-0.05, 0.05)), min_size=1, max_size=3))
+def test_radius_range_encloses_random_harmonic_bodies(dim, radius, terms):
+    # the enclosure holds whether or not the body is convex, so the bodies
+    # are built without the constructors' refusal
+    parts = [convex._Ball(np.zeros(dim), radius)]
+    for degree, axis, coeff in terms:
+        axis = np.asarray(axis[:dim])
+        if np.linalg.norm(axis) < 1e-3:
+            axis = np.eye(dim)[0]
+        parts.append(convex._Zonal(dim, degree, unit(axis), coeff))
+    _assert_encloses(_uncertified(dim, *parts))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("degree", [2, 4, 6, 8])
+def test_zonal_radius_extremes_are_attained(dim, degree):
+    # the tangent eigenvalues of a unit zonal term at s = u . axis, on a dense s grid
+    s = np.linspace(-1.0, 1.0, 200_001)
+    g, dg, ddg = (convex._zonal_profile(dim, degree, s, m) for m in range(3))
+    values = [g - s * dg + (1.0 - s * s) * ddg] + ([g - s * dg] if dim >= 3 else [])
+    lo, hi = convex._zonal_radius_extremes(dim, degree)
+    values = np.concatenate(values)
+    assert lo <= np.min(values) + 1e-12 and np.max(values) <= hi + 1e-12
+    # |p''| < 1e5 on these profiles and the samples lie 1e-5 apart, so a peak
+    # falls at most 1e5 (5e-6)^2 / 2 < 2e-6 between them
+    assert np.min(values) - lo < 2e-6 and hi - np.max(values) < 2e-6
+    if dim == 2:
+        # T_k(cos phi) = cos(k phi): h + h'' = (1 - k^2) cos(k phi)
+        assert max(abs(lo + degree**2 - 1), abs(hi - degree**2 + 1)) < 1e-12
+
+
+_CLOSED_FORM_RADII = {
+    "ball": (lambda: convex.ball([0.1, 0.0, -0.2, 0.0, 0.3], 0.7), (0.7, 0.7)),
+    # [a_min^2 / a_max, a_max^2 / a_min]
+    "ellipsoid": (lambda: convex.ellipsoid(np.zeros(5), np.linspace(0.3, 0.9, 5)), (0.1, 2.7)),
+    "ellipsoid-rotated-2": (lambda: convex.ellipsoid((0.3, -0.1), (1.3, 0.7), _rotation(2, 1)),
+                            (0.49 / 1.3, 1.69 / 0.7)),
+    "ellipsoid-rotated-3": (lambda: convex.ellipsoid(
+        (0.0, 0.2, 0.1), (0.5, 0.35, 0.25), _rotation(3, 4)), (0.0625 / 0.5, 0.25 / 0.25)),
+    "ellipsoid-rotated-5": (lambda: convex.ellipsoid(np.zeros(5), np.linspace(0.9, 0.3, 5),
+                                                     _rotation(5, 2)), (0.1, 2.7)),
+    # degree 2 in d = 5: G = (5 s^2 - 1) / 4 has G - s G' = -(5 s^2 + 1) / 4 in
+    # [-3/2, -1/4] and G - s G' + (1 - s^2) G'' = (9 - 15 s^2) / 4 in [-3/2, 9/4]
+    "harmonic": (lambda: convex.harmonic(convex.ball(np.zeros(5), 0.6),
+                                         [(2, (0.3, -0.2, 0.5, 0.1, 0.7), 0.02)]),
+                 (0.6 - 0.03, 0.6 + 0.045)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLOSED_FORM_RADII))
+def test_constructors_take_radii_in_closed_form(case, monkeypatch):
+    # a d = 5 grid on which sampled radii would be near their extremes holds
+    # hundreds of thousands of nodes; no constructor evaluates one
     def no_grid(*args):
-        raise AssertionError("ball() evaluated a sphere grid")
+        raise AssertionError("a constructor evaluated a sphere grid")
 
     monkeypatch.setattr(convex.spherequad, "grid", no_grid)
-    B = convex.ball([0.1, 0.0, -0.2, 0.0, 0.3], 0.7)
-    assert B.r_min == B.r_max == 0.7
+    build, want = _CLOSED_FORM_RADII[case]
+    assert np.max(np.abs(np.subtract(build().radius_range(), want))) < 1e-12
     with pytest.raises(ValueError):
         convex.ball(np.zeros(5), convex._MIN_RADIUS)
+
+
+def test_harmonic_refuses_a_body_that_dips_between_sample_directions():
+    # radius 1 - 15 c cos(4 (phi - 3.75 deg)) has least value -0.002 at c = 0.0668;
+    # the dip lies between the directions of an order-24 sphere grid, whose
+    # radii all exceed 0.03
+    a = math.radians(3.75)
+    with pytest.raises(ValueError, match="strictly convex"):
+        convex.harmonic(convex.ball((0.0, 0.0), 1.0), [(4, (math.cos(a), math.sin(a)), 0.0668)])
+
+
+@pytest.mark.parametrize("rotation", [np.zeros((2, 2)), np.ones((2, 2))])
+def test_ellipsoid_refuses_a_singular_rotation(rotation):
+    # B = R diag(a^2) R^T is singular: the body is flat, its least radius 0
+    with pytest.raises(ValueError, match="strictly convex"):
+        convex.ellipsoid((0.0, 0.0), (1.0, 0.5), rotation=rotation)
 
 
 def test_principal_radii_keep_a_negative_radius():
@@ -324,7 +416,7 @@ def test_principal_radii_keep_a_negative_radius():
     c = 0.2
     body = _uncertified(2, convex._Ball(np.zeros(2), 1.0), convex._Zonal(2, 4, np.eye(2)[0], c))
     nodes = convex.spherequad.grid(2, 32).nodes
-    radii = convex.principal_radii(body, nodes)
+    radii = principal_radii(body, nodes)
     phi = np.arctan2(nodes[:, 1], nodes[:, 0])
     want = 1.0 - 15.0 * c * np.cos(4.0 * phi)
     assert np.min(want) < -1.0
@@ -348,7 +440,7 @@ def test_ellipsoid_curvature_closed_form(dim):
     theta = _unit_rows(np.random.default_rng(dim), 400, dim)
     q = np.sqrt(np.einsum("ni,ij,nj->n", theta, B, theta))
     want = np.prod(a) ** 2 / q ** (dim + 1)
-    got = (convex._area_coeffs(E, theta)[:, 0], np.prod(convex.principal_radii(E, theta), axis=1))
+    got = (convex._area_coeffs(E, theta)[:, 0], np.prod(principal_radii(E, theta), axis=1))
     for g in got:
         assert np.max(np.abs(g / want - 1.0)) < 1e-13
 
@@ -395,7 +487,7 @@ def test_area_coeffs_match_the_frame_radii(dim):
         want = want[:, ::-1]
         coeffs = convex._area_coeffs(body, theta)
         assert np.max(np.abs(coeffs / want - 1.0)) < 1e-13
-        assert np.max(np.abs(convex.principal_radii(body, theta) / radii - 1.0)) < 1e-13
+        assert np.max(np.abs(principal_radii(body, theta) / radii - 1.0)) < 1e-13
         area = (ts[:, None] ** np.arange(dim)) @ coeffs.T
         assert area.shape == (ts.size, theta.shape[0])
         want_area = np.prod(ts[:, None, None] + radii[None, :, :], axis=-1)

@@ -264,8 +264,8 @@ def test_zero_class_of_a_disjoint_pair_is_the_distance():
 
 
 def test_enumerate_makes_no_stacked_eigendecomposition(monkeypatch):
-    # transversality comes from the body's r_min, not from the Hessians of
-    # the records
+    # transversality comes from the body's closed-form radius enclosure, not
+    # from the Hessians of the records
     K1 = convex.ellipsoid((0.1, 0.0, 0.2), (1.2, 0.8, 0.6))
     K2 = convex.ball((0.0, 0.3, 0.0), 0.4)
     eigvalsh = np.linalg.eigvalsh
@@ -476,7 +476,7 @@ def test_d5_difference_body_skips_the_validation_grid(monkeypatch):
     K1 = convex.ball([0.1, 0.0, 0.0, 0.0, 0.2], 0.3)
     K2 = convex.ball([0.0, 0.3, 0.0, 0.0, 0.0], 0.5)
     L = spectrum.difference_body(K1, K2)
-    assert L.kind == "ball" and (L.r_min, L.r_max) == (0.8, 0.8)
+    assert L.kind == "ball" and L.radius_range() == (0.8, 0.8)
     u = np.eye(5)
     assert np.allclose(L.h(u), K1.h(u) + K2.h(-u), atol=1e-15)
 
