@@ -492,9 +492,8 @@ def _cmd_guinand(cfg, out, workers, log):
         width = float(cfg["window"]["width"])
         window = zetafns.GaussianWindow(center, width)
     cfg["window"]["center"] = center
-    fwd = _enumerated(cfg, k1, k2, beta, workers, _SPECTRUM_T)
-    bwd = _enumerated(cfg, k2, k1, beta, workers, _SPECTRUM_T)
-    res = zetafns.guinand_pairing(fwd, bwd, window)
+    spec = _enumerated(cfg, k1, k2, beta, workers, _SPECTRUM_T)
+    res = zetafns.guinand_pairing(spec, window)
     diff = abs(res.length_side - res.spectral_side)
     denom = max(abs(res.length_side), abs(res.spectral_side))
     _tables.write_json(os.path.join(out, "guinand.json"), {

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _MIN_RADIUS = 1e-6
+_ORTHOGONAL_TOL = 1e-9  # max |R^T R - I| of an ellipsoid's rotation
 _STEINER_ORDER = 48     # doubled once to validate the Steiner integrals
 
 
@@ -281,6 +282,11 @@ def ball(center, radius: float) -> SupportBody:
 
 
 def ellipsoid(center, semiaxes, rotation: Optional[np.ndarray] = None) -> SupportBody:
+    """The ellipsoid with these semiaxes along the columns of rotation.
+
+    A rotation R must be orthogonal, max |R^T R - I| <= 1e-9; a singular
+    one leaves a flat body, refused as not strictly convex.
+    """
     center = _finite("ellipsoid center", center)
     semiaxes = _finite("ellipsoid semiaxes", semiaxes)
     if np.any(semiaxes <= 0):
@@ -293,7 +299,12 @@ def ellipsoid(center, semiaxes, rotation: Optional[np.ndarray] = None) -> Suppor
         if rotation.shape != B.shape:
             raise ValueError("rotation must be a square matrix of the body dimension")
         B = rotation @ B @ rotation.T
-    return _certify(center.size, "ellipsoid", (_Ellipsoid(center, B),))
+    body = _certify(center.size, "ellipsoid", (_Ellipsoid(center, B),))
+    if rotation is not None:
+        off = float(np.max(np.abs(rotation.T @ rotation - np.eye(center.size))))
+        if off > _ORTHOGONAL_TOL:
+            raise ValueError(f"rotation must be orthogonal: max |R^T R - I| = {off:.3g}")
+    return body
 
 
 def harmonic(base: SupportBody, terms: Sequence[tuple]) -> SupportBody:

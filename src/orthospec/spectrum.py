@@ -9,8 +9,10 @@ maximum is |2 pi xi - c| - r in closed form; otherwise it is found by
 Riemannian Newton on the sphere.  The resulting records carry the lattice
 class, direction, length and the holonomy phase of a twist one-form
 beta = beta0 . dx + df.  Arcs run from K1 to K2, leaving K1 at
-convex.inverse_gauss(K1, theta); the reverse spectrum, from K2 to K1, is
-the enumeration of the swapped pair.
+convex.inverse_gauss(K1, theta).  The reverse spectrum, from K2 to K1, is
+this one reflected: its difference body is -L, so the class -xi has the
+direction -theta, the same length and the conjugate phase, the arc run
+backwards.
 """
 
 from __future__ import annotations

@@ -566,14 +566,19 @@ def alpha_grid(dim: int) -> np.ndarray:
     return np.union1d(_line_orders(dim), 1.0 - np.arange(1, dim + 1))
 
 
+def _dual_points(beta0: np.ndarray, reach: float) -> tuple:
+    """Every m in Z^d with |m - beta0| <= reach, in lexicographic order, and those norms."""
+    # |m_i| <= |m| <= reach + |beta0|, so the cube holds every such m
+    m = spectrum._lattice_box(beta0.size, int(math.ceil(reach + np.linalg.norm(beta0))))
+    rho = np.linalg.norm(m - beta0, axis=1)
+    keep = rho <= reach
+    return m[keep], rho[keep]
+
+
 def predicted_lines(beta: spectrum.TwistForm, y_max: float) -> np.ndarray:
     """Sorted candidate singular locations |xi - beta0| up to y_max."""
-    beta0 = beta.beta0
-    r = int(math.ceil(y_max + np.linalg.norm(beta0))) + 1
-    xi = spectrum._lattice_box(beta.dim, r)
-    rho = np.linalg.norm(xi - beta0, axis=1)
-    rho = np.unique(np.round(rho[rho <= y_max + 1e-9], 12))
-    return rho
+    _, rho = _dual_points(beta.beta0, y_max + 1e-9)
+    return np.unique(np.round(rho, 12))
 
 
 def _head_boundary_values(lengths, damp, y_grid):
@@ -797,58 +802,39 @@ def _point_location(body: convex.SupportBody) -> np.ndarray:
     return body.grad(e1[None, :])[0]
 
 
-def guinand_pairing(
-    spec_fwd: spectrum.LengthSpectrum,
-    spec_bwd: spectrum.LengthSpectrum,
-    window: GaussianWindow,
-) -> GuinandResult:
+def guinand_pairing(spec: spectrum.LengthSpectrum, window: GaussianWindow) -> GuinandResult:
     """Pair the two-sided length measure against the dual spectral comb.
 
-    length_side = sum_fwd phase phihat(l)/l - sum_bwd conj(phase) phihat(-l)/l;
+    length_side = sum phase (phihat(l) - phihat(-l)) / l;
     spectral_side = e^{i(f(y)-f(x))} (2 pi)^{-d} sum_m e^{i m.(y-x)}
-    ghat(|m - beta0|).  spec_bwd is the spectrum of the swapped pair, from
-    body2 back to body1, and both spectra must carry the same twist beta,
-    whose phases they hold.  Exact for point bodies in odd dimensions.
+    ghat(|m - beta0|), over the m with |m - beta0| <= center + 12 width.
+    The phases are those of spec's twist beta.  The reverse spectrum, from
+    y back to x, is spec reflected (xi and theta negated, the same lengths,
+    conjugate phases), so its terms conj(phase) phihat(-l)/l are spec's
+    own.  Exact for point bodies in odd dimensions.
     """
-    for sp in (spec_fwd, spec_bwd):
-        if not (sp.body1.is_point and sp.body2.is_point):
-            raise ValueError("the exact pairing needs point bodies")
-        if sp.T0 != 0.0:
-            raise ValueError("spectra must be enumerated from T0 = 0")
-    x = _point_location(spec_fwd.body1)
-    y = _point_location(spec_fwd.body2)
-    if not (np.allclose(_point_location(spec_bwd.body1), y, atol=1e-12)
-            and np.allclose(_point_location(spec_bwd.body2), x, atol=1e-12)):
-        raise ValueError("spec_bwd must be the spectrum of spec_fwd's swapped pair")
-    beta = spec_fwd.beta
-    if beta != spec_bwd.beta:
-        raise ValueError("spec_fwd and spec_bwd were enumerated under different twists")
-    d = spec_fwd.dim
+    if not (spec.body1.is_point and spec.body2.is_point):
+        raise ValueError("the exact pairing needs point bodies")
+    if spec.T0 != 0.0:
+        raise ValueError("the spectrum must be enumerated from T0 = 0")
+    d = spec.dim
     if d % 2 == 0:
         raise ValueError("the pairing identity is implemented for odd d")
-    T = min(spec_fwd.T, spec_bwd.T)
-    mass = math.exp(-0.5 * window.width**2 * T**2)
+    mass = math.exp(-0.5 * window.width**2 * spec.T**2)
     if not mass <= _MASS_TOL:
         raise TruncationTooSmall(
-            f"window mass {mass:.2e} beyond T = {T}; enumerate further or widen"
+            f"window mass {mass:.2e} beyond T = {spec.T}; enumerate further or widen"
         )
 
-    lf, lb = spec_fwd.lengths, spec_bwd.lengths
-    length_side = complex(
-        np.sum(spec_fwd.phases * window.transform(lf) / lf)
-        - np.sum(np.conj(spec_bwd.phases) * window.transform(-lb) / lb)
-    )
+    lengths = spec.lengths
+    length_side = complex(np.sum(
+        spec.phases * (window.transform(lengths) - window.transform(-lengths)) / lengths))
 
-    beta0 = beta.beta0
-    reach = window.center + 12.0 * window.width + np.linalg.norm(beta0)
-    m = spectrum._lattice_box(d, int(math.ceil(reach)) + 1)
-    rho = np.linalg.norm(m - beta0, axis=1)
-    keep = np.abs(rho - window.center) <= 12.0 * window.width + window.center
-    m, rho = m[keep], rho[keep]
-    v = y - x
-    fphase = _f_phase(beta, x, y)
-    comb = np.exp(1j * (m @ v)) * _ghat_radial(d, rho, window)
-    spectral_side = complex(fphase * (2 * math.pi) ** (-d) * np.sum(comb))
+    x = _point_location(spec.body1)
+    y = _point_location(spec.body2)
+    m, rho = _dual_points(spec.beta.beta0, window.center + 12.0 * window.width)
+    comb = np.exp(1j * (m @ (y - x))) * _ghat_radial(d, rho, window)
+    spectral_side = complex(_f_phase(spec.beta, x, y) * (2 * math.pi) ** (-d) * np.sum(comb))
     lines = np.unique(np.round(rho, 12))
     return GuinandResult(
         length_side=length_side,

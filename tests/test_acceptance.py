@@ -48,9 +48,7 @@ def guinand300():
     p = convex.point((0.0, 0.0, 0.0))
     q = convex.point((0.9, 0.4, -1.1))
     beta = spectrum.TwistForm(IRRATIONAL_BETA3)
-    fwd = spectrum.enumerate(p, q, T0=0.0, T=300.0, beta=beta)
-    bwd = spectrum.enumerate(q, p, T0=0.0, T=300.0, beta=beta)
-    return fwd, bwd, beta
+    return spectrum.enumerate(p, q, T0=0.0, T=300.0, beta=beta)
 
 
 def test_criterion_1_counting_law(points2_400, capsys):
@@ -176,13 +174,12 @@ def test_criterion_5_poincare_singularities(scan_model3, capsys):
 
 
 def test_criterion_6_guinand_meyer(guinand300, capsys):
-    fwd, bwd, beta = guinand300
-    lines = zetafns.predicted_lines(beta, 2.0)
+    lines = zetafns.predicted_lines(guinand300.beta, 2.0)
     on = zetafns.guinand_pairing(
-        fwd, bwd, zetafns.GaussianWindow(float(lines[0]), 0.2))
+        guinand300, zetafns.GaussianWindow(float(lines[0]), 0.2))
     rel = abs(on.length_side - on.spectral_side) / abs(on.spectral_side)
     off = zetafns.guinand_pairing(
-        fwd, bwd, zetafns.GaussianWindow(0.5 * float(lines[0]), 0.05))
+        guinand300, zetafns.GaussianWindow(0.5 * float(lines[0]), 0.05))
     off_len, off_spec = abs(off.length_side), abs(off.spectral_side)
     ok = rel <= 1e-3 and off_len <= 1e-6 and off_spec <= 1e-6
     report(capsys, 6, "Guinand-Meyer summation", ok,

@@ -260,7 +260,16 @@ def test_poincare_scan_and_spectral_table(runs):
         assert float(row.split(",")[-1]) < 1e-6
 
 
-def test_guinand_agreement(tmp_path):
+def test_guinand_agreement(tmp_path, monkeypatch):
+    # the reverse spectrum is the forward one reflected, so one enumeration serves
+    calls = []
+    enumerate_ = spectrum.enumerate
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "enumerate", counted)
     cfg = write_config(tmp_path / "c.json", {
         "dim": 3,
         "bodies": {"p": {"kind": "point"},
@@ -270,6 +279,7 @@ def test_guinand_agreement(tmp_path):
         "ranges": {"T": 60.0},
     })
     assert cli.main(["guinand", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
     rep = read_json(tmp_path / "guinand.json")
     assert rep["rel_diff"] < 1e-3
     assert rep["truncation_mass"] < 1e-12
@@ -429,6 +439,9 @@ _BAD_CONFIGS = {
     "rotation-shape": ("volumes", {"dim": 2, "bodies": {
         "e": {"kind": "ellipsoid", "semiaxes": [1.0, 0.5],
               "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}}),
+    "rotation-not-orthogonal": ("volumes", {"dim": 2, "bodies": {
+        "e": {"kind": "ellipsoid", "semiaxes": [1.0, 0.5],
+              "rotation": [[1.0, 1.0], [0.0, 1.0]]}}}),
     "odd-harmonic-degree": ("volumes", {"dim": 2, "bodies": {
         "h": {"kind": "harmonic", "base": {"kind": "ball", "radius": 1.0},
               "terms": [[3, [1.0, 0.0], 0.02]]}}}),

@@ -409,6 +409,16 @@ def test_ellipsoid_refuses_a_singular_rotation(rotation):
         convex.ellipsoid((0.0, 0.0), (1.0, 0.5), rotation=rotation)
 
 
+@pytest.mark.parametrize("rotation", [
+    2.0 * np.eye(2),                         # semiaxes (2, 1), h(e1) = 2
+    [[1.0, 1.0], [0.0, 1.0]],                # a shear
+    [[0.8, -0.6], [0.6, 0.8 + 1e-8]],        # max |R^T R - I| = 1.6e-8
+], ids=["scaled", "shear", "off-by-1e-8"])
+def test_ellipsoid_refuses_a_rotation_that_is_not_orthogonal(rotation):
+    with pytest.raises(ValueError, match="orthogonal"):
+        convex.ellipsoid((0.0, 0.0), (1.0, 0.5), rotation=rotation)
+
+
 def test_principal_radii_keep_a_negative_radius():
     # h(phi) = 1 + c cos(4 phi) has radius h + h'' = 1 - 15 c cos(4 phi),
     # negative near phi = 0 for c = 0.2; theta's own eigenvalue must not

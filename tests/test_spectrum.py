@@ -400,12 +400,29 @@ def test_worker_determinism(monkeypatch):
 
 
 def test_orientation_reflection():
-    # the swapped pair runs the arcs backwards: lengths agree
-    K1 = convex.ellipsoid((0.3, 0.0), (1.1, 0.6))
-    K2 = convex.ball((0.0, -0.2), 0.4)
-    fwd = spectrum.enumerate(K1, K2, T=30.0)
-    bwd = spectrum.enumerate(K2, K1, T=30.0)
-    assert np.max(np.abs(fwd.lengths - bwd.lengths)) < 1e-9
+    # the swapped pair's difference body is -L: each record is a forward one
+    # run backwards, the class -xi with direction -theta, the same length and
+    # the conjugate phase
+    cases = [
+        (convex.harmonic(convex.ball((0.3, 0.0), 0.9),
+                         [(2, (1.0, 0.5), 0.05), (4, (0.3, 1.0), 0.01)]),
+         convex.ball((0.0, -0.2), 0.4), 3.0, 30.0,
+         spectrum.TwistForm((0.3, -0.2), {(1, 0): 0.2 + 0.1j, (-1, 0): 0.2 - 0.1j,
+                                          (0, 2): 0.05, (0, -2): 0.05})),
+        (convex.point((0.0, 0.0, 0.0)), convex.point((0.9, 0.4, -1.1)), 0.0, 150.0,
+         spectrum.TwistForm((math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0),
+                             math.sqrt(5.0) - 2.0))),
+    ]
+    for K1, K2, T0, T, beta in cases:
+        fwd = spectrum.enumerate(K1, K2, T0=T0, T=T, beta=beta)
+        bwd = spectrum.enumerate(K2, K1, T0=T0, T=T, beta=beta)
+        assert len(fwd) == len(bwd) > 0
+        # both listed in lexicographic order of the forward class
+        f, b = np.lexsort(fwd.xi.T[::-1]), np.lexsort(-bwd.xi.T[::-1])
+        assert np.array_equal(-bwd.xi[b], fwd.xi[f])
+        assert np.array_equal(-bwd.theta[b], fwd.theta[f])
+        assert np.array_equal(bwd.lengths[b], fwd.lengths[f])
+        assert np.max(np.abs(bwd.phases[b] - np.conj(fwd.phases[f]))) < 1e-13
 
 
 def test_enumerate_window_validation():

@@ -596,79 +596,57 @@ def test_gaussian_window_odd_part():
 
 
 @pytest.fixture(scope="module")
-def guinand_spectra():
+def guinand_spectrum():
     p = convex.point((0.0, 0.0, 0.0))
     q = convex.point((0.9, 0.4, -1.1))
     beta = spectrum.TwistForm((math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0),
                                math.sqrt(5.0) - 2.0))
-    fwd = spectrum.enumerate(p, q, T0=0.0, T=150.0, beta=beta)
-    bwd = spectrum.enumerate(q, p, T0=0.0, T=150.0, beta=beta)
-    return fwd, bwd, beta
+    return spectrum.enumerate(p, q, T0=0.0, T=150.0, beta=beta)
 
 
-def test_guinand_pairing_on_a_line(guinand_spectra):
-    fwd, bwd, beta = guinand_spectra
-    lines = zetafns.predicted_lines(beta, 2.0)
+def test_guinand_pairing_on_a_line(guinand_spectrum):
+    lines = zetafns.predicted_lines(guinand_spectrum.beta, 2.0)
     window = zetafns.GaussianWindow(float(lines[0]), 0.2)
-    res = zetafns.guinand_pairing(fwd, bwd, window)
+    res = zetafns.guinand_pairing(guinand_spectrum, window)
     rel = abs(res.length_side - res.spectral_side) / abs(res.spectral_side)
     assert rel < 1e-6
     assert res.truncation_mass < 1e-12
     assert abs(res.spectral_side) > 1e-4
 
 
-def test_guinand_pairing_off_line(guinand_spectra):
+def test_guinand_pairing_off_line(guinand_spectrum):
     # below the first line the nearest spectral mass is many widths away
-    fwd, bwd, beta = guinand_spectra
-    lines = zetafns.predicted_lines(beta, 2.0)
+    lines = zetafns.predicted_lines(guinand_spectrum.beta, 2.0)
     window = zetafns.GaussianWindow(0.5 * float(lines[0]), 0.05)
-    res = zetafns.guinand_pairing(fwd, bwd, window)
+    res = zetafns.guinand_pairing(guinand_spectrum, window)
     assert abs(res.length_side) < 1e-6
     assert abs(res.spectral_side) < 1e-6
 
 
-def test_guinand_truncation_guard(guinand_spectra):
-    fwd, bwd, _ = guinand_spectra
+def test_guinand_truncation_guard(guinand_spectrum):
     window = zetafns.GaussianWindow(0.6, 0.01)   # needs far more spectrum
     with pytest.raises(zetafns.TruncationTooSmall):
-        zetafns.guinand_pairing(fwd, bwd, window)
+        zetafns.guinand_pairing(guinand_spectrum, window)
 
 
-def test_guinand_pairing_refuses_spectra_under_different_twists(guinand_spectra):
-    fwd, bwd, beta = guinand_spectra
-    p, q = bwd.body1, bwd.body2
-    window = zetafns.GaussianWindow(1.0, 0.2)
-    others = [
-        spectrum.TwistForm(np.zeros(3)),
-        spectrum.TwistForm(beta.beta0 + 1e-9),
-        spectrum.TwistForm(beta.beta0, {(1, 0, 0): 0.1, (-1, 0, 0): 0.1}),
-    ]
-    for other in others:
-        # the twist is checked before the truncation mass: a short spectrum will do
-        bwd_other = spectrum.enumerate(p, q, T0=0.0, T=20.0, beta=other)
-        with pytest.raises(ValueError, match="different twists"):
-            zetafns.guinand_pairing(fwd, bwd_other, window)
-        with pytest.raises(ValueError, match="different twists"):
-            zetafns.guinand_pairing(bwd_other, fwd, window)
-
-
-def test_guinand_pairing_refuses_a_bwd_that_is_not_the_swapped_pair(guinand_spectra):
-    fwd, bwd, beta = guinand_spectra
-    p, q = fwd.body1, fwd.body2
-    r = convex.point((0.9, 0.4, 1.1))
-    window = zetafns.GaussianWindow(1.0, 0.2)
-    # the pair is checked before the truncation mass: short spectra will do
-    for K1, K2 in ((p, q), (q, r), (r, p), (q, q)):
-        other = spectrum.enumerate(K1, K2, T0=0.0, T=20.0, beta=beta)
-        with pytest.raises(ValueError, match="swapped pair"):
-            zetafns.guinand_pairing(fwd, other, window)
-    zetafns.guinand_pairing(fwd, bwd, window)
+def test_guinand_pairing_in_d5():
+    # the d = 5 branch of _ghat_radial, on the first line of an irrational twist
+    p = convex.point((0.0, 0.0, 0.0, 0.0, 0.0))
+    q = convex.point((0.9, 0.4, -1.1, 0.3, -0.6))
+    beta = spectrum.TwistForm((math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0),
+                               math.sqrt(5.0) - 2.0, math.sqrt(7.0) - 2.5,
+                               math.pi - 3.0))
+    spec = spectrum.enumerate(p, q, T0=0.0, T=40.0, beta=beta)
+    lines = zetafns.predicted_lines(beta, 2.0)
+    res = zetafns.guinand_pairing(spec, zetafns.GaussianWindow(float(lines[0]), 0.2))
+    assert res.truncation_mass < 1e-12
+    assert abs(res.spectral_side) > 1e-4
+    assert abs(res.length_side - res.spectral_side) / abs(res.spectral_side) < 1e-9
 
 
 def test_guinand_rejects_nonzero_T0():
     p = convex.point((0.0, 0.0, 0.0))
     q = convex.point((0.9, 0.4, -1.1))
-    fwd = spectrum.enumerate(p, q, T=60.0)
-    bwd = spectrum.enumerate(q, p, T=60.0)
+    spec = spectrum.enumerate(p, q, T=60.0)
     with pytest.raises(ValueError):
-        zetafns.guinand_pairing(fwd, bwd, zetafns.GaussianWindow(1.0, 0.2))
+        zetafns.guinand_pairing(spec, zetafns.GaussianWindow(1.0, 0.2))
