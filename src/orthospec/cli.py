@@ -57,7 +57,6 @@ _DEFAULTS = {
 }
 
 _SPECTRUM_T = 50.0  # the window end of spectrum and guinand when ranges.T is unset
-_VALUE_HEADER = ["s_re", "s_im", "value_re", "value_im"]
 _BODY_KINDS = {"point", "ball", "ellipsoid", "harmonic"}
 
 
@@ -240,42 +239,52 @@ def _enumerated(cfg: dict, k1, k2, beta, workers: int, default_T: float,
     return spec
 
 
-def _grid_spec(spec, fallback: np.ndarray) -> np.ndarray:
-    """Resolve a grid description: explicit list, {start, stop, num, spacing}."""
+def _grid(cfg: dict, key: str, fallback=None):
+    """ranges[key] as an array: a list, or {start, stop, num, spacing}; None is fallback.
+
+    Its consumer checks the values before any artifact is written.
+    """
+    spec = cfg["ranges"][key]
     if spec is None:
         return fallback
-    with _config_errors("grid"):
+    with _config_errors(f"ranges.{key}"):
         if isinstance(spec, dict):
             num = int(spec.get("num", 20))
-            lo, hi = float(spec["start"]), float(spec["stop"])
-            if spec.get("spacing", "linear") == "log":
-                return np.geomspace(lo, hi, num)
-            return np.linspace(lo, hi, num)
+            space = np.geomspace if spec.get("spacing", "linear") == "log" else np.linspace
+            return space(float(spec["start"]), float(spec["stop"]), num)
         return np.asarray([float(x) for x in spec])
 
 
-def _s_grid_spec(spec, fallback: list) -> list:
+def _t_grid(cfg: dict, fallback: np.ndarray, least: int = 1) -> np.ndarray:
+    """ranges.t_grid, echoed into cfg: at least `least` entries, each finite and > 0."""
+    ts = _grid(cfg, "t_grid", fallback)
+    if ts.size < least or not np.all((ts > 0.0) & (ts < math.inf)):
+        raise ConfigError(f"ranges.t_grid needs at least {least} entries, each finite and > 0")
+    cfg["ranges"]["t_grid"] = ts.tolist()
+    return ts
+
+
+def _s_grid_spec(spec, fallback: list) -> np.ndarray:
     if spec is None:
-        return fallback
+        return np.array(fallback)
     with _config_errors("s grid"):
-        s_grid = [complex(float(p[0]), float(p[1])) for p in spec]
+        s_grid = np.array([complex(float(p[0]), float(p[1])) for p in spec], dtype=complex)
     if not np.all(np.isfinite(s_grid)):
         raise ConfigError("s grids need finite entries")
     return s_grid
 
 
-def _re_im(values) -> list:
-    """The real and imaginary columns of a sequence of complex numbers."""
-    z = np.asarray(values, dtype=complex)
-    return [z.real, z.imag]
+def _number(value) -> float:
+    """value as a float; a string, a bool or a list is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _write_series(path, ts, values, expansions) -> None:
     residual = [abs(complex(v) - complex(e)) for v, e in zip(values, expansions)]
-    _tables.write_csv(
-        path, ["t", "value_re", "value_im", "expansion_re", "expansion_im", "residual"],
-        [ts] + _re_im(values) + _re_im(expansions) + [residual],
-    )
+    _tables.write_csv(path, ["t", "value", "expansion", "residual"],
+                      [ts, values, expansions, residual])
 
 
 def _echo_config(cfg: dict, out: str) -> None:
@@ -304,13 +313,8 @@ def _cmd_volumes(cfg, out, workers, log):
     for name in sorted(cfg["bodies"]):
         body = build_body(cfg["dim"], cfg["bodies"][name])
         data = convex.steiner(body)
-        report[name] = {
-            "dim": data.dim,
-            "volume": data.volume,
-            "surface_moments": list(data.surface_moments),
-            "steiner_coeffs": list(data.steiner_coeffs),
-            "intrinsic": {f"V{k}": v for k, v in enumerate(data.intrinsic)},
-        }
+        report[name] = {**vars(data),
+                        "intrinsic": {f"V{k}": v for k, v in enumerate(data.intrinsic)}}
         log(f"volumes[{name}]: V = [{', '.join(f'{v:.6f}' for v in data.intrinsic)}]")
     _tables.write_json(os.path.join(out, "volumes.json"), report)
     _plot_script(
@@ -333,9 +337,8 @@ def _cmd_spectrum(cfg, out, workers, log):
     counts = [spectrum.counting(spec, float(tv)) for tv in ts]
     model = [sum(rho[k - 1] * tv**k / k for k in range(1, spec.dim + 1)) for tv in ts]
     weighted = [spectrum.counting_weighted(spec, float(tv)) for tv in ts]
-    _tables.write_csv(os.path.join(out, "counting.csv"),
-                      ["T", "count", "model", "weighted_re", "weighted_im"],
-                      [ts, counts, model] + _re_im(weighted))
+    _tables.write_csv(os.path.join(out, "counting.csv"), ["T", "count", "model", "weighted"],
+                      [ts, counts, model, weighted])
     _plot_script(
         os.path.join(out, "spectrum.gp"),
         "orthogeodesic counting",
@@ -367,38 +370,25 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
     fallback = [complex(0.25 + 0.5 * k, 0.0) for k in range(2 * d + 1)]
     s_grid = _s_grid_spec(r["zeta_s_grid"], fallback)
     model = _zeta_model(cfg, k1, k2, beta, workers)
-    if beta.is_zero:
-        values = [zetafns.zeta_continue(model, s) for s in s_grid]
-    else:
+    if not beta.is_zero:
         # twisted series: no rational tail model, report convergent head sums
-        s_grid = [s for s in s_grid if s.real > d]
-        values = [zetafns.zeta_eval(model, s) for s in s_grid]
-    cfg["ranges"]["zeta_s_grid"] = [[s.real, s.imag] for s in s_grid]
-    _tables.write_csv(os.path.join(out, "zeta_values.csv"), _VALUE_HEADER,
-                      _re_im(s_grid) + _re_im(values))
+        s_grid = s_grid[s_grid.real > d]
+    value = zetafns.zeta_continue if beta.is_zero else zetafns.zeta_eval
+    values = np.array([value(model, s) for s in s_grid.tolist()], dtype=complex)
+    cfg["ranges"]["zeta_s_grid"] = [[s.real, s.imag] for s in s_grid.tolist()]
+    _tables.write_csv(os.path.join(out, "zeta_values.csv"), ["s", "value"], [s_grid, values])
     if report_residues:
         ests = zetafns.residues(model)
         _tables.write_json(os.path.join(out, "residues.json"), [
-            {
-                "pole": est.pole,
-                "residue_re": est.residue.real,
-                "residue_im": est.residue.imag,
-                "err": est.error,
-                "predicted_from_volumes": est.predicted_from_volumes,
-            }
-            for est in ests
-        ])
+            {"pole": est.pole, "residue": est.residue, "err": est.error,
+             "predicted_from_volumes": est.predicted_from_volumes}
+            for est in ests])
         for est in ests:
             log(f"zeta: Res at s={est.pole} is {est.residue:.9g} "
                 f"(volumes predict {est.predicted_from_volumes:.9g})")
     if not beta.is_zero:
         rep = zetafns.twist_suppression(model)
-        (w_re, w_im), (e_re, e_im) = _re_im(rep.weighted), _re_im(rep.empirical)
-        _tables.write_json(os.path.join(out, "twist.json"), {
-            "mode": rep.mode, "certified": rep.certified,
-            "weighted_re": w_re.tolist(), "weighted_im": w_im.tolist(),
-            "empirical_re": e_re.tolist(), "empirical_im": e_im.tolist(),
-            "deviation": rep.deviation, "bound": rep.bound})
+        _tables.write_json(os.path.join(out, "twist.json"), rep)
         log(f"zeta: twist suppression certified={rep.certified}")
     _plot_script(
         os.path.join(out, "zeta.gp"),
@@ -416,34 +406,16 @@ def _cmd_poincare(cfg, out, workers, log):
     fallback = [complex(0.2, y) for y in np.linspace(0.0, 3.2, 33)]
     s_grid = _s_grid_spec(r["poincare_s_grid"], fallback)
     model = _zeta_model(cfg, k1, k2, beta, workers)
-    cfg["ranges"]["poincare_s_grid"] = [[s.real, s.imag] for s in s_grid]
-    values = [zetafns.poincare_eval(model, s) for s in s_grid]
-    _tables.write_csv(os.path.join(out, "poincare_values.csv"), _VALUE_HEADER,
-                      _re_im(s_grid) + _re_im(values))
-    eps_ladder = r["eps_ladder"]
-    y_spec = r["y_grid"]
-    y_grid = None if y_spec is None else _grid_spec(y_spec, None)
-    fits = zetafns.singularity_scan(
-        model, eps_ladder=None if eps_ladder is None else list(eps_ladder),
-        y_grid=y_grid,
-    )
+    with _config_errors("ranges"):  # the check singularity_scan runs, before any artifact
+        eps_ladder, y_grid = zetafns._scan_grids(_grid(cfg, "eps_ladder"), _grid(cfg, "y_grid"),
+                                                 model.spec.T)
+    cfg["ranges"]["poincare_s_grid"] = [[s.real, s.imag] for s in s_grid.tolist()]
+    values = np.array([zetafns.poincare_eval(model, s) for s in s_grid.tolist()], dtype=complex)
+    _tables.write_csv(os.path.join(out, "poincare_values.csv"), ["s", "value"],
+                      [s_grid, values])
+    fits = zetafns.singularity_scan(model, eps_ladder=eps_ladder, y_grid=y_grid)
     kappa, _ = zetafns.spectral_constants(model.spec.dim)
-    _tables.write_json(os.path.join(out, "scan.json"), {
-        "kappa": kappa,
-        "lines": [
-            {
-                "location": f.location,
-                "alpha": f.alpha,
-                "exponent": f.exponent,
-                "coefficient_re": f.coefficient.real,
-                "coefficient_im": f.coefficient.imag,
-                "residual": f.residual,
-                "nearest_line": f.nearest_line,
-                "line_distance": f.line_distance,
-            }
-            for f in fits
-        ],
-    })
+    _tables.write_json(os.path.join(out, "scan.json"), {"kappa": kappa, "lines": fits})
     for f in fits:
         log(f"poincare: line at y={f.location:.4f} exponent {f.exponent:+.3f} "
             f"(nearest {f.nearest_line:.4f})")
@@ -452,19 +424,15 @@ def _cmd_poincare(cfg, out, workers, log):
         y = zetafns._point_location(k2)
         if not zetafns._same_torus_point(x, y):
             # the exact dual-sum path is available on the real axis only
-            real = [(s, v) for s, v in zip(s_grid, values)
-                    if s.real > 0 and s.imag == 0.0]
-            s_real = [s for s, _ in real]
-            series = [v for _, v in real]
-            dual = [zetafns.poincare_points_spectral(x, y, beta, s)
-                    for s in s_real]
-            rel = [abs(a - b) / max(abs(b), 1e-300) for a, b in zip(series, dual)]
-            _tables.write_csv(
-                os.path.join(out, "spectral.csv"),
-                ["s_re", "s_im", "series_re", "series_im", "spectral_re",
-                 "spectral_im", "rel_diff"],
-                _re_im(s_real) + _re_im(series) + _re_im(dual) + [rel],
-            )
+            real = (s_grid.real > 0) & (s_grid.imag == 0.0)
+            series = values[real]
+            dual = np.array([zetafns.poincare_points_spectral(x, y, beta, s)
+                             for s in s_grid[real].tolist()], dtype=complex)
+            rel = [abs(a - b) / max(abs(b), 1e-300)
+                   for a, b in zip(series.tolist(), dual.tolist())]
+            _tables.write_csv(os.path.join(out, "spectral.csv"),
+                              ["s", "series", "spectral", "rel_diff"],
+                              [s_grid[real], series, dual, rel])
     _plot_script(
         os.path.join(out, "poincare.gp"),
         "Poincare series toward the boundary",
@@ -483,30 +451,21 @@ def _cmd_guinand(cfg, out, workers, log):
     cfg["ranges"]["T0"] = 0.0
     center = cfg["window"]["center"]
     if center is None:
-        lines = zetafns.predicted_lines(beta, 10.0)
-        positive = lines[lines > 1e-9]
-        if positive.size == 0:
-            raise ConfigError("no spectral line available for the window center")
-        center = float(positive[0])
+        # the lattice point nearest beta0 lies within sqrt(d)/2 of it; when
+        # that point is beta0 itself, a neighbour lies at distance 1
+        lines = zetafns.predicted_lines(beta, math.sqrt(cfg["dim"]) / 2.0 + 1.0)
+        center = float(lines[lines > 1e-9][0])
     with _config_errors("window"):
-        width = float(cfg["window"]["width"])
-        window = zetafns.GaussianWindow(center, width)
+        window = zetafns.GaussianWindow(_number(center), _number(cfg["window"]["width"]))
+    center, width = window.center, window.width
     cfg["window"]["center"] = center
     spec = _enumerated(cfg, k1, k2, beta, workers, _SPECTRUM_T)
     res = zetafns.guinand_pairing(spec, window)
     diff = abs(res.length_side - res.spectral_side)
     denom = max(abs(res.length_side), abs(res.spectral_side))
     _tables.write_json(os.path.join(out, "guinand.json"), {
-        "window": {"center": center, "width": width},
-        "length_side_re": res.length_side.real,
-        "length_side_im": res.length_side.imag,
-        "spectral_side_re": res.spectral_side.real,
-        "spectral_side_im": res.spectral_side.imag,
-        "abs_diff": diff,
-        "rel_diff": diff / denom if denom > 0 else 0.0,
-        "truncation_mass": res.truncation_mass,
-        "lines": list(res.lines),
-    })
+        **vars(res), "window": window, "abs_diff": diff,
+        "rel_diff": diff / denom if denom > 0 else 0.0})
     log(f"guinand: length {res.length_side:.6g} vs spectral "
         f"{res.spectral_side:.6g} (abs diff {diff:.3g})")
     _plot_script(
@@ -523,29 +482,28 @@ def _cmd_correlate(cfg, out, workers, log):
     beta0 = np.asarray(cfg["twist"]["beta0"], dtype=float)
     phi = _observable(cfg, "phi")
     psi = _observable(cfg, "psi")
-    ts = _grid_spec(cfg["ranges"]["t_grid"], np.geomspace(50.0, 800.0, 16))
-    cfg["ranges"]["t_grid"] = [float(t) for t in ts]
+    ts = _t_grid(cfg, np.geomspace(50.0, 800.0, 16))
+    params = None
+    if cfg["aniso"] is not None:
+        a = cfg["aniso"]
+        with _config_errors("aniso"):
+            params = dynamics.AnisoParams(
+                s0=int(a["s0"]), s1=int(a["s1"]), N0=float(a["N0"]),
+                N1=float(a["N1"]), gamma=tuple(a["gamma"]), width=float(a["width"]))
+            if len(params.gamma) != cfg["dim"]:
+                raise ValueError(f"gamma needs {cfg['dim']} entries")
     values = dynamics.correlation(phi, psi, beta0, ts, workers=workers)
     expans = [dynamics.correlation_expansion(phi, psi, beta0, float(t)) for t in ts]
     _write_series(os.path.join(out, "correlate.csv"), ts, values, expans)
     log(f"correlate: {len(ts)} samples, last residual "
         f"{abs(values[-1] - expans[-1]):.3e}")
-    if cfg["aniso"] is not None:
-        a = cfg["aniso"]
-        params = dynamics.AnisoParams(
-            s0=int(a["s0"]), s1=int(a["s1"]), N0=float(a["N0"]),
-            N1=float(a["N1"]), gamma=tuple(a["gamma"]), width=float(a["width"]))
+    if params is not None:
         report = {}
         for name, obs in (("phi", phi), ("psi", psi)):
             val = dynamics.aniso_norm(obs, params)
             report[name] = val
             log(f"correlate: aniso norm of {name} = {val:.6g}")
-        _tables.write_json(os.path.join(out, "norms.json"), {
-            "params": {"s0": params.s0, "s1": params.s1, "N0": params.N0,
-                       "N1": params.N1, "gamma": list(params.gamma),
-                       "width": params.width},
-            "norms": report,
-        })
+        _tables.write_json(os.path.join(out, "norms.json"), {"params": params, "norms": report})
     _plot_script(
         os.path.join(out, "correlate.gp"),
         "correlation against its expansion",
@@ -570,14 +528,12 @@ def _cmd_equidist(cfg, out, workers, log):
     body = build_body(cfg["dim"], cfg["bodies"][name])
     f = _observable(cfg, "f")
     mean = dynamics._torus_mean(f)
-    ts = _grid_spec(cfg["ranges"]["t_grid"], np.geomspace(10.0, 500.0, 18))
-    cfg["ranges"]["t_grid"] = [float(t) for t in ts]
+    ts = _t_grid(cfg, np.geomspace(10.0, 500.0, 18))
     res = dynamics.equidistribute(body, f, ts, workers=workers)
     values = res.average
     _write_series(os.path.join(out, "equidist.csv"), ts, values, [mean] * len(ts))
-    _tables.write_json(os.path.join(out, "equidist.json"), {
-        "doubling_error_max": float(np.max(res.error_estimate)),
-    })
+    _tables.write_json(os.path.join(out, "equidist.json"),
+                       {"doubling_error_max": np.max(res.error_estimate)})
     log(f"equidist: |error| from {abs(values[0] - mean):.3e} down to "
         f"{abs(values[-1] - mean):.3e}")
     _plot_script(
@@ -599,38 +555,25 @@ def _cmd_oscint(cfg, out, workers, log):
     xi = np.asarray([1.0] + [0.0] * (d - 1) if xi is None else xi, dtype=float)
     if xi.shape != (d,):
         raise ConfigError(f"oscint.xi needs {d} entries")
-    cfg["oscint"]["xi"] = [float(c) for c in xi]
+    cfg["oscint"]["xi"] = xi.tolist()
     beta0 = np.asarray(cfg["twist"]["beta0"], dtype=float)
-    ts = _grid_spec(cfg["ranges"]["t_grid"], np.geomspace(50.0, 800.0, 12))
-    if ts.size < 2:
-        raise ConfigError("oscint needs at least two t values to fit the cap decay")
-    if not np.all(ts > 0.0):
-        raise ConfigError("oscint needs t_grid entries > 0")
-    cfg["ranges"]["t_grid"] = [float(t) for t in ts]
+    ts = _t_grid(cfg, np.geomspace(50.0, 800.0, 12), least=2)  # two to fit the cap decay
     lam = float(np.linalg.norm(xi - beta0))
     if not lam > 0.0:
         raise ConfigError("oscint needs oscint.xi != twist.beta0 for the stationary points")
     res = spherequad.osc_integral(d, xi=xi, beta0=beta0, t=ts)
-    vals = res.value.tolist()
     sps, scaled = [], []
-    for t, v in zip(ts.tolist(), vals):
+    for t, v in zip(ts.tolist(), res.value.tolist()):
         sp, order = spherequad.stationary_phase(d, xi=xi, beta0=beta0, t=t)
         sps.append(sp)
         scaled.append(abs(v - sp) * t ** (-order))
-    _tables.write_csv(
-        os.path.join(out, "oscint.csv"),
-        ["t", "value_re", "value_im", "stationary_re", "stationary_im",
-         "scaled_residual"],
-        [ts] + _re_im(vals) + _re_im(sps) + [scaled],
-    )
+    _tables.write_csv(os.path.join(out, "oscint.csv"),
+                      ["t", "value", "stationary", "scaled_residual"],
+                      [ts, res.value, sps, scaled])
     cap = spherequad.cap_decay_check(d, xi=xi, ts=list(ts), beta0=beta0)
     _tables.write_json(os.path.join(out, "oscint.json"), {
-        "xi": [float(c) for c in xi],
-        "lambda": lam,
-        "remainder_order": order,
-        "cap_exponent": cap,
-        "doubling_error_max": float(np.max(res.error_estimate)),
-    })
+        "xi": xi, "lambda": lam, "remainder_order": order, "cap_exponent": cap,
+        "doubling_error_max": np.max(res.error_estimate)})
     log(f"oscint: equator piece decays like t^{cap:.2f}")
     _plot_script(
         os.path.join(out, "oscint.gp"),

@@ -460,23 +460,20 @@ def to_csv(spec: LengthSpectrum, csv_path, meta_path=None) -> None:
     header = (
         [f"xi_{k+1}" for k in range(d)]
         + [f"theta_{k+1}" for k in range(d)]
-        + ["length", "phase_re", "phase_im"]
+        + ["length", "phase"]
     )
-    _tables.write_csv(
-        csv_path, header,
-        list(spec.xi.T) + list(spec.theta.T)
-        + [spec.lengths, spec.phases.real, spec.phases.imag],
-    )
+    _tables.write_csv(csv_path, header,
+                      list(spec.xi.T) + list(spec.theta.T) + [spec.lengths, spec.phases])
     if meta_path is not None:
         _tables.write_json(meta_path, {
             "dim": d,
             "T0": spec.T0,
             "T": spec.T,
-            "beta0": [float(b) for b in spec.beta.beta0],
+            "beta0": spec.beta.beta0,
             "f_modes": {",".join(str(c) for c in k): [v.real, v.imag]
                         for k, v in spec.beta.modes},
             "kind1": spec.body1.kind,
             "kind2": spec.body2.kind,
             "count": len(spec),
-            "rejects": [list(r) for r in spec.rejects],
+            "rejects": spec.rejects,
         })

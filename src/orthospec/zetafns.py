@@ -97,8 +97,8 @@ class GaussianWindow:
     width: float
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("window width must be positive")
+        if not (math.isfinite(self.center) and 0.0 < self.width < math.inf):
+            raise ValueError("window center must be finite and width finite and positive")
 
     def value(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -659,6 +659,30 @@ def _peak_indices(mag: np.ndarray) -> list:
     return sorted(idx[:_MAX_PEAKS])
 
 
+def _scan_grids(eps_ladder: Optional[Sequence[float]], y_grid: Optional[np.ndarray],
+                T: float) -> tuple:
+    """The eps ladder, largest first, and the y grid singularity_scan runs on a head to T.
+
+    None is the default.  The slope fit needs two or more distinct eps in
+    [1e-3, 0.5] and min(eps) * T >= 6; the y grid must be finite and
+    increasing, as the lines are predicted up to its last entry.  Any other
+    grid is a ValueError.
+    """
+    if eps_ladder is None:
+        # keep the fluctuation floor e^{-eps T} well under the weakest peaks
+        eps_ladder = np.geomspace(1e-1, max(2e-2, 9.0 / T), 8)
+    eps = np.asarray(sorted(eps_ladder, reverse=True), dtype=float)
+    if not (eps.size >= 2 and np.all(np.diff(eps) < 0.0)
+            and eps[-1] >= _EPS_FLOOR and eps[0] <= 0.5):
+        raise ValueError("eps ladder needs two or more distinct values in [1e-3, 0.5]")
+    if eps[-1] * T < 6.0:
+        raise ValueError("head too short for the requested ladder (need eps*T >= 6)")
+    y = np.linspace(0.0, 3.2, 641) if y_grid is None else np.asarray(y_grid, dtype=float)
+    if not (y.size and np.all(np.isfinite(y)) and np.all(np.diff(y) > 0.0)):
+        raise ValueError("the y grid needs increasing finite entries")
+    return eps, y
+
+
 def singularity_scan(
     model: ZetaModel,
     eps_ladder: Optional[Sequence[float]] = None,
@@ -681,18 +705,7 @@ def singularity_scan(
     per length per 64 rows.  Any other grid takes the exact exponential on
     every row.
     """
-    if eps_ladder is None:
-        # keep the fluctuation floor e^{-eps T} well under the weakest peaks
-        lo = max(2e-2, 9.0 / model.spec.T)
-        eps_ladder = np.geomspace(1e-1, lo, 8)
-    eps_ladder = np.asarray(sorted(eps_ladder, reverse=True), dtype=float)
-    if eps_ladder[-1] < _EPS_FLOOR or eps_ladder[0] > 0.5:
-        raise ValueError("eps ladder must lie in [1e-3, 0.5]")
-    if eps_ladder[-1] * model.spec.T < 6.0:
-        raise ValueError("head too short for the requested ladder (need eps*T >= 6)")
-    if y_grid is None:
-        y_grid = np.linspace(0.0, 3.2, 641)
-    y_grid = np.asarray(y_grid, dtype=float)
+    eps_ladder, y_grid = _scan_grids(eps_ladder, y_grid, model.spec.T)
 
     lengths = model.spec.lengths
     # one column per ladder point, then the short head: truncation ripples

@@ -78,6 +78,7 @@ def test_spectrum_artifacts_and_multiplicity(runs):
     lengths = [float(r.split(",")[4]) for r in rows[1:]]
     hits = sum(1 for l in lengths if abs(l - 2.0 * math.pi) < 1e-9)
     assert hits == 4
+    assert rows[0] == "xi_1,xi_2,theta_1,theta_2,length,phase_re,phase_im"
     counting = (tmp_path / "counting.csv").read_text().strip().splitlines()
     assert counting[0] == "T,count,model,weighted_re,weighted_im"
     meta = read_json(tmp_path / "spectrum.meta.json")
@@ -137,6 +138,16 @@ def _irrational_twist_report(tmp_path, T):
     assert rep["weighted_re"] == rep["weighted_im"] == [0.0, 0.0]
     assert rep["deviation"] <= rep["bound"]
     return rep
+
+
+def test_twisted_zeta_left_of_the_abscissa_writes_an_empty_table(tmp_path):
+    # a twisted series is summed at Re s > d only; every s here lies at or below d = 2
+    cfg = write_config(tmp_path / "c.json", {
+        **_POINT_PAIR, "twist": {"beta0": [math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0)]},
+        "ranges": {"T": 100.0, "sweep": [1.0], "zeta_s_grid": [[0.5, 0.0], [2.0, 1.0]]}})
+    assert cli.main(["zeta", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "zeta_values.csv").read_bytes() == b"s_re,s_im,value_re,value_im\r\n"
+    assert read_json(tmp_path / "config.resolved.json")["config"]["ranges"]["zeta_s_grid"] == []
 
 
 def test_zeta_twist_report(tmp_path):
@@ -254,7 +265,13 @@ def test_poincare_scan_and_spectral_table(runs):
     locs = [row["location"] for row in scan["lines"]]
     assert any(abs(l) < 1e-6 for l in locs)
     assert any(abs(l - 1.0) < 0.02 for l in locs)
+    assert all(sorted(row) == ["alpha", "coefficient_im", "coefficient_re", "exponent",
+                               "line_distance", "location", "nearest_line", "residual"]
+               for row in scan["lines"])
+    values = (tmp_path / "poincare_values.csv").read_text().splitlines()
+    assert values[0] == "s_re,s_im,value_re,value_im"
     spectral = (tmp_path / "spectral.csv").read_text().strip().splitlines()
+    assert spectral[0] == "s_re,s_im,series_re,series_im,spectral_re,spectral_im,rel_diff"
     assert len(spectral) == 3  # header plus the two real-axis points
     for row in spectral[1:]:
         assert float(row.split(",")[-1]) < 1e-6
@@ -281,10 +298,42 @@ def test_guinand_agreement(tmp_path, monkeypatch):
     assert cli.main(["guinand", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
     rep = read_json(tmp_path / "guinand.json")
+    assert sorted(rep) == ["abs_diff", "length_side_im", "length_side_re", "lines", "rel_diff",
+                           "spectral_side_im", "spectral_side_re", "truncation_mass", "window"]
+    assert sorted(rep["window"]) == ["center", "width"]
     assert rep["rel_diff"] < 1e-3
     assert rep["truncation_mass"] < 1e-12
     echo = read_json(tmp_path / "config.resolved.json")
     assert echo["config"]["window"]["center"] > 0
+
+
+def test_guinand_default_center_in_d5_reads_a_small_lattice_box(tmp_path, monkeypatch):
+    # the first positive line lies within sqrt(d)/2 + 1 of beta0, so no box
+    # is wider than the one the comb needs, |m - beta0| <= center + 12 width
+    beta0 = np.array([math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0), math.sqrt(5.0) - 2.0,
+                      math.sqrt(7.0) - 2.5, math.pi - 3.0])
+    reach = math.ceil(math.sqrt(5.0) / 2.0 + 1.0 + 12.0 * 0.2 + np.linalg.norm(beta0))
+    lattice_box = spectrum._lattice_box
+
+    def bounded(dim, radius):
+        # refuse before allocating: a radius-11 box in d = 5 holds 6.4M points
+        assert radius <= reach, f"lattice box of radius {radius} > {reach}"
+        return lattice_box(dim, radius)
+
+    monkeypatch.setattr(spectrum, "_lattice_box", bounded)
+    cfg = write_config(tmp_path / "c.json", {
+        "dim": 5,
+        "bodies": {"p": {"kind": "point"},
+                   "q": {"kind": "point", "x": [0.9, 0.4, -1.1, 0.3, -0.6]}},
+        "twist": {"beta0": beta0.tolist()},
+        "ranges": {"T": 40.0},
+    })
+    assert cli.main(["guinand", "--config", cfg, "--out", str(tmp_path)]) == 0
+    center = read_json(tmp_path / "config.resolved.json")["config"]["window"]["center"]
+    m = np.array(np.meshgrid(*[np.arange(-2, 3)] * 5)).reshape(5, -1).T
+    dist = np.linalg.norm(m - beta0, axis=1)
+    assert center == pytest.approx(dist[dist > 1e-9].min(), abs=1e-12)
+    assert read_json(tmp_path / "guinand.json")["rel_diff"] < 1e-9
 
 
 def test_correlate_and_norms(tmp_path):
@@ -306,6 +355,8 @@ def test_correlate_and_norms(tmp_path):
     assert len(rows) == 5
     norms = read_json(tmp_path / "norms.json")
     assert norms["norms"]["phi"] > 0
+    assert norms["params"] == {"s0": 1, "s1": 1, "N0": 1.0, "N1": 2.0, "gamma": [0.0, 0.0],
+                               "width": 0.2}
 
 
 def test_equidist_error_decays(tmp_path):
@@ -333,6 +384,7 @@ def test_oscint_report(runs):
     assert rep["cap_exponent"] <= -3.0
     assert rep["remainder_order"] == -2.0
     rows = (tmp_path / "oscint.csv").read_text().strip().splitlines()
+    assert rows[0] == "t,value_re,value_im,stationary_re,stationary_im,scaled_residual"
     # the two-pole term is exact for F = 1 in dimension 3: noise only
     scaled = [float(r.split(",")[-1]) for r in rows[1:]]
     assert max(scaled) < 1e-6
@@ -428,6 +480,11 @@ def test_series_csv_holds_repr_cells(tmp_path):
     assert body == want
 
 
+_CORRELATED = {"dim": 2, "observables": {"phi": {"modes": {"1,0": 1.0}},
+                                         "psi": {"modes": {"-1,0": 1.0}}}}
+_POINTS_D3 = {"dim": 3, "bodies": {"a": {"kind": "point"},
+                                   "b": {"kind": "point", "x": [0.9, 0.4, -1.1]}}}
+
 _BAD_CONFIGS = {
     "point-x-length": ("spectrum", {"dim": 2, "bodies": {
         "p": {"kind": "point"}, "q": {"kind": "point", "x": [0.5, 0.1, 0.2]}}}),
@@ -508,6 +565,37 @@ _BAD_CONFIGS = {
     "residues-under-twist": ("zeta --report-residues", {
         **_POINT_PAIR, "twist": {"modes": {"1,0": [0.2, 0.1], "-1,0": [0.2, -0.1]}},
         "ranges": {"T": 100.0, "sweep": [1.0]}}),
+    # t grids the library refused with exit 1
+    **{f"correlate-t_grid-{name}": ("correlate", {**_CORRELATED, "ranges": {"t_grid": ts}})
+       for name, ts in (("nan", [math.nan, 60.0]), ("negative", [-5.0, 60.0]))},
+    "equidist-t_grid-negative": ("equidist", {"dim": 2, "bodies": {
+        "b": {"kind": "ball", "radius": 0.5}}, "observables": {
+        "f": {"modes": {"1,0": 1.0}}}, "ranges": {"t_grid": [-5.0, 60.0]}}),
+    # scan grids singularity_scan refused after poincare_values.csv was written
+    **{f"{key}-{name}": ("poincare", {**_POINT_PAIR, "ranges": {
+        "T": 200.0, "sweep": [1.0], key: grid}}) for key, name, grid in (
+            ("eps_ladder", "above-0.5", [0.9, 0.1]),
+            ("eps_ladder", "nan", [math.nan, 0.1]),
+            # one value leaves the slope fit a line through one point
+            ("eps_ladder", "one-value", [0.1]),
+            ("eps_ladder", "repeated", [0.1, 0.1]),
+            # the lines were predicted up to 0 and every peak was matched to 1.0
+            ("y_grid", "decreasing", {"start": 3.2, "stop": 0.0, "num": 641}),
+            ("y_grid", "nan", [0.0, math.nan, 1.0]),
+            ("y_grid", "empty", {"start": 0.0, "stop": 1.0, "num": 0}))},
+    # aniso sections refused after correlate.csv was written
+    **{f"aniso-{name}": ("correlate", {**_CORRELATED, "ranges": {"t_grid": [50.0, 60.0]},
+                                       "aniso": {"s0": 1, "s1": 1, "N0": 1.0, "N1": 2.0,
+                                                 **given}})
+       for name, given in (("s0-negative", {"s0": -1}), ("width-2", {"width": 2.0}),
+                           ("gamma-length", {"gamma": [0.0, 0.0, 0.0]}))},
+    # windows that are not finite numbers raised TypeError, ValueError or OverflowError
+    **{f"window-{name}": ("guinand", {**_POINTS_D3, "ranges": {"T": 60.0}, "window": window})
+       for name, window in (("center-string", {"center": "1.0"}),
+                            ("center-list", {"center": [1.0]}),
+                            ("center-nan", {"center": math.nan}),
+                            ("center-inf", {"center": math.inf}),
+                            ("width-inf", {"width": math.inf}))},
 }
 
 

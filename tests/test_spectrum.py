@@ -1,5 +1,7 @@
 import csv
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -501,18 +503,46 @@ def test_d5_difference_body_skips_the_validation_grid(monkeypatch):
 def test_write_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
     # two rows per slice, so the table spans several writes
     monkeypatch.setattr(_tables, "_ROWS_PER_WRITE", 2)
-    header = ["n", "x", "y"]
+    header = ["n", "x", "y", "z"]
     columns = [
         np.array([0, -3, 7, 2**53 + 1, 1]),
         np.array([0.1, -0.0, math.nan, math.inf, -math.inf]),
         [1e-300, 2.5, -1.0, 1.0 / 3.0, 5e300],
+        [1.0 + 2.0j, -0.0j, complex(math.nan, 1.0), 1e-300 - 5e300j, 0.1 + 0.2j],
     ]
     _tables.write_csv(tmp_path / "joined.csv", header, columns)
+    # the complex column z is the two columns z_re and z_im
+    z = np.asarray(columns[3])
     with open(tmp_path / "module.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+        writer.writerow(header[:3] + ["z_re", "z_im"])
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns[:3] + [z.real, z.imag])))
     assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "module.csv").read_bytes()
+
+
+@dataclass(frozen=True)
+class _Fit:
+    coefficient: complex
+    sides: tuple
+    count: int
+
+
+def test_tables_write_complex_values_as_re_and_im(tmp_path):
+    # a column is complex by its dtype, so an empty one keeps both names
+    _tables.write_csv(tmp_path / "empty.csv", ["t", "x"],
+                      [np.array([]), np.array([], dtype=complex)])
+    assert (tmp_path / "empty.csv").read_bytes() == b"t,x_re,x_im\r\n"
+    # a dataclass is the dict of its fields; numpy values are Python numbers
+    doc = {"fit": _Fit(1.0 - 2.0j, (0.5j, np.complex128(3.0)), np.int64(7)),
+           "lines": (np.float64(0.25), 1.5), "grid": np.array([1.0, 2.0]),
+           "values": np.array([1j, 2.0]), "empty": ()}
+    _tables.write_json(tmp_path / "doc.json", doc)
+    want = {"fit": {"coefficient_re": 1.0, "coefficient_im": -2.0,
+                    "sides_re": [0.0, 3.0], "sides_im": [0.5, 0.0], "count": 7},
+            "lines": [0.25, 1.5], "grid": [1.0, 2.0],
+            "values_re": [0.0, 2.0], "values_im": [1.0, 0.0], "empty": []}
+    text = (tmp_path / "doc.json").read_text()
+    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_to_csv_round_trip(tmp_path):
