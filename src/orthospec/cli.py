@@ -136,7 +136,8 @@ def load_config(path) -> dict:
     for name, spec in cfg["observables"].items():
         if not isinstance(spec, dict) or "modes" not in spec:
             raise ConfigError(f"observable '{name}' needs a 'modes' object")
-        spec.setdefault("real", False)
+        if not isinstance(spec.setdefault("real", False), bool):
+            raise ConfigError(f"observable '{name}' needs real true or false")
         for key in spec["modes"]:
             if len(_parse_freq(key)) != d:
                 raise ConfigError(f"observable '{name}' mode '{key}' dimension mismatch")
@@ -185,7 +186,7 @@ def build_body(dim: int, spec: dict) -> convex.SupportBody:
                 rotation=None if rot is None else np.asarray(rot, dtype=float),
             )
         else:
-            terms = [(int(t[0]), t[1], float(t[2])) for t in spec["terms"]]
+            terms = [(t[0], t[1], float(t[2])) for t in spec["terms"]]
             body = convex.harmonic(build_body(dim, spec["base"]), terms)
     if body.dim != dim:
         raise ConfigError(f"{kind} body has dimension {body.dim}, not {dim}")
@@ -208,7 +209,7 @@ def _observable(cfg: dict, name: str) -> dynamics.TorusObservable:
     spec = cfg["observables"][name]
     with _config_errors(f"observable '{name}'"):
         modes = {_parse_freq(k): _parse_coeff(v) for k, v in spec["modes"].items()}
-        return dynamics.TorusObservable(cfg["dim"], modes, real=bool(spec["real"]))
+        return dynamics.TorusObservable(cfg["dim"], modes, real=spec["real"])
 
 
 def _pair_bodies(cfg: dict) -> tuple:
@@ -487,11 +488,14 @@ def _cmd_correlate(cfg, out, workers, log):
     if cfg["aniso"] is not None:
         a = cfg["aniso"]
         with _config_errors("aniso"):
+            # AnisoParams refuses orders that are not integral numbers
             params = dynamics.AnisoParams(
-                s0=int(a["s0"]), s1=int(a["s1"]), N0=float(a["N0"]),
-                N1=float(a["N1"]), gamma=tuple(a["gamma"]), width=float(a["width"]))
+                s0=a["s0"], s1=a["s1"], N0=_number(a["N0"]),
+                N1=_number(a["N1"]), gamma=tuple(a["gamma"]), width=_number(a["width"]))
             if len(params.gamma) != cfg["dim"]:
                 raise ValueError(f"gamma needs {cfg['dim']} entries")
+            for g in params.gamma:  # checked, and echoed as given
+                _number(g)
     values = dynamics.correlation(phi, psi, beta0, ts, workers=workers)
     expans = [dynamics.correlation_expansion(phi, psi, beta0, float(t)) for t in ts]
     _write_series(os.path.join(out, "correlate.csv"), ts, values, expans)

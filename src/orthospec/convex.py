@@ -15,6 +15,7 @@ Brunn-Minkowski Theory, 2nd ed., 2.5).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -316,9 +317,10 @@ def harmonic(base: SupportBody, terms: Sequence[tuple]) -> SupportBody:
     """
     parts = list(base.parts)
     for degree, axis, coeff in terms:
+        if (isinstance(degree, bool) or not isinstance(degree, numbers.Real)
+                or degree % 1 != 0 or degree < 2 or degree % 2 != 0):
+            raise ValueError(f"harmonic degree {degree!r} is not an even integer >= 2")
         degree = int(degree)
-        if degree < 2 or degree % 2 != 0:
-            raise ValueError("harmonic degrees must be even and >= 2")
         axis = _finite("harmonic axis", axis)
         axis = axis / np.linalg.norm(axis)
         coeff = float(_finite("harmonic coeff", coeff))

@@ -566,19 +566,37 @@ def alpha_grid(dim: int) -> np.ndarray:
     return np.union1d(_line_orders(dim), 1.0 - np.arange(1, dim + 1))
 
 
+def _dual_slabs(beta0: np.ndarray, reach: float):
+    """Every m in Z^d with |m - beta0| <= reach and those norms, one first coordinate at a time.
+
+    The slabs come in increasing first coordinate, each in lexicographic order,
+    so their concatenation is lexicographic; a slab holds at most (2R + 1)^(d-1)
+    points of the cube [-R, R]^d, R = ceil(reach + |beta0|).
+    """
+    # |m_i| <= |m| <= reach + |beta0|, so the cube holds every such m
+    radius = int(math.ceil(reach + np.linalg.norm(beta0)))
+    rest = spectrum._lattice_box(beta0.size - 1, radius)
+    for first in range(-radius, radius + 1):
+        m = np.concatenate([np.full((rest.shape[0], 1), first), rest], axis=1)
+        rho = np.linalg.norm(m - beta0, axis=1)
+        keep = rho <= reach
+        yield m[keep], rho[keep]
+
+
 def _dual_points(beta0: np.ndarray, reach: float) -> tuple:
     """Every m in Z^d with |m - beta0| <= reach, in lexicographic order, and those norms."""
-    # |m_i| <= |m| <= reach + |beta0|, so the cube holds every such m
-    m = spectrum._lattice_box(beta0.size, int(math.ceil(reach + np.linalg.norm(beta0))))
-    rho = np.linalg.norm(m - beta0, axis=1)
-    keep = rho <= reach
-    return m[keep], rho[keep]
+    slabs = list(_dual_slabs(beta0, reach))
+    return np.concatenate([m for m, _ in slabs]), np.concatenate([rho for _, rho in slabs])
 
 
 def predicted_lines(beta: spectrum.TwistForm, y_max: float) -> np.ndarray:
-    """Sorted candidate singular locations |xi - beta0| up to y_max."""
-    _, rho = _dual_points(beta.beta0, y_max + 1e-9)
-    return np.unique(np.round(rho, 12))
+    """Sorted candidate singular locations |xi - beta0| up to y_max.
+
+    Only each slab's rounded distinct norms are kept, so the memory follows the
+    number of lines and not the (2 y_max)^d points of the cube.
+    """
+    return np.unique(np.concatenate(
+        [np.unique(np.round(rho, 12)) for _, rho in _dual_slabs(beta.beta0, y_max + 1e-9)]))
 
 
 def _head_boundary_values(lengths, damp, y_grid):

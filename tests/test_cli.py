@@ -588,7 +588,28 @@ _BAD_CONFIGS = {
                                        "aniso": {"s0": 1, "s1": 1, "N0": 1.0, "N1": 2.0,
                                                  **given}})
        for name, given in (("s0-negative", {"s0": -1}), ("width-2", {"width": 2.0}),
-                           ("gamma-length", {"gamma": [0.0, 0.0, 0.0]}))},
+                           ("gamma-length", {"gamma": [0.0, 0.0, 0.0]}),
+                           # read through int() and float() as order 1, 2.0 and (1.0, 0.0)
+                           ("s0-fraction", {"s0": 1.5}), ("s1-fraction", {"s1": 1.5}),
+                           ("s1-bool", {"s1": True}), ("s0-string", {"s0": "1"}),
+                           ("N0-string", {"N0": "2"}), ("N1-string", {"N1": "2"}),
+                           ("width-string", {"width": "0.2"}),
+                           ("gamma-string", {"gamma": ["1", 0]}),
+                           ("gamma-bool", {"gamma": [True, 0]}),
+                           # NaN norms, or exit 1 after correlate.csv was written
+                           ("N0-nan", {"N0": math.nan}), ("gamma-inf", {"gamma": [math.inf, 0]}))},
+    # built as degree 4, the same body as [4, ...]
+    "harmonic-degree-fraction": ("volumes", {"dim": 2, "bodies": {
+        "h": {"kind": "harmonic", "base": {"kind": "ball", "radius": 1.0},
+              "terms": [[4.7, [1.0, 0.0], 0.01]]}}}),
+    "harmonic-degree-string": ("volumes", {"dim": 2, "bodies": {
+        "h": {"kind": "harmonic", "base": {"kind": "ball", "radius": 1.0},
+              "terms": [["4", [1.0, 0.0], 0.01]]}}}),
+    # run as a real observable: "false" is a true string
+    **{f"real-{name}": ("correlate", {"dim": 2, "observables": {
+        "phi": {"modes": {"1,0": 1.0, "-1,0": 1.0}, "real": real},
+        "psi": {"modes": {"-1,0": 1.0}}}, "ranges": {"t_grid": [50.0, 60.0]}})
+       for name, real in (("string", "false"), ("number", 1))},
     # windows that are not finite numbers raised TypeError, ValueError or OverflowError
     **{f"window-{name}": ("guinand", {**_POINTS_D3, "ranges": {"T": 60.0}, "window": window})
        for name, window in (("center-string", {"center": "1.0"}),

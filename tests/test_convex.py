@@ -182,6 +182,21 @@ def test_harmonic_rejects_odd_degree():
         convex.harmonic(base, [(3, (1.0, 0.0), 0.05)])
 
 
+@pytest.mark.parametrize("degree", [4.7, True, "4", math.nan, math.inf, 0, -2])
+def test_harmonic_refuses_a_degree_that_is_not_an_even_integer(degree):
+    base = convex.ball((0.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match="not an even integer"):
+        convex.harmonic(base, [(degree, (1.0, 0.0), 0.01)])
+
+
+def test_harmonic_takes_an_integral_float_degree():
+    base = convex.ball((0.0, 0.0), 1.0)
+    a = convex.harmonic(base, [(4.0, (1.0, 0.0), 0.01)])
+    b = convex.harmonic(base, [(4, (1.0, 0.0), 0.01)])
+    u = np.array([[0.6, 0.8], [1.0, 0.0]])
+    assert np.array_equal(a.h(u), b.h(u))
+
+
 def test_harmonic_rejects_nonconvex_perturbation():
     base = convex.ball((0.0, 0.0), 1.0)
     with pytest.raises(Exception):

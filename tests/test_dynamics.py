@@ -129,15 +129,30 @@ def test_aniso_norm_circle_derivatives_exact():
         al = np.arctan2(nodes[:, 1], nodes[:, 0])
         return np.exp(3j * al)
 
-    _, w, derivs = dynamics._circle_derivative_sq(amp, 4)
-    for m, dv in enumerate(derivs):
-        assert np.max(np.abs(dv - 9.0**m)) < 1e-8
+    _, _, energies = dynamics._derivative_energies(2, amp, 4)
+    assert len(energies) == 5
+    for m, e in enumerate(energies):
+        assert np.max(np.abs(e - 9.0**m)) < 1e-8
 
 
 def test_aniso_norm_order_cap_in_higher_dim():
     obs = dynamics.TorusObservable(3, {(1, 0, 0): lambda n: n[:, 0]})
     p = dynamics.AnisoParams(s0=3, s1=0, N0=0.0, N1=0.0, gamma=(0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="circle only"):
+        dynamics.aniso_norm(obs, p)
+    # the cap binds through the cap order s1 too, and at a mode sitting at gamma
+    p = dynamics.AnisoParams(s0=0, s1=3, N0=0.0, N1=0.0, gamma=(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="circle only"):
+        dynamics.aniso_norm(obs, p)
+    p = dynamics.AnisoParams(s0=3, s1=0, N0=0.0, N1=0.0, gamma=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="circle only"):
+        dynamics.aniso_norm(obs, p)
+
+
+def test_aniso_norm_refuses_a_gamma_of_the_wrong_dimension():
+    obs = dynamics.TorusObservable(3, {(1, 0, 0): 1.0})
+    p = dynamics.AnisoParams(s0=1, s1=1, N0=0.0, N1=0.0, gamma=(0.0, 0.0))
+    with pytest.raises(ValueError, match="gamma dimension mismatch"):
         dynamics.aniso_norm(obs, p)
 
 
@@ -158,6 +173,154 @@ def test_aniso_params_validation():
         dynamics.AnisoParams(s0=-1, s1=0, N0=0.0, N1=0.0, gamma=(0.0, 0.0))
     with pytest.raises(ValueError):
         dynamics.AnisoParams(s0=0, s1=0, N0=0.0, N1=0.0, gamma=(0.0, 0.0), width=1.5)
+
+
+@pytest.mark.parametrize("order", [1.5, True, "1", math.nan, math.inf, None])
+def test_aniso_params_refuse_an_order_that_is_not_an_integer(order):
+    for given in ({"s0": order, "s1": 0}, {"s0": 0, "s1": order}):
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            dynamics.AnisoParams(N0=0.0, N1=0.0, gamma=(0.0, 0.0), **given)
+
+
+@pytest.mark.parametrize("given", [{"N0": math.nan}, {"N1": math.inf},
+                                   {"gamma": (0.0, -math.inf)}])
+def test_aniso_params_refuse_weights_that_are_not_finite(given):
+    with pytest.raises(ValueError, match="must be finite"):
+        dynamics.AnisoParams(**{"s0": 1, "s1": 1, "N0": 0.0, "N1": 0.0,
+                                "gamma": (0.0, 0.0), **given})
+
+
+def test_aniso_params_take_an_integral_float_order_as_an_int():
+    p = dynamics.AnisoParams(s0=2.0, s1=np.int64(1), N0=0.0, N1=0.0, gamma=(0.0, 0.0))
+    assert (p.s0, p.s1) == (2, 1)
+    assert type(p.s0) is int and type(p.s1) is int
+
+
+# The anisotropic norm as it was computed with one masked derivative pass per
+# cutoff: each pass evaluated the amplitude, its gradient and its Hessian
+# again.  aniso_norm computes each mode's derivative energies once.
+
+def _ref_gradient(fn, theta, h=1e-5):
+    d = theta.shape[1]
+    out = np.empty((theta.shape[0], d), dtype=complex)
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        hi = np.asarray(fn((theta + e) / np.linalg.norm(theta + e, axis=1, keepdims=True)))
+        lo = np.asarray(fn((theta - e) / np.linalg.norm(theta - e, axis=1, keepdims=True)))
+        out[:, i] = (hi - lo) / (2.0 * h)
+    return out
+
+
+def _ref_hessian_sq(fn, theta, h=1e-3):
+    d = theta.shape[1]
+    c = np.asarray(fn(theta), dtype=complex)
+
+    def ev(off):
+        pts = theta + off
+        return np.asarray(fn(pts / np.linalg.norm(pts, axis=1, keepdims=True)), dtype=complex)
+
+    out = np.zeros(theta.shape[0])
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h
+        out += np.abs((ev(ei) - 2.0 * c + ev(-ei)) / h**2) ** 2
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h
+            dij = (ev(ei + ej) - ev(ei - ej) - ev(-ei + ej) + ev(-ei - ej)) / (4.0 * h**2)
+            out += 2.0 * np.abs(dij) ** 2
+    return out
+
+
+def _ref_masked_sobolev_sq(dim, fn, s, mask_of):
+    if dim == 2:
+        n = 512
+        alpha = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        nodes = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
+        w = np.full(n, 2.0 * math.pi / n)
+        freqs = np.fft.fftfreq(n, d=1.0 / n)
+        spec = np.fft.fft(np.asarray(fn(nodes), dtype=complex))
+        spec[np.abs(spec) < 1e-12 * np.max(np.abs(spec))] = 0.0
+        mask = mask_of(nodes)
+        return sum(float(np.sum(w * mask**2 * np.abs(np.fft.ifft(spec * (1j * freqs) ** m)) ** 2))
+                   for m in range(s + 1))
+    g = spherequad.grid(dim, 48)
+    mask = mask_of(g.nodes)
+    total = float(np.sum(g.weights * mask**2 * np.abs(np.asarray(fn(g.nodes), dtype=complex)) ** 2))
+    if s >= 1:
+        grad = _ref_gradient(fn, g.nodes)
+        total += float(np.sum(g.weights * mask**2 * np.sum(np.abs(grad) ** 2, axis=1)))
+    if s >= 2:
+        total += float(np.sum(g.weights * mask**2 * _ref_hessian_sq(fn, g.nodes)))
+    return total
+
+
+def _three_pass_norm(phi, p):
+    gamma = np.asarray(p.gamma, dtype=float)
+    total = 0.0
+    for key, value in phi.modes:
+        fn = spherequad._sphere_fn(value)
+        xi = np.asarray(key, dtype=float)
+        v = xi - gamma
+        lam = float(np.linalg.norm(v))
+        bracket = 1.0 + float(xi @ xi)
+        if lam < 1e-12:
+            total += bracket ** p.N0 * _ref_masked_sobolev_sq(
+                phi.dim, fn, p.s0, lambda nodes: np.ones(nodes.shape[0]))
+            continue
+        for which, s, N in ((1, p.s0, p.N0), (2, p.s1, p.N1), (0, p.s1, p.N1)):
+            total += bracket ** N * _ref_masked_sobolev_sq(
+                phi.dim, fn, s,
+                lambda nodes, k=which: spherequad.pole_cutoffs(nodes @ (v / lam), p.width)[k])
+    return math.sqrt(total)
+
+
+def _random_observable(dim, seed):
+    """A mode at gamma = e1 and two off it, each a smooth random amplitude."""
+    rng = np.random.default_rng(seed)
+
+    def amplitude():
+        a, b = rng.normal(size=(2, dim))
+        c = complex(*rng.normal(size=2))
+        return lambda n: c * np.exp(1j * (n @ a)) + (n @ b) ** 2
+
+    e1 = (1,) + (0,) * (dim - 1)
+    keys = [e1, (0, 1) + (0,) * (dim - 2), (2, -1) + (1,) * (dim - 2)]
+    return dynamics.TorusObservable(dim, {k: amplitude() for k in keys}), e1
+
+
+@pytest.mark.parametrize("dim, top", [(2, 4), (3, 2), (4, 2)])
+def test_aniso_norm_matches_the_three_pass_formula(dim, top, monkeypatch):
+    if dim == 4:
+        # both formulas read the same nodes; a coarser S^3 grid than the
+        # 221184 nodes of grid(4, 48) keeps the sweep within a second
+        grid = spherequad.grid
+        monkeypatch.setattr(spherequad, "grid", lambda d, n: grid(d, 16))
+    phi, e1 = _random_observable(dim, seed=dim)
+    for s0 in range(top + 1):
+        for s1 in range(top + 1):
+            p = dynamics.AnisoParams(s0=s0, s1=s1, N0=0.7, N1=1.3,
+                                     gamma=tuple(float(c) for c in e1), width=0.3)
+            assert dynamics.aniso_norm(phi, p) == pytest.approx(
+                _three_pass_norm(phi, p), rel=1e-13, abs=0.0), (s0, s1)
+
+
+@pytest.mark.parametrize("dim, s, calls", [(2, 2, 1), (2, 4, 1), (3, 0, 1), (3, 1, 7),
+                                           (3, 2, 25), (4, 2, 41)])
+def test_aniso_norm_evaluates_each_amplitude_by_one_stencil(dim, s, calls):
+    # off gamma the equator and both caps read one set of energies; at order 2
+    # in d >= 3 the stencil is the centre, 2d gradient and 2d^2 Hessian points
+    seen = []
+
+    def amp(nodes):
+        seen.append(nodes.shape)
+        return nodes[:, 0] ** 2
+
+    obs = dynamics.TorusObservable(dim, {(1,) + (0,) * (dim - 1): amp})
+    p = dynamics.AnisoParams(s0=s, s1=s, N0=1.0, N1=1.0, gamma=(0.0,) * dim)
+    dynamics.aniso_norm(obs, p)
+    assert len(seen) == calls
 
 
 @pytest.fixture(scope="module")

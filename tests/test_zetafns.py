@@ -395,6 +395,42 @@ def test_predicted_lines_unit_lattice():
     assert lines[2] == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
+_TWISTS = {2: [(0.0, 0.0), (0.3, 0.1), (0.5, 0.5)],
+           3: [(0.0, 0.0, 0.0), (0.3, 0.1, 0.45), (0.5, 0.5, 0.0)],
+           4: [(0.0, 0.0, 0.0, 0.0), (0.3, 0.1, 0.45, 0.2), (0.5, 0.5, 0.0, 0.5)]}
+
+
+@pytest.mark.parametrize("dim, beta0", [(d, b) for d, bs in _TWISTS.items() for b in bs])
+def test_predicted_lines_equal_those_of_the_whole_cube(dim, beta0):
+    # the lines as read from every point of the cube at once, as they were
+    # before the slabs: the slabs keep the norms and their rounding bitwise
+    beta0 = np.asarray(beta0)
+    # in d = 4 the reference cube to 20 would hold 4.1M points
+    for y_max in (3.6, 20.0 if dim < 4 else 10.0):
+        reach = y_max + 1e-9
+        m = spectrum._lattice_box(dim, int(math.ceil(reach + np.linalg.norm(beta0))))
+        rho = np.linalg.norm(m - beta0, axis=1)
+        keep = rho <= reach
+        got = zetafns.predicted_lines(spectrum.TwistForm(beta0), y_max)
+        assert got.tobytes() == np.unique(np.round(rho[keep], 12)).tobytes()
+        dual_m, dual_rho = zetafns._dual_points(beta0, reach)
+        assert np.array_equal(dual_m, m[keep]) and dual_rho.tobytes() == rho[keep].tobytes()
+
+
+def test_predicted_lines_hold_one_slab_of_the_cube_at_a_time():
+    # a y grid to 100 in d = 3 asks for the lines to 101: the cube [-102, 102]^3
+    # holds 8.6M points, 206 MiB of coordinates alone
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        lines = zetafns.predicted_lines(spectrum.TwistForm(np.array([0.3, 0.1, 0.45])), 101.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines[-1] <= 101.0 and lines.size > 100000
+    assert peak < 128 * 2**20
+
+
 def test_singularity_scan_locates_the_lines(model3):
     fits = zetafns.singularity_scan(model3)
     locs = [f.location for f in fits]
