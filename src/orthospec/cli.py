@@ -243,17 +243,27 @@ def _enumerated(cfg: dict, k1, k2, beta, workers: int, default_T: float,
 def _grid(cfg: dict, key: str, fallback=None):
     """ranges[key] as an array: a list, or {start, stop, num, spacing}; None is fallback.
 
-    Its consumer checks the values before any artifact is written.
+    Every entry, start and stop is a number, num an integral one (20 by
+    default), spacing "linear" (the default) or "log", and no other key is
+    allowed.  Its consumer checks the values before any artifact is written.
     """
     spec = cfg["ranges"][key]
     if spec is None:
         return fallback
     with _config_errors(f"ranges.{key}"):
         if isinstance(spec, dict):
-            num = int(spec.get("num", 20))
-            space = np.geomspace if spec.get("spacing", "linear") == "log" else np.linspace
-            return space(float(spec["start"]), float(spec["stop"]), num)
-        return np.asarray([float(x) for x in spec])
+            unknown = sorted(set(spec) - {"start", "stop", "num", "spacing"})
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}")
+            num = _number(spec.get("num", 20))
+            if not num.is_integer():
+                raise ValueError(f"num {num!r} is not an integral number")
+            spacing = spec.get("spacing", "linear")
+            space = {"linear": np.linspace, "log": np.geomspace}.get(spacing)
+            if space is None:
+                raise ValueError(f"spacing {spacing!r} is not 'linear' or 'log'")
+            return space(_number(spec["start"]), _number(spec["stop"]), int(num))
+        return np.asarray([_number(x) for x in spec])
 
 
 def _t_grid(cfg: dict, fallback: np.ndarray, least: int = 1) -> np.ndarray:
@@ -269,7 +279,7 @@ def _s_grid_spec(spec, fallback: list) -> np.ndarray:
     if spec is None:
         return np.array(fallback)
     with _config_errors("s grid"):
-        s_grid = np.array([complex(float(p[0]), float(p[1])) for p in spec], dtype=complex)
+        s_grid = np.array([complex(_number(x), _number(y)) for x, y in spec], dtype=complex)
     if not np.all(np.isfinite(s_grid)):
         raise ConfigError("s grids need finite entries")
     return s_grid
@@ -406,6 +416,8 @@ def _cmd_poincare(cfg, out, workers, log):
     r = cfg["ranges"]
     fallback = [complex(0.2, y) for y in np.linspace(0.0, 3.2, 33)]
     s_grid = _s_grid_spec(r["poincare_s_grid"], fallback)
+    if not np.all(s_grid.real >= zetafns._EPS_FLOOR):
+        raise ConfigError(f"ranges.poincare_s_grid needs Re(s) >= {zetafns._EPS_FLOOR}")
     model = _zeta_model(cfg, k1, k2, beta, workers)
     with _config_errors("ranges"):  # the check singularity_scan runs, before any artifact
         eps_ladder, y_grid = zetafns._scan_grids(_grid(cfg, "eps_ladder"), _grid(cfg, "y_grid"),

@@ -163,6 +163,17 @@ def _lattice_box(dim: int, radius: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, dim)
 
 
+def _lattice_slabs(dim: int, radius: int):
+    """The points of _lattice_box(dim, radius) in its order, one first coordinate at a time.
+
+    Each slab holds (2 radius + 1)^(dim - 1) points, so a caller that filters
+    slab by slab never holds the whole cube.
+    """
+    rest = _lattice_box(dim - 1, radius) if dim > 1 else np.zeros((1, 0), dtype=np.int64)
+    for first in range(-radius, radius + 1):
+        yield np.concatenate([np.full((rest.shape[0], 1), first), rest], axis=1)
+
+
 def _restart_directions(dim: int) -> np.ndarray:
     if dim == 2:
         a = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
@@ -380,9 +391,11 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
     if not (T > T0 >= 0):
         raise ValueError("need T > T0 >= 0")
     h_lo, h_hi = L.h_range()
-    cands = _lattice_box(d, int(math.floor((T + h_hi) / (2 * math.pi))))
-    norms = np.linalg.norm(2 * math.pi * cands.astype(float), axis=1)
-    cands = cands[(norms - h_hi <= T) & (norms - h_lo > T0)]
+    cands = []
+    for slab in _lattice_slabs(d, int(math.floor((T + h_hi) / (2 * math.pi)))):
+        norms = np.linalg.norm(2 * math.pi * slab.astype(float), axis=1)
+        cands.append(slab[(norms - h_hi <= T) & (norms - h_lo > T0)])
+    cands = np.concatenate(cands)
     chunks = [cands[i : i + _CHUNK] for i in range(0, max(cands.shape[0], 1), _CHUNK)]
 
     def work(chunk):
@@ -399,8 +412,8 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
     lengths = np.concatenate([p[2] for p in parts], axis=0)
     rejects = tuple(r for p in parts for r in p[3])
 
-    # _lattice_box lists candidates in C order, lexicographic in xi, and
-    # every filter and the chunk loop keep that order
+    # the slabs list candidates in C order, lexicographic in xi, and every
+    # filter and the chunk loop keep that order
     order = _record_order(lengths)
     xi, theta, lengths = xi[order], theta[order], lengths[order]
 

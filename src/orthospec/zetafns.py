@@ -52,8 +52,7 @@ __all__ = [
 
 _POLE_TOL = 1e-8
 _EPS_FLOOR = 1e-3
-_BLOCK_ENTRIES = 2_000_000  # complex entries of one phase block
-_ANCHOR_ROWS = 64           # rows rotated from one exact exponential
+_TAYLOR_TERMS = 16  # with |s delta| <= 1/2 the remainder is e^{1/2} 2^-16 / 16! < 1.2e-18
 _TAIL_REL = 1e-6
 _MASS_TOL = 1e-12
 _CF_FROM = 2.0   # erfcx takes its continued fraction from here on,
@@ -569,15 +568,11 @@ def alpha_grid(dim: int) -> np.ndarray:
 def _dual_slabs(beta0: np.ndarray, reach: float):
     """Every m in Z^d with |m - beta0| <= reach and those norms, one first coordinate at a time.
 
-    The slabs come in increasing first coordinate, each in lexicographic order,
-    so their concatenation is lexicographic; a slab holds at most (2R + 1)^(d-1)
-    points of the cube [-R, R]^d, R = ceil(reach + |beta0|).
+    The slabs are spectrum._lattice_slabs of the cube [-R, R]^d,
+    R = ceil(reach + |beta0|), so their concatenation is lexicographic.
     """
     # |m_i| <= |m| <= reach + |beta0|, so the cube holds every such m
-    radius = int(math.ceil(reach + np.linalg.norm(beta0)))
-    rest = spectrum._lattice_box(beta0.size - 1, radius)
-    for first in range(-radius, radius + 1):
-        m = np.concatenate([np.full((rest.shape[0], 1), first), rest], axis=1)
+    for m in spectrum._lattice_slabs(beta0.size, int(math.ceil(reach + np.linalg.norm(beta0)))):
         rho = np.linalg.norm(m - beta0, axis=1)
         keep = rho <= reach
         yield m[keep], rho[keep]
@@ -599,34 +594,37 @@ def predicted_lines(beta: spectrum.TwistForm, y_max: float) -> np.ndarray:
         [np.unique(np.round(rho, 12)) for _, rho in _dual_slabs(beta.beta0, y_max + 1e-9)]))
 
 
-def _head_boundary_values(lengths, damp, y_grid):
-    """sum_k damp[k, c] exp(-i y_j l_k) as a (y_grid.size, n_columns) matrix.
+def _head_boundary_values(lengths, phases, s) -> np.ndarray:
+    """sum_k phases[k] exp(-s l_k) at every point of the complex array s.
 
-    A uniform grid is walked in blocks of _ANCHOR_ROWS rows: the first row of
-    a block is the exact exponential and each further row is the previous one
-    times exp(-i dy l); the re-anchoring keeps rounding from drifting.  Any
-    other grid runs the same loop with one exact row per block.  Lengths are
-    cut into chunks so that no block exceeds _BLOCK_ENTRIES entries.
+    The carrier exp(-i y_c l) of the middle ordinate y_c of s moves into the
+    phases, so z = s - i y_c has |z| <= r.  Bins of width 1/r from the least
+    length (records are sorted only up to _GROUP_TOL) put every l within
+    1/(2r) of its bin centre c_b, so exp(-z l) = exp(-z c_b) exp(-z delta) with
+    |z delta| <= 1/2, and the sum is sum_b exp(-z c_b) sum_k (-z)^k m_{b,k} over
+    the moments m_{b,k} = sum phase delta^k / k!, k < _TAYLOR_TERMS: a relative
+    remainder of at most e^{1/2} 2^-16 / 16!, about 1.2e-18, per term.  The
+    work is r (max l - min l) bins times the points of s; the largest
+    temporary is one row of s by the bins.
     """
-    n_y = y_grid.size
-    out = np.zeros((n_y, damp.shape[1]), dtype=complex)
-    dy = (y_grid[-1] - y_grid[0]) / max(n_y - 1, 1)
-    # linspace rounds each node to within a few ulps of y_0 + j dy
-    drift = np.abs(y_grid - (y_grid[0] + dy * np.arange(n_y)))
-    uniform = n_y > 1 and drift.max() <= 4.0 * np.spacing(np.abs(y_grid).max())
-    rows = _ANCHOR_ROWS if uniform else 1
-    width = _BLOCK_ENTRIES // rows
-    for c0 in range(0, lengths.size, width):
-        ell = lengths[c0:c0 + width]
-        phase = np.empty((rows, ell.size), dtype=complex)
-        rot = np.exp(-1j * dy * ell) if uniform else None
-        for r0 in range(0, n_y, rows):
-            n = min(rows, n_y - r0)
-            np.exp(-1j * y_grid[r0] * ell, out=phase[0])
-            for k in range(1, n):
-                np.multiply(phase[k - 1], rot, out=phase[k])
-            out[r0:r0 + n] += phase[:n] @ damp[c0:c0 + width]
-    return out
+    s = np.asarray(s, dtype=complex)
+    if lengths.size == 0:
+        return np.zeros(s.shape, dtype=complex)
+    y_c = 0.5 * (s.imag.min() + s.imag.max())
+    z = np.atleast_2d(s - 1j * y_c)
+    r = np.abs(z).max()
+    b = np.floor((lengths - lengths.min()) * r).astype(np.intp)
+    centres = lengths.min() + (np.arange(b.max() + 1) + 0.5) / r
+    delta = lengths - centres[b]
+    term = phases * np.exp(-1j * y_c * lengths)
+    moments = np.empty((_TAYLOR_TERMS, centres.size), dtype=complex)
+    for k in range(_TAYLOR_TERMS):
+        moments[k] = np.bincount(b, term.real) + 1j * np.bincount(b, term.imag)
+        term = term * delta / (k + 1)
+    powers = np.arange(_TAYLOR_TERMS)
+    out = [np.sum((-row[:, None]) ** powers * (np.exp(-np.outer(row, centres)) @ moments.T),
+                  axis=1) for row in z]
+    return np.reshape(out, s.shape)
 
 
 def _smooth_laplace(rho: np.ndarray, T: float, s: np.ndarray) -> np.ndarray:
@@ -716,30 +714,25 @@ def singularity_scan(
     the head truncation: min(eps) * T >= 6 keeps the discarded tail below
     the fit noise.
 
-    The head is summed once for all ladder points and the 0.85 T short head
-    together, as one matrix product per block of y rows.  On a uniform y
-    grid a block holds 64 rows: its first row is the exact exp(-i y l) and
-    the others follow by the phase rotation exp(-i dy l), so exp runs once
-    per length per 64 rows.  Any other grid takes the exact exponential on
-    every row.
+    _head_boundary_values sums the head on the ladder and once more, cut at
+    0.85 T, at the smallest eps.  Its work grows with T times the span of
+    the y grid: at T = 150, 521 points over [0, 100] take about 25 times as
+    long as over [0, 2.6].
     """
     eps_ladder, y_grid = _scan_grids(eps_ladder, y_grid, model.spec.T)
 
-    lengths = model.spec.lengths
-    # one column per ladder point, then the short head: truncation ripples
-    # move when the head is shortened while genuine peaks persist
-    n_eps = eps_ladder.size
-    ladder = np.append(eps_ladder, eps_ladder[-1])
-    damp = model.spec.phases[:, None] * np.exp(-np.outer(lengths, ladder))
-    damp[np.searchsorted(lengths, 0.85 * model.spec.T):, n_eps] = 0.0
-    boundary = _head_boundary_values(lengths, damp, y_grid).T
-    values = boundary[:n_eps]
+    lengths, phases = model.spec.lengths, model.spec.phases
     s_mat = eps_ladder[:, None] + 1j * y_grid[None, :]
+    values = _head_boundary_values(lengths, phases, s_mat)
+    # the short head: truncation ripples move when the head is shortened
+    # while genuine peaks persist
+    cut = np.searchsorted(lengths, 0.85 * model.spec.T)
+    short_head = _head_boundary_values(lengths[:cut], phases[:cut], s_mat[-1])
     # deflate the truncated Laplace transform of the smooth density: this
     # removes the pole stack at y = 0 together with its shoulder, leaving
     # the spectral lines standing on the fluctuation floor
     deflated = values - _smooth_laplace(model.rho, model.spec.T, s_mat)
-    short = boundary[n_eps] - _smooth_laplace(model.rho, 0.85 * model.spec.T, s_mat[-1])
+    short = short_head - _smooth_laplace(model.rho, 0.85 * model.spec.T, s_mat[-1])
     # detect on the pointwise minimum of the full and short magnitudes
     detect = np.minimum(np.abs(deflated[-1]), np.abs(short))
     # a NaN phase or density coefficient leaves no peak to find, not no singularity

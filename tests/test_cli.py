@@ -598,6 +598,25 @@ _BAD_CONFIGS = {
                            ("gamma-bool", {"gamma": [True, 0]}),
                            # NaN norms, or exit 1 after correlate.csv was written
                            ("N0-nan", {"N0": math.nan}), ("gamma-inf", {"gamma": [math.inf, 0]}))},
+    # grids read as something else: 641 points echoed as 641.7, one t, a linear
+    # grid for "logarithmic", and strings through float()
+    "y_grid-num-fraction": ("poincare", {**_POINT_PAIR, "ranges": {
+        "T": 200.0, "sweep": [1.0], "y_grid": {"start": 0.0, "stop": 3.2, "num": 641.7}}}),
+    "y_grid-start-string": ("poincare", {**_POINT_PAIR, "ranges": {
+        "T": 200.0, "sweep": [1.0], "y_grid": {"start": "0", "stop": 3.2, "num": 641}}}),
+    **{f"t_grid-{name}": ("correlate", {**_CORRELATED, "ranges": {"t_grid": ts}})
+       for name, ts in (("num-bool", {"start": 50.0, "stop": 60.0, "num": True}),
+                        ("spacing-unknown", {"start": 50.0, "stop": 60.0, "num": 4,
+                                             "spacing": "logarithmic"}),
+                        ("strings", ["50", "100"]),
+                        # a misspelt num ran the default 20 points
+                        ("unknown-key", {"start": 50.0, "stop": 60.0, "nmu": 3}))},
+    **{f"zeta_s_grid-{name}": ("zeta", {**_POINT_PAIR, "ranges": {
+        "T": 30.0, "sweep": [1.0], "zeta_s_grid": grid}})
+       for name, grid in (("strings", [["4.0", "0.0"]]), ("three-entries", [[4.0, 0.0, 1.0]]))},
+    # poincare_eval refuses Re(s) below its floor, which exited 1
+    "poincare_s_grid-below-floor": ("poincare", {**_POINT_PAIR, "ranges": {
+        "T": 200.0, "sweep": [1.0], "poincare_s_grid": [[0.0, 1.0]]}}),
     # built as degree 4, the same body as [4, ...]
     "harmonic-degree-fraction": ("volumes", {"dim": 2, "bodies": {
         "h": {"kind": "harmonic", "base": {"kind": "ball", "radius": 1.0},

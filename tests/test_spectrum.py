@@ -229,6 +229,47 @@ def test_window_matches_point_and_ball_closed_form(dim, c, r, gap_T, gap_T0):
     assert np.allclose(np.sort(spec.lengths), np.sort(exact[want]), atol=1e-9, rtol=0.0)
 
 
+def _d5_point_pair():
+    rng = np.random.default_rng(1)
+    return (convex.point(rng.uniform(0.0, 2.0 * math.pi, 5)),
+            convex.point(rng.uniform(0.0, 2.0 * math.pi, 5)))
+
+
+def test_enumerate_filters_the_lattice_slab_by_slab_in_d5():
+    # the candidates filtered one first coordinate at a time are those of the
+    # whole cube, so the records keep their bits and their order
+    assert np.array_equal(np.concatenate(list(spectrum._lattice_slabs(5, 2))),
+                          spectrum._lattice_box(5, 2))
+    K1, K2 = _d5_point_pair()
+    T0, T = 1.0, 30.0
+    spec = spectrum.enumerate(K1, K2, T0=T0, T=T)
+    L = spectrum.difference_body(K1, K2)
+    h_lo, h_hi = L.h_range()
+    box = spectrum._lattice_box(5, int(math.floor((T + h_hi) / (2.0 * math.pi))))
+    norms = np.linalg.norm(2.0 * math.pi * box.astype(float), axis=1)
+    cands = box[(norms - h_hi <= T) & (norms - h_lo > T0)]
+    assert cands.shape[0] <= spectrum._CHUNK
+    xi, theta, lengths, rejects = spectrum._solve_chunk(L, cands, T0, T)
+    order = spectrum._record_order(lengths)
+    assert len(spec) > 10000 and rejects == [] and spec.rejects == ()
+    for got, want in ((spec.xi, xi), (spec.theta, theta), (spec.lengths, lengths)):
+        assert got.dtype == want.dtype and got.tobytes() == want[order].tobytes()
+
+
+def test_enumerate_memory_in_d5_is_bounded():
+    # the cube [-10, 10]^5 and its float copy take 2 x 155 MiB; its slabs take 1/21 each
+    import tracemalloc
+    K1, K2 = _d5_point_pair()
+    tracemalloc.start()
+    try:
+        spec = spectrum.enumerate(K1, K2, T0=1.0, T=60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spec) == 417992
+    assert peak < 256 * 2**20
+
+
 def test_degenerate_maximizer_is_rejected():
     # xi = (1, 0) has length 5e-7: the negated sphere Hessian of the point
     # pair is the length itself, below the transversality threshold 1e-6

@@ -505,9 +505,10 @@ def nan_ladder_row_scan():
     is still detected on the smallest eps, and its log-slope fit is NaN."""
     head = zetafns._head_boundary_values
 
-    def nan_first_row(lengths, damp, y_grid):
-        out = head(lengths, damp, y_grid)
-        out[:, 0] = np.nan
+    def nan_first_row(lengths, phases, s):
+        out = head(lengths, phases, s)
+        if out.ndim == 2:  # the ladder, not the short head
+            out[0] = np.nan
         return out
 
     with mock.patch.object(zetafns, "_head_boundary_values", nan_first_row):
@@ -549,41 +550,73 @@ def test_singularity_scan_raises_fit_ambiguous_between_line_orders():
     assert fit.alpha == -1.0
 
 
-def dense_boundary_values(lengths, damp, y_grid):
-    """sum_k damp[k, c] exp(-i y l_k), one exact exponential per (y, l) pair."""
-    return np.array([np.exp(-1j * y * lengths) @ damp for y in y_grid])
+def dense_boundary_values(lengths, phases, s):
+    """sum_k phases[k] exp(-s l_k) on a (ladder, y) grid s, one exact exp(-i y l) per (y, l)."""
+    grid = np.atleast_2d(s)
+    damp = phases[:, None] * np.exp(-np.outer(lengths, grid[:, 0].real))
+    return np.array([np.exp(-1j * y * lengths) @ damp for y in grid[0].imag]).T.reshape(s.shape)
 
 
-@pytest.mark.parametrize("y_grid, uniform", [
-    (np.linspace(0.0, 3.2, 641), True),
-    # linspace rounding is largest relative to dy far from the origin
-    (np.linspace(40.0, 43.0, 301), True),
+@pytest.mark.parametrize("y_grid, tie", [
+    (np.linspace(0.0, 3.2, 641), False),
+    # far from the origin the carrier's phase y_c l is largest
+    (np.linspace(40.0, 43.0, 301), False),
     (np.array([0.0, 0.31, 0.5, 1.7, 1.71, 2.9, 3.2]), False),
     (np.array([1.234]), False),
-], ids=["default", "offset", "explicit", "single"])
-def test_head_boundary_values_match_the_dense_sum(model3, y_grid, uniform, monkeypatch):
-    lengths = model3.spec.lengths
-    assert lengths.size > zetafns._BLOCK_ENTRIES // zetafns._ANCHOR_ROWS
+    # records are sorted only up to _GROUP_TOL: the least length need not come first
+    (np.linspace(0.0, 3.2, 641), True),
+], ids=["default", "offset", "explicit", "single", "ties"])
+def test_head_boundary_values_match_the_dense_sum(model3, y_grid, tie):
+    lengths = model3.spec.lengths.copy()
+    if tie:
+        lengths[1] = lengths[0] - 1e-12
+        assert lengths.min() < lengths[0]
     # unit-modulus weights that vary from record to record
     beta0 = np.array([math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0), 0.25])
-    weights = np.exp(1j * (model3.spec.lengths[:, None] * model3.spec.theta) @ beta0)
-    damp = weights[:, None] * np.exp(-np.outer(lengths, [0.1, 0.04]))
-    evaluated = []
-    exp = np.exp
-
-    def counting_exp(x, *args, **kwargs):
-        evaluated.append(np.size(x))
-        return exp(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "exp", counting_exp)
-    got = zetafns._head_boundary_values(lengths, damp, y_grid)
-    monkeypatch.undo()
-    # one exact row per anchor block, plus the rotation on a uniform grid
-    rows = math.ceil(y_grid.size / zetafns._ANCHOR_ROWS) + 1 if uniform else y_grid.size
-    assert sum(evaluated) == rows * lengths.size
-    want = dense_boundary_values(lengths, damp, y_grid)
-    err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+    phases = np.exp(1j * (model3.spec.lengths[:, None] * model3.spec.theta) @ beta0)
+    s = np.array([0.1, 0.04])[:, None] + 1j * y_grid[None, :]
+    got = zetafns._head_boundary_values(lengths, phases, s)
+    want = dense_boundary_values(lengths, phases, s)
+    err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
     assert np.all(err <= 1e-12), err
+
+
+def test_head_boundary_values_of_no_records_are_zero():
+    s = np.array([0.1, 0.04])[:, None] + 1j * np.linspace(0.0, 3.2, 5)[None, :]
+    got = zetafns._head_boundary_values(np.empty(0), np.empty(0, dtype=complex), s)
+    assert got.shape == s.shape and not np.any(got)
+
+
+def test_singularity_scan_with_an_empty_short_head_matches_the_dense_sum():
+    # T0 = 90 >= 0.85 T: every record lies beyond the short head's cut
+    spec = spectrum.enumerate(convex.point((0.0, 0.0, 0.0)), convex.point((0.9, 0.4, -1.1)),
+                              T0=90.0, T=100.0)
+    model = zetafns.build_zeta_model(spec, 100.0)
+    assert np.searchsorted(spec.lengths, 0.85 * spec.T) == 0
+    got = zetafns.singularity_scan(model)
+    with mock.patch.object(zetafns, "_head_boundary_values", dense_boundary_values):
+        want = zetafns.singularity_scan(model)
+    assert len(got) == len(want) >= 5
+    for g, w in zip(got, want):
+        assert (g.location, g.alpha) == (w.location, w.alpha)
+        assert g.exponent == pytest.approx(w.exponent, abs=1e-12)
+        assert g.coefficient == pytest.approx(w.coefficient, rel=1e-10)
+
+
+def test_singularity_scan_memory_is_bounded(model3):
+    # the bench's ladder and y grid: the bin moments hold a few arrays of the
+    # 56,943 records and one ladder row by the bins
+    import tracemalloc
+    ladder = np.geomspace(0.1, 9.0 / 150.0, 8)
+    y_grid = np.linspace(0.0, 2.6, 521)
+    tracemalloc.start()
+    try:
+        fits = zetafns.singularity_scan(model3, ladder, y_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [round(f.location, 3) for f in fits] == [0.0, 1.0, 1.415, 1.735, 2.23]
+    assert peak < 16 * 2**20
 
 
 samples = st.one_of(
