@@ -57,7 +57,13 @@ _DEFAULTS = {
 }
 
 _SPECTRUM_T = 50.0  # the window end of spectrum and guinand when ranges.T is unset
-_BODY_KINDS = {"point", "ball", "ellipsoid", "harmonic"}
+# each body kind: the keys it may omit and the keys it needs, besides "kind"
+_BODY_KEYS = {
+    "point": (("x",), ()),
+    "ball": (("center",), ("radius",)),
+    "ellipsoid": (("center", "rotation"), ("semiaxes",)),
+    "harmonic": ((), ("base", "terms")),
+}
 
 
 @contextlib.contextmanager
@@ -69,17 +75,17 @@ def _config_errors(what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _merge_section(name: str, defaults: dict, given) -> dict:
-    if given is None:
-        return copy.deepcopy(defaults)
+def _fields(name: str, given, defaults: dict, required=()) -> dict:
+    """given over a copy of defaults; a non-object, unknown or missing key is a ConfigError."""
     if not isinstance(given, dict):
-        raise ConfigError(f"section '{name}' must be an object")
-    out = copy.deepcopy(defaults)
-    for k, v in given.items():
-        if k not in defaults:
-            raise ConfigError(f"unknown key '{k}' in section '{name}'")
-        out[k] = v
-    return out
+        raise ConfigError(f"{name} must be an object")
+    for key in given:
+        if key not in defaults:
+            raise ConfigError(f"unknown {name} key '{key}'")
+    for key in required:
+        if key not in given:
+            raise ConfigError(f"{name} needs key '{key}'")
+    return {**copy.deepcopy(defaults), **given}
 
 
 def load_config(path) -> dict:
@@ -89,22 +95,15 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    cfg = {}
-    for key in raw:
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown top-level key '{key}'")
-    for key, default in _DEFAULTS.items():
-        if key in ("twist", "ranges", "window", "oscint"):
-            cfg[key] = _merge_section(key, default, raw.get(key))
-        else:
-            cfg[key] = copy.deepcopy(raw.get(key, default))
+    cfg = _fields("top-level", raw, _DEFAULTS)
+    for key in ("twist", "ranges", "window", "oscint"):
+        cfg[key] = _fields(key, cfg[key], _DEFAULTS[key])
     d = cfg["dim"]
     if not isinstance(d, int) or d < 2:
         raise ConfigError("dim must be an integer >= 2")
-    if not isinstance(cfg["bodies"], dict):
-        raise ConfigError("bodies must map names to body descriptions")
+    for key in ("bodies", "observables"):
+        if not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key} must map names to objects")
     for name, spec in cfg["bodies"].items():
         _check_body(d, name, spec)
     T0, T = cfg["ranges"]["T0"], cfg["ranges"]["T"]
@@ -116,46 +115,46 @@ def load_config(path) -> dict:
         cfg["pair"] = sorted(cfg["bodies"])[:2]
     if cfg["pair"] is not None:
         if (not isinstance(cfg["pair"], list) or len(cfg["pair"]) != 2
-                or any(n not in cfg["bodies"] for n in cfg["pair"])):
+                or not all(isinstance(n, str) and n in cfg["bodies"] for n in cfg["pair"])):
             raise ConfigError("pair must name two bodies from 'bodies'")
     if cfg["twist"]["beta0"] is None:
         cfg["twist"]["beta0"] = [0.0] * d
-    if len(cfg["twist"]["beta0"]) != d:
-        raise ConfigError("twist.beta0 dimension mismatch")
-    if not isinstance(cfg["twist"]["modes"], dict):
-        raise ConfigError("twist.modes must be an object")
-    for key in cfg["twist"]["modes"]:
-        if len(_parse_freq(key)) != d:
-            raise ConfigError(f"twist mode '{key}' dimension mismatch")
+    with _config_errors("twist.beta0"):  # checked, and echoed as given
+        if len([_number(b) for b in cfg["twist"]["beta0"]]) != d:
+            raise ValueError(f"needs {d} entries")
+    _check_modes(d, "twist.modes", cfg["twist"]["modes"])
     if cfg["aniso"] is not None:
-        need = {"s0", "s1", "N0", "N1"}
-        if not isinstance(cfg["aniso"], dict) or not need <= set(cfg["aniso"]):
-            raise ConfigError("aniso needs keys s0, s1, N0, N1")
-        cfg["aniso"].setdefault("gamma", [0.0] * d)
-        cfg["aniso"].setdefault("width", 0.2)
+        cfg["aniso"] = _fields("aniso", cfg["aniso"], {
+            "s0": None, "s1": None, "N0": None, "N1": None, "gamma": [0.0] * d, "width": 0.2},
+            required=("s0", "s1", "N0", "N1"))
     for name, spec in cfg["observables"].items():
-        if not isinstance(spec, dict) or "modes" not in spec:
-            raise ConfigError(f"observable '{name}' needs a 'modes' object")
-        if not isinstance(spec.setdefault("real", False), bool):
+        spec = cfg["observables"][name] = _fields(
+            f"observable '{name}'", spec, {"modes": None, "real": False}, required=("modes",))
+        if not isinstance(spec["real"], bool):
             raise ConfigError(f"observable '{name}' needs real true or false")
-        for key in spec["modes"]:
-            if len(_parse_freq(key)) != d:
-                raise ConfigError(f"observable '{name}' mode '{key}' dimension mismatch")
+        _check_modes(d, f"observable '{name}' modes", spec["modes"])
     return cfg
 
 
 def _check_body(d: int, name: str, spec) -> None:
-    if not isinstance(spec, dict) or spec.get("kind") not in _BODY_KINDS:
-        raise ConfigError(f"body '{name}' needs kind in {sorted(_BODY_KINDS)}")
-    kind = spec["kind"]
-    if kind == "ball" and "radius" not in spec:
-        raise ConfigError(f"ball '{name}' needs a radius")
-    if kind == "ellipsoid" and len(spec.get("semiaxes", [])) != d:
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _BODY_KEYS:
+        raise ConfigError(f"body '{name}' needs kind in {sorted(_BODY_KEYS)}")
+    optional, required = _BODY_KEYS[kind]
+    _fields(f"{kind} '{name}'", spec, dict.fromkeys(("kind", *optional, *required)), required)
+    if kind == "ellipsoid" and (not isinstance(spec["semiaxes"], list)
+                                or len(spec["semiaxes"]) != d):
         raise ConfigError(f"ellipsoid '{name}' needs {d} semiaxes")
     if kind == "harmonic":
-        if "base" not in spec or "terms" not in spec:
-            raise ConfigError(f"harmonic '{name}' needs base and terms")
         _check_body(d, f"{name}.base", spec["base"])
+
+
+def _check_modes(d: int, name: str, modes) -> None:
+    if not isinstance(modes, dict):
+        raise ConfigError(f"{name} must be an object")
+    for key in modes:
+        if len(_parse_freq(key)) != d:
+            raise ConfigError(f"{name} key '{key}' dimension mismatch")
 
 
 def _parse_freq(key: str) -> tuple:
@@ -165,8 +164,8 @@ def _parse_freq(key: str) -> tuple:
 
 def _parse_coeff(v) -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+        return complex(_number(v[0]), _number(v[1]))
+    return complex(_number(v))
 
 
 def build_body(dim: int, spec: dict) -> convex.SupportBody:
@@ -177,17 +176,12 @@ def build_body(dim: int, spec: dict) -> convex.SupportBody:
         if kind == "point":
             body = convex.point(spec.get("x", [0.0] * dim))
         elif kind == "ball":
-            body = convex.ball(spec.get("center", [0.0] * dim), float(spec["radius"]))
+            body = convex.ball(spec.get("center", [0.0] * dim), spec["radius"])
         elif kind == "ellipsoid":
-            rot = spec.get("rotation")
-            body = convex.ellipsoid(
-                spec.get("center", [0.0] * dim),
-                spec["semiaxes"],
-                rotation=None if rot is None else np.asarray(rot, dtype=float),
-            )
+            body = convex.ellipsoid(spec.get("center", [0.0] * dim), spec["semiaxes"],
+                                    rotation=spec.get("rotation"))
         else:
-            terms = [(t[0], t[1], float(t[2])) for t in spec["terms"]]
-            body = convex.harmonic(build_body(dim, spec["base"]), terms)
+            body = convex.harmonic(build_body(dim, spec["base"]), spec["terms"])
     if body.dim != dim:
         raise ConfigError(f"{kind} body has dimension {body.dim}, not {dim}")
     return body
@@ -252,13 +246,13 @@ def _grid(cfg: dict, key: str, fallback=None):
         return fallback
     with _config_errors(f"ranges.{key}"):
         if isinstance(spec, dict):
-            unknown = sorted(set(spec) - {"start", "stop", "num", "spacing"})
-            if unknown:
-                raise ValueError(f"unknown keys {unknown}")
-            num = _number(spec.get("num", 20))
+            spec = _fields(f"ranges.{key}", spec, {
+                "start": None, "stop": None, "num": 20, "spacing": "linear"},
+                required=("start", "stop"))
+            num = _number(spec["num"])
             if not num.is_integer():
                 raise ValueError(f"num {num!r} is not an integral number")
-            spacing = spec.get("spacing", "linear")
+            spacing = spec["spacing"]
             space = {"linear": np.linspace, "log": np.geomspace}.get(spacing)
             if space is None:
                 raise ValueError(f"spacing {spacing!r} is not 'linear' or 'log'")
@@ -363,7 +357,7 @@ def _zeta_model(cfg, k1, k2, beta, workers) -> zetafns.ZetaModel:
     """The model with head T (default 60 pi / d) of the spectrum to T * max(ranges.sweep)."""
     from . import zetafns
     with _config_errors("ranges.sweep"):
-        sweep = [float(f) for f in cfg["ranges"]["sweep"]]
+        sweep = [_number(f) for f in cfg["ranges"]["sweep"]]
     if not sweep or not all(1.0 <= f < math.inf for f in sweep):
         raise ConfigError("ranges.sweep: sweep factors must be finite and >= 1")
     spec = _enumerated(cfg, k1, k2, beta, workers, 60.0 * math.pi / cfg["dim"], max(sweep))
@@ -539,7 +533,7 @@ def _cmd_equidist(cfg, out, workers, log):
         if not cfg["bodies"]:
             raise ConfigError("equidist needs a body")
         name = cfg["pair"][0] if cfg["pair"] else sorted(cfg["bodies"])[0]
-    if name not in cfg["bodies"]:
+    if not isinstance(name, str) or name not in cfg["bodies"]:
         raise ConfigError(f"unknown body '{name}'")
     body = build_body(cfg["dim"], cfg["bodies"][name])
     f = _observable(cfg, "f")
@@ -568,7 +562,8 @@ def _cmd_oscint(cfg, out, workers, log):
     from . import spherequad
     d = cfg["dim"]
     xi = cfg["oscint"]["xi"]
-    xi = np.asarray([1.0] + [0.0] * (d - 1) if xi is None else xi, dtype=float)
+    with _config_errors("oscint.xi"):
+        xi = np.asarray([1.0] + [0.0] * (d - 1) if xi is None else [_number(x) for x in xi])
     if xi.shape != (d,):
         raise ConfigError(f"oscint.xi needs {d} entries")
     cfg["oscint"]["xi"] = xi.tolist()
@@ -621,8 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON configuration path")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--workers", type=int, default=None,
-                        help="worker count (default: ORTHOSPEC_WORKERS or 1)")
+    common.add_argument("--workers", type=int, default=1, help="worker count (default: 1)")
     common.add_argument("--verbose", action="store_true")
     parser = argparse.ArgumentParser(
         prog="orthospec",
@@ -641,10 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("ORTHOSPEC_WORKERS", "1"))
-    if workers < 1:
+    if args.workers < 1:
         print("orthospec: workers must be >= 1", file=sys.stderr)
         return 2
 
@@ -657,10 +648,10 @@ def main(argv: Optional[list] = None) -> int:
         os.makedirs(args.out, exist_ok=True)
         runner = _COMMANDS[args.command]
         if args.command == "zeta":
-            code = runner(cfg, args.out, workers, log,
+            code = runner(cfg, args.out, args.workers, log,
                           report_residues=args.report_residues)
         else:
-            code = runner(cfg, args.out, workers, log)
+            code = runner(cfg, args.out, args.workers, log)
         _echo_config(cfg, args.out)
         return code
     except ConfigError as exc:

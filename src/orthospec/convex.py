@@ -252,8 +252,11 @@ class SupportBody:
 
 
 def _finite(name: str, value) -> np.ndarray:
-    """value as a float array, refused unless every entry is finite."""
-    value = np.asarray(value, dtype=float)
+    """value as a float array, refused unless it holds integers or floats, every one finite."""
+    value = np.asarray(value)
+    if value.dtype.kind not in "iuf":  # a bool, a string, a complex value, None
+        raise TypeError(f"{name} must hold real numbers, not {value.dtype}")
+    value = value.astype(float)
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite")
     return value
@@ -322,7 +325,10 @@ def harmonic(base: SupportBody, terms: Sequence[tuple]) -> SupportBody:
             raise ValueError(f"harmonic degree {degree!r} is not an even integer >= 2")
         degree = int(degree)
         axis = _finite("harmonic axis", axis)
-        axis = axis / np.linalg.norm(axis)
+        norm = float(np.linalg.norm(axis))
+        if not 0.0 < norm < math.inf:  # a zero axis, or one whose norm overflows
+            raise ValueError(f"harmonic axis needs a finite nonzero norm, not {norm}")
+        axis = axis / norm
         coeff = float(_finite("harmonic coeff", coeff))
         parts.append(_Zonal(base.dim, degree, axis, coeff))
     return _certify(base.dim, "harmonic", tuple(parts))

@@ -85,7 +85,7 @@ def test_spectrum_artifacts_and_multiplicity(runs):
     assert meta["count"] == len(lengths)
 
 
-def test_worker_determinism_bytes(tmp_path, monkeypatch):
+def test_worker_determinism_bytes(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "dim": 2,
         "bodies": {"p": {"kind": "point"}, "q": {"kind": "point"}},
@@ -96,7 +96,6 @@ def test_worker_determinism_bytes(tmp_path, monkeypatch):
                      "--workers", "1"]) == 0
     assert cli.main(["spectrum", "--config", cfg, "--out", str(out2),
                      "--workers", "3"]) == 0
-    monkeypatch.setenv("ORTHOSPEC_WORKERS", "2")
     assert cli.main(["spectrum", "--config", cfg, "--out", str(out3)]) == 0
     for name in ("spectrum.csv", "counting.csv", "spectrum.meta.json",
                  "config.resolved.json", "spectrum.gp"):
@@ -629,6 +628,50 @@ _BAD_CONFIGS = {
         "phi": {"modes": {"1,0": 1.0, "-1,0": 1.0}, "real": real},
         "psi": {"modes": {"-1,0": 1.0}}}, "ranges": {"t_grid": [50.0, 60.0]}})
        for name, real in (("string", "false"), ("number", 1))},
+    # misspelt keys, read as absent: gamma 0, a centred ball, a complex observable
+    "ball-centre": ("volumes", {"dim": 2, "bodies": {
+        "b": {"kind": "ball", "centre": [0.3, 0.1], "radius": 0.5}}}),
+    "ellipsoid-rotaton": ("volumes", {"dim": 2, "bodies": {
+        "e": {"kind": "ellipsoid", "semiaxes": [1.0, 0.5], "rotaton": [[0, 1], [1, 0]]}}}),
+    "aniso-gama": ("correlate", {**_CORRELATED, "ranges": {"t_grid": [50.0, 60.0]},
+                                 "aniso": {"s0": 1, "s1": 1, "N0": 1.0, "N1": 2.0,
+                                           "gama": [1, 0]}}),
+    "observable-reel": ("correlate", {"dim": 2, "observables": {
+        "phi": {"modes": {"1,0": 1.0, "-1,0": 1.0}, "reel": True},
+        "psi": {"modes": {"-1,0": 1.0}}}, "ranges": {"t_grid": [50.0, 60.0]}}),
+    # strings and bools read as numbers
+    "ball-radius-bool": ("volumes", {"dim": 2, "bodies": {
+        "b": {"kind": "ball", "radius": True}}}),
+    "ball-center-strings": ("volumes", {"dim": 2, "bodies": {
+        "b": {"kind": "ball", "center": ["0.3", "0.1"], "radius": 0.5}}}),
+    "twist-beta0-strings": ("spectrum", {**_POINT_PAIR, "twist": {"beta0": ["0.25", "0"]},
+                                         "ranges": {"T": 30.0}}),
+    "twist-mode-string": ("spectrum", {**_POINT_PAIR, "twist": {"modes": {
+        "1,0": "0.1", "-1,0": "0.1"}}, "ranges": {"T": 30.0}}),
+    "sweep-strings": ("zeta", {**_POINT_PAIR, "ranges": {"T": 30.0, "sweep": ["1"]}}),
+    "oscint-xi-strings": ("oscint", {"dim": 2, "oscint": {"xi": ["1", "0"]},
+                                     "ranges": {"t_grid": [50.0, 60.0]}}),
+    # a 4th entry was ignored; a zero axis normalised to NaN and passed the certificate
+    "harmonic-term-long": ("volumes", {"dim": 2, "bodies": {
+        "h": {"kind": "harmonic", "base": {"kind": "ball", "radius": 1.0},
+              "terms": [[2, [1.0, 0.0], 0.01, 5.0]]}}}),
+    **{f"harmonic-axis-zero-{command}": (command, {"dim": 2, "bodies": {
+        "h": {"kind": "harmonic", "base": {"kind": "ball", "radius": 1.0},
+              "terms": [[2, [0.0, 0.0], 0.01]]}, "p": {"kind": "point"}}})
+       for command in ("volumes", "spectrum")},
+    # a list kind and a number of semiaxes raised TypeError
+    "body-kind-list": ("volumes", {"dim": 2, "bodies": {"b": {"kind": ["ball"], "radius": 0.5}}}),
+    "ellipsoid-semiaxes-number": ("volumes", {"dim": 2, "bodies": {
+        "e": {"kind": "ellipsoid", "semiaxes": 1.0}}}),
+    # body names that are lists raised TypeError
+    "pair-list-entry": ("spectrum", {**_POINT_PAIR, "pair": [["a"], "b"]}),
+    "equidist-body-list": ("equidist", {"dim": 2, "bodies": {
+        "b": {"kind": "ball", "radius": 0.5}}, "body": ["b"], "observables": {
+        "f": {"modes": {"0,0": 1.0}}}}),
+    # maps that are not objects raised AttributeError
+    "observables-list": ("correlate", {"dim": 2, "observables": []}),
+    "observable-modes-list": ("correlate", {"dim": 2, "observables": {
+        "phi": {"modes": ["1,0"]}, "psi": {"modes": {"-1,0": 1.0}}}}),
     # windows that are not finite numbers raised TypeError, ValueError or OverflowError
     **{f"window-{name}": ("guinand", {**_POINTS_D3, "ranges": {"T": 60.0}, "window": window})
        for name, window in (("center-string", {"center": "1.0"}),
@@ -665,6 +708,15 @@ def test_poincare_scan_on_d2_point_pairs(tmp_path, y, T):
     lines = [f for f in fits if f["location"] > 0.1]
     assert len(lines) >= 2
     assert all(f["alpha"] == -0.5 for f in lines)
+
+
+def test_workers_below_1_exit_2_before_the_output_directory(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", {"dim": 2, "bodies": {
+        "b": {"kind": "ball", "radius": 0.5}}})
+    out = tmp_path / "out"
+    assert cli.main(["volumes", "--config", cfg, "--out", str(out), "--workers", "0"]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exit_codes(tmp_path, capsys):

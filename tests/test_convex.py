@@ -225,6 +225,32 @@ def test_constructors_refuse_non_finite_parameters(case):
         _NON_FINITE[case]()
 
 
+# a bool read as 1, strings read through float() and complex values
+_NOT_REAL = {
+    "ball-radius-bool": lambda: convex.ball((0.0, 0.0), True),
+    "ball-center-strings": lambda: convex.ball(("0.3", "0.1"), 0.5),
+    "point-x0-complex": lambda: convex.point((1j, 0.0)),
+    "ellipsoid-semiaxes-bools": lambda: convex.ellipsoid((0.0, 0.0), (True, True)),
+    "ellipsoid-rotation-strings": lambda: convex.ellipsoid(
+        (0.0, 0.0), (1.0, 0.5), rotation=[["1", "0"], ["0", "1"]]),
+    "harmonic-coeff-string": lambda: convex.harmonic(
+        convex.ball((0.0, 0.0), 1.0), [(4, (1.0, 0.0), "0.01")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_REAL))
+def test_constructors_refuse_values_that_are_not_real_numbers(case):
+    with pytest.raises(TypeError, match="real numbers"):
+        _NOT_REAL[case]()
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0), (1e200, 1e200)], ids=["zero", "norm-overflows"])
+def test_harmonic_refuses_an_axis_without_a_finite_nonzero_norm(axis):
+    # normalised, these axes were NaN or zero, and the body passed its certificate
+    with pytest.raises(ValueError, match="harmonic axis"), np.errstate(over="ignore"):
+        convex.harmonic(convex.ball((0.0, 0.0), 1.0), [(2, axis, 0.01)])
+
+
 def test_harmonic_body_is_usable():
     # h(phi) = 1 + c cos(4 phi): radius h + h'' = 1 - 15 c cos(4 phi),
     # area (1/2) int h^2 - h'^2 = pi (1 - 15 c^2 / 2), half perimeter pi

@@ -42,8 +42,13 @@ def test_readme_shows_every_subcommand():
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
 def test_readme_command_exits_0(argv, tmp_path, capsys):
-    argv = list(argv)
+    argv = list(argv) + ["--verbose"]
     config = argv.index("--config") + 1
     argv[config] = str(ROOT / argv[config])
     argv[argv.index("--out") + 1] = str(tmp_path)
-    assert cli.main(argv) == 0, capsys.readouterr().err
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    # --verbose logs to stderr only, each line led by its subcommand
+    assert out == "" and err
+    assert all(line.startswith(argv[0]) for line in err.splitlines())
