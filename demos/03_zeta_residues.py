@@ -36,7 +36,8 @@ def main() -> None:
     for est in ests:
         w = want[est.pole]
         print(f"  pole s = {est.pole}: residue {est.residue.real:.8f}  "
-              f"predicted {w:.8f}  error bar {est.error:.2e}")
+              f"predicted {w:.8f}  err {est.error:.2e} <= bound {est.bound:.2e}, "
+              f"certified = {est.certified}")
 
     # PoleHit guards the continuation near s = 1, 2
     try:

@@ -105,7 +105,8 @@ def load_config(path) -> dict:
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must map names to objects")
     for name, spec in cfg["bodies"].items():
-        _check_body(d, name, spec)
+        _check_body(name, spec)
+        build_body(d, spec)  # so an unused body is checked too, dimension and all
     T0, T = cfg["ranges"]["T0"], cfg["ranges"]["T"]
     if any(isinstance(v, bool) or not isinstance(v, (int, float, type(None))) for v in (T0, T)):
         raise ConfigError("ranges.T0 and ranges.T must be numbers")
@@ -136,17 +137,14 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _check_body(d: int, name: str, spec) -> None:
+def _check_body(name: str, spec) -> None:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in _BODY_KEYS:
         raise ConfigError(f"body '{name}' needs kind in {sorted(_BODY_KEYS)}")
     optional, required = _BODY_KEYS[kind]
     _fields(f"{kind} '{name}'", spec, dict.fromkeys(("kind", *optional, *required)), required)
-    if kind == "ellipsoid" and (not isinstance(spec["semiaxes"], list)
-                                or len(spec["semiaxes"]) != d):
-        raise ConfigError(f"ellipsoid '{name}' needs {d} semiaxes")
     if kind == "harmonic":
-        _check_body(d, f"{name}.base", spec["base"])
+        _check_body(f"{name}.base", spec["base"])
 
 
 def _check_modes(d: int, name: str, modes) -> None:
@@ -386,7 +384,8 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
         ests = zetafns.residues(model)
         _tables.write_json(os.path.join(out, "residues.json"), [
             {"pole": est.pole, "residue": est.residue, "err": est.error,
-             "predicted_from_volumes": est.predicted_from_volumes}
+             "predicted_from_volumes": est.predicted_from_volumes,
+             "bound": est.bound, "certified": est.certified}
             for est in ests])
         for est in ests:
             log(f"zeta: Res at s={est.pole} is {est.residue:.9g} "

@@ -253,10 +253,13 @@ class SupportBody:
 
 def _finite(name: str, value) -> np.ndarray:
     """value as a float array, refused unless it holds integers or floats, every one finite."""
-    value = np.asarray(value)
-    if value.dtype.kind not in "iuf":  # a bool, a string, a complex value, None
-        raise TypeError(f"{name} must hold real numbers, not {value.dtype}")
-    value = value.astype(float)
+    array = np.asarray(value)
+    # np.asarray reads [True, 0.1] as floats, so each entry is looked at for a bool too
+    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+        raise TypeError(f"{name} must hold real numbers, not bool")
+    if array.dtype.kind not in "iuf":  # a string, a complex value, None
+        raise TypeError(f"{name} must hold real numbers, not {array.dtype}")
+    value = array.astype(float)
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite")
     return value

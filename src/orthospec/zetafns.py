@@ -59,7 +59,7 @@ _CF_FROM = 2.0   # erfcx takes its continued fraction from here on,
 _CF_TERMS = 60   # at a depth that converges to an ulp there
 _J_MAX = 3       # line orders run up to (d-1)/2 + _J_MAX
 _MAX_PEAKS = 16  # peaks refitted by one singularity scan
-_TWIST_TOL = 0.05  # a twist bound certifies up to this share of rho_d
+_CERTIFY_TOL = 0.05  # a Poisson bound certifies up to this share of its coefficient
 
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
@@ -134,9 +134,8 @@ class ZetaModel:
     rho[k-1] is the coefficient of t^{k-1} in the smooth counting density,
     taken from steiner, the Steiner data of the difference body; spec may
     run on beyond T.  The Poincare scan reads all of it, and so does
-    the Gaussian-smoothed estimate of rho behind residues and
-    twist_suppression (width sigma, error about exp(-sigma^2 delta^2 / 2),
-    delta = dist(beta0, Z^d) or 1).  The twist is the spectrum's own, spec.beta.
+    _poisson_certificate, the Gaussian-smoothed estimate of rho behind
+    residues and twist_suppression.  The twist is the spectrum's own, spec.beta.
     """
 
     spec: spectrum.LengthSpectrum
@@ -160,10 +159,8 @@ class ResidueEstimate:
     residue: complex
     error: float
     predicted_from_volumes: float
-
-    def __post_init__(self):
-        if self.error < 0:
-            raise ValueError("error bar must be nonnegative")
+    bound: float      # what error may reach (see _poisson_certificate)
+    certified: bool   # error <= bound <= _CERTIFY_TOL |residue|
 
 
 @dataclass(frozen=True)
@@ -182,9 +179,9 @@ class TwistReport:
     mode: str          # "weighted" (beta0 in Z^d) or "suppressed"
     certified: bool
     weighted: tuple    # weighted residues by quadrature; zeros when suppressed
-    empirical: tuple   # _smoothed_density of the phase-weighted spectrum
+    empirical: tuple   # _poisson_certificate estimate of the phase-weighted spectrum
     deviation: float   # |empirical - weighted| in the leading coefficient
-    bound: float       # what the deviation may reach (see twist_suppression)
+    bound: float       # what the deviation may reach (see _poisson_certificate)
 
 
 @dataclass(frozen=True)
@@ -257,9 +254,35 @@ def zeta_continue(model: ZetaModel, s: complex) -> complex:
     return complex(head + tail)
 
 
-def _smoothed_density(spec: spectrum.LengthSpectrum) -> tuple:
-    """(rho, sigma, cols, mags): the window-sum estimate, moment matrix, sums of |terms|."""
-    d = spec.dim
+def _poisson_certificate(model: ZetaModel) -> tuple:
+    """(estimate, bound, sigma): the spectrum's smoothed density and a bound per coefficient.
+
+    The estimate solves the window sums S = sum phase * g_mu(l), g_mu =
+    GaussianWindow(mu, sigma).value, at 2d centres mu in [T0 + 8.5 sigma, T - 8.5 sigma],
+    sigma = min(8, (T - T0) / 25), against their Gaussian moments cols.  The record
+    w = 2 pi xi = x_L(theta) + l theta has the phase e^{i beta0 . w} W(theta), |W| = 1
+    (W = 1 untwisted; see _weighted_density_residues), so Poisson summation over
+    2 pi Z^d turns S into (2 pi)^-d sum A(nu) over nu in Z^d + beta0,
+        A(nu) = int W e^{-i nu . x_L} int g_mu(t) a e^{-i t nu . theta} dt dtheta,
+    dx = a dt dtheta, a = prod_i (t + r_i(theta)) over the radii of L.  nu = 0 (beta0 in
+    Z^d) gives S0 = cols @ c, c the weighted density (rho untwisted), and W = 1 the
+    untwisted Z = cols @ rho, at least sigma sqrt(2 pi) |bd(L + mu B)| as
+    E (mu + sigma N)^j >= mu^j.  For nu != 0 the contour shift t -> t - i sigma^2 nu . theta
+    leaves the factor e^{-sigma^2 (nu . theta)^2 / 2} and the phase nu . (x_L + mu theta),
+    stationary only at theta = +-nu / |nu|, with Hessian |nu| (r_i + mu).  Leading-order
+    stationary phase (for a point L, the Hankel asymptotic of J_{d/2-1}) gives
+    |A(nu)| <= q Z e^{-sigma^2 |nu|^2 / 2} up to a relative O((mu |nu|)^-1), so the bound
+    is asymptotic, checked on the test fixtures, not proven; c_d = 2^((d-1)/2) Gamma(d/2)
+    / sqrt(pi) and q = c_d (1 + r_max/mu)^((d-1)/2) ((mu |nu|)^-2 + sigma^4/mu^4)^((d-1)/4)
+    <= 1 (mu >= 8.5 sigma) once 8.5 sigma delta >= 2 c_d^(2/(d-1)) (1 + r_max/mu),
+    delta = dist(beta0, Z^d) or 1.  That holds wherever a certificate is possible:
+    P = pinv(cols) has P cols = I, so |P_j| Z >= |rho_j|, and
+    Theta = sum_{nu != 0} e^{-sigma^2 |nu|^2 / 2} <= _CERTIFY_TOL needs sigma delta >= 2.4.
+    So |S - S0| <= Z Theta, and the estimate P S is off c in coefficient j by at most
+        bound_j = |P_j| Z Theta + n eps |P_j| sum_i g(l_i),
+    adding the summation bound of the n-term window sums (the records close to rounding).
+    """
+    spec, d = model.spec, model.dim
     sigma = min(8.0, (spec.T - spec.T0) / 25.0)
     mu = np.linspace(spec.T0 + 8.5 * sigma, spec.T - 8.5 * sigma, 2 * d)
     windows = (GaussianWindow(m, sigma).value(spec.lengths) for m in mu)
@@ -268,34 +291,42 @@ def _smoothed_density(spec: spectrum.LengthSpectrum) -> tuple:
     for k in range(2, d):
         moments.append(mu * moments[-1] + (k - 1) * sigma**2 * moments[-2])
     cols = sigma * math.sqrt(2.0 * math.pi) * np.stack(moments[:d], axis=1)
-    rho, *_ = np.linalg.lstsq(cols, sums, rcond=None)
-    return rho, sigma, cols, mags
+    estimate, *_ = np.linalg.lstsq(cols, sums, rcond=None)
+    # Theta factors over the axes of nu = k + r, less nu = 0 when r = 0; the k
+    # past 2 + 10 / sigma add below e^-50, and rounding below 2 d eps < n eps
+    r = spec.beta.beta0 - np.round(spec.beta.beta0)
+    k = np.arange(-2 - int(10.0 / sigma), 3 + int(10.0 / sigma))[:, None]
+    theta = float(np.prod(np.sum(np.exp(-0.5 * sigma**2 * (k + r) ** 2), axis=0)))
+    p = np.abs(np.linalg.pinv(cols))
+    bound = (p @ (cols @ model.rho) * (theta - spec.beta.is_integer)
+             + len(spec) * np.finfo(float).eps * (p @ mags))
+    return estimate, bound, sigma
 
 
 def residues(model: ZetaModel) -> list:
     """Steiner residues rho[ell-1] at s = 1..d, each with its distance from the spectrum.
 
-    error is |estimate - residue|, the estimate solving the window sums
-    sum phase * GaussianWindow(mu, sigma).value(l) at 2d centres mu in
-    [T0 + 8.5 sigma, T - 8.5 sigma], sigma = min(8, (T - T0) / 25), against
-    their Gaussian moments: the zero dual frequency of Poisson summation.
-    The others leave about exp(-sigma^2 / 2) (twist_suppression derives the
-    bound): a short window reports an unresolved identity, not a new residue.
+    error is |estimate - residue| and bound what it may reach, both from
+    _poisson_certificate: the estimate is the zero dual frequency of Poisson
+    summation, and a short window reports an unresolved identity, not a new
+    residue.  certified = error <= bound <= _CERTIFY_TOL |residue|.
     """
     _require_untwisted(model, "residues")
     d = model.dim
     intrinsic = model.steiner.intrinsic
-    estimate = _smoothed_density(model.spec)[0]
+    estimate, bound, _ = _poisson_certificate(model)
     out = []
     for ell in range(1, d + 1):
         exact = float(model.rho[ell - 1])
-        predicted = _ball_density(ell, d) * intrinsic[d - ell]
+        error = float(abs(estimate[ell - 1] - exact))
         out.append(
             ResidueEstimate(
                 pole=ell,
                 residue=complex(exact),
-                error=float(abs(estimate[ell - 1] - exact)),
-                predicted_from_volumes=float(predicted),
+                error=error,
+                predicted_from_volumes=float(_ball_density(ell, d) * intrinsic[d - ell]),
+                bound=float(bound[ell - 1]),
+                certified=bool(error <= bound[ell - 1] <= _CERTIFY_TOL * abs(exact)),
             )
         )
     return out
@@ -319,50 +350,22 @@ def _weighted_density_residues(model: ZetaModel, order: int):
 def twist_suppression(model: ZetaModel) -> TwistReport:
     """The leading smoothed density of the twisted spectrum against its Poisson value.
 
-    The record w = 2 pi xi = x_L(theta) + l theta has the phase e^{i beta0 . w} W(theta),
-    |W| = 1 (see _weighted_density_residues), so Poisson summation over 2 pi Z^d turns a
-    window sum S of _smoothed_density into (2 pi)^-d sum A(nu) over nu in Z^d + beta0,
-        A(nu) = int W e^{-i nu . x_L} int g_mu(t) a e^{-i t nu . theta} dt dtheta,
-    dx = a dt dtheta, a = prod_i (t + r_i(theta)) over the radii of L.  nu = 0 gives
-    S0 = cols @ weighted, and W = 1 the untwisted Z = cols @ rho, at least
-    sigma sqrt(2 pi) |bd(L + mu B)| as E (mu + sigma N)^j >= mu^j.  For nu != 0
-    the contour shift t -> t - i sigma^2 nu . theta leaves the factor
-    e^{-sigma^2 (nu . theta)^2 / 2} and the phase nu . (x_L + mu theta), stationary
-    only at theta = +-nu / |nu|, with Hessian |nu| (r_i + mu).  Leading-order stationary
-    phase (for a point L, the Hankel asymptotic of J_{d/2-1}) gives |A(nu)| <= q Z
-    e^{-sigma^2 |nu|^2 / 2} up to a relative O((mu |nu|)^-1), so the bound is asymptotic,
-    checked on the test fixtures, not proven; c_d = 2^((d-1)/2) Gamma(d/2) / sqrt(pi) and
-    q = c_d (1 + r_max/mu)^((d-1)/2) ((mu |nu|)^-2 + sigma^4/mu^4)^((d-1)/4) <= 1
-    (mu >= 8.5 sigma) once 8.5 sigma delta >= 2 c_d^(2/(d-1)) (1 + r_max/mu),
-    delta = dist(beta0, Z^d) or 1.  That holds wherever a certificate is possible:
-    P = pinv(cols) has P cols = I, so sum_j |P_j| Z_j >= rho_d, and
-    Theta = sum_{nu != 0} e^{-sigma^2 |nu|^2 / 2} <= _TWIST_TOL needs sigma delta >= 2.4.
-    So |S - S0| <= Z Theta, and the lead deviation from weighted = P S0 is at most
-        bound = sum_j |P_j| Z_j Theta + n eps sum_j |P_j| sum_i g_j(l_i) + quad,
-    adding the summation bound of the n-term window sums (the records close to rounding)
-    and the quadrature's order-doubling delta (0, weighted = 0, for beta0 outside Z^d).
-    certified = deviation <= bound <= _TWIST_TOL rho_d.
+    That value is the weighted residue by quadrature when beta0 is in Z^d, else 0;
+    bound is the leading bound of _poisson_certificate, which derives it, plus the
+    quadrature's order-doubling delta.  certified = deviation <= bound <= _CERTIFY_TOL rho_d.
     """
-    spec = model.spec
-    emp, sigma, cols, mags = _smoothed_density(spec)
-    integer = spec.beta.is_integer
+    emp, bound, _ = _poisson_certificate(model)
+    integer = model.spec.beta.is_integer
     weighted, quad = np.zeros_like(emp), 0.0
     if integer:
         n = 64 if model.dim == 2 else 32
         weighted = _weighted_density_residues(model, n)
         quad = abs(_weighted_density_residues(model, 2 * n)[-1] - weighted[-1])
-    # Theta factors over the axes of nu = k + r, less nu = 0 when r = 0; the k
-    # past 2 + 10 / sigma add below e^-50, and rounding below 2 d eps < n eps
-    r = spec.beta.beta0 - np.round(spec.beta.beta0)
-    k = np.arange(-2 - int(10.0 / sigma), 3 + int(10.0 / sigma))[:, None]
-    theta_sum = float(np.prod(np.sum(np.exp(-0.5 * sigma**2 * (k + r) ** 2), axis=0))) - integer
-    p = np.abs(np.linalg.pinv(cols)[-1])
-    bound = float(p @ (cols @ model.rho) * theta_sum
-                  + len(spec) * np.finfo(float).eps * (p @ mags) + quad)
+    bound = float(bound[-1] + quad)
     deviation = float(abs(emp[-1] - weighted[-1]))
     return TwistReport(
         mode="weighted" if integer else "suppressed",
-        certified=bool(deviation <= bound <= _TWIST_TOL * model.rho[-1]),
+        certified=bool(deviation <= bound <= _CERTIFY_TOL * model.rho[-1]),
         weighted=tuple(complex(z) for z in weighted),
         empirical=tuple(complex(z) for z in emp),
         deviation=deviation,

@@ -115,7 +115,7 @@ def test_criterion_3_twisted_counting_collapses(points2_400, capsys):
     model = zetafns.build_zeta_model(spec)
     rep = zetafns.twist_suppression(model)
     delta = float(np.linalg.norm(np.array(IRRATIONAL_BETA2) - np.round(IRRATIONAL_BETA2)))
-    sigma = zetafns._smoothed_density(spec)[1]
+    sigma = zetafns._poisson_certificate(model)[2]
     rho_d = model.rho[-1]
     ok = rep.mode == "suppressed" and rep.certified and rep.deviation <= rep.bound
     report(capsys, 3, "twisted holomorphy proxy", ok,

@@ -444,13 +444,16 @@ def test_residues_json_round_trip(zeta_run):
     out, model = zeta_run
     want = [{"pole": est.pole, "residue_re": est.residue.real,
              "residue_im": est.residue.imag, "err": est.error,
-             "predicted_from_volumes": est.predicted_from_volumes}
+             "predicted_from_volumes": est.predicted_from_volumes,
+             "bound": est.bound, "certified": est.certified}
             for est in zetafns.residues(model)]
     text = (out / "residues.json").read_text()
     assert json.loads(text) == want
     assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
     assert [row["pole"] for row in want] == [1, 2]
     assert want[1]["residue_re"] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+    # a spectrum to 80 leaves sigma near 3: err is within a bound above 5 % of the residue
+    assert all(row["err"] <= row["bound"] and not row["certified"] for row in want)
 
 
 def test_series_csv_holds_repr_cells(tmp_path):
@@ -644,6 +647,11 @@ _BAD_CONFIGS = {
         "b": {"kind": "ball", "radius": True}}}),
     "ball-center-strings": ("volumes", {"dim": 2, "bodies": {
         "b": {"kind": "ball", "center": ["0.3", "0.1"], "radius": 0.5}}}),
+    "ball-center-bool-among-numbers": ("volumes", {"dim": 2, "bodies": {
+        "b": {"kind": "ball", "center": [True, 0.1], "radius": 0.5}}}),
+    # a body the subcommand never builds was checked by its keys alone
+    "unused-body-wrong-dimension": ("spectrum", {**_POINT_PAIR, "pair": ["a", "b"], "bodies": {
+        **_POINT_PAIR["bodies"], "c": {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 0.2}}}),
     "twist-beta0-strings": ("spectrum", {**_POINT_PAIR, "twist": {"beta0": ["0.25", "0"]},
                                          "ranges": {"T": 30.0}}),
     "twist-mode-string": ("spectrum", {**_POINT_PAIR, "twist": {"modes": {

@@ -229,6 +229,8 @@ def test_constructors_refuse_non_finite_parameters(case):
 _NOT_REAL = {
     "ball-radius-bool": lambda: convex.ball((0.0, 0.0), True),
     "ball-center-strings": lambda: convex.ball(("0.3", "0.1"), 0.5),
+    # np.asarray reads a bool among floats as 1.0
+    "ball-center-bool-among-floats": lambda: convex.ball((True, 0.1), 0.5),
     "point-x0-complex": lambda: convex.point((1j, 0.0)),
     "ellipsoid-semiaxes-bools": lambda: convex.ellipsoid((0.0, 0.0), (True, True)),
     "ellipsoid-rotation-strings": lambda: convex.ellipsoid(

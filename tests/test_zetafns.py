@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -131,30 +132,54 @@ def test_residues_of_the_ellipse(ellipse_model):
     # dual frequencies sit at exp(-32) of the zero-frequency term
     for est in ests:
         assert est.error <= 1e-9 * abs(est.residue), est
+        assert est.error <= est.bound and est.certified, est
+
+
+@functools.cache
+def _residue_model(case: str, T: float):
+    """The untwisted model of a residue fixture pair, enumerated to T with head T / 2."""
+    K1, K2 = {
+        "ellipse-point": (convex.ellipsoid((0.0, 0.0), (1.3, 0.7)), convex.point((0.0, 0.0))),
+        "ellipsoid-ball": (convex.ellipsoid((0.0, 0.0, 0.0), (0.5, 0.35, 0.25)),
+                           convex.ball((0.0, 0.0, 0.0), 0.2)),
+        "ball-ball": (convex.ball((0.0, 0.0, 0.0), 0.3), convex.ball((0.0, 0.0, 0.0), 0.2)),
+    }[case]
+    return zetafns.build_zeta_model(spectrum.enumerate(K1, K2, T=T), T / 2.0)
 
 
 def test_residues_err_reads_an_ellipsoid_ball_spectrum():
     # d = 3 with curvature: the spectrum must run to 200 (sigma = 7.9); to
     # 160 (sigma = 6.3) the estimate is off by 4e-5 at ell = 1
-    E = convex.ellipsoid((0.0, 0.0, 0.0), (0.5, 0.35, 0.25))
-    B = convex.ball((0.0, 0.0, 0.0), 0.2)
-    model = zetafns.build_zeta_model(spectrum.enumerate(E, B, T=100.0 * 2.0), 100.0)
+    model = _residue_model("ellipsoid-ball", 200.0)
     assert model.spec.T == 200.0
     ests = zetafns.residues(model)
     assert [e.pole for e in ests] == [1, 2, 3]
     for est in ests:
         assert est.error <= 1e-8 * abs(est.residue), est
+        assert est.error <= est.bound and est.certified, est
 
 
 def test_residues_err_flags_a_short_window():
     # a spectrum to 40 gives sigma = 1.5: the dual frequencies swamp the sums,
     # and err says the identity is unresolved instead of moving the residue
-    b1 = convex.ball((0.0, 0.0, 0.0), 0.3)
-    b2 = convex.ball((0.0, 0.0, 0.0), 0.2)
-    model = zetafns.build_zeta_model(spectrum.enumerate(b1, b2, T=20.0 * 2.0), 20.0)
+    model = _residue_model("ball-ball", 40.0)
     res1 = zetafns.residues(model)[0]
     assert res1.residue.real == model.rho[0]
     assert res1.error >= 0.1 * abs(res1.residue)
+    assert res1.error <= res1.bound and not res1.certified
+
+
+_RESIDUE_SWEEP = [("ellipse-point", T) for T in (100.0, 150.0, 200.0)] + [
+    ("ellipsoid-ball", T) for T in (60.0, 100.0, 150.0, 200.0)] + [("ball-ball", 40.0)]
+
+
+@pytest.mark.parametrize("case, T", _RESIDUE_SWEEP, ids=[f"{c}-T{T:g}" for c, T in _RESIDUE_SWEEP])
+def test_residue_error_stays_within_its_poisson_bound(case, T):
+    # every coefficient, resolved or not: err <= bound from sigma = 1.6 to 8
+    ests = zetafns.residues(_residue_model(case, T))
+    for est in ests:
+        assert est.error <= est.bound, est
+        assert est.certified is (est.bound <= 0.05 * abs(est.residue)), est
 
 
 def test_residues_reject_twisted_models():
