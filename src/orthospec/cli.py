@@ -88,8 +88,12 @@ def _fields(name: str, given, defaults: dict, required=()) -> dict:
     return {**copy.deepcopy(defaults), **given}
 
 
-def load_config(path) -> dict:
-    """Read, validate, and materialize defaults into one configuration."""
+def load_config(path) -> tuple:
+    """Read, validate, and materialize defaults into one configuration.
+
+    Returns (cfg, built): cfg as echoed, and built with the object of every
+    section: "bodies" and "observables" by name, "aniso" (None if unset).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -104,14 +108,19 @@ def load_config(path) -> dict:
     for key in ("bodies", "observables"):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must map names to objects")
+    built = {"bodies": {}, "observables": {}, "aniso": None}
     for name, spec in cfg["bodies"].items():
         _check_body(name, spec)
-        build_body(d, spec)  # so an unused body is checked too, dimension and all
+        built["bodies"][name] = build_body(d, spec)
     T0, T = cfg["ranges"]["T0"], cfg["ranges"]["T"]
     if any(isinstance(v, bool) or not isinstance(v, (int, float, type(None))) for v in (T0, T)):
         raise ConfigError("ranges.T0 and ranges.T must be numbers")
     if (T0 is not None and T0 < 0) or (None not in (T0, T) and T <= T0):
         raise ConfigError("ranges need T > T0 >= 0")
+    with _config_errors("ranges.sweep"):
+        sweep = [_number(f) for f in cfg["ranges"]["sweep"]]
+    if not sweep or not all(1.0 <= f < math.inf for f in sweep):
+        raise ConfigError("ranges.sweep: sweep factors must be finite and >= 1")
     if cfg["pair"] is None and len(cfg["bodies"]) >= 2:
         cfg["pair"] = sorted(cfg["bodies"])[:2]
     if cfg["pair"] is not None:
@@ -121,20 +130,35 @@ def load_config(path) -> dict:
     if cfg["twist"]["beta0"] is None:
         cfg["twist"]["beta0"] = [0.0] * d
     with _config_errors("twist.beta0"):  # checked, and echoed as given
-        if len([_number(b) for b in cfg["twist"]["beta0"]]) != d:
-            raise ValueError(f"needs {d} entries")
+        beta0 = [_number(b) for b in cfg["twist"]["beta0"]]
+        if len(beta0) != d or not all(map(math.isfinite, beta0)):
+            raise ValueError(f"needs {d} finite entries")
     _check_modes(d, "twist.modes", cfg["twist"]["modes"])
+    if cfg["aniso"] is not None or cfg["observables"]:
+        from . import dynamics
     if cfg["aniso"] is not None:
-        cfg["aniso"] = _fields("aniso", cfg["aniso"], {
+        a = cfg["aniso"] = _fields("aniso", cfg["aniso"], {
             "s0": None, "s1": None, "N0": None, "N1": None, "gamma": [0.0] * d, "width": 0.2},
             required=("s0", "s1", "N0", "N1"))
+        with _config_errors("aniso"):
+            # AnisoParams refuses orders that are not integral numbers
+            params = built["aniso"] = dynamics.AnisoParams(
+                s0=a["s0"], s1=a["s1"], N0=_number(a["N0"]),
+                N1=_number(a["N1"]), gamma=tuple(a["gamma"]), width=_number(a["width"]))
+            if len(params.gamma) != d:
+                raise ValueError(f"gamma needs {d} entries")
+            for g in params.gamma:  # checked, and echoed as given
+                _number(g)
     for name, spec in cfg["observables"].items():
         spec = cfg["observables"][name] = _fields(
             f"observable '{name}'", spec, {"modes": None, "real": False}, required=("modes",))
         if not isinstance(spec["real"], bool):
             raise ConfigError(f"observable '{name}' needs real true or false")
         _check_modes(d, f"observable '{name}' modes", spec["modes"])
-    return cfg
+        with _config_errors(f"observable '{name}'"):
+            modes = {_parse_freq(k): _parse_coeff(v) for k, v in spec["modes"].items()}
+            built["observables"][name] = dynamics.TorusObservable(d, modes, real=spec["real"])
+    return cfg, built
 
 
 def _check_body(name: str, spec) -> None:
@@ -194,22 +218,22 @@ def _twist_form(cfg: dict) -> spectrum.TwistForm:
         return spectrum.TwistForm(cfg["twist"]["beta0"], modes)
 
 
-def _observable(cfg: dict, name: str) -> dynamics.TorusObservable:
-    from . import dynamics
-    if name not in cfg["observables"]:
+def _observable(built: dict, name: str) -> dynamics.TorusObservable:
+    if name not in built["observables"]:
         raise ConfigError(f"configuration lacks observable '{name}'")
-    spec = cfg["observables"][name]
-    with _config_errors(f"observable '{name}'"):
-        modes = {_parse_freq(k): _parse_coeff(v) for k, v in spec["modes"].items()}
-        return dynamics.TorusObservable(cfg["dim"], modes, real=spec["real"])
+    return built["observables"][name]
 
 
-def _pair_bodies(cfg: dict) -> tuple:
+def _pair_bodies(cfg: dict, built: dict) -> tuple:
     if cfg["pair"] is None:
         raise ConfigError("this subcommand needs a body pair")
-    k1 = build_body(cfg["dim"], cfg["bodies"][cfg["pair"][0]])
-    k2 = build_body(cfg["dim"], cfg["bodies"][cfg["pair"][1]])
-    return k1, k2
+    return tuple(built["bodies"][name] for name in cfg["pair"])
+
+
+def _beta0(cfg: dict, command: str) -> np.ndarray:
+    if cfg["twist"]["modes"]:
+        raise ConfigError(f"{command} reads twist.beta0 alone; twist.modes must be empty")
+    return np.asarray(cfg["twist"]["beta0"], dtype=float)
 
 
 def _enumerated(cfg: dict, k1, k2, beta, workers: int, default_T: float,
@@ -308,13 +332,12 @@ def _plot_script(path, title: str, lines: list) -> None:
 # subcommands
 
 
-def _cmd_volumes(cfg, out, workers, log):
+def _cmd_volumes(cfg, built, out, workers, log):
     from . import convex
-    if not cfg["bodies"]:
+    if not built["bodies"]:
         raise ConfigError("volumes needs at least one body")
     report = {}
-    for name in sorted(cfg["bodies"]):
-        body = build_body(cfg["dim"], cfg["bodies"][name])
+    for name, body in sorted(built["bodies"].items()):
         data = convex.steiner(body)
         report[name] = {**vars(data),
                         "intrinsic": {f"V{k}": v for k, v in enumerate(data.intrinsic)}}
@@ -328,9 +351,9 @@ def _cmd_volumes(cfg, out, workers, log):
     return 0
 
 
-def _cmd_spectrum(cfg, out, workers, log):
+def _cmd_spectrum(cfg, built, out, workers, log):
     from . import spectrum
-    k1, k2 = _pair_bodies(cfg)
+    k1, k2 = _pair_bodies(cfg, built)
     spec = _enumerated(cfg, k1, k2, _twist_form(cfg), workers, _SPECTRUM_T)
     log(f"spectrum: {spec.lengths.size} orthogeodesics in ({spec.T0:g}, {spec.T:g}]")
     spectrum.to_csv(spec, os.path.join(out, "spectrum.csv"),
@@ -354,17 +377,14 @@ def _cmd_spectrum(cfg, out, workers, log):
 def _zeta_model(cfg, k1, k2, beta, workers) -> zetafns.ZetaModel:
     """The model with head T (default 60 pi / d) of the spectrum to T * max(ranges.sweep)."""
     from . import zetafns
-    with _config_errors("ranges.sweep"):
-        sweep = [_number(f) for f in cfg["ranges"]["sweep"]]
-    if not sweep or not all(1.0 <= f < math.inf for f in sweep):
-        raise ConfigError("ranges.sweep: sweep factors must be finite and >= 1")
-    spec = _enumerated(cfg, k1, k2, beta, workers, 60.0 * math.pi / cfg["dim"], max(sweep))
+    spec = _enumerated(cfg, k1, k2, beta, workers, 60.0 * math.pi / cfg["dim"],
+                       float(max(cfg["ranges"]["sweep"])))
     return zetafns.build_zeta_model(spec, cfg["ranges"]["T"])
 
 
-def _cmd_zeta(cfg, out, workers, log, report_residues=False):
+def _cmd_zeta(cfg, built, out, workers, log, report_residues=False):
     from . import zetafns
-    k1, k2 = _pair_bodies(cfg)
+    k1, k2 = _pair_bodies(cfg, built)
     beta = _twist_form(cfg)
     if report_residues and not beta.is_zero:
         raise ConfigError("--report-residues needs the untwisted setting")
@@ -402,9 +422,9 @@ def _cmd_zeta(cfg, out, workers, log, report_residues=False):
     return 0
 
 
-def _cmd_poincare(cfg, out, workers, log):
+def _cmd_poincare(cfg, built, out, workers, log):
     from . import zetafns
-    k1, k2 = _pair_bodies(cfg)
+    k1, k2 = _pair_bodies(cfg, built)
     beta = _twist_form(cfg)
     r = cfg["ranges"]
     fallback = [complex(0.2, y) for y in np.linspace(0.0, 3.2, 33)]
@@ -448,9 +468,9 @@ def _cmd_poincare(cfg, out, workers, log):
     return 0
 
 
-def _cmd_guinand(cfg, out, workers, log):
+def _cmd_guinand(cfg, built, out, workers, log):
     from . import zetafns
-    k1, k2 = _pair_bodies(cfg)
+    k1, k2 = _pair_bodies(cfg, built)
     beta = _twist_form(cfg)
     if cfg["ranges"]["T0"] not in (None, 0):
         raise ConfigError("guinand enumerates from T0 = 0; ranges.T0 must be 0 or unset")
@@ -483,24 +503,13 @@ def _cmd_guinand(cfg, out, workers, log):
     return 0
 
 
-def _cmd_correlate(cfg, out, workers, log):
+def _cmd_correlate(cfg, built, out, workers, log):
     from . import dynamics
-    beta0 = np.asarray(cfg["twist"]["beta0"], dtype=float)
-    phi = _observable(cfg, "phi")
-    psi = _observable(cfg, "psi")
+    beta0 = _beta0(cfg, "correlate")
+    phi = _observable(built, "phi")
+    psi = _observable(built, "psi")
     ts = _t_grid(cfg, np.geomspace(50.0, 800.0, 16))
-    params = None
-    if cfg["aniso"] is not None:
-        a = cfg["aniso"]
-        with _config_errors("aniso"):
-            # AnisoParams refuses orders that are not integral numbers
-            params = dynamics.AnisoParams(
-                s0=a["s0"], s1=a["s1"], N0=_number(a["N0"]),
-                N1=_number(a["N1"]), gamma=tuple(a["gamma"]), width=_number(a["width"]))
-            if len(params.gamma) != cfg["dim"]:
-                raise ValueError(f"gamma needs {cfg['dim']} entries")
-            for g in params.gamma:  # checked, and echoed as given
-                _number(g)
+    params = built["aniso"]
     values = dynamics.correlation(phi, psi, beta0, ts, workers=workers)
     expans = [dynamics.correlation_expansion(phi, psi, beta0, float(t)) for t in ts]
     _write_series(os.path.join(out, "correlate.csv"), ts, values, expans)
@@ -525,7 +534,7 @@ def _cmd_correlate(cfg, out, workers, log):
     return 0
 
 
-def _cmd_equidist(cfg, out, workers, log):
+def _cmd_equidist(cfg, built, out, workers, log):
     from . import dynamics
     name = cfg["body"]
     if name is None:
@@ -534,8 +543,8 @@ def _cmd_equidist(cfg, out, workers, log):
         name = cfg["pair"][0] if cfg["pair"] else sorted(cfg["bodies"])[0]
     if not isinstance(name, str) or name not in cfg["bodies"]:
         raise ConfigError(f"unknown body '{name}'")
-    body = build_body(cfg["dim"], cfg["bodies"][name])
-    f = _observable(cfg, "f")
+    body = built["bodies"][name]
+    f = _observable(built, "f")
     mean = dynamics._torus_mean(f)
     ts = _t_grid(cfg, np.geomspace(10.0, 500.0, 18))
     res = dynamics.equidistribute(body, f, ts, workers=workers)
@@ -557,7 +566,7 @@ def _cmd_equidist(cfg, out, workers, log):
     return 0
 
 
-def _cmd_oscint(cfg, out, workers, log):
+def _cmd_oscint(cfg, built, out, workers, log):
     from . import spherequad
     d = cfg["dim"]
     xi = cfg["oscint"]["xi"]
@@ -566,7 +575,7 @@ def _cmd_oscint(cfg, out, workers, log):
     if xi.shape != (d,):
         raise ConfigError(f"oscint.xi needs {d} entries")
     cfg["oscint"]["xi"] = xi.tolist()
-    beta0 = np.asarray(cfg["twist"]["beta0"], dtype=float)
+    beta0 = _beta0(cfg, "oscint")
     ts = _t_grid(cfg, np.geomspace(50.0, 800.0, 12), least=2)  # two to fit the cap decay
     lam = float(np.linalg.norm(xi - beta0))
     if not lam > 0.0:
@@ -643,14 +652,14 @@ def main(argv: Optional[list] = None) -> int:
             print(msg, file=sys.stderr)
 
     try:
-        cfg = load_config(args.config)
+        cfg, built = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         runner = _COMMANDS[args.command]
         if args.command == "zeta":
-            code = runner(cfg, args.out, args.workers, log,
+            code = runner(cfg, built, args.out, args.workers, log,
                           report_residues=args.report_residues)
         else:
-            code = runner(cfg, args.out, args.workers, log)
+            code = runner(cfg, built, args.out, args.workers, log)
         _echo_config(cfg, args.out)
         return code
     except ConfigError as exc:

@@ -91,16 +91,6 @@ class TorusObservable:
         """The amplitude of mode xi as given: a complex constant or a callable; 0 if absent."""
         return dict(self.modes).get(tuple(int(c) for c in xi), 0j)
 
-    def x_values(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate an x-only observable at points x, shape (n, d)."""
-        if not self.x_only:
-            raise ValueError("observable depends on the direction variable")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape[0], dtype=complex)
-        for k, v in self.modes:
-            out += complex(v) * np.exp(1j * (x @ np.asarray(k, dtype=float)))
-        return out
-
 
 @dataclass(frozen=True)
 class AnisoParams:

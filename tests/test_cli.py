@@ -424,7 +424,7 @@ def zeta_run(tmp_path_factory):
     })
     assert cli.main(["zeta", "--config", cfg, "--out", str(out),
                      "--report-residues"]) == 0
-    k1, k2 = cli._pair_bodies(cli.load_config(cfg))
+    k1, k2 = cli._pair_bodies(*cli.load_config(cfg))
     return out, zetafns.build_zeta_model(spectrum.enumerate(k1, k2, T=40.0 * 2.0), 40.0)
 
 
@@ -701,7 +701,73 @@ def test_bad_body_and_range_configs_exit_2(tmp_path, capsys, case):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("y, T", [((0.9, 0.4), 200.0), ((0.3, 0.2), 120.0)],
+# sections that some subcommands never read; each was refused only by those that do
+_UNUSED_BAD_SECTIONS = {
+    "observable-real-unpaired": {"observables": {"g": {"modes": {"1,0": 1.0}, "real": True}}},
+    "observable-coefficient-string": {"observables": {"g": {"modes": {"1,0": "1.0"}}}},
+    "aniso-s0-fraction": {"aniso": {"s0": 1.5, "s1": 1, "N0": 1.0, "N1": 2.0}},
+    "sweep-string": {"ranges": {"sweep": ["x"]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNUSED_BAD_SECTIONS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_subcommand_refuses_every_bad_section(tmp_path, capsys, command, case):
+    cfg = write_config(tmp_path / "c.json", {**_POINT_PAIR, **_UNUSED_BAD_SECTIONS[case]})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["correlate", "oscint"])
+def test_subcommands_reading_beta0_alone_refuse_twist_modes(tmp_path, capsys, command):
+    # the f part of beta = beta0 dx + df was dropped without a word
+    cfg = write_config(tmp_path / "c.json", {
+        **_CORRELATED, "twist": {"beta0": [0.5, 0.0],
+                                 "modes": {"1,0": [0.2, 0.1], "-1,0": [0.2, -0.1]}},
+        "ranges": {"t_grid": [50.0, 60.0]}})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {command} reads twist.beta0 alone" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("command", ["correlate", "oscint", "spectrum"])
+def test_non_finite_beta0_is_a_config_error(tmp_path, capsys, command, value):
+    # correlate exited 1 on a NaN, and oscint blamed oscint.xi
+    cfg = write_config(tmp_path / "c.json", {
+        **_POINT_PAIR, **_CORRELATED, "twist": {"beta0": [value, 0.0]},
+        "ranges": {"T": 30.0, "t_grid": [50.0, 60.0]}})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error: twist.beta0:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["volumes", "spectrum", "equidist"])
+def test_each_configured_body_is_built_once(tmp_path, monkeypatch, command):
+    build_body, built = cli.build_body, []
+
+    def counted(dim, spec):
+        built.append(spec["kind"])
+        return build_body(dim, spec)
+
+    monkeypatch.setattr(cli, "build_body", counted)
+    cfg = write_config(tmp_path / "c.json", {
+        "dim": 2,
+        "bodies": {"B": {"kind": "ball", "radius": 0.3},
+                   "E": {"kind": "ellipsoid", "semiaxes": [0.4, 0.2]},
+                   "p": {"kind": "point", "x": [0.5, 0.1]}},
+        "observables": {"f": {"modes": {"0,0": 1.0, "1,0": 0.5}}},
+        "ranges": {"T": 10.0, "t_grid": [10.0, 20.0]}})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(built) == ["ball", "ellipsoid", "point"]
+
+
+@pytest.mark.parametrize("y, T",[((0.9, 0.4), 200.0), ((0.3, 0.2), 120.0)],
                          ids=["y=(0.9,0.4),T=200", "y=(0.3,0.2),T=120"])
 def test_poincare_scan_on_d2_point_pairs(tmp_path, y, T):
     # these scans stopped on FitAmbiguous while the y = 0 pole-stack order

