@@ -4,9 +4,15 @@ Every capability is a subcommand reading one JSON configuration document and
 writing CSV/JSON artifacts plus a gnuplot script into the output directory.
 Identical configurations produce byte-identical artifacts regardless of the
 worker count; the fully resolved configuration and tool version are echoed
-next to the outputs so runs are self-describing.  Each subcommand imports
-only the modules it runs, inside its own function: ``oscint`` loads
-spherequad alone, and no oscillatory subcommand loads spectrum or zetafns.
+next to the outputs so runs are self-describing.
+
+``load_config`` checks every section of the configuration, whatever the
+subcommand, and hands the parsed value of each to the subcommands in
+``built``; a subcommand applies its own defaults and the few checks that
+depend on it, and echoes what it used.  Each subcommand imports only the
+modules it runs, inside its own function: ``oscint`` loads spherequad
+alone, and no oscillatory subcommand loads spectrum or zetafns.  A section
+whose check lives in a module loads it only when the configuration sets it.
 """
 
 from __future__ import annotations
@@ -40,16 +46,8 @@ _DEFAULTS = {
     "pair": None,            # [name, name]; defaults to the first two bodies
     "body": None,            # equidist target; defaults to pair[0]
     "twist": {"beta0": None, "modes": {}},
-    "ranges": {
-        "T0": None,
-        "T": None,
-        "sweep": [1.0, 2.0, 4.0],
-        "zeta_s_grid": None,
-        "poincare_s_grid": None,
-        "eps_ladder": None,
-        "y_grid": None,
-        "t_grid": None,
-    },
+    "ranges": {"T0": None, "T": None, "sweep": [1.0, 2.0, 4.0], "zeta_s_grid": None,
+               "poincare_s_grid": None, "eps_ladder": None, "y_grid": None, "t_grid": None},
     "window": {"center": None, "width": 0.2},
     "observables": {},
     "aniso": None,
@@ -68,10 +66,10 @@ _BODY_KEYS = {
 
 @contextlib.contextmanager
 def _config_errors(what: str):
-    """Raise a malformed entry's IndexError, KeyError, TypeError or ValueError as a ConfigError."""
+    """Raise the error that a malformed entry causes as a ConfigError."""
     try:
         yield
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
@@ -91,8 +89,11 @@ def _fields(name: str, given, defaults: dict, required=()) -> dict:
 def load_config(path) -> tuple:
     """Read, validate, and materialize defaults into one configuration.
 
-    Returns (cfg, built): cfg as echoed, and built with the object of every
-    section: "bodies" and "observables" by name, "aniso" (None if unset).
+    Every section is checked here, whatever the subcommand.  Returns
+    (cfg, built): cfg as echoed, and built with the parsed value of each
+    section: "bodies" and "observables" by name, "aniso", "twist" (a
+    TwistForm if twist.modes is set), "beta0", "xi", "window" as (center,
+    width) and each grid of ranges, None where unset.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -108,47 +109,77 @@ def load_config(path) -> tuple:
     for key in ("bodies", "observables"):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must map names to objects")
-    built = {"bodies": {}, "observables": {}, "aniso": None}
+    built = {"bodies": {}, "observables": {},
+             **dict.fromkeys(("aniso", "twist", "eps_ladder", "y_grid"))}
     for name, spec in cfg["bodies"].items():
         _check_body(name, spec)
         built["bodies"][name] = build_body(d, spec)
-    T0, T = cfg["ranges"]["T0"], cfg["ranges"]["T"]
-    if any(isinstance(v, bool) or not isinstance(v, (int, float, type(None))) for v in (T0, T)):
-        raise ConfigError("ranges.T0 and ranges.T must be numbers")
+    r = cfg["ranges"]
+    T0, T = r["T0"], r["T"]
+    with _config_errors("ranges.T0 and ranges.T"):
+        if not all(v is None or math.isfinite(_number(v)) for v in (T0, T)):
+            raise ValueError("must be finite")
     if (T0 is not None and T0 < 0) or (None not in (T0, T) and T <= T0):
         raise ConfigError("ranges need T > T0 >= 0")
     with _config_errors("ranges.sweep"):
-        sweep = [_number(f) for f in cfg["ranges"]["sweep"]]
+        sweep = [_number(f) for f in r["sweep"]]
     if not sweep or not all(1.0 <= f < math.inf for f in sweep):
         raise ConfigError("ranges.sweep: sweep factors must be finite and >= 1")
+    ts = built["t_grid"] = _grid(r, "t_grid")
+    if ts is not None and not (ts.size and np.all((ts > 0.0) & (ts < math.inf))):
+        raise ConfigError("ranges.t_grid needs entries, each finite and > 0")
+    for key in ("zeta_s_grid", "poincare_s_grid"):
+        with _config_errors(f"ranges.{key}"):
+            s_grid = built[key] = None if r[key] is None else np.array(
+                [complex(_number(x), _number(y)) for x, y in r[key]], dtype=complex)
+        if s_grid is not None and not np.all(np.isfinite(s_grid)):
+            raise ConfigError(f"ranges.{key} needs finite entries")
+    ps, eps, y = built["poincare_s_grid"], _grid(r, "eps_ladder"), _grid(r, "y_grid")
+    if any(v is not None for v in (ps, eps, y)):
+        from . import zetafns
+        if ps is not None and not np.all(ps.real >= zetafns._EPS_FLOOR):
+            raise ConfigError(f"ranges.poincare_s_grid needs Re(s) >= {zetafns._EPS_FLOOR}")
+        with _config_errors("ranges"):  # the T-free part of singularity_scan's check
+            built["eps_ladder"], built["y_grid"] = zetafns._check_scan_grids(eps, y)
     if cfg["pair"] is None and len(cfg["bodies"]) >= 2:
         cfg["pair"] = sorted(cfg["bodies"])[:2]
-    if cfg["pair"] is not None:
-        if (not isinstance(cfg["pair"], list) or len(cfg["pair"]) != 2
-                or not all(isinstance(n, str) and n in cfg["bodies"] for n in cfg["pair"])):
-            raise ConfigError("pair must name two bodies from 'bodies'")
+    if cfg["pair"] is not None and (
+            not isinstance(cfg["pair"], list) or len(cfg["pair"]) != 2
+            or not all(isinstance(n, str) and n in cfg["bodies"] for n in cfg["pair"])):
+        raise ConfigError("pair must name two bodies from 'bodies'")
+    if cfg["body"] is not None and not (isinstance(cfg["body"], str)
+                                        and cfg["body"] in cfg["bodies"]):
+        raise ConfigError(f"unknown body '{cfg['body']}'")
     if cfg["twist"]["beta0"] is None:
         cfg["twist"]["beta0"] = [0.0] * d
-    with _config_errors("twist.beta0"):  # checked, and echoed as given
-        beta0 = [_number(b) for b in cfg["twist"]["beta0"]]
-        if len(beta0) != d or not all(map(math.isfinite, beta0)):
-            raise ValueError(f"needs {d} finite entries")
+    built["beta0"] = _vector("twist.beta0", cfg["twist"]["beta0"], d)  # echoed as given
     _check_modes(d, "twist.modes", cfg["twist"]["modes"])
+    if cfg["twist"]["modes"]:
+        from . import spectrum
+        with _config_errors("twist"):
+            modes = {_parse_freq(k): _parse_coeff(v) for k, v in cfg["twist"]["modes"].items()}
+            built["twist"] = spectrum.TwistForm(built["beta0"], modes)
+    xi = cfg["oscint"]["xi"]
+    built["xi"] = _vector("oscint.xi", [1.0] + [0.0] * (d - 1) if xi is None else xi, d)
+    w = cfg["window"]
+    with _config_errors("window"):
+        center = None if w["center"] is None else _number(w["center"])
+        built["window"] = center, _number(w["width"])
+        if "window" in raw:
+            from . import zetafns
+            zetafns.GaussianWindow(0.0 if center is None else center, built["window"][1])
     if cfg["aniso"] is not None or cfg["observables"]:
         from . import dynamics
     if cfg["aniso"] is not None:
         a = cfg["aniso"] = _fields("aniso", cfg["aniso"], {
             "s0": None, "s1": None, "N0": None, "N1": None, "gamma": [0.0] * d, "width": 0.2},
             required=("s0", "s1", "N0", "N1"))
+        _vector("aniso.gamma", a["gamma"], d)  # checked, and echoed as given
         with _config_errors("aniso"):
             # AnisoParams refuses orders that are not integral numbers
-            params = built["aniso"] = dynamics.AnisoParams(
+            built["aniso"] = dynamics.AnisoParams(
                 s0=a["s0"], s1=a["s1"], N0=_number(a["N0"]),
                 N1=_number(a["N1"]), gamma=tuple(a["gamma"]), width=_number(a["width"]))
-            if len(params.gamma) != d:
-                raise ValueError(f"gamma needs {d} entries")
-            for g in params.gamma:  # checked, and echoed as given
-                _number(g)
     for name, spec in cfg["observables"].items():
         spec = cfg["observables"][name] = _fields(
             f"observable '{name}'", spec, {"modes": None, "real": False}, required=("modes",))
@@ -209,13 +240,10 @@ def build_body(dim: int, spec: dict) -> convex.SupportBody:
     return body
 
 
-def _twist_form(cfg: dict) -> spectrum.TwistForm:
-    """The configured twist; one that TwistForm rejects is a ConfigError."""
+def _twist_form(built: dict) -> spectrum.TwistForm:
+    """The configured twist: the form built at load, or beta0 alone."""
     from . import spectrum
-    with _config_errors("twist"):
-        modes = {_parse_freq(k): _parse_coeff(v)
-                 for k, v in cfg["twist"]["modes"].items()}
-        return spectrum.TwistForm(cfg["twist"]["beta0"], modes)
+    return spectrum.TwistForm(built["beta0"]) if built["twist"] is None else built["twist"]
 
 
 def _observable(built: dict, name: str) -> dynamics.TorusObservable:
@@ -230,10 +258,10 @@ def _pair_bodies(cfg: dict, built: dict) -> tuple:
     return tuple(built["bodies"][name] for name in cfg["pair"])
 
 
-def _beta0(cfg: dict, command: str) -> np.ndarray:
-    if cfg["twist"]["modes"]:
+def _beta0(built: dict, command: str) -> np.ndarray:
+    if built["twist"] is not None:
         raise ConfigError(f"{command} reads twist.beta0 alone; twist.modes must be empty")
-    return np.asarray(cfg["twist"]["beta0"], dtype=float)
+    return built["beta0"]
 
 
 def _enumerated(cfg: dict, k1, k2, beta, workers: int, default_T: float,
@@ -249,23 +277,19 @@ def _enumerated(cfg: dict, k1, k2, beta, workers: int, default_T: float,
     r = cfg["ranges"]
     T = default_T if r["T"] is None else float(r["T"])
     T0 = spectrum._default_T0(k1, k2) if r["T0"] is None else r["T0"]
-    if not reach * T > T0:  # so a NaN T or T0 fails too
+    if not reach * T > T0:
         raise ConfigError(f"ranges need T > T0 >= 0; the window ({T0:g}, {reach * T:g}] is empty")
     spec = spectrum.enumerate(k1, k2, T0=T0, T=reach * T, beta=beta, workers=workers)
     r["T0"], r["T"] = spec.T0, T
     return spec
 
 
-def _grid(cfg: dict, key: str, fallback=None):
-    """ranges[key] as an array: a list, or {start, stop, num, spacing}; None is fallback.
-
-    Every entry, start and stop is a number, num an integral one (20 by
-    default), spacing "linear" (the default) or "log", and no other key is
-    allowed.  Its consumer checks the values before any artifact is written.
-    """
-    spec = cfg["ranges"][key]
+def _grid(ranges: dict, key: str):
+    """ranges[key] as an array, None if unset: a list of numbers, or
+    {start, stop, num=20, spacing="linear" or "log"} with an integral num."""
+    spec = ranges[key]
     if spec is None:
-        return fallback
+        return None
     with _config_errors(f"ranges.{key}"):
         if isinstance(spec, dict):
             spec = _fields(f"ranges.{key}", spec, {
@@ -282,25 +306,6 @@ def _grid(cfg: dict, key: str, fallback=None):
         return np.asarray([_number(x) for x in spec])
 
 
-def _t_grid(cfg: dict, fallback: np.ndarray, least: int = 1) -> np.ndarray:
-    """ranges.t_grid, echoed into cfg: at least `least` entries, each finite and > 0."""
-    ts = _grid(cfg, "t_grid", fallback)
-    if ts.size < least or not np.all((ts > 0.0) & (ts < math.inf)):
-        raise ConfigError(f"ranges.t_grid needs at least {least} entries, each finite and > 0")
-    cfg["ranges"]["t_grid"] = ts.tolist()
-    return ts
-
-
-def _s_grid_spec(spec, fallback: list) -> np.ndarray:
-    if spec is None:
-        return np.array(fallback)
-    with _config_errors("s grid"):
-        s_grid = np.array([complex(_number(x), _number(y)) for x, y in spec], dtype=complex)
-    if not np.all(np.isfinite(s_grid)):
-        raise ConfigError("s grids need finite entries")
-    return s_grid
-
-
 def _number(value) -> float:
     """value as a float; a string, a bool or a list is a TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -308,15 +313,19 @@ def _number(value) -> float:
     return float(value)
 
 
+def _vector(what: str, values, d: int) -> np.ndarray:
+    """values as an array of d finite numbers; anything else is a ConfigError."""
+    with _config_errors(what):
+        v = np.array([_number(x) for x in values])
+        if v.shape != (d,) or not np.all(np.isfinite(v)):
+            raise ValueError(f"needs {d} finite entries")
+    return v
+
+
 def _write_series(path, ts, values, expansions) -> None:
     residual = [abs(complex(v) - complex(e)) for v, e in zip(values, expansions)]
     _tables.write_csv(path, ["t", "value", "expansion", "residual"],
                       [ts, values, expansions, residual])
-
-
-def _echo_config(cfg: dict, out: str) -> None:
-    _tables.write_json(os.path.join(out, "config.resolved.json"),
-                       {"version": __version__, "config": cfg})
 
 
 def _plot_script(path, title: str, lines: list) -> None:
@@ -354,7 +363,7 @@ def _cmd_volumes(cfg, built, out, workers, log):
 def _cmd_spectrum(cfg, built, out, workers, log):
     from . import spectrum
     k1, k2 = _pair_bodies(cfg, built)
-    spec = _enumerated(cfg, k1, k2, _twist_form(cfg), workers, _SPECTRUM_T)
+    spec = _enumerated(cfg, k1, k2, _twist_form(built), workers, _SPECTRUM_T)
     log(f"spectrum: {spec.lengths.size} orthogeodesics in ({spec.T0:g}, {spec.T:g}]")
     spectrum.to_csv(spec, os.path.join(out, "spectrum.csv"),
                     os.path.join(out, "spectrum.meta.json"))
@@ -385,13 +394,12 @@ def _zeta_model(cfg, k1, k2, beta, workers) -> zetafns.ZetaModel:
 def _cmd_zeta(cfg, built, out, workers, log, report_residues=False):
     from . import zetafns
     k1, k2 = _pair_bodies(cfg, built)
-    beta = _twist_form(cfg)
+    beta = _twist_form(built)
     if report_residues and not beta.is_zero:
         raise ConfigError("--report-residues needs the untwisted setting")
-    r = cfg["ranges"]
     d = cfg["dim"]
-    fallback = [complex(0.25 + 0.5 * k, 0.0) for k in range(2 * d + 1)]
-    s_grid = _s_grid_spec(r["zeta_s_grid"], fallback)
+    s_grid = (np.array([complex(0.25 + 0.5 * k, 0.0) for k in range(2 * d + 1)])
+              if built["zeta_s_grid"] is None else built["zeta_s_grid"])
     model = _zeta_model(cfg, k1, k2, beta, workers)
     if not beta.is_zero:
         # twisted series: no rational tail model, report convergent head sums
@@ -425,15 +433,12 @@ def _cmd_zeta(cfg, built, out, workers, log, report_residues=False):
 def _cmd_poincare(cfg, built, out, workers, log):
     from . import zetafns
     k1, k2 = _pair_bodies(cfg, built)
-    beta = _twist_form(cfg)
-    r = cfg["ranges"]
-    fallback = [complex(0.2, y) for y in np.linspace(0.0, 3.2, 33)]
-    s_grid = _s_grid_spec(r["poincare_s_grid"], fallback)
-    if not np.all(s_grid.real >= zetafns._EPS_FLOOR):
-        raise ConfigError(f"ranges.poincare_s_grid needs Re(s) >= {zetafns._EPS_FLOOR}")
+    beta = _twist_form(built)
+    s_grid = (np.array([complex(0.2, y) for y in np.linspace(0.0, 3.2, 33)])
+              if built["poincare_s_grid"] is None else built["poincare_s_grid"])
     model = _zeta_model(cfg, k1, k2, beta, workers)
     with _config_errors("ranges"):  # the check singularity_scan runs, before any artifact
-        eps_ladder, y_grid = zetafns._scan_grids(_grid(cfg, "eps_ladder"), _grid(cfg, "y_grid"),
+        eps_ladder, y_grid = zetafns._scan_grids(built["eps_ladder"], built["y_grid"],
                                                  model.spec.T)
     cfg["ranges"]["poincare_s_grid"] = [[s.real, s.imag] for s in s_grid.tolist()]
     values = np.array([zetafns.poincare_eval(model, s) for s in s_grid.tolist()], dtype=complex)
@@ -471,19 +476,17 @@ def _cmd_poincare(cfg, built, out, workers, log):
 def _cmd_guinand(cfg, built, out, workers, log):
     from . import zetafns
     k1, k2 = _pair_bodies(cfg, built)
-    beta = _twist_form(cfg)
+    beta = _twist_form(built)
     if cfg["ranges"]["T0"] not in (None, 0):
         raise ConfigError("guinand enumerates from T0 = 0; ranges.T0 must be 0 or unset")
     cfg["ranges"]["T0"] = 0.0
-    center = cfg["window"]["center"]
+    center, width = built["window"]
     if center is None:
         # the lattice point nearest beta0 lies within sqrt(d)/2 of it; when
         # that point is beta0 itself, a neighbour lies at distance 1
         lines = zetafns.predicted_lines(beta, math.sqrt(cfg["dim"]) / 2.0 + 1.0)
         center = float(lines[lines > 1e-9][0])
-    with _config_errors("window"):
-        window = zetafns.GaussianWindow(_number(center), _number(cfg["window"]["width"]))
-    center, width = window.center, window.width
+    window = zetafns.GaussianWindow(center, width)
     cfg["window"]["center"] = center
     spec = _enumerated(cfg, k1, k2, beta, workers, _SPECTRUM_T)
     res = zetafns.guinand_pairing(spec, window)
@@ -505,10 +508,11 @@ def _cmd_guinand(cfg, built, out, workers, log):
 
 def _cmd_correlate(cfg, built, out, workers, log):
     from . import dynamics
-    beta0 = _beta0(cfg, "correlate")
+    beta0 = _beta0(built, "correlate")
     phi = _observable(built, "phi")
     psi = _observable(built, "psi")
-    ts = _t_grid(cfg, np.geomspace(50.0, 800.0, 16))
+    ts = np.geomspace(50.0, 800.0, 16) if built["t_grid"] is None else built["t_grid"]
+    cfg["ranges"]["t_grid"] = ts.tolist()
     params = built["aniso"]
     values = dynamics.correlation(phi, psi, beta0, ts, workers=workers)
     expans = [dynamics.correlation_expansion(phi, psi, beta0, float(t)) for t in ts]
@@ -541,12 +545,11 @@ def _cmd_equidist(cfg, built, out, workers, log):
         if not cfg["bodies"]:
             raise ConfigError("equidist needs a body")
         name = cfg["pair"][0] if cfg["pair"] else sorted(cfg["bodies"])[0]
-    if not isinstance(name, str) or name not in cfg["bodies"]:
-        raise ConfigError(f"unknown body '{name}'")
     body = built["bodies"][name]
     f = _observable(built, "f")
     mean = dynamics._torus_mean(f)
-    ts = _t_grid(cfg, np.geomspace(10.0, 500.0, 18))
+    ts = np.geomspace(10.0, 500.0, 18) if built["t_grid"] is None else built["t_grid"]
+    cfg["ranges"]["t_grid"] = ts.tolist()
     res = dynamics.equidistribute(body, f, ts, workers=workers)
     values = res.average
     _write_series(os.path.join(out, "equidist.csv"), ts, values, [mean] * len(ts))
@@ -569,14 +572,13 @@ def _cmd_equidist(cfg, built, out, workers, log):
 def _cmd_oscint(cfg, built, out, workers, log):
     from . import spherequad
     d = cfg["dim"]
-    xi = cfg["oscint"]["xi"]
-    with _config_errors("oscint.xi"):
-        xi = np.asarray([1.0] + [0.0] * (d - 1) if xi is None else [_number(x) for x in xi])
-    if xi.shape != (d,):
-        raise ConfigError(f"oscint.xi needs {d} entries")
+    xi = built["xi"]
     cfg["oscint"]["xi"] = xi.tolist()
-    beta0 = _beta0(cfg, "oscint")
-    ts = _t_grid(cfg, np.geomspace(50.0, 800.0, 12), least=2)  # two to fit the cap decay
+    beta0 = _beta0(built, "oscint")
+    ts = np.geomspace(50.0, 800.0, 12) if built["t_grid"] is None else built["t_grid"]
+    if ts.size < 2:
+        raise ConfigError("oscint needs two or more ranges.t_grid entries to fit the cap decay")
+    cfg["ranges"]["t_grid"] = ts.tolist()
     lam = float(np.linalg.norm(xi - beta0))
     if not lam > 0.0:
         raise ConfigError("oscint needs oscint.xi != twist.beta0 for the stationary points")
@@ -655,12 +657,10 @@ def main(argv: Optional[list] = None) -> int:
         cfg, built = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         runner = _COMMANDS[args.command]
-        if args.command == "zeta":
-            code = runner(cfg, built, args.out, args.workers, log,
-                          report_residues=args.report_residues)
-        else:
-            code = runner(cfg, built, args.out, args.workers, log)
-        _echo_config(cfg, args.out)
+        extra = {"report_residues": args.report_residues} if args.command == "zeta" else {}
+        code = runner(cfg, built, args.out, args.workers, log, **extra)
+        _tables.write_json(os.path.join(args.out, "config.resolved.json"),
+                           {"version": __version__, "config": cfg})
         return code
     except ConfigError as exc:
         print(f"orthospec: configuration error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -180,6 +179,7 @@ def correlation(
         return _mode_integral(phi, psi, key, beta0, t)
 
     if workers > 1 and len(keys) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as ex:
             vals = list(ex.map(term, keys))
     else:
@@ -356,6 +356,7 @@ def equidistribute(
         )
 
     if workers > 1 and len(reps) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as ex:
             vals = dict(zip(reps, ex.map(boundary, reps)))
     else:

@@ -18,7 +18,6 @@ backwards.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -384,8 +383,8 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
     L = difference_body(K1, K2)
     if T0 is None:
         T0 = _default_T0(K1, K2)
-    if not (T > T0 >= 0):
-        raise ValueError("need T > T0 >= 0")
+    if not (math.isfinite(T) and T > T0 >= 0):  # a NaN or infinite T or T0 fails too
+        raise ValueError("need finite T > T0 >= 0")
     h_lo, h_hi = L.h_range()
     cands = []
     for slab in _lattice_slabs(d, int(math.floor((T + h_hi) / (2 * math.pi)))):
@@ -398,6 +397,7 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
         return _solve_chunk(L, chunk, T0, T)
 
     if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(work, chunks))
     else:

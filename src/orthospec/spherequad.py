@@ -14,12 +14,12 @@ the poles C^lam_n(cos theta) is the Darboux-Szego expansion
 (1 - lam)_m / (m! (n + lam + 1)_m)] cos((n + m + lam) theta - (m + lam) pi/2)
 / (2 sin theta)^(m + lam), cut at its first negligible term; for integer lam
 it ends at m = lam, is exact, and serves every angle.  Near the poles, where
-(n + lam) theta < 25, a non-integer lam takes the exact positive cosine sum
-sum_k g_k g_(n-k) cos((n - 2k) theta), g_k = (lam)_k / k!.  The weights are
-proportional to 1 / (dC/dtheta)^2 and scaled to the mass.  A rule raises
-ArithmeticError unless Newton converged (its last step moved every node by
-at most 1e-15), every root lies in (0, pi/2], and consecutive dC/dtheta
-alternate in sign.
+(n + lam) theta < 25 (12 for lam > 2), a non-integer lam takes the exact
+positive cosine sum sum_k g_k g_(n-k) cos((n - 2k) theta), g_k =
+(lam)_k / k!.  The weights are proportional to 1 / (dC/dtheta)^2 and
+scaled to the mass.  A rule raises ArithmeticError unless Newton converged
+(its last step moved every node by at most 1e-15), every root lies in
+(0, pi/2], and consecutive dC/dtheta alternate in sign.
 
 Oscillatory integrals use such a grid with its polar axis turned onto the
 stationary points +-omega of the phase: only the polar rule has to follow
@@ -68,7 +68,10 @@ __all__ = [
 
 
 _NEWTON_STEPS = 30  # before a Gauss rule counts as failed
-_POLE_PHASE = 25.0  # (n + lam) theta below which a non-integer lam takes the cosine sum
+_POLE_PHASE = 25.0  # (n + lam) theta below which a non-integer lam <= 2 takes the cosine sum
+# the same for lam > 2, whose cosine sum cancels to about (n theta)^-lam of
+# its terms, too far for Newton near a cut of 25 (n = 19 at lam = 5/2)
+_POLE_PHASE_HIGH = 12.0
 _SZEGO_TERMS = 25   # most terms of the Darboux-Szego expansion
 _RUNGS = (16, 19, 23, 27)  # times 2^k: the polar orders of osc_integral
 
@@ -180,8 +183,8 @@ def _gauss_gegenbauer(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     n // 2 roots of C^lam_n in (0, pi/2), starting from the
     Gatteschi-Pittaluga asymptotic angles; the other nodes are their mirror
     images and, for odd n, zero.  No evaluation loops over n.  For
-    non-integer lam, roots with (n + lam) theta < 25 use the exact positive
-    cosine sum
+    non-integer lam, roots with (n + lam) theta < 25 (12 for lam > 2) use
+    the exact positive cosine sum
 
         C^lam_n(cos theta) = sum_k g_k g_(n-k) cos((n - 2k) theta),  g_k = (lam)_k / k!,
 
@@ -208,7 +211,8 @@ def _gauss_gegenbauer(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     phi = (np.arange(1, n // 2 + 1) + 0.5 * lam - 0.5) * (math.pi / big_n)
     theta = phi + (0.25 - (lam - 0.5) ** 2) / (2.0 * big_n * big_n * np.tan(phi))
     integer = lam == math.floor(lam)
-    pole_sum = (big_n * theta < _POLE_PHASE) & (not integer)
+    cut = _POLE_PHASE if lam <= 2.0 else _POLE_PHASE_HIGH
+    pole_sum = (big_n * theta < cut) & (not integer)
     polar = pole_sum | (theta < math.pi / 4.0)
     x = np.where(polar, theta, math.pi / 2.0 - theta)
     sin_theta = np.sin(theta)
@@ -221,7 +225,7 @@ def _gauss_gegenbauer(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
             break
     if n % 2:  # the root at the equator
         x, polar = np.append(x, math.pi / 2.0), np.append(polar, True)
-        pole_sum = np.append(pole_sum, big_n * math.pi / 2.0 < _POLE_PHASE and not integer)
+        pole_sum = np.append(pole_sum, big_n * math.pi / 2.0 < cut and not integer)
     theta = np.where(polar, x, math.pi / 2.0 - x)
     order = np.argsort(theta)
     theta, x, polar, pole_sum = (v[order] for v in (theta, x, polar, pole_sum))

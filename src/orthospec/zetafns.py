@@ -678,28 +678,39 @@ def _peak_indices(mag: np.ndarray) -> list:
     return sorted(idx[:_MAX_PEAKS])
 
 
+def _check_scan_grids(eps_ladder: Optional[Sequence[float]],
+                      y_grid: Optional[np.ndarray]) -> tuple:
+    """The T-free part of _scan_grids: a given eps ladder, largest first, and a given y grid.
+
+    None stays None.  The slope fit needs two or more distinct eps in
+    [1e-3, 0.5], and the y grid must be finite and increasing, as the lines
+    are predicted up to its last entry.  Any other grid is a ValueError.
+    """
+    eps = None if eps_ladder is None else np.asarray(sorted(eps_ladder, reverse=True),
+                                                     dtype=float)
+    if eps is not None and not (eps.size >= 2 and np.all(np.diff(eps) < 0.0)
+                                and eps[-1] >= _EPS_FLOOR and eps[0] <= 0.5):
+        raise ValueError("eps ladder needs two or more distinct values in [1e-3, 0.5]")
+    y = None if y_grid is None else np.asarray(y_grid, dtype=float)
+    if y is not None and not (y.size and np.all(np.isfinite(y)) and np.all(np.diff(y) > 0.0)):
+        raise ValueError("the y grid needs increasing finite entries")
+    return eps, y
+
+
 def _scan_grids(eps_ladder: Optional[Sequence[float]], y_grid: Optional[np.ndarray],
                 T: float) -> tuple:
     """The eps ladder, largest first, and the y grid singularity_scan runs on a head to T.
 
-    None is the default.  The slope fit needs two or more distinct eps in
-    [1e-3, 0.5] and min(eps) * T >= 6; the y grid must be finite and
-    increasing, as the lines are predicted up to its last entry.  Any other
-    grid is a ValueError.
+    None is the default.  Each grid must pass _check_scan_grids, and the
+    ladder also min(eps) * T >= 6; any other grid is a ValueError.
     """
     if eps_ladder is None:
         # keep the fluctuation floor e^{-eps T} well under the weakest peaks
         eps_ladder = np.geomspace(1e-1, max(2e-2, 9.0 / T), 8)
-    eps = np.asarray(sorted(eps_ladder, reverse=True), dtype=float)
-    if not (eps.size >= 2 and np.all(np.diff(eps) < 0.0)
-            and eps[-1] >= _EPS_FLOOR and eps[0] <= 0.5):
-        raise ValueError("eps ladder needs two or more distinct values in [1e-3, 0.5]")
+    eps, y = _check_scan_grids(eps_ladder, y_grid)
     if eps[-1] * T < 6.0:
         raise ValueError("head too short for the requested ladder (need eps*T >= 6)")
-    y = np.linspace(0.0, 3.2, 641) if y_grid is None else np.asarray(y_grid, dtype=float)
-    if not (y.size and np.all(np.isfinite(y)) and np.all(np.diff(y) > 0.0)):
-        raise ValueError("the y grid needs increasing finite entries")
-    return eps, y
+    return eps, np.linspace(0.0, 3.2, 641) if y is None else y
 
 
 def singularity_scan(

@@ -707,6 +707,22 @@ _UNUSED_BAD_SECTIONS = {
     "observable-coefficient-string": {"observables": {"g": {"modes": {"1,0": "1.0"}}}},
     "aniso-s0-fraction": {"aniso": {"s0": 1.5, "s1": 1, "N0": 1.0, "N1": 2.0}},
     "sweep-string": {"ranges": {"sweep": ["x"]}},
+    # each section below was checked only by the subcommands that read it,
+    # so volumes ran every one of them with exit 0
+    "twist-coefficient-string": {"twist": {"modes": {"1,0": "x", "-1,0": "x"}}},
+    "twist-modes-not-hermitian": {"twist": {"modes": {"1,0": [0.2, 0.1]}}},
+    "window-width-negative": {"window": {"width": -1.0}},
+    "t_grid-string": {"ranges": {"t_grid": ["a"]}},
+    "zeta_s_grid-string": {"ranges": {"zeta_s_grid": [["x"]]}},
+    "poincare_s_grid-re-zero": {"ranges": {"poincare_s_grid": [[0.0, 1.0]]}},
+    "eps_ladder-one-value": {"ranges": {"eps_ladder": [0.9]}},
+    "y_grid-decreasing": {"ranges": {"y_grid": [2.0, 1.0]}},
+    "oscint-xi-string": {"oscint": {"xi": "q"}},
+    "oscint-xi-long": {"oscint": {"xi": [1.0, 0.0, 0.0]}},
+    "body-unknown": {"body": "c"},
+    # an OverflowError (exit 1) from spectrum, zeta and guinand
+    "T-inf": {"ranges": {"T": math.inf}},
+    "T-integer-beyond-float": {"ranges": {"T": 10**400}},
 }
 
 
@@ -902,7 +918,8 @@ import sys
 from orthospec import cli
 
 code = cli.main(sys.argv[1:])
-print(code, ",".join(sorted(m for m in sys.modules if m.startswith("orthospec."))))
+print(code, ",".join(sorted(m for m in sys.modules if m.startswith("orthospec."))),
+      "concurrent.futures" in sys.modules)
 """
 
 _SCOPED_RUNS = {
@@ -920,6 +937,7 @@ _SCOPED_RUNS = {
         "ranges": {"t_grid": [10.0, 20.0]},
     },
     "volumes": {"dim": 2, "bodies": {"B": {"kind": "ball", "radius": 0.5}}},
+    "spectrum": {**_POINT_PAIR, "ranges": {"T": 20.0}},
 }
 
 
@@ -927,7 +945,7 @@ _SCOPED_RUNS = {
 def test_subcommands_import_only_the_modules_they_run(command, tmp_path):
     # every fresh process pays for what it imports before its first
     # integral, so an oscillatory subcommand loads no enumeration or zeta
-    # code, and volumes no dynamics
+    # code, volumes no dynamics, and a run on one worker no thread pool
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -937,8 +955,9 @@ def test_subcommands_import_only_the_modules_they_run(command, tmp_path):
          "--out", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    code, loaded = out.stdout.split()
+    code, loaded, pool = out.stdout.split()
     assert code == "0", out.stderr
+    assert pool == "False"
     loaded = {m.removeprefix("orthospec.") for m in loaded.split(",")}
     if command == "oscint":
         assert loaded == {"cli", "_tables", "spherequad"}
@@ -946,8 +965,26 @@ def test_subcommands_import_only_the_modules_they_run(command, tmp_path):
         assert loaded == {"cli", "_tables", "spherequad", "dynamics"}
     elif command == "volumes":
         assert not loaded & {"spectrum", "zetafns", "dynamics"}, loaded
+    elif command == "spectrum":
+        assert not loaded & {"zetafns", "dynamics"}, loaded
     else:
         assert not loaded & {"spectrum", "zetafns"}, loaded
+
+
+def _readme_commands() -> list:
+    """The lines of README.md's command block, without the leading `orthospec`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```sh\n")[1:] if b.startswith("orthospec "))
+    return [line.split()[1:] for line in block.split("```")[0].splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_run(argv, tmp_path, monkeypatch):
+    # the README's commands and the demos/configs they read stay valid
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    out = argv.index("--out") + 1
+    argv = [*argv[:out], str(tmp_path / argv[out]), *argv[out + 1:]]
+    assert cli.main(argv) == 0
 
 
 def test_version_flag(capsys):

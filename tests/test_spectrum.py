@@ -474,6 +474,15 @@ def test_enumerate_window_validation():
         spectrum.enumerate(p, p, T0=10.0, T=5.0)
 
 
+@pytest.mark.parametrize("T0, T", [(1.0, math.inf), (1.0, math.nan), (math.inf, math.inf),
+                                   (math.nan, 30.0)], ids=["T-inf", "T-nan", "both-inf", "T0-nan"])
+def test_enumerate_refuses_a_non_finite_window(T0, T):
+    # an infinite T overflowed the lattice radius with OverflowError
+    p = convex.point((0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        spectrum.enumerate(p, p, T0=T0, T=T)
+
+
 def test_twist_form_requires_hermitian_modes():
     with pytest.raises(ValueError):
         spectrum.TwistForm((0.0, 0.0), {(1, 0): 1.0 + 0.5j})

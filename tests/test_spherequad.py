@@ -80,6 +80,22 @@ def test_gauss_gegenbauer_matches_a_40_digit_oracle(lam):
                 assert abs(w[i] / float(weight) - 1.0) <= weight_tol, (n, i)
 
 
+@pytest.mark.parametrize("lam", [2.5, 3.5, 4.5])
+def test_gauss_gegenbauer_builds_every_order_of_the_high_spheres(lam):
+    # the polar rules of S^6, S^8 and S^10; with the cosine sum cut at
+    # (n + lam) theta = 25, n = 19 failed at lam = 5/2 and n = 8, 13, 15,
+    # 18, 19 and 30 at lam = 7/2, so osc_integral could not run in d >= 7
+    mass = math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0)
+    for n in range(1, 300):
+        u, w = spherequad._gauss_gegenbauer.__wrapped__(n, lam)
+        assert u.size == n and np.all(np.diff(u) > 0.0) and np.all(w > 0.0), n
+        moment = mass
+        for k in range(min(3, n - 1) + 1):  # even moments the rule integrates exactly
+            got = float(np.sum(w * u ** (2 * k)))
+            assert abs(got - moment) <= 1e-14 * moment, (n, k)
+            moment *= (2 * k + 1) / (2 * k + 2 + 2 * lam)
+
+
 def test_gauss_gegenbauer_never_runs_the_recurrence(monkeypatch):
     # every rule comes from the cosine sum and the Szego expansion; the
     # three-term recurrence serves only the zonal harmonics of convex bodies
