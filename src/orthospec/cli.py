@@ -397,15 +397,11 @@ def _cmd_zeta(cfg, built, out, workers, log, report_residues=False):
     beta = _twist_form(built)
     if report_residues and not beta.is_zero:
         raise ConfigError("--report-residues needs the untwisted setting")
-    d = cfg["dim"]
-    s_grid = (np.array([complex(0.25 + 0.5 * k, 0.0) for k in range(2 * d + 1)])
+    s_grid = (np.array([complex(0.25 + 0.5 * k, 0.0) for k in range(2 * cfg["dim"] + 1)])
               if built["zeta_s_grid"] is None else built["zeta_s_grid"])
     model = _zeta_model(cfg, k1, k2, beta, workers)
-    if not beta.is_zero:
-        # twisted series: no rational tail model, report convergent head sums
-        s_grid = s_grid[s_grid.real > d]
-    value = zetafns.zeta_continue if beta.is_zero else zetafns.zeta_eval
-    values = np.array([value(model, s) for s in s_grid.tolist()], dtype=complex)
+    values = np.array([zetafns.zeta_continue(model, s) for s in s_grid.tolist()],
+                      dtype=complex)
     cfg["ranges"]["zeta_s_grid"] = [[s.real, s.imag] for s in s_grid.tolist()]
     _tables.write_csv(os.path.join(out, "zeta_values.csv"), ["s", "value"], [s_grid, values])
     if report_residues:
@@ -480,6 +476,8 @@ def _cmd_guinand(cfg, built, out, workers, log):
     if cfg["ranges"]["T0"] not in (None, 0):
         raise ConfigError("guinand enumerates from T0 = 0; ranges.T0 must be 0 or unset")
     cfg["ranges"]["T0"] = 0.0
+    with _config_errors("pair"):
+        zetafns._check_pairing(k1, k2)
     center, width = built["window"]
     if center is None:
         # the lattice point nearest beta0 lies within sqrt(d)/2 of it; when

@@ -1,9 +1,9 @@
 """Zeta functions and Poincare series attached to a length orthospectrum.
 
 The Dirichlet series Z(s) = sum phase * length^{-s} converges for Re(s) > d
-and continues meromorphically once the tail of the spectrum is replaced by
-the smooth Steiner density: the continued function has simple poles at
-s = 1..d whose residues are intrinsic volumes of the difference body.  The
+and continues meromorphically once a smooth cutoff hands the tail to the
+density of its twist: poles at s = 1..d with intrinsic volumes of the
+difference body as residues untwisted, none for beta0 outside Z^d.  The
 Laplace-type series P(s) = sum phase * exp(-s length) develops singularities
 on the imaginary axis at the spectrum of a magnetic Laplacian; this module
 locates and classifies them against the canonical F_alpha singular models,
@@ -13,6 +13,7 @@ lattice lines.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,8 +35,6 @@ __all__ = [
     "TwistReport",
     "GuinandResult",
     "build_zeta_model",
-    "zeta_eval",
-    "zeta_tail_bound",
     "zeta_continue",
     "residues",
     "twist_suppression",
@@ -129,19 +128,23 @@ class GaussianWindow:
 
 @dataclass(frozen=True, eq=False)
 class ZetaModel:
-    """Head/tail splice: enumerated spectrum below T, Steiner density above.
+    """Smooth splice: the spectrum fading out over [T/2, T], the density of its twist beyond.
 
     rho[k-1] is the coefficient of t^{k-1} in the smooth counting density,
     taken from steiner, the Steiner data of the difference body; spec may
     run on beyond T.  The Poincare scan reads all of it, and so does
     _poisson_certificate, the Gaussian-smoothed estimate of rho behind
-    residues and twist_suppression.  The twist is the spectrum's own, spec.beta.
+    residues and twist_suppression.  density is the nu = 0 density of the
+    spectrum's own twist spec.beta: rho untwisted, 0 for beta0 outside Z^d,
+    else the weighted residues, density_delta their order-doubling delta.
     """
 
     spec: spectrum.LengthSpectrum
     rho: np.ndarray
     T: float
     steiner: convex.SteinerData
+    density: np.ndarray
+    density_delta: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -193,21 +196,26 @@ class GuinandResult:
 
 
 def build_zeta_model(spec: spectrum.LengthSpectrum, T: Optional[float] = None) -> ZetaModel:
-    """Splice the head of spec, cut at T (default spec.T), to the Steiner tail density.
+    """Splice the head of spec, ending at T (default spec.T), to the density of its twist.
 
-    The density is that of the difference body of spec's pair; a T beyond
-    spec.T is a ValueError, as spectrum.counting refuses it.
+    A weighted density takes _weighted_density_residues at order 64 in d = 2, 32
+    otherwise; a T beyond spec.T is a ValueError, as spectrum.counting refuses it.
     """
     T = spec.T if T is None else float(T)
     if T > spec.T:
         raise ValueError(f"head T = {T:g} exceeds the enumerated range T = {spec.T:g}")
     d = spec.dim
     steiner = convex.steiner(spectrum.difference_body(spec.body1, spec.body2))
-    rho = spectrum._density_from_steiner(steiner)
+    rho = np.asarray(spectrum._density_from_steiner(steiner), dtype=float)
     lead = _ball_density(d, d)
     if abs(rho[-1] - lead) > 1e-8 * lead:
         raise ValueError("tail density leading coefficient fails the sphere check")
-    return ZetaModel(spec=spec, rho=np.asarray(rho, dtype=float), T=T, steiner=steiner)
+    density, delta = (rho if spec.beta.is_zero else np.zeros(d)), np.zeros(d)
+    if spec.beta.is_integer and not spec.beta.is_zero:
+        n = 64 if d == 2 else 32
+        density, fine = (_weighted_density_residues(spec, m) for m in (n, 2 * n))
+        delta = np.abs(fine - density)
+    return ZetaModel(spec, rho, T, steiner, density, delta)
 
 
 def _ball_density(ell: int, d: int) -> float:
@@ -219,38 +227,32 @@ def _ball_density(ell: int, d: int) -> float:
     return ell * math.pi ** (ell / 2.0) / ((2 * math.pi) ** d * math.gamma(ell / 2.0 + 1.0))
 
 
-def _require_untwisted(model: ZetaModel, what: str) -> None:
-    if not model.spec.beta.is_zero:
-        raise ValueError(f"{what} requires the untwisted series (beta = 0)")
-
-
-def zeta_eval(model: ZetaModel, s: complex) -> complex:
-    """Partial Dirichlet sum over the head; valid for Re(s) > d."""
-    if s.real <= model.dim:
-        raise ValueError("zeta_eval needs Re(s) > d; use zeta_continue instead")
-    lengths, phases = model.head()
-    return complex(np.sum(phases * lengths ** (-s)))
-
-
-def zeta_tail_bound(model: ZetaModel, s: complex) -> float:
-    """integral_T^inf t^{-Re(s)} rho'(t) dt, finite for Re(s) > d."""
-    sig = s.real
-    if sig <= model.dim:
-        raise ValueError("tail integral diverges for Re(s) <= d")
-    k = np.arange(1, model.dim + 1)
-    return float(np.sum(model.rho * model.T ** (k - sig) / (sig - k)))
-
-
 def zeta_continue(model: ZetaModel, s: complex) -> complex:
-    """Head sum plus the exact rational tail; poles only at s = 1..d."""
-    _require_untwisted(model, "zeta_continue")
+    """Z(s) = sum phase psi(l/T) l^-s + sum_k c_k T^{k-s} (G_k(s) + 1/(s - k)), every twist.
+
+    psi = 1 - step(2u - 1) fades the head out over [T/2, T], step = spherequad._smooth_step,
+    and c = model.density fills in what it drops: G_k(s) = int_{1/2}^1 step(2u - 1)
+    u^{k-1-s} du, by Legendre rules of order n = 32 + ceil(|Im s|) and 2n that must agree.
+    A smooth sum's nonzero dual terms decay faster than any power of T.  PoleHit for a
+    non-finite s or one within 1e-8 of a k with c_k != 0.
+    """
     s = complex(s)
-    k = np.arange(1, model.dim + 1)
-    if not np.min(np.abs(s - k)) >= _POLE_TOL:
+    live = np.flatnonzero(model.density)
+    k, c = live + 1, model.density[live]
+    if not (cmath.isfinite(s) and np.all(np.abs(s - k) >= _POLE_TOL)):
         raise PoleHit(f"s = {s} sits on a pole of the continued zeta")
     lengths, phases = model.head()
-    head = np.sum(phases * np.exp(-s * np.log(lengths)))
-    tail = np.sum(model.rho * model.T ** (k - s) / (s - k))
+    psi = 1.0 - spherequad._smooth_step(2.0 * lengths / model.T - 1.0)
+    head = np.sum(phases * psi * np.exp(-s * np.log(lengths)))
+    n = 32 + math.ceil(abs(s.imag))
+    G = []
+    for order in (n, 2 * n):
+        x, w = spherequad._gauss_gegenbauer(order, 0.5)  # u = (3 + x) / 4
+        ramp = 0.25 * w * spherequad._smooth_step(0.5 * (x + 1.0))
+        G.append(ramp @ np.exp(np.outer(np.log(0.75 + 0.25 * x), k - 1.0 - s)))
+    for v1, v2 in zip(*G):
+        spherequad._doubling_error(v1, v2, f"ramp moment doubling {n}->{2 * n}")
+    tail = np.sum(c * model.T ** (k - s) * (G[1] + 1.0 / (s - k)))
     return complex(head + tail)
 
 
@@ -311,7 +313,8 @@ def residues(model: ZetaModel) -> list:
     summation, and a short window reports an unresolved identity, not a new
     residue.  certified = error <= bound <= _CERTIFY_TOL |residue|.
     """
-    _require_untwisted(model, "residues")
+    if not model.spec.beta.is_zero:
+        raise ValueError("residues requires the untwisted series (beta = 0)")
     d = model.dim
     intrinsic = model.steiner.intrinsic
     estimate, bound, _ = _poisson_certificate(model)
@@ -332,7 +335,7 @@ def residues(model: ZetaModel) -> list:
     return out
 
 
-def _weighted_density_residues(model: ZetaModel, order: int):
+def _weighted_density_residues(spec: spectrum.LengthSpectrum, order: int):
     """Quadrature of the curvature moments weighted by the holonomy of spec.beta.
 
     For an integer-representative beta0 the per-direction weight is the
@@ -340,33 +343,27 @@ def _weighted_density_residues(model: ZetaModel, order: int):
     foot: exp(i [ -beta0 . x_L(theta) + f(end) - f(start) ]).  The weighted
     residue at s = ell is (2 pi)^{-d} int w(theta) a_{ell-1}(theta) dsigma.
     """
-    spec = model.spec
     L = spectrum.difference_body(spec.body1, spec.body2)
-    g = spherequad.grid(model.dim, order)
+    g = spherequad.grid(spec.dim, order)
     w = g.weights * spec.beta.holonomy(spec.body1.grad(g.nodes), -L.grad(g.nodes))
-    return (2 * math.pi) ** (-model.dim) * (w @ convex._area_coeffs(L, g.nodes))
+    return (2 * math.pi) ** (-spec.dim) * (w @ convex._area_coeffs(L, g.nodes))
 
 
 def twist_suppression(model: ZetaModel) -> TwistReport:
     """The leading smoothed density of the twisted spectrum against its Poisson value.
 
-    That value is the weighted residue by quadrature when beta0 is in Z^d, else 0;
-    bound is the leading bound of _poisson_certificate, which derives it, plus the
-    quadrature's order-doubling delta.  certified = deviation <= bound <= _CERTIFY_TOL rho_d.
+    That value is model.density: the weighted residue by quadrature when beta0 is
+    in Z^d, else 0; bound is the leading bound of _poisson_certificate, which
+    derives it, plus the quadrature's order-doubling delta, model.density_delta.
+    certified = deviation <= bound <= _CERTIFY_TOL rho_d.
     """
     emp, bound, _ = _poisson_certificate(model)
-    integer = model.spec.beta.is_integer
-    weighted, quad = np.zeros_like(emp), 0.0
-    if integer:
-        n = 64 if model.dim == 2 else 32
-        weighted = _weighted_density_residues(model, n)
-        quad = abs(_weighted_density_residues(model, 2 * n)[-1] - weighted[-1])
-    bound = float(bound[-1] + quad)
-    deviation = float(abs(emp[-1] - weighted[-1]))
+    bound = float(bound[-1] + model.density_delta[-1])
+    deviation = float(abs(emp[-1] - model.density[-1]))
     return TwistReport(
-        mode="weighted" if integer else "suppressed",
+        mode="weighted" if model.spec.beta.is_integer else "suppressed",
         certified=bool(deviation <= bound <= _CERTIFY_TOL * model.rho[-1]),
-        weighted=tuple(complex(z) for z in weighted),
+        weighted=tuple(complex(z) for z in model.density),
         empirical=tuple(complex(z) for z in emp),
         deviation=deviation,
         bound=bound,
@@ -742,11 +739,11 @@ def singularity_scan(
     # while genuine peaks persist
     cut = np.searchsorted(lengths, 0.85 * model.spec.T)
     short_head = _head_boundary_values(lengths[:cut], phases[:cut], s_mat[-1])
-    # deflate the truncated Laplace transform of the smooth density: this
-    # removes the pole stack at y = 0 together with its shoulder, leaving
-    # the spectral lines standing on the fluctuation floor
-    deflated = values - _smooth_laplace(model.rho, model.spec.T, s_mat)
-    short = short_head - _smooth_laplace(model.rho, 0.85 * model.spec.T, s_mat[-1])
+    # deflate the truncated Laplace transform of the twist's own smooth
+    # density: this removes the pole stack at y = 0 together with its
+    # shoulder, leaving the spectral lines standing on the fluctuation floor
+    deflated = values - _smooth_laplace(model.density, model.spec.T, s_mat)
+    short = short_head - _smooth_laplace(model.density, 0.85 * model.spec.T, s_mat[-1])
     # detect on the pointwise minimum of the full and short magnitudes
     detect = np.minimum(np.abs(deflated[-1]), np.abs(short))
     # a NaN phase or density coefficient leaves no peak to find, not no singularity
@@ -828,10 +825,16 @@ def _ghat_radial(dim: int, rho: np.ndarray, window: GaussianWindow) -> np.ndarra
     q = window.odd_part(rho)
     if dim == 3:
         return -4j * math.pi**2 * q / rho
-    if dim == 5:
-        qp = window.odd_part_deriv(rho)
-        return 8j * math.pi**3 * (qp / rho - q / rho**2) / rho
-    raise ValueError("crystalline pairing implemented for d in {3, 5}")
+    qp = window.odd_part_deriv(rho)
+    return 8j * math.pi**3 * (qp / rho - q / rho**2) / rho
+
+
+def _check_pairing(body1: convex.SupportBody, body2: convex.SupportBody) -> None:
+    """ValueError unless the pair is two points in d = 3 or 5, where _ghat_radial is closed."""
+    if not (body1.is_point and body2.is_point):
+        raise ValueError("the exact pairing needs point bodies")
+    if body1.dim not in (3, 5):
+        raise ValueError("the crystalline pairing is implemented for d in {3, 5}")
 
 
 def _point_location(body: convex.SupportBody) -> np.ndarray:
@@ -849,15 +852,12 @@ def guinand_pairing(spec: spectrum.LengthSpectrum, window: GaussianWindow) -> Gu
     The phases are those of spec's twist beta.  The reverse spectrum, from
     y back to x, is spec reflected (xi and theta negated, the same lengths,
     conjugate phases), so its terms conj(phase) phihat(-l)/l are spec's
-    own.  Exact for point bodies in odd dimensions.
+    own.  Exact for the pairs _check_pairing admits: points in d = 3 or 5.
     """
-    if not (spec.body1.is_point and spec.body2.is_point):
-        raise ValueError("the exact pairing needs point bodies")
+    _check_pairing(spec.body1, spec.body2)
     if spec.T0 != 0.0:
         raise ValueError("the spectrum must be enumerated from T0 = 0")
     d = spec.dim
-    if d % 2 == 0:
-        raise ValueError("the pairing identity is implemented for odd d")
     mass = math.exp(-0.5 * window.width**2 * spec.T**2)
     if not mass <= _MASS_TOL:
         raise TruncationTooSmall(

@@ -1,11 +1,12 @@
 """Epstein zeta oracles for the square lattice.
 
 Prints frozen reference values:
-  * full sum  S(3) = sum_{xi != 0} |2 pi xi|^{-3}  in d=2, via the classical
-    closed form 4 zeta(3/2) beta(3/2) (mpmath, 30 digits) and via a brute
-    radius-1e4 partial sum plus integral tail correction (agreement check);
-  * truncated sum over 0 < |2 pi xi| <= 200 (compared against the library's
-    head evaluation in the tests);
+  * Z(s) = sum_{xi != 0} |2 pi xi|^{-s} in d=2, continued to every s by the
+    classical closed form (2 pi)^{-s} 4 zeta(s/2) beta(s/2) (mpmath, 30
+    digits), at s = 0.25, 0.75, 1.25, 1.75, 3 and 2.5 + i (compared against
+    the library's continuation in the tests);
+  * at s = 3 the same sum by a brute radius-1e4 partial sum plus integral
+    tail correction (agreement check);
   * Hurwitz cross-check for the d=2 ball Poincare head: lengths 2 pi k - 2R
     on the axis sublattice.
 """
@@ -16,9 +17,12 @@ import mpmath as mp
 mp.mp.dps = 30
 
 
-def closed_form(s_half: float):
-    # sum'_{(m,n)} (m^2+n^2)^{-s} = 4 zeta(s) beta(s)
-    s = mp.mpf(s_half)
+S_GRID = (0.25, 0.75, 1.25, 1.75, 3.0, 2.5 + 1j)
+
+
+def closed_form(s_half):
+    # sum'_{(m,n)} (m^2+n^2)^{-s} = 4 zeta(s) beta(s), continued to every s != 1
+    s = mp.mpmathify(s_half)
     beta = mp.mpf(4) ** (-s) * (mp.zeta(s, mp.mpf(1) / 4) - mp.zeta(s, mp.mpf(3) / 4))
     return 4 * mp.zeta(s) * beta
 
@@ -33,19 +37,14 @@ def brute(s: float, radius: int) -> float:
     return total
 
 
-def truncated_head(s: float, length_cap: float) -> float:
-    r = int(np.ceil(length_cap / (2 * np.pi))) + 1
-    m, n = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-    norms = 2 * np.pi * np.sqrt(m.astype(float) ** 2 + n.astype(float) ** 2)
-    mask = (norms > 0) & (norms <= length_cap)
-    return float(np.sum(norms[mask] ** (-s)))
-
-
 def main():
+    for s in S_GRID:
+        z = closed_form(mp.mpmathify(s) / 2) / (2 * mp.pi) ** s
+        print(f"closed form (2pi)^-s 4 zeta(s/2) beta(s/2) at s = {s}: "
+              f"{mp.nstr(mp.re(z), 30)} {mp.nstr(mp.im(z), 30)}")
+
     s = 3.0
     exact = closed_form(s / 2) / (2 * mp.pi) ** 3
-    print(f"closed form (2pi)^-3 * 4 zeta(3/2) beta(3/2) = {mp.nstr(exact, 20)}")
-
     radius = 10_000
     head = brute(s, radius)
     # tail: integral of 2 pi r * r^{-3} from radius to infinity = 2 pi / radius
@@ -53,9 +52,6 @@ def main():
     approx = (head + tail) / (2 * np.pi) ** 3
     print(f"brute radius {radius} + tail      = {approx!r}")
     print(f"difference                        = {float(abs(approx - exact)):.3e}")
-
-    cap = 200.0
-    print(f"truncated head, lengths <= {cap}: {truncated_head(s, cap)!r}")
 
     # d=2 identical balls radius R: axis sublattice lengths 2 pi k - 2R, so
     # sum_k (2 pi k - 2R)^{-s} = (2 pi)^{-s} zeta(s, 1 - q), q = 2R/(2pi)

@@ -139,14 +139,23 @@ def _irrational_twist_report(tmp_path, T):
     return rep
 
 
-def test_twisted_zeta_left_of_the_abscissa_writes_an_empty_table(tmp_path):
-    # a twisted series is summed at Re s > d only; every s here lies at or below d = 2
+def test_twisted_zeta_left_of_the_abscissa_writes_every_s(tmp_path):
+    # a twisted series is continued like the untwisted one, at every s of the
+    # grid; beta0 outside Z^d leaves no pole, so s = 2 is a value too
+    beta = spectrum.TwistForm((math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0)))
     cfg = write_config(tmp_path / "c.json", {
-        **_POINT_PAIR, "twist": {"beta0": [math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0)]},
+        **_POINT_PAIR, "twist": {"beta0": beta.beta0.tolist()},
         "ranges": {"T": 100.0, "sweep": [1.0], "zeta_s_grid": [[0.5, 0.0], [2.0, 1.0]]}})
     assert cli.main(["zeta", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "zeta_values.csv").read_bytes() == b"s_re,s_im,value_re,value_im\r\n"
-    assert read_json(tmp_path / "config.resolved.json")["config"]["ranges"]["zeta_s_grid"] == []
+    grid = [0.5 + 0.0j, 2.0 + 1.0j]
+    k1, k2 = cli._pair_bodies(*cli.load_config(cfg))
+    model = zetafns.build_zeta_model(spectrum.enumerate(k1, k2, T=100.0, beta=beta))
+    with open(tmp_path / "zeta_values.csv", newline="", encoding="utf-8") as fh:
+        _, *body = list(csv.reader(fh))
+    assert body == [[repr(s.real), repr(s.imag), repr(v.real), repr(v.imag)]
+                    for s, v in ((s, zetafns.zeta_continue(model, s)) for s in grid)]
+    echo = read_json(tmp_path / "config.resolved.json")["config"]["ranges"]["zeta_s_grid"]
+    assert echo == [[0.5, 0.0], [2.0, 1.0]]
 
 
 def test_zeta_twist_report(tmp_path):
@@ -542,6 +551,13 @@ _BAD_CONFIGS = {
         "a": {"kind": "point"}, "b": {"kind": "point", "x": [0.9, 0.4]}},
         "ranges": {"T": 30.0, "sweep": [1.0], key: [[math.nan, 0.0], [0.5, 0.0]]}})
        for command, key in (("zeta", "zeta_s_grid"), ("poincare", "poincare_s_grid"))},
+    # pairs the Guinand pairing cannot take, refused before enumerating
+    "guinand-d2-pair": ("guinand", _POINT_PAIR),
+    "guinand-ball": ("guinand", {"dim": 3, "bodies": {
+        "a": {"kind": "ball", "radius": 0.2}, "b": {"kind": "point", "x": [0.9, 0.4, -1.1]}}}),
+    "guinand-d7-pair": ("guinand", {"dim": 7, "bodies": {
+        "a": {"kind": "point"}, "b": {"kind": "point", "x": [0.9, 0.4, -1.1, 0.3, 0.2, 0.1, 0.5]}},
+        "ranges": {"T": 8.0}}),
     # entries of the wrong shape and values the library refuses
     "zeta_s_grid-short-entry": ("zeta", {**_POINT_PAIR, "ranges": {
         "T": 30.0, "sweep": [1.0], "zeta_s_grid": [[0.5]]}}),
@@ -818,16 +834,17 @@ def test_bad_config_exit_codes(tmp_path, capsys):
 
 
 def test_module_error_exit_code(tmp_path, capsys):
-    # guinand rejects non-point bodies: propagated as exit 1
+    # the continuation refuses s on its pole at s = d: propagated as exit 1
+    # (a pair guinand cannot take is a config error, refused before it enumerates)
     cfg = write_config(tmp_path / "c.json", {
         "dim": 2,
         "bodies": {"E": {"kind": "ellipsoid", "semiaxes": [1.3, 0.7]},
                    "p": {"kind": "point"}},
-        "ranges": {"T": 20.0},
+        "ranges": {"T": 20.0, "sweep": [1.0], "zeta_s_grid": [[2.0, 0.0]]},
     })
-    assert cli.main(["guinand", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert cli.main(["zeta", "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "orthospec:" in err
+    assert "orthospec: PoleHit:" in err
 
 
 def test_config_schema_validation(tmp_path, capsys):
@@ -969,22 +986,6 @@ def test_subcommands_import_only_the_modules_they_run(command, tmp_path):
         assert not loaded & {"zetafns", "dynamics"}, loaded
     else:
         assert not loaded & {"spectrum", "zetafns"}, loaded
-
-
-def _readme_commands() -> list:
-    """The lines of README.md's command block, without the leading `orthospec`."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = next(b for b in readme.split("```sh\n")[1:] if b.startswith("orthospec "))
-    return [line.split()[1:] for line in block.split("```")[0].splitlines()]
-
-
-@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
-def test_readme_commands_run(argv, tmp_path, monkeypatch):
-    # the README's commands and the demos/configs they read stay valid
-    monkeypatch.chdir(Path(__file__).resolve().parents[1])
-    out = argv.index("--out") + 1
-    argv = [*argv[:out], str(tmp_path / argv[out]), *argv[out + 1:]]
-    assert cli.main(argv) == 0
 
 
 def test_version_flag(capsys):

@@ -15,8 +15,16 @@ from hypothesis import strategies as st
 from orthospec import convex, spectrum, spherequad, zetafns
 
 # closed forms frozen from independent high-precision evaluation
-EPSTEIN_S3_D2 = 0.036418520096128477853   # (2 pi)^-3 * 4 zeta(3/2) beta(3/2)
-HEAD_S3_T200 = 0.03562248231270755        # brute partial sum over l <= 200
+# (tests/oracles/oracle_epstein.py): (2 pi)^-s 4 zeta(s/2) beta(s/2), the
+# continued sum over xi != 0 of |2 pi xi|^-s in d = 2
+EPSTEIN_D2 = {
+    0.25: -0.874709985366388157600607319287,
+    0.75: -0.680419883627535435819445816655,
+    1.25: -0.597168016560854719302426586087,
+    1.75: -0.90613096739860425121528656682,
+    3.0: 0.0364185200961284778527785962793,
+    2.5 + 1j: complex(-0.0612685243070777222193219207838, -0.0377389201782501322905402764072),
+}
 ELLIPSE_PERIMETER = 6.425370742838925     # arclength of (1.3, 0.7) ellipse
 IRRATIONAL_BETA0 = (math.sqrt(2.0) - 1.0, 1.0 / math.sqrt(3.0))
 ZERO3 = spectrum.TwistForm(np.zeros(3))
@@ -50,32 +58,17 @@ def ellipse_model():
     return zetafns.build_zeta_model(spectrum.enumerate(e, p, T=head * 4.0), head)
 
 
-def test_zeta_eval_matches_brute_head(model2):
-    got = zetafns.zeta_eval(model2, 3.0)
-    assert got.imag == pytest.approx(0.0, abs=1e-15)
-    assert got.real == pytest.approx(HEAD_S3_T200, rel=1e-12)
-
-
-def test_zeta_eval_needs_convergent_sigma(model2):
-    with pytest.raises(ValueError):
-        zetafns.zeta_eval(model2, 1.5)
-
-
 def test_zeta_continue_hits_the_closed_form(model2):
-    got = zetafns.zeta_continue(model2, 3.0)
-    # the rational tail model leaves only the lattice fluctuation
-    assert abs(got - EPSTEIN_S3_D2) < 1e-6
-
-
-def test_zeta_head_plus_tail_sandwich(model2):
-    head = zetafns.zeta_eval(model2, 3.0)
-    bound = zetafns.zeta_tail_bound(model2, 3.0)
-    assert abs(head - EPSTEIN_S3_D2) <= 1.01 * bound + 1e-5
+    # the smooth splice leaves dual terms that decay faster than any power
+    # of its end T: at T = 800 the value is the closed form to 1e-10, on
+    # both sides of Re s = d and off the real axis
+    model = dataclasses.replace(model2, T=model2.spec.T)
+    for s, want in EPSTEIN_D2.items():
+        assert abs(zetafns.zeta_continue(model, s) - want) < 1e-10, s
 
 
 def test_zeta_continue_splice_stability(model2):
-    # splice drift is the counting fluctuation E(T) T^{-s}; it shrinks fast
-    # in Re(s) once past the fluctuation exponent (2/3 for d = 2)
+    # the splice end moves the value only by the smooth sum's dual terms
     assert model2.spec.T == 4.0 * model2.T
     spliced = [dataclasses.replace(model2, T=f * model2.T) for f in (1.0, 2.0, 4.0)]
 
@@ -84,14 +77,54 @@ def test_zeta_continue_splice_stability(model2):
         return max(abs(v - vals[0]) for v in vals)
 
     mid, high = drift(1.5 + 0.3j), drift(2.5 + 0.3j)
-    assert mid < 5e-3
-    assert high < 1e-4
+    assert mid < 1e-7
+    assert high < 1e-9
     assert high < mid
 
 
 def test_zeta_continue_pole_guard(model2):
+    for s in (2.0, 2.0 + 5e-9j, complex(math.nan, 0.0), math.inf):
+        with pytest.raises(zetafns.PoleHit):
+            zetafns.zeta_continue(model2, s)
+    # a point pair has no perimeter term, so s = 1 is no pole
+    assert model2.density[0] == 0.0
+    assert np.isfinite(zetafns.zeta_continue(model2, 1.0))
+
+
+@functools.cache
+def _twisted_pair_model(beta0, modes=()):
+    """The point pair (0, 0)-(1.1, -0.7) under beta0 dx + df, enumerated to 1600."""
+    p, q = convex.point((0.0, 0.0)), convex.point((1.1, -0.7))
+    beta = spectrum.TwistForm(beta0, dict(modes))
+    return zetafns.build_zeta_model(spectrum.enumerate(p, q, T=1600.0, beta=beta))
+
+
+def test_zeta_continue_under_an_integer_twist():
+    # beta0 in Z^d: the tail is the weighted density, with its pole at s = 2
+    # (a point pair has no perimeter term)
+    model = _twisted_pair_model((1.0, 0.0), (((1, 0), 0.2), ((-1, 0), 0.2)))
+    assert model.spec.beta.is_integer and model.density[-1] != 0
+    short = zetafns.zeta_continue(dataclasses.replace(model, T=200.0), 0.25)
+    assert abs(short - zetafns.zeta_continue(model, 0.25)) < 1e-7
     with pytest.raises(zetafns.PoleHit):
-        zetafns.zeta_continue(model2, 2.0)
+        zetafns.zeta_continue(model, 2.0)
+
+
+def test_zeta_continue_under_a_suppressing_twist():
+    # beta0 outside Z^d: the density is zero and Z_beta has no poles
+    model = _twisted_pair_model((0.3, 0.1))
+    assert not np.any(model.density) and not np.any(model.density_delta)
+    short = zetafns.zeta_continue(dataclasses.replace(model, T=400.0), 1.5)
+    assert abs(short - zetafns.zeta_continue(model, 1.5)) < 1e-6
+    assert np.isfinite(zetafns.zeta_continue(model, 2.0))
+
+
+def test_zeta_continue_resolves_its_ramp_far_off_the_real_axis(model2):
+    # the Legendre orders of the tail grow with |Im s|, so order doubling
+    # still agrees at |Im s| = 400 (spherequad.UnderResolved otherwise)
+    model = dataclasses.replace(model2, T=model2.spec.T)
+    for s in (2.5 + 400j, 0.25 - 400j):
+        assert np.isfinite(zetafns.zeta_continue(model, s))
 
 
 def test_build_model_reads_the_spectrum_it_is_given(monkeypatch):
@@ -281,7 +314,14 @@ def test_twist_suppression_weighted_mode():
     q = convex.point((1.1, -0.7))
     beta = spectrum.TwistForm((1.0, 0.0), {(1, 0): 0.2, (-1, 0): 0.2})
     m = zetafns.build_zeta_model(spectrum.enumerate(p, q, T=150.0 * 2.0, beta=beta), 150.0)
-    rep = zetafns.twist_suppression(m)
+    # the report reads the weighted density the model computed once
+    with mock.patch.object(zetafns, "_weighted_density_residues", side_effect=AssertionError):
+        rep = zetafns.twist_suppression(m)
+    assert rep.weighted == tuple(complex(z) for z in m.density)
+    fine = zetafns._weighted_density_residues(m.spec, 128)
+    assert np.array_equal(m.density_delta, np.abs(fine - m.density))
+    _, poisson, _ = zetafns._poisson_certificate(m)
+    assert rep.bound == float(poisson[-1] + m.density_delta[-1])
     assert rep.mode == "weighted"
     assert rep.certified
     assert len(rep.weighted) == 2 and len(rep.empirical) == 2
@@ -496,6 +536,18 @@ def test_singularity_scan_fits_the_line_order_on_random_pairs():
             assert f.line_distance <= 0.03, (x, y, f)
 
 
+def test_singularity_scan_deflates_by_the_twists_own_density():
+    # beta0 outside Z^d has a zero nu = 0 density; deflating by the untwisted
+    # rho left a false y = 0 stack and no fit on the line |beta0| = 0.3162
+    p, q = convex.point((0.0, 0.0)), convex.point((0.9, 0.4))
+    beta = spectrum.TwistForm((0.3, 0.1))
+    model = zetafns.build_zeta_model(spectrum.enumerate(p, q, T=150.0, beta=beta))
+    (fit,) = zetafns.singularity_scan(model)
+    assert fit.alpha == -0.5
+    assert fit.nearest_line == pytest.approx(math.hypot(0.3, 0.1), abs=1e-12)
+    assert fit.line_distance < 0.01
+
+
 def synthetic_model(power, T=300.0):
     """A d = 3 model whose head sum 0.01 sum l^power e^{(1.3 i - s) l} peaks at y = 1.3.
 
@@ -510,7 +562,8 @@ def synthetic_model(power, T=300.0):
         beta=ZERO3, xi=np.zeros((n, 3), dtype=int),
         theta=np.zeros((n, 3)), lengths=lengths,
         phases=0.01 * lengths**power * np.exp(1.3j * lengths))
-    return zetafns.ZetaModel(spec=spec, rho=np.zeros(3), T=T, steiner=None)
+    return zetafns.ZetaModel(spec=spec, rho=np.zeros(3), T=T, steiner=None,
+                             density=np.zeros(3), density_delta=np.zeros(3))
 
 
 def nan_phase_model():
@@ -520,8 +573,9 @@ def nan_phase_model():
 
 
 def nan_rho_model():
+    # the scan deflates by the model's density, rho itself when untwisted
     model = synthetic_model(1.0)
-    model.rho[0] = np.nan
+    model.density[0] = np.nan
     return model
 
 
