@@ -54,7 +54,7 @@ _DEFAULTS = {
     "oscint": {"xi": None},
 }
 
-_SPECTRUM_T = 50.0  # the window end of spectrum and guinand when ranges.T is unset
+_SPECTRUM_T = 50.0  # the window end of spectrum when ranges.T is unset; guinand's least
 # each body kind: the keys it may omit and the keys it needs, besides "kind"
 _BODY_KEYS = {
     "point": (("x",), ()),
@@ -432,12 +432,21 @@ def _cmd_poincare(cfg, built, out, workers, log):
     beta = _twist_form(built)
     s_grid = (np.array([complex(0.2, y) for y in np.linspace(0.0, 3.2, 33)])
               if built["poincare_s_grid"] is None else built["poincare_s_grid"])
-    model = _zeta_model(cfg, k1, k2, beta, workers)
-    with _config_errors("ranges"):  # the check singularity_scan runs, before any artifact
-        eps_ladder, y_grid = zetafns._scan_grids(built["eps_ladder"], built["y_grid"],
-                                                 model.spec.T)
+    # a default head whose tail dominates some value is doubled once
+    for doubling in (cfg["ranges"]["T"] is None, False):
+        model = _zeta_model(cfg, k1, k2, beta, workers)
+        with _config_errors("ranges"):  # the check singularity_scan runs, before any artifact
+            eps_ladder, y_grid = zetafns._scan_grids(built["eps_ladder"], built["y_grid"],
+                                                     model.spec.T)
+        try:
+            values = np.array([zetafns.poincare_eval(model, s) for s in s_grid.tolist()],
+                              dtype=complex)
+            break
+        except zetafns.TailDominates:
+            if not doubling:
+                raise
+            cfg["ranges"]["T"] *= 2.0  # _enumerated wrote the default head back
     cfg["ranges"]["poincare_s_grid"] = [[s.real, s.imag] for s in s_grid.tolist()]
-    values = np.array([zetafns.poincare_eval(model, s) for s in s_grid.tolist()], dtype=complex)
     _tables.write_csv(os.path.join(out, "poincare_values.csv"), ["s", "value"],
                       [s_grid, values])
     fits = zetafns.singularity_scan(model, eps_ladder=eps_ladder, y_grid=y_grid)
@@ -486,7 +495,10 @@ def _cmd_guinand(cfg, built, out, workers, log):
         center = float(lines[lines > 1e-9][0])
     window = zetafns.GaussianWindow(center, width)
     cfg["window"]["center"] = center
-    spec = _enumerated(cfg, k1, k2, beta, workers, _SPECTRUM_T)
+    # the default T, from 50 up, leaves a window mass exp(-(width T)^2 / 2) within
+    # _MASS_TOL; the factor 1 + 1e-12 keeps rounding from failing that check
+    T = math.sqrt(-2.0 * math.log(zetafns._MASS_TOL)) / width * (1.0 + 1e-12)
+    spec = _enumerated(cfg, k1, k2, beta, workers, max(_SPECTRUM_T, T))
     res = zetafns.guinand_pairing(spec, window)
     diff = abs(res.length_side - res.spectral_side)
     denom = max(abs(res.length_side), abs(res.spectral_side))

@@ -4,9 +4,11 @@ Between the torus projections of two strictly convex bodies, orthogeodesics
 of the flat metric correspond to lattice vectors: for the difference body
 L = K1 + (-K2), the arc hitting both boundaries orthogonally with homotopy
 data xi has length t(xi) = max over unit theta of (theta . 2 pi xi -
-h_L(theta)).  When L is one point or one ball (centre c, radius r) the
-maximum is |2 pi xi - c| - r in closed form; otherwise it is found by
-Riemannian Newton on the sphere.  The resulting records carry the lattice
+h_L(theta)).  Where 2 pi xi lies outside L this is its distance to L, and
+where it lies in L (the lift of K2 by 2 pi xi meets K1) the class has no
+orthogeodesic and is dropped.  When L is one point or one ball (centre c,
+radius r) the length is |2 pi xi - c| - r in closed form; otherwise Newton
+finds the nearest point of L.  The resulting records carry the lattice
 class, direction, length and the holonomy phase of a twist one-form
 beta = beta0 . dx + df.  Arcs run from K1 to K2, leaving K1 at
 convex.inverse_gauss(K1, theta).  The reverse spectrum, from K2 to K1, is
@@ -176,78 +178,6 @@ def _restart_directions(dim: int) -> np.ndarray:
     return spherequad.grid(dim, 8).nodes
 
 
-def _newton_residual(L: convex.SupportBody, w: np.ndarray, theta: np.ndarray):
-    """Residual (g, f) of theta.w - h_L(theta) at unit theta, in ambient coordinates.
-
-    f is the value and g the gradient w - grad h_L projected off theta.
-    """
-    diff = w - L.grad(theta)
-    g = diff - np.einsum("ni,ni->n", theta, diff)[:, None] * theta
-    f = np.einsum("ni,ni->n", theta, w) - L.h(theta)
-    return g, f
-
-
-def _newton_matrix(L: convex.SupportBody, theta: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """A = H + f (I - theta theta^T) + theta theta^T with H the Hessian of h_L.
-
-    As H theta = 0, A acts on the tangent space as the negated sphere
-    Hessian and maps theta to itself, so A^-1 g is the tangent Newton step.
-    """
-    # A = H + f I + (1 - f) theta theta^T, in place: one (n, d, d) temporary
-    A = L.hess(theta)
-    A += (1.0 - f)[:, None, None] * theta[:, :, None] * theta[:, None, :]
-    diag = np.arange(theta.shape[1])
-    A[:, diag, diag] += f[:, None]
-    return A
-
-
-def _newton_batch(L: convex.SupportBody, w: np.ndarray, theta0: np.ndarray):
-    """Maximize theta.w - h_L(theta) per row; returns (theta, value).
-
-    Converged rows take one last step (w closes to rounding); unconverged rows get nan.
-    """
-    n = w.shape[0]
-    theta = theta0.copy()
-    active = np.ones(n, dtype=bool)
-    for _ in range(_NEWTON_MAX):
-        if not np.any(active):
-            break
-        th = theta[active]
-        wa = w[active]
-        g, f = _newton_residual(L, wa, th)
-        A = _newton_matrix(L, th, f)
-        gnorm = np.linalg.norm(g, axis=1)
-        scale = np.maximum(1.0, np.linalg.norm(wa, axis=1))
-        done = gnorm <= _NEWTON_TOL * scale
-        step = np.zeros_like(g)
-        solvable = np.ones(th.shape[0], dtype=bool)
-        try:
-            step = np.linalg.solve(A, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for i in range(th.shape[0]):
-                try:
-                    step[i] = np.linalg.solve(A[i], g[i])
-                except np.linalg.LinAlgError:
-                    solvable[i] = False
-        # fall back to a short gradient ascent step when the local model is
-        # not positive or overshoots
-        bad = ~solvable | (np.linalg.norm(step, axis=1) > 0.5)
-        if np.any(bad):
-            gb = g[bad]
-            gn = np.linalg.norm(gb, axis=1, keepdims=True)
-            step[bad] = gb / np.maximum(gn, 1e-30) * np.minimum(gn, 0.2)
-        new = th + step
-        new /= np.linalg.norm(new, axis=1, keepdims=True)
-        theta[active] = new
-        idx = np.flatnonzero(active)
-        active[idx[done]] = False
-    g, value = _newton_residual(L, w, theta)
-    gnorm = np.linalg.norm(g, axis=1)
-    value = np.where(gnorm <= 1e-10 * np.maximum(1.0, np.linalg.norm(w, axis=1)),
-                     value, np.nan)
-    return theta, value
-
-
 def _closed_form(part, w: np.ndarray):
     """theta.w - h_L(theta) maximized per row for L one point or ball: (theta, value).
 
@@ -263,52 +193,109 @@ def _closed_form(part, w: np.ndarray):
     return theta, value
 
 
-def _restart_theta(L: convex.SupportBody, w: np.ndarray) -> np.ndarray:
-    """Per row of w, the restart direction that maximizes theta.w - h_L(theta)."""
-    rd = _restart_directions(L.dim)
-    return rd[np.argmax(w @ rd.T - L.h(rd), axis=1)]
+def _phi(L, rho: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Phi(v) = |v|^2/2 + |v| (h_L(v/|v|) - rho) - w.v per row."""
+    r = np.linalg.norm(v, axis=1)
+    u = np.divide(v, r[:, None], out=np.zeros_like(v), where=(r > 0)[:, None])
+    return 0.5 * r**2 + r * (L.h(u) - rho) - np.einsum("ni,ni->n", w, v)
 
 
-def _newton_solve(L, xi_chunk, w: np.ndarray):
-    """Newton-solve one candidate chunk with restarts; returns (theta, value).
+def _newton_distance(L, xi_chunk, w: np.ndarray):
+    """theta.w - h_L(theta) maximized over unit theta, per row: (theta, value).
 
-    Each row starts along w, the zero class from the best restart
-    direction; every row that fails to converge restarts once from its
-    best restart direction, all in one batch.
+    For w outside L the maximum t is the distance from w to L.  With
+    rho = r_lo(L), L = L' + rho B for the convex L' with support h_L - rho
+    (Hessian H_L - rho (I - u u^T) >= 0), so t = dist(w, L') - rho along
+    v/|v|, v = w - P_L'(w) the minimizer of the 1-strongly convex _phi
+    (Moreau's decomposition).  Newton on _phi steps v -= a J^-1 g with
+    g = v + grad h_L'(v/|v|) - w and J = I + H_L'(v/|v|)/|v| >= I, a halved
+    from 1 until _phi falls by a g.J^-1 g / 4 up to rounding.  A row starts
+    along w, or at the best restart direction if F = theta.w - h_L'(theta)
+    <= 0 there, from v = w - grad h_L'(theta) or from F theta (_phi =
+    -F^2/2) if that is lower.  It converges once |g| <= _NEWTON_TOL
+    max(1, |w|) and takes that last full step, so w closes to rounding; its
+    value is theta.w - h_L(theta) at theta = v/|v|.  A row with F <= 0 at
+    its start may have w in L', minimizer v = 0, with no orthogeodesic: it
+    stops at |v| <= 1e-12 max(1, |w|) and takes value nan unless it
+    converges.  Any other row that does not converge within _NEWTON_MAX
+    raises NewtonDiverged.
     """
+    rho = L.radius_range()[0]
     wn = np.linalg.norm(w, axis=1)
-    zero = wn == 0
-    theta0 = w / np.where(zero, 1.0, wn)[:, None]
-    theta0[zero] = _restart_theta(L, w[zero])
-    theta, value = _newton_batch(L, w, theta0)
-    stuck = np.flatnonzero(np.isnan(value))
-    if stuck.size:
-        theta[stuck], value[stuck] = _newton_batch(L, w[stuck], _restart_theta(L, w[stuck]))
-        # every candidate passed the window prefilter, so it could land in (T0, T]
-        diverged = stuck[np.isnan(value[stuck])]
-        if diverged.size:
-            raise NewtonDiverged(
-                f"lattice candidate {tuple(int(c) for c in xi_chunk[diverged[0]])} did "
-                f"not converge; raise T0 or inspect the body curvature"
-            )
-    return theta, value
+    scale = np.maximum(1.0, wn)
+    theta = np.divide(w, wn[:, None], out=np.zeros_like(w), where=(wn > 0)[:, None])
+    F = np.einsum("ni,ni->n", theta, w) - L.h(theta) + rho
+    low = (wn == 0) | (F <= 0)
+    if np.any(low):
+        rd = _restart_directions(L.dim)
+        vals = w[low] @ rd.T - L.h(rd) + rho
+        best = np.argmax(vals, axis=1)
+        theta[low], F[low] = rd[best], vals[np.arange(best.size), best]
+    separated = F > 0
+    v = w - L.grad(theta) + rho * theta
+    phi = _phi(L, rho, v, w)
+    lower = separated & (-0.5 * F**2 < phi)
+    v[lower], phi[lower] = F[lower, None] * theta[lower], -0.5 * F[lower] ** 2
+
+    diag = np.arange(w.shape[1])
+    converged = np.zeros(w.shape[0], dtype=bool)
+    active = np.arange(w.shape[0])
+    for _ in range(_NEWTON_MAX):
+        r = np.linalg.norm(v[active], axis=1)
+        away = r > 1e-12 * scale[active]  # w in L' draws v to 0
+        active, r = active[away], r[away]
+        if not active.size:
+            break
+        va, wa, u = v[active], w[active], v[active] / r[:, None]
+        g = va + L.grad(u) - rho * u - wa
+        # J = I + (H_L - rho (I - u u^T)) / |v|
+        J = (L.hess(u) + rho * u[:, :, None] * u[:, None, :]) / r[:, None, None]
+        J[:, diag, diag] += 1.0 - rho / r[:, None]
+        step = np.linalg.solve(J, g[..., None])[..., 0]
+        done = np.linalg.norm(g, axis=1) <= _NEWTON_TOL * scale[active]
+        fall = 0.25 * np.einsum("ni,ni->n", g, step)
+        # the rounding of _phi: its terms are at most |phi| + |v| (|v| + 2 |w|) in size
+        noise = 1e-14 * (np.abs(phi[active]) + r * (r + 2.0 * wn[active]))
+        a = np.ones(active.size)
+        new = va - step
+        phi_new = _phi(L, rho, new, wa)
+        for _ in range(40):
+            short = ~done & (phi_new > phi[active] - a * fall + noise)
+            if not np.any(short):
+                break
+            a[short] *= 0.5
+            new[short] = va[short] - a[short, None] * step[short]
+            phi_new[short] = _phi(L, rho, new[short], wa[short])
+        v[active], phi[active] = new, phi_new
+        converged[active[done]] = True
+        active = active[~done]
+    diverged = np.flatnonzero(separated & ~converged)
+    if diverged.size:
+        raise NewtonDiverged(
+            f"lattice candidate {tuple(int(c) for c in xi_chunk[diverged[0]])} did "
+            f"not converge; raise T0 or inspect the body curvature"
+        )
+    theta = np.divide(v, np.linalg.norm(v, axis=1, keepdims=True), out=np.zeros_like(v),
+                      where=converged[:, None])
+    return theta, np.where(converged, np.einsum("ni,ni->n", theta, w) - L.h(theta), np.nan)
 
 
 def _solve_chunk(L, xi_chunk, T0, T):
     """Solve one candidate chunk; returns accepted arrays and rejects.
 
     A difference body that is one point or one ball takes the closed form;
-    every other body takes Newton.  At the maximizer the negated sphere
-    Hessian has the eigenvalues t + r_i(theta), so a class is rejected as
-    degenerate when t + r_lo(L) < _TRANSVERSALITY_TOL = 1e-6, r_lo(L) the
-    lower end of L.radius_range(); only a window with T0 < 1e-6 can hold
-    such a class.
+    every other body takes _newton_distance, which gives the classes with
+    2 pi xi in L a value <= 0 or nan, outside every window.  At the
+    maximizer the negated sphere Hessian has the eigenvalues
+    t + r_i(theta), so a class is rejected as degenerate when
+    t + r_lo(L) < _TRANSVERSALITY_TOL = 1e-6, r_lo(L) the lower end of
+    L.radius_range(); only a window with T0 < 1e-6 can hold such a class.
     """
     w = 2 * math.pi * xi_chunk.astype(float)
     if len(L.parts) == 1 and isinstance(L.parts[0], convex._Ball):
         theta, value = _closed_form(L.parts[0], w)
     else:
-        theta, value = _newton_solve(L, xi_chunk, w)
+        theta, value = _newton_distance(L, xi_chunk, w)
     rejects = []
     degenerate = value + L.radius_range()[0] < _TRANSVERSALITY_TOL
     window = (value > T0) & (value <= T)
@@ -357,9 +344,11 @@ def enumerate(K1: convex.SupportBody, K2: convex.SupportBody,
 
     A difference body that is one point or one ball takes the closed form
     theta = (w - c)/|w - c|, t = |w - c| - r with w = 2 pi xi; every other
-    body takes Newton.  Records are ordered by length groups within
-    _GROUP_TOL, then by xi, as LengthSpectrum describes; lengths are
-    non-decreasing up to _GROUP_TOL.
+    body takes Newton on the distance from w to L, in the direction
+    theta = (w - P_L(w))/|w - P_L(w)|.  A class with w in L, whose lift of
+    K2 meets K1, has no orthogeodesic and no record.  Records are ordered
+    by length groups within _GROUP_TOL, then by xi, as LengthSpectrum
+    describes; lengths are non-decreasing up to _GROUP_TOL.
 
     At the maximizer the negated sphere Hessian has the eigenvalues
     t + r_i(theta), the length plus the principal radii of L.  A class with

@@ -816,6 +816,40 @@ def test_poincare_scan_on_d2_point_pairs(tmp_path, y, T):
     assert all(f["alpha"] == -0.5 for f in lines)
 
 
+_MINIMAL_POINT_PAIRS = {
+    2: {"dim": 2, "bodies": {"a": {"kind": "point"}, "b": {"kind": "point", "x": [0.9, 0.4]}},
+        "pair": ["a", "b"]},
+    3: {"dim": 3, "bodies": {"a": {"kind": "point"},
+                             "b": {"kind": "point", "x": [0.9, 0.4, -1.1]}},
+        "pair": ["a", "b"]},
+}
+
+
+@pytest.mark.parametrize("dim", sorted(_MINIMAL_POINT_PAIRS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_minimal_point_pairs_never_exit_1(tmp_path, capsys, command, dim):
+    # with no ranges every default must hold: a run succeeds, or the config
+    # lacks what the subcommand needs (observables, a pair guinand can take)
+    cfg = write_config(tmp_path / "c.json", _MINIMAL_POINT_PAIRS[dim])
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code in (0, 2), capsys.readouterr().err
+    if command == "poincare":
+        # the default head 60 pi / d leaves a tail above 1e-6 of a value at Re s = 0.2,
+        # so it is doubled
+        ranges = read_json(tmp_path / "out" / "config.resolved.json")["config"]["ranges"]
+        assert ranges["T"] == 120.0 * math.pi / dim
+
+
+def test_guinand_default_T_holds_a_narrow_window(tmp_path):
+    # at T = 50 a width of 0.1 leaves window mass 3.7e-6; the default T is the
+    # least with mass <= 1e-12, 7.434 / width, to within 1e-12 relative
+    cfg = write_config(tmp_path / "c.json", dict(_MINIMAL_POINT_PAIRS[3], window={"width": 0.1}))
+    assert cli.main(["guinand", "--config", cfg, "--out", str(tmp_path)]) == 0
+    T = read_json(tmp_path / "config.resolved.json")["config"]["ranges"]["T"]
+    assert T == pytest.approx(math.sqrt(2.0 * math.log(1e12)) / 0.1, rel=2e-12)
+    assert read_json(tmp_path / "guinand.json")["truncation_mass"] <= 1e-12
+
+
 def test_workers_below_1_exit_2_before_the_output_directory(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", {"dim": 2, "bodies": {
         "b": {"kind": "ball", "radius": 0.5}}})

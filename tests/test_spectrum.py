@@ -112,15 +112,15 @@ def test_phases_are_the_holonomy_from_the_start_foot(swapped):
     (convex.ball((0.3, 0.1, -0.2), 0.4), convex.ball((0.0, 0.5, 0.0), 0.3)),
     (convex.point((0.2, 0.1, -0.4)), convex.point((1.1, -0.3, 0.0))),
 ], ids=["ball-pair", "point-pair"])
-def test_newton_batch_matches_the_closed_form(K1, K2):
+def test_newton_distance_matches_the_closed_form(K1, K2):
     # enumerate sends no point or ball pair to Newton; this keeps Newton
     # checked against an exact answer
     L = spectrum.difference_body(K1, K2)
     assert L.kind in ("point", "ball")
     xi = spectrum._lattice_box(3, 4)
-    w = 2.0 * math.pi * xi[np.any(xi != 0, axis=1)]
-    theta0 = w / np.linalg.norm(w, axis=1, keepdims=True)
-    theta, value = spectrum._newton_batch(L, w, theta0)
+    xi = xi[np.any(xi != 0, axis=1)]
+    w = 2.0 * math.pi * xi
+    theta, value = spectrum._newton_distance(L, xi, w)
     want_theta, want_value = spectrum._closed_form(L.parts[0], w)
     assert np.all(want_value > 0.0)
     assert np.max(np.abs(theta - want_theta)) < 1e-12
@@ -145,7 +145,7 @@ def _tied_pair(solver):
     return convex.ellipsoid((0.0, 0.0), (1.3, 0.7)), convex.point((0.0, 0.0)), 40.0
 
 
-@pytest.mark.parametrize("solver", ["_closed_form", "_newton_solve"])
+@pytest.mark.parametrize("solver", ["_closed_form", "_newton_distance"])
 def test_last_bit_roundoff_leaves_the_row_order_alone(monkeypatch, solver):
     K1, K2, T = _tied_pair(solver)
     base = spectrum.enumerate(K1, K2, T=T)
@@ -324,63 +324,6 @@ def test_enumerate_makes_no_stacked_eigendecomposition(monkeypatch):
     assert all(len(shape) == 2 for shape in shapes)
 
 
-def test_singular_solves_fall_back_to_gradient_steps(monkeypatch):
-    # a stacked solve that raises is redone row by row, and a row whose own
-    # solve raises takes the short gradient step; the spectrum is unchanged
-    K1 = convex.ellipsoid((0.1, 0.0, 0.2), (1.2, 0.8, 0.6))
-    K2 = convex.ball((0.0, 0.3, 0.0), 0.4)
-    base = spectrum.enumerate(K1, K2, T0=4.0, T=25.0)
-    solve = np.linalg.solve
-    calls = {"stacked": 0, "rows": 0, "singular": 0}
-
-    def flaky(A, b):
-        if np.ndim(A) == 3:
-            calls["stacked"] += 1
-            raise np.linalg.LinAlgError("singular stack")
-        calls["rows"] += 1
-        if calls["rows"] % 97 == 0:
-            calls["singular"] += 1
-            raise np.linalg.LinAlgError("singular row")
-        return solve(A, b)
-
-    monkeypatch.setattr(np.linalg, "solve", flaky)
-    moved = spectrum.enumerate(K1, K2, T0=4.0, T=25.0)
-    monkeypatch.undo()
-    assert calls["stacked"] > 0 and calls["singular"] > 0
-    assert np.array_equal(moved.xi, base.xi)
-    assert np.max(np.abs(moved.lengths - base.lengths)) < 1e-12
-
-
-def test_unconverged_rows_restart_in_one_batch(monkeypatch):
-    K1 = convex.ellipsoid((0.1, 0.0, 0.2), (1.2, 0.8, 0.6))
-    K2 = convex.ball((0.0, 0.3, 0.0), 0.4)
-    base = spectrum.enumerate(K1, K2, T=25.0)
-    monkeypatch.setattr(spectrum, "_CHUNK", 64)
-    chunks, calls = [], []
-    solve, batch = spectrum._solve_chunk, spectrum._newton_batch
-
-    def counted(L, xi_chunk, T0, T):
-        chunks.append(len(xi_chunk))
-        return solve(L, xi_chunk, T0, T)
-
-    def stalling(L, w, theta0):
-        # the first call of each chunk loses every third row
-        theta, value = batch(L, w, theta0)
-        if len(calls) == 2 * (len(chunks) - 1):
-            value[::3] = np.nan
-        calls.append(w.shape[0])
-        return theta, value
-
-    monkeypatch.setattr(spectrum, "_solve_chunk", counted)
-    monkeypatch.setattr(spectrum, "_newton_batch", stalling)
-    moved = spectrum.enumerate(K1, K2, T=25.0)
-    assert len(chunks) >= 3
-    assert len(calls) == 2 * len(chunks)
-    assert calls[1::2] == [-(-n // 3) for n in chunks]
-    assert np.array_equal(moved.xi, base.xi)
-    assert np.max(np.abs(moved.lengths - base.lengths)) < 1e-12
-
-
 def test_newton_diverged_names_the_candidate(monkeypatch):
     # one Newton step cannot converge from theta0 = xi / |xi| on an ellipse
     monkeypatch.setattr(spectrum, "_NEWTON_MAX", 1)
@@ -388,6 +331,141 @@ def test_newton_diverged_names_the_candidate(monkeypatch):
     K2 = convex.ball((0.1, 0.2), 0.3)
     with pytest.raises(spectrum.NewtonDiverged, match=r"candidate \(-5, 0\) did"):
         spectrum.enumerate(K1, K2, T=30.0)
+
+
+def _fixed_point_records(L, T0, T):
+    """(xi, lengths) in (T0, T] by iterating theta -> unit(w - grad h_L(theta)) from w/|w|.
+
+    The map contracts by about r_max(L) / t near the maximizer; a class with
+    w = 2 pi xi in L has theta.w <= h_L(theta) for every theta, so no value
+    in (T0, T] whether or not its iteration settles.
+    """
+    h_lo, h_hi = L.h_range()
+    reach = max(abs(h_lo), abs(h_hi))
+    box = spectrum._lattice_box(L.dim, int(math.ceil((T + reach) / (2.0 * math.pi))) + 1)
+    w = 2.0 * math.pi * box
+    theta = np.zeros_like(w)
+    theta[:, 0] = 1.0  # the start of xi = 0
+    moving = np.any(box != 0, axis=1)
+    theta[moving] = w[moving] / np.linalg.norm(w[moving], axis=1, keepdims=True)
+    for _ in range(300):
+        g = w - L.grad(theta)
+        new = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+        step = np.linalg.norm(new - theta, axis=1)
+        theta = new
+    lengths = np.einsum("ni,ni->n", theta, w) - L.h(theta)
+    window = (lengths > T0) & (lengths <= T)
+    assert np.max(step[window]) < 1e-14
+    return box[window], lengths[window]
+
+
+def _assert_reference_records(K1, K2, T0, T, count=None):
+    spec = spectrum.enumerate(K1, K2, T0=T0, T=T)
+    xi, lengths = _fixed_point_records(spectrum.difference_body(K1, K2), T0, T)
+    if count is not None:
+        assert len(spec) == count
+    assert spec.rejects == ()
+    # both lists are in lexicographic xi order once sorted by it
+    order = np.lexsort(spec.xi.T[::-1])
+    assert np.array_equal(spec.xi[order], xi)
+    assert np.max(np.abs(spec.lengths[order] - lengths), initial=0.0) < 1e-11
+
+
+@pytest.mark.parametrize("K1, K2, T, count", [
+    (convex.ellipsoid((6.0, 0.2), (1.3, 0.7)), convex.point((0.0, 0.0)), 30.0, 70),
+    (convex.ellipsoid((6.1, 0.1, -0.1), (1.2, 0.8, 0.6)), convex.ball((0.0, 0.0, 0.0), 0.1),
+     20.0, 163),
+    (convex.ellipsoid((2.0 * math.pi, 0.0), (1.3, 0.7)), convex.point((0.0, 0.0)), 30.0, 68),
+], ids=["ellipse-point", "ellipsoid-ball", "ellipse-on-the-lattice"])
+def test_overlapping_projections_drop_the_classes_that_meet(K1, K2, T, count):
+    # the lift of K2 by 2 pi xi meets K1 for some classes xi: those have no
+    # orthogeodesic, and every other class keeps the distance from 2 pi xi to L
+    _assert_reference_records(K1, K2, 0.0, T, count)
+
+
+def _random_rotation(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_random_disjoint_pairs_match_the_fixed_point_lengths(dim):
+    rng = np.random.default_rng(dim)
+    box = 2.0 * math.pi * spectrum._lattice_box(dim, 1)
+    probe = spectrum._restart_directions(dim)
+    pairs = 0
+    while pairs < 10:
+        axis = rng.normal(size=dim)
+        base = convex.ball(rng.uniform(-math.pi, math.pi, dim), rng.uniform(0.3, 0.8))
+        K1 = convex.harmonic(base, [(2, axis / np.linalg.norm(axis), 0.01)])
+        K2 = convex.ellipsoid(rng.uniform(-math.pi, math.pi, dim), rng.uniform(0.2, 0.6, dim),
+                              rotation=_random_rotation(rng, dim))
+        # disjoint projections: a direction separates 2 pi xi from L for every class
+        L = spectrum.difference_body(K1, K2)
+        if np.min(np.max(box @ probe.T - L.h(probe), axis=1)) > 0.05:
+            # the reference contracts for lengths above r_hi(L)
+            T0 = L.radius_range()[1] + float(rng.choice([0.0, 0.5, 2.0]))
+            _assert_reference_records(K1, K2, T0, 40.0 if dim == 2 else 20.0)
+            pairs += 1
+
+
+def _circle_brute_force(L, T0, T, n=2**18):
+    """{xi: max over n directions of theta.w - h_L(theta)} for the d = 2 classes in (T0, T]."""
+    a = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    P = np.stack([np.cos(a), np.sin(a)], axis=1)
+    hP = L.h(P)
+    box = spectrum._lattice_box(2, int(math.ceil((T + np.max(np.abs(hP))) / (2.0 * math.pi))))
+    best = {}
+    for xi in box:
+        t = float(np.max(P @ (2.0 * math.pi * xi) - hP))
+        if T0 < t <= T:
+            best[tuple(int(c) for c in xi)] = t
+    return best
+
+
+def _assert_brute_force_records(K1, K2, T0, T):
+    # the direction grid misses the maximum by at most (t + r_hi) (pi/n)^2 / 2
+    spec = spectrum.enumerate(K1, K2, T0=T0, T=T)
+    brute = _circle_brute_force(spectrum.difference_body(K1, K2), T0, T)
+    got = dict(zip(map(tuple, spec.xi.tolist()), spec.lengths))
+    assert set(got) == set(brute)
+    assert max(abs(got[xi] - brute[xi]) for xi in got) < 1e-7
+
+
+def test_a_thin_ellipse_converges():
+    # radii from 6.5e-4 to 111: an undamped Newton step cycles on some classes
+    c, s = math.cos(0.89), math.sin(0.89)
+    K1 = convex.ellipsoid((0.13, 0.64), (2.0, 0.036), rotation=np.array([[c, -s], [s, c]]))
+    _assert_brute_force_records(K1, convex.point((0.31, -2.66)), 2.0, 40.0)
+
+
+def test_a_nearly_touching_pair_keeps_its_zero_class():
+    # the lift of K2 by 0 lies 1e-4 from K1, at the end of its major axis, midway
+    # between two restart directions, none of which separates 0 from L; Newton runs
+    # on L less the ball of radius r_lo(L) = 0.508, which they separate by more
+    phi = 2.0 * math.pi * 10.5 / 64.0
+    R = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    K1 = convex.ellipsoid(-(1.2 + 0.3 + 1e-4) * R[:, 0], (1.2, 0.5), rotation=R)
+    K2 = convex.ball((0.0, 0.0), 0.3)
+    spec = spectrum.enumerate(K1, K2, T0=0.0, T=12.0)
+    assert spec.xi[0].tolist() == [0, 0]
+    assert spec.lengths[0] == pytest.approx(1e-4, abs=1e-12)
+    _assert_brute_force_records(K1, K2, 0.0, 12.0)
+
+
+def test_bench_body_pairs_converge_within_8_steps(monkeypatch):
+    rng = np.random.default_rng(1)
+    egg = convex.ellipsoid(rng.uniform(-0.5, 0.5, 3), (0.5, 0.35, 0.25),
+                           rotation=_random_rotation(rng, 3))
+    axes = [rng.normal(size=3) for _ in range(2)]
+    lump = convex.harmonic(convex.ball(rng.uniform(-0.5, 0.5, 3), 0.4),
+                           [(2, axes[0] / np.linalg.norm(axes[0]), 0.03),
+                            (4, axes[1] / np.linalg.norm(axes[1]), 0.008)])
+    monkeypatch.setattr(spectrum, "_NEWTON_MAX", 8)
+    for K1 in (egg, lump):
+        spec = spectrum.enumerate(K1, convex.ball(rng.uniform(-0.5, 0.5, 3), 0.2),
+                                  T0=4.0, T=130.0)
+        assert len(spec) > 30000
 
 
 def test_translation_invariance():
