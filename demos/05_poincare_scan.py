@@ -3,8 +3,10 @@
 For two marked points the series P(s) = sum phase_k exp(-s l_k) extends to
 Re s > 0; its boundary values along s = eps + i y develop power-law peaks
 at y = kappa |xi - beta0| over the dual lattice.  singularity_scan fits the
-peak locations and exponents, and an Ewald-summed closed form provides an
-independent check on the real axis.
+peak locations and exponents.  The dual side, an Ewald-split sum over the
+dual lattice, checks the series at every s with Re s > 0 and reaches the
+boundary itself: at s = 0.01 + 1i, next to the line at y = 1, a head sum
+would need lengths in the thousands.
 """
 
 import numpy as np
@@ -22,12 +24,15 @@ def main() -> None:
     kappa, c3 = zetafns.spectral_constants(3)
     print(f"closed-form spectral constants: kappa = {kappa:.8f}, c3 = {c3:.8f}")
 
-    print("\ndirect series vs Ewald dual sum on the real axis")
-    for s in (0.25, 0.7, 1.4, 2.0):
+    print("\ndirect series vs Ewald dual sum")
+    for s in (0.25, 0.7, 1.4, 2.0, 0.25 + 0.5j, 0.25 + 1.5j):
         direct = zetafns.poincare_eval(model, s)
         dual = zetafns.poincare_points_spectral(x, y, model.spec.beta, s)
         rel = abs(direct - dual) / abs(dual)
-        print(f"  s = {s:.2f}: {direct.real:+.8f}  rel diff {rel:.1e}")
+        print(f"  s = {s:.2f}: {direct:+.8f}  rel diff {rel:.1e}")
+    s = 0.01 + 1j
+    dual = zetafns.poincare_points_spectral(x, y, model.spec.beta, s)
+    print(f"  s = {s:.2f}: {dual:+.8f}  dual sum only, next to the line at y = 1")
 
     print("\nsingularity scan along the boundary")
     fits = zetafns.singularity_scan(model)

@@ -54,13 +54,14 @@ _EPS_FLOOR = 1e-3
 _TAYLOR_TERMS = 16  # with |s delta| <= 1/2 the remainder is e^{1/2} 2^-16 / 16! < 1.2e-18
 _TAIL_REL = 1e-6
 _MASS_TOL = 1e-12
-_CF_FROM = 2.0   # erfcx takes its continued fraction from here on,
-_CF_TERMS = 60   # at a depth that converges to an ulp there
+_EWALD_CUT = 45.0    # the dual sum keeps every term above e^{-45} of its size
+_EWALD_SPAN = 50.0   # its integrals in v = |log(tau / eta)| end at 50
+_EWALD_ETA = 6.0     # its split point eta keeps e^{-tau s^2} below e^6
+_EWALD_KAPPA = 16.0  # int_eta^inf where Re A >= 16 |Im A|, turning <= 36/16 rad per unit v
+_EWALD_TERMS = 2e6   # and it holds at most this many lattice terms, about 250 MB in d = 5
 _J_MAX = 3       # line orders run up to (d-1)/2 + _J_MAX
 _MAX_PEAKS = 16  # peaks refitted by one singularity scan
 _CERTIFY_TOL = 0.05  # a Poisson bound certifies up to this share of its coefficient
-
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 class PoleHit(Exception):
@@ -377,8 +378,8 @@ def twist_suppression(model: ZetaModel) -> TwistReport:
 def poincare_eval(model: ZetaModel, s: complex) -> complex:
     """Head sum of phase * exp(-s length); raises when the tail matters."""
     s = complex(s)
-    if s.real < _EPS_FLOOR:
-        raise ValueError(f"poincare_eval needs Re(s) >= {_EPS_FLOOR}")
+    if not (cmath.isfinite(s) and s.real >= _EPS_FLOOR):
+        raise ValueError(f"poincare_eval needs a finite s with Re(s) >= {_EPS_FLOOR}")
     lengths, phases = model.head()
     value = complex(np.sum(phases * np.exp(-s * lengths)))
     bound = poincare_tail_bound(model, s)
@@ -392,8 +393,8 @@ def poincare_eval(model: ZetaModel, s: complex) -> complex:
 def poincare_tail_bound(model: ZetaModel, s: complex) -> float:
     """integral_T^inf exp(-Re(s) t) rho'(t) dt via incomplete gamma."""
     sig = complex(s).real
-    if sig <= 0:
-        raise ValueError("tail bound needs Re(s) > 0")
+    if not (cmath.isfinite(s) and sig > 0):
+        raise ValueError("tail bound needs a finite s with Re(s) > 0")
     terms = [
         model.rho[k - 1] * math.factorial(k - 1) * sig ** -k * _gammaincc(k, sig * model.T)
         for k in range(1, model.dim + 1)
@@ -401,78 +402,81 @@ def poincare_tail_bound(model: ZetaModel, s: complex) -> float:
     return float(np.sum(terms))
 
 
-def _erfcx(x: np.ndarray) -> np.ndarray:
-    """e^{x^2} erfc(x) for x >= 0, to a few ulps.
-
-    The product itself below _CF_FROM; from there on the continued fraction
-    1 / (sqrt(pi) (x + (1/2) / (x + 1 / (x + (3/2) / (x + ...))))) at a
-    fixed depth, since e^{x^2} loses x^2 ulps and erfc(x) underflows past
-    x = 26.5.
-    """
+def _gammaincc(p: int, x) -> np.ndarray:
+    """Regularized upper incomplete gamma Q(p, x) = e^{-x} sum_{j<p} x^j / j! for p = 1, 2, ..."""
+    if p < 1 or p != round(p):
+        raise ValueError("p must be a positive integer")
     x = np.asarray(x, dtype=float)
-    near = x < _CF_FROM
-    xn = np.where(near, x, 0.0)
-    xf = np.where(near, _CF_FROM, x)
-    f = xf
-    for k in range(_CF_TERMS, 0, -1):
-        f = xf + 0.5 * k / f
-    return np.where(near, np.exp(xn * xn) * _erfc(xn), 1.0 / (math.sqrt(math.pi) * f))
-
-
-def _gammaincc(p: float, x) -> np.ndarray:
-    """Regularized upper incomplete gamma Q(p, x) for p = 1/2, 1, 3/2, ...
-
-    Upward from Q(1, x) = e^{-x} or Q(1/2, x) = erfc(sqrt(x)) by
-    Q(a + 1, x) = Q(a, x) + x^a e^{-x} / Gamma(a + 1), a sum of positive terms.
-    """
-    if p < 0.5 or 2.0 * p != round(2.0 * p):
-        raise ValueError("p must be a positive multiple of 1/2")
-    x = np.asarray(x, dtype=float)
-    ex = np.exp(-x)
-    a = 1.0 if p == round(p) else 0.5
-    q = ex if a == 1.0 else _erfc(np.sqrt(x))
-    while a < p:
-        q = q + x**a * ex / math.gamma(a + 1.0)
-        a += 1.0
+    q = ex = np.exp(-x)
+    for a in range(1, int(p)):
+        q = q + x ** float(a) * ex / math.gamma(a + 1.0)
     return q
 
 
-def _H_theta(a: float, b: np.ndarray) -> np.ndarray:
-    """int_0^1 tau^{-1/2} exp(-a tau - b / tau) dtau for a > 0, b >= 0.
+def _ewald_order(s: complex, rho: float) -> int:
+    """Legendre order of the dual sum at torus distance rho: its peaks are 1/sqrt(|s| rho) wide."""
+    return 96 + 8 * math.ceil(abs(s) * max(1.0, rho / 2.0))
 
-    It equals (1/2) sqrt(pi/a) [erfc(sb - sa) e^{-2 sa sb} - erfc(sa + sb)
-    e^{2 sa sb}] with sa = sqrt(a), sb = sqrt(b).  Each term is taken as
-    erfcx(x) e^{-a} e^{-b}, which neither overflows nor loses the exponent
-    to rounding; only the first term at sb < sa keeps its erfc form, where
-    erfc lies in (1, 2] and e^{(sb - sa)^2} could overflow.
+
+def _exp_sums(c: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j c_j e^{-x_k y_j} for real x, y, in blocks of 2^20, skipping j where all underflow."""
+    live = y * x.min(initial=np.inf) <= 745.0
+    y, c = y[live], np.stack([c[live].real, c[live].imag], axis=1)
+    step = max(1, 2**20 // max(y.size, 1))
+    out = np.concatenate([np.zeros((0, 2))] + [np.exp(-np.outer(x[lo:lo + step], y)) @ c
+                                               for lo in range(0, x.size, step)])
+    return out[:, 0] + 1j * out[:, 1]
+
+
+def _ewald_dual_sum(s: complex, u: np.ndarray, beta0: np.ndarray, dim: int) -> complex:
+    """sum_m e^{i m.u} (s^2 + |m + beta0|^2)^{-(dim+1)/2} for any complex s with Re s > 0.
+
+    Ewald split at tau = eta of A^{-p} = Gamma(p)^{-1} int_0^inf tau^{p-1} e^{-tau A} dtau,
+    A = s^2 + |m + beta0|^2, p = (dim+1)/2, eta = min(1, 6 / -Re s^2); A avoids (-inf, 0],
+    so the principal power continues the real-s sum.  The sum is the lattice terms
+    e^{i m.u} Gamma(p)^{-1} int_eta^inf, or, unless Re A >= max(1/eta, 16 |Im A|), the same
+    as e^{i m.u} (A^{-p} - Gamma(p)^{-1} int_0^eta), entire in A, plus the images
+    pi^{d/2} Gamma(p)^{-1} e^{-i w.beta0} int_0^eta tau^{-1/2} e^{-tau s^2 - b/tau} dtau,
+    w = u - 2 pi n, b = |w|^2 / 4.  Terms are kept while above e^{-45} of e^{-rho Re s}, the
+    sum's size at the torus distance rho of u; the work grows like max(1, |Im s|)^d, and
+    an s that needs more than _EWALD_TERMS lattice terms is a ValueError.
+    Every integral takes tau = eta e^{-v} or eta e^{v} on v in [0, 50], where each
+    exponential steps over an O(1) width, by one Legendre rule of order _ewald_order;
+    twice that order must agree to 1e-9 of the sum of the terms' magnitudes
+    (spherequad.UnderResolved).  Rounding is about 1e-16 of that sum: near machine
+    precision at real s, and up to e^{rho Re s} times that where Im s^2 leaves a term far
+    below A^{-p} to A^{-p} - int_0^eta.
     """
-    sa, sb = math.sqrt(a), np.sqrt(b)
-    x = sb - sa
-    e_ab = np.exp(-a) * np.exp(-b)
-    first = np.where(
-        x < 0.0,
-        _erfc(np.minimum(x, 0.0)) * np.exp(-2.0 * sa * sb),
-        _erfcx(np.maximum(x, 0.0)) * e_ab,
-    )
-    return 0.5 * math.sqrt(math.pi / a) * (first - _erfcx(sa + sb) * e_ab)
-
-
-def _ewald_dual_sum(s: float, u: np.ndarray, beta0: np.ndarray, dim: int) -> complex:
-    """sum_m e^{i m.u} (s^2 + |m + beta0|^2)^{-(dim+1)/2}, s real > 0.
-
-    Ewald split: incomplete-gamma lattice part plus theta-transformed image
-    part with an erfcx-stable kernel; both truncations superexponential.
-    """
-    p = (dim + 1) / 2.0
-    m = spectrum._lattice_box(dim, 8)
-    A = s**2 + np.sum((m + beta0) ** 2, axis=1)
-    lattice = np.sum(np.exp(1j * (m @ u)) * A ** (-p) * _gammaincc(p, A))
-    n = spectrum._lattice_box(dim, 4)
-    w = u - 2.0 * math.pi * n
-    b = np.sum(w**2, axis=1) / 4.0
-    phases = np.exp(-1j * (w @ beta0))
-    images = math.pi ** (dim / 2.0) / math.gamma(p) * np.sum(phases * _H_theta(s**2, b))
-    return complex(lattice + images)
+    s, s2, p = complex(s), complex(s) ** 2, (dim + 1) / 2.0
+    eta = _EWALD_ETA / max(_EWALD_ETA, -s2.real)
+    rho = float(np.linalg.norm(u - 2.0 * math.pi * np.round(u / (2.0 * math.pi))))
+    cut = _EWALD_CUT + rho * s.real
+    n, dist = _dual_points(u / (2.0 * math.pi),
+                           math.sqrt(eta * cut + eta**2 * max(0.0, -s2.real)) / math.pi)
+    reach = math.sqrt(max(cut / eta - s2.real, 0.0))
+    if math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * reach**dim > _EWALD_TERMS:
+        raise ValueError(f"the dual sum at s = {s} needs more than {_EWALD_TERMS:.0e} terms")
+    m, norm = _dual_points(-beta0, reach)
+    r = s2.real + norm**2  # Re A; every Im A is Im s^2
+    up = r >= max(1.0 / eta, _EWALD_KAPPA * abs(s2.imag))
+    phase = np.exp(1j * (m @ u)) / math.gamma(p)
+    images = math.pi ** (dim / 2.0) * np.exp(-1j * ((u - 2.0 * math.pi * n) @ beta0))
+    order = _ewald_order(s, rho)
+    sums = []
+    for k in (order, 2 * order):
+        x, wt = spherequad._gauss_gegenbauer(k, 0.5)
+        t = eta * np.exp(-0.5 * _EWALD_SPAN * (x + 1.0))  # tau = eta e^{-v}, v = 25 (x + 1)
+        T, wt = eta**2 / t, 0.5 * _EWALD_SPAN * wt         # and eta e^{v}
+        terms = np.concatenate([
+            phase[~up] * math.gamma(p) * (r[~up] + 1j * s2.imag) ** -p,
+            -phase[~up] * _exp_sums(wt * t**p * np.exp(-1j * s2.imag * t), t, r[~up]),
+            phase[up] * _exp_sums(wt * T**p * np.exp(-1j * s2.imag * T), T, r[up]),
+            images / math.gamma(p)
+            * _exp_sums(wt * np.sqrt(t) * np.exp(-s2 * t), 1 / t, (math.pi * dist)**2)])
+        sums.append((np.sum(terms), np.sum(np.abs(terms))))
+    (v1, _), (v2, scale) = sums
+    spherequad._doubling_error(v1, v2, f"dual sum doubling {order}->{2 * order}", scale)
+    return complex(v2)
 
 
 def spectral_constants(dim: int) -> tuple:
@@ -505,12 +509,14 @@ def poincare_points_spectral(
     x,
     y,
     beta: spectrum.TwistForm,
-    s: float,
+    s: complex,
 ) -> complex:
-    """Dual-lattice form of the two-point Poincare series, for real s > 0.
+    """Dual-lattice form of the two-point Poincare series, for every finite s with Re s > 0.
 
     c_d e^{i(f(y)-f(x))} s sum_xi e^{i xi.(x-y)} (s^2 + |xi+beta0|^2)^{-(d+1)/2},
-    the full sum evaluated by an Ewald split, exact to near machine precision.
+    the full sum by the Ewald split of _ewald_dual_sum, next to the lines
+    s = i|xi + beta0| too, where the head sum of poincare_eval converges slowest;
+    an |Im s| beyond the sum's term budget is a ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -521,9 +527,9 @@ def poincare_points_spectral(
     fphase = _f_phase(beta, x, y)
     _, c_d = spectral_constants(d)
     s = complex(s)
-    if abs(s.imag) > 0 or s.real <= 0:
-        raise ValueError("the exact Ewald path needs real s > 0")
-    dual = _ewald_dual_sum(s.real, u, beta.beta0, d)
+    if not (cmath.isfinite(s) and s.real > 0):
+        raise ValueError("the dual sum needs a finite s with Re(s) > 0")
+    dual = _ewald_dual_sum(s, u, beta.beta0, d)
     return complex(fphase * c_d * s * dual)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import functools
 import itertools
@@ -347,12 +348,30 @@ def test_poincare_eval_tail_guard(model3):
         zetafns.poincare_eval(model3, 1e-4)
 
 
-def test_poincare_points_spectral_needs_real_positive_s():
+def test_poincare_points_spectral_takes_complex_s():
     x = np.zeros(3)
     y = np.array([0.9, 0.4, -1.1])
-    for s in (0.5 + 0.4j, 0.0, -0.7):
-        with pytest.raises(ValueError):
+    assert cmath.isfinite(zetafns.poincare_points_spectral(x, y, ZERO3, 0.5 + 0.4j))
+    for s in (0.0, -0.7, 1.5j, -0.2 + 1.0j, math.nan, math.inf, complex(0.5, math.inf),
+              complex(math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite s with Re"):
             zetafns.poincare_points_spectral(x, y, ZERO3, s)
+
+
+def test_poincare_points_spectral_refuses_an_s_beyond_its_term_budget():
+    # at s = 0.2 + 60i in d = 3 the lattice part would hold about 2e7 terms
+    with pytest.raises(ValueError, match=r"needs more than 2e\+06 terms"):
+        zetafns.poincare_points_spectral(np.zeros(3), np.array([0.9, 0.4, -1.1]), ZERO3,
+                                         0.2 + 60j)
+
+
+def test_poincare_eval_refuses_a_non_finite_s(model3):
+    # nan once slipped past the Re(s) floor into a TailDominates with a nan bound
+    for s in (math.nan, math.inf, complex(0.5, math.nan), complex(0.5, math.inf)):
+        with pytest.raises(ValueError, match="finite s"):
+            zetafns.poincare_eval(model3, s)
+        with pytest.raises(ValueError, match="finite s"):
+            zetafns.poincare_tail_bound(model3, s)
 
 
 def test_poincare_points_rejects_equal_points():
@@ -361,40 +380,220 @@ def test_poincare_points_rejects_equal_points():
         zetafns.poincare_points_spectral(x, x + 2.0 * math.pi, ZERO3, 0.5)
 
 
-def test_ewald_kernel_matches_a_40_digit_oracle():
-    # _H_theta(a, b) = (1/2) sqrt(pi/a) [erfc(sb - sa) e^{-2 sa sb}
-    # - erfc(sa + sb) e^{2 sa sb}]; the grid reaches sa + sb > 27, where
-    # erfc underflows, and s >= 16, where e^{2 sa sb} overflows
-    s_grid = np.concatenate([np.geomspace(0.05, 20.0, 24), [16.0, 26.0, 40.0]])
-    b = np.concatenate([[0.0, 1e-9], np.geomspace(1e-4, 2000.0, 40), [290.0, 720.0]])
-    with mp.workdps(40):
-        for s in s_grid:
-            got = zetafns._H_theta(s * s, b)
-            sa = mp.mpf(s)
-            for bi, gi in zip(b, got):
-                sb = mp.sqrt(mp.mpf(bi))
-                want = float(mp.sqrt(mp.pi) / (2 * sa) * (
-                    mp.erfc(sb - sa) * mp.exp(-2 * sa * sb)
-                    - mp.erfc(sa + sb) * mp.exp(2 * sa * sb)))
-                if want > 1e-300:
-                    assert abs(gi / want - 1.0) <= 1e-13, (s, bi)
-                else:
-                    assert abs(gi - want) <= 1e-300, (s, bi)
-        x = np.linspace(0.0, 50.0, 251)
-        want = [float(mp.exp(mp.mpf(v) ** 2) * mp.erfc(mp.mpf(v))) for v in x]
-        assert np.max(np.abs(zetafns._erfcx(x) / want - 1.0)) <= 2e-15
+EWALD_DIRECTIONS = {2: np.array([0.6, 0.8]), 3: np.array([2.0, 3.0, 6.0]) / 7.0}
+EWALD_TWISTS = {2: np.array([0.3, 0.1]), 3: np.array([0.3, 0.1, 0.45])}
+# sum_m e^{i m.u} (s^2 + |m + beta0|^2)^{-(d+1)/2} at 40 digits by the closed-form
+# Ewald split (tests/oracles/oracle_ewald.py), keyed (d, twisted, torus distance, s),
+# u = distance * EWALD_DIRECTIONS[d], beta0 = EWALD_TWISTS[d] when twisted
+EWALD_DUAL = {
+    (2, False, 2.0, 0.05): complex(8000.2344094736954, 1.4599968827483065e-41),
+    (2, False, 2.0, 0.2): complex(125.20571925778778, -2.0477909226153874e-42),
+    (2, False, 2.0, 1.0): complex(0.94400139867609218, 1.2163527141295665e-43),
+    (2, False, 2.0, 4.0): complex(0.00052695061067628436, 4.1279702057106632e-50),
+    (2, False, 2.0, 16.0): complex(4.973206181609898e-15, 0.0),
+    (2, False, 2.0, 40.0): complex(2.8350539304382444e-36, 0.0),
+    (2, False, 2.0, (0.2+1.7j)): complex(-1.8345764047923757, 2.1235015432224826),
+    (2, False, 2.0, (1+3.2j)): complex(0.047526719257178544, -0.23089567817394981),
+    (2, False, 0.3, 0.05): complex(8007.2180099462773, -1.3668700227776069e-42),
+    (2, False, 0.3, 0.2): complex(131.95441726610286, 2.3631330578547744e-42),
+    (2, False, 0.3, 1.0): complex(4.7061977561533786, 4.2582542592499397e-43),
+    (2, False, 0.3, 4.0): complex(0.47311476182782363, -1.9558480866043701e-51),
+    (2, False, 0.3, 16.0): complex(0.0032318141087629509, 0.0),
+    (2, False, 0.3, 40.0): complex(9.6513061956557837e-7, 0.0),
+    (2, False, 0.3, (0.2+1.7j)): complex(1.2560824091796813, 0.3842006067070254),
+    (2, False, 0.3, (1+3.2j)): complex(-0.85640739467554435, -1.1063082205371731),
+    (2, False, 0.001, 0.05): complex(8009.0083027034815, 1.17794769638213e-45),
+    (2, False, 0.001, 0.2): complex(133.73463138850771, -4.4864491481939949e-45),
+    (2, False, 0.001, 1.0): complex(6.3274443873301559, -5.7187583963217996e-46),
+    (2, False, 0.001, 4.0): complex(1.5645256911963282, 5.6977542869771636e-54),
+    (2, False, 0.001, 16.0): complex(0.38646589486033686, 0.0),
+    (2, False, 0.001, 40.0): complex(0.15092045218437981, 0.0),
+    (2, False, 0.001, (0.2+1.7j)): complex(3.2186274898519019, 0.14881180403974295),
+    (2, False, 0.001, (1+3.2j)): complex(0.54112865461166005, -1.7958647409739216),
+    (2, False, 2e-09, 0.05): complex(8009.0145848927046, -2.4001036571867432e-50),
+    (2, False, 2e-09, 0.2): complex(133.74091345438907, 2.9061947676366874e-51),
+    (2, False, 2e-09, 1.0): complex(6.3337244088581972, 5.7961654718615628e-52),
+    (2, False, 2e-09, 4.0): complex(1.5707963143049417, 6.2925217449378335e-59),
+    (2, False, 2e-09, 16.0): complex(0.39269906913235374, 0.0),
+    (2, False, 2e-09, 40.0): complex(0.15707962011311955, 0.0),
+    (2, False, 2e-09, (0.2+1.7j)): complex(3.2249124728928962, 0.14880891620786879),
+    (2, False, 2e-09, (1+3.2j)): complex(0.54740863848165068, -1.7958747869007113),
+    (2, True, 2.0, 0.05): complex(30.982693395506843, -2.7352539964618429),
+    (2, True, 2.0, 0.2): complex(19.512469489148681, -2.4353787387860017),
+    (2, True, 2.0, 1.0): complex(0.78997766655199832, -0.38606438083441178),
+    (2, True, 2.0, 4.0): complex(0.00045729806152443607, -0.00026182621107606697),
+    (2, True, 2.0, 16.0): complex(4.3158437088925193e-15, -2.4710873730436496e-15),
+    (2, True, 2.0, 40.0): complex(2.4603141762548144e-36, -1.4086819877505824e-36),
+    (2, True, 2.0, (0.2+1.7j)): complex(-1.0870144216920234, 5.2152163420066028),
+    (2, True, 2.0, (1+3.2j)): complex(-0.097677974932984283, -0.220340032095417),
+    (2, True, 0.3, 0.05): complex(39.008928930088844, -1.0175341080373752),
+    (2, True, 0.3, 0.2): complex(27.165704942073053, -0.94550779919043048),
+    (2, True, 0.3, 1.0): complex(4.6522801519566305, -0.35600235402443431),
+    (2, True, 0.3, 4.0): complex(0.47167627618758144, -0.036865543152978859),
+    (2, True, 0.3, 16.0): complex(0.003221987913640875, -0.00025182596758751435),
+    (2, True, 0.3, 40.0): complex(9.6219618043418557e-7, -7.5203877432625564e-8),
+    (2, True, 0.3, (0.2+1.7j)): complex(-1.6832724059800521, -3.8369806365850026),
+    (2, True, 0.3, (1+3.2j)): complex(-0.92612602852686742, -1.0301274390383896),
+    (2, True, 0.001, 0.05): complex(40.847784105126344, -0.0038643961751144674),
+    (2, True, 0.001, 0.2): complex(28.990179889649318, -0.003620897054740236),
+    (2, True, 0.001, 1.0): complex(6.2877324469941349, -0.0016096002472906989),
+    (2, True, 0.001, 4.0): complex(1.5645256382580472, -0.00040677667495405301),
+    (2, True, 0.001, 16.0): complex(0.38646588179778969, -0.00010048113153160015),
+    (2, True, 0.001, 40.0): complex(0.15092044708326856, -3.9239317125842439e-5),
+    (2, True, 0.001, (0.2+1.7j)): complex(0.97967636624505926, -3.8002921171864395),
+    (2, True, 0.001, (1+3.2j)): complex(0.54947013750164046, -1.7912154249685613),
+    (2, True, 2e-09, 0.05): complex(40.854066895368265, -7.7320592580500347e-9),
+    (2, True, 2e-09, 0.2): complex(28.996462508300434, -7.2450609354939151e-9),
+    (2, True, 2e-09, 1.0): complex(6.2940126812829141, -3.2224661464452934e-9),
+    (2, True, 2e-09, 4.0): complex(1.5707963142476288, -8.1681408309062e-10),
+    (2, True, 2e-09, 16.0): complex(0.39269906913235374, -2.0420351594882395e-10),
+    (2, True, 2e-09, 40.0): complex(0.15707962011311955, -8.1681402458822169e-11),
+    (2, True, 2e-09, (0.2+1.7j)): complex(0.98869492110635833, -3.7976224049539756),
+    (2, True, 2e-09, (1+3.2j)): complex(0.55619273095669986, -1.7910893105075141),
+    (3, False, 2.0, 0.05): complex(160002.5765379014, 2.1691585952503937e-42),
+    (3, False, 2.0, 0.2): complex(627.38151273784774, -1.4728143864381669e-41),
+    (3, False, 2.0, 1.0): complex(1.5299012756524444, -1.3166596358329636e-42),
+    (3, False, 2.0, 4.0): complex(0.00082773926135971507, 8.199511811653018e-50),
+    (3, False, 2.0, 16.0): complex(7.8118940024665208e-15, 0.0),
+    (3, False, 2.0, 40.0): complex(4.4532923001978564e-36, 0.0),
+    (3, False, 2.0, (0.2+1.7j)): complex(0.49310551650951416, 3.6116989974989624),
+    (3, False, 2.0, (1+3.2j)): complex(0.061021389842458057, -0.38711817408685326),
+    (3, False, 0.3, 0.05): complex(160013.6643152505, 3.6928086882488325e-42),
+    (3, False, 0.3, 0.2): complex(638.08221863136203, 9.6295844519411086e-43),
+    (3, False, 0.3, 1.0): complex(7.441831790382379, 2.1920929485002331e-43),
+    (3, False, 0.3, 4.0): complex(0.74316693009021943, -1.5703302623231146e-51),
+    (3, False, 0.3, 16.0): complex(0.0050765217309287674, 0.0),
+    (3, False, 0.3, 40.0): complex(1.5160236320908945e-6, 0.0),
+    (3, False, 0.3, (0.2+1.7j)): complex(-0.31142177201690785, -2.6981640775358786),
+    (3, False, 0.3, (1+3.2j)): complex(-1.3549752043467385, -1.7406613135055648),
+    (3, False, 0.001, 0.05): complex(160016.48056806828, -1.5423449020245807e-44),
+    (3, False, 0.001, 0.2): complex(640.88206473511011, 1.4170169482824146e-44),
+    (3, False, 0.001, 1.0): complex(9.9886408216688324, 1.2147694532234172e-45),
+    (3, False, 0.001, 4.0): complex(2.4575512089674612, -2.0832589489673751e-53),
+    (3, False, 0.001, 16.0): complex(0.60705920807811986, 0.0),
+    (3, False, 0.001, 40.0): complex(0.23706529192944864, 0.0),
+    (3, False, 0.001, (0.2+1.7j)): complex(2.4930161057475234, -3.2813237132468501),
+    (3, False, 0.001, (1+3.2j)): complex(0.84053080291580315, -2.8236533309165062),
+    (3, False, 2e-09, 0.05): complex(160016.49043615359, -5.5926378080162754e-51),
+    (3, False, 2e-09, 0.2): complex(640.89193262023971, -1.66695332902234e-50),
+    (3, False, 2e-09, 1.0): complex(9.9985054582274049, 3.8542633453517515e-51),
+    (3, False, 2e-09, 4.0): complex(2.4674010807131864, -8.6296717391392556e-59),
+    (3, False, 2e-09, 16.0): complex(0.61685025532887643, 0.0),
+    (3, False, 2e-09, 40.0): complex(0.24674009028802595, 0.0),
+    (3, False, 2e-09, (0.2+1.7j)): complex(2.5028853896365103, -3.2813306676298259),
+    (3, False, 2e-09, (1+3.2j)): complex(0.85039538137878605, -2.8236691089719181),
+    (3, True, 2.0, 0.05): complex(10.979548444624735, -9.1907670079162127),
+    (3, True, 2.0, 0.2): complex(8.7904714522441457, -7.9320152381107878),
+    (3, True, 2.0, 1.0): complex(0.69439667422041363, -1.0508849005831713),
+    (3, True, 2.0, 4.0): complex(0.00042713582132976794, -0.00070897726317056568),
+    (3, True, 2.0, 16.0): complex(4.0312734672408791e-15, -6.6913766997600799e-15),
+    (3, True, 2.0, 40.0): complex(2.2980904612872928e-36, -3.8145238946350661e-36),
+    (3, True, 2.0, (0.2+1.7j)): complex(1.5828674116580314, 1.436523905971419),
+    (3, True, 2.0, (1+3.2j)): complex(-0.2992043925343289, -0.31239930679424771),
+    (3, True, 0.3, 0.05): complex(29.79196163844756, -3.7692924251869686),
+    (3, True, 0.3, 0.2): complex(26.000525719300346, -3.4079883641918558),
+    (3, True, 0.3, 1.0): complex(7.2049769631847737, -1.1120438978984886),
+    (3, True, 0.3, 4.0): complex(0.73433925876898118, -0.11420568549155474),
+    (3, True, 0.3, 16.0): complex(0.0050162205224939458, -0.00078013111353321487),
+    (3, True, 0.3, 40.0): complex(1.4980156215127337e-6, -2.3297392721479787e-7),
+    (3, True, 0.3, (0.2+1.7j)): complex(-4.5061241841971535, -8.6064579101055315),
+    (3, True, 0.3, (1+3.2j)): complex(-1.571885471692787, -1.4980148131993643),
+    (3, True, 0.001, 0.05): complex(32.963794969088824, -0.014094511676237102),
+    (3, True, 0.001, 0.2): complex(29.115718636000073, -0.012870999271959891),
+    (3, True, 0.001, 1.0): complex(9.8395345892513053, -0.0050323333490272655),
+    (3, True, 0.001, 4.0): complex(2.4575508837617307, -0.0012638834228876943),
+    (3, True, 0.001, 16.0): complex(0.6070591277976386, -0.00031220186467780758),
+    (3, True, 0.001, 40.0): complex(0.23706526057877399, -0.00012191928761788645),
+    (3, True, 0.001, (0.2+1.7j)): complex(0.2054598883525386, -10.07391968930934),
+    (3, True, 0.001, (1+3.2j)): complex(0.87100334723109233, -2.8084672158247648),
+    (3, True, 2e-09, 0.05): complex(32.97366739213319, -2.8199175333498364e-8),
+    (3, True, 2e-09, 0.2): complex(29.12559040749389, -2.5752150079217243e-8),
+    (3, True, 2e-09, 1.0): complex(9.8494005396789321, -1.0074813646855799e-8),
+    (3, True, 2e-09, 4.0): complex(2.4674010805060582, -2.5378982538562287e-9),
+    (3, True, 2e-09, 16.0): complex(0.61685025532887643, -6.3447454833827293e-10),
+    (3, True, 2e-09, 40.0): complex(0.24674009028802595, -2.5378980715339814e-10),
+    (3, True, 2e-09, (0.2+1.7j)): complex(0.22283036431124969, -10.073493226929829),
+    (3, True, 2e-09, (1+3.2j)): complex(0.88228445621987256, -2.8080446925873614),
+}
+
+
+@pytest.mark.parametrize("d,twisted", [(2, False), (2, True), (3, False), (3, True)])
+def test_ewald_dual_sum_matches_a_40_digit_oracle(d, twisted):
+    # down to the near pair at 2e-9, out to s = 40 (a sum of about 1e-36) and off the axis
+    beta0 = EWALD_TWISTS[d] if twisted else np.zeros(d)
+    for (dim, tw, dist, s), want in EWALD_DUAL.items():
+        if (dim, tw) == (d, twisted):
+            got = zetafns._ewald_dual_sum(s, dist * EWALD_DIRECTIONS[d], beta0, d)
+            assert abs(got - want) <= 1e-12 * abs(want), (dist, s)
+
+
+def test_dual_sum_doubling_is_checked_against_its_terms(monkeypatch):
+    # a far pair at s = 40 sums to about 1e-36, where an absolute floor of 1e-12
+    # would pass any order doubling; the check reads the terms' own magnitudes
+    monkeypatch.setattr(zetafns, "_ewald_order", lambda s, rho: 24)
+    with pytest.raises(spherequad.UnderResolved, match="dual sum doubling 24->48") as err:
+        zetafns._ewald_dual_sum(40.0, 2.0 * EWALD_DIRECTIONS[3], np.zeros(3), 3)
+    assert float(re.search(r"moved the value by (\S+)", str(err.value)).group(1)) < 1e-12
+
+
+def _point_pair_head(x, y, beta0, s_grid, T):
+    """sum of e^{-i beta0.w} e^{-s |w|} over w = x - y + 2 pi k with |w| <= T, at each s.
+
+    The twist's phase convention is pinned against spectrum.enumerate below.
+    """
+    u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    reach = int((T + np.linalg.norm(u)) / (2.0 * math.pi)) + 1
+    w = np.concatenate([w[np.linalg.norm(w, axis=1) <= T] for w in (
+        u + 2.0 * math.pi * k for k in spectrum._lattice_slabs(u.size, reach))])
+    lengths = np.linalg.norm(w, axis=1)
+    phases = np.exp(-1j * (w @ np.asarray(beta0, dtype=float)))
+    return np.array([np.exp(-s * lengths) @ phases for s in s_grid])
+
+
+def test_point_pair_head_reads_the_spectrum_phases():
+    x, y, beta0 = np.zeros(2), np.array([0.9, 0.4]), EWALD_TWISTS[2]
+    spec = spectrum.enumerate(convex.point(x), convex.point(y), T0=0.0, T=30.0,
+                              beta=spectrum.TwistForm(beta0))
+    s = np.array([0.7 + 0.3j, 1.5])
+    want = np.exp(-np.outer(s, spec.lengths)) @ spec.phases
+    assert np.max(np.abs(_point_pair_head(x, y, beta0, s, 30.0) - want)) < 1e-14
+
+
+@pytest.mark.parametrize("d,twisted", [(2, False), (2, True), (3, False), (3, True)])
+def test_poincare_points_spectral_meets_a_long_head_on_the_default_grid(d, twisted):
+    # the 33 s of the poincare subcommand, crossing the lines; a head to T = 200
+    # (d = 2) or 240 (d = 3) leaves a tail below 1e-15 at Re s = 0.2
+    x, y = np.zeros(d), np.array([0.9, 0.4, -1.1])[:d]
+    beta0 = EWALD_TWISTS[d] if twisted else np.zeros(d)
+    s_grid = np.array([complex(0.2, t) for t in np.linspace(0.0, 3.2, 33)])
+    head = _point_pair_head(x, y, beta0, s_grid, 200.0 if d == 2 else 240.0)
+    dual = np.array([zetafns.poincare_points_spectral(x, y, spectrum.TwistForm(beta0), s)
+                     for s in s_grid])
+    assert np.max(np.abs(dual - head) / np.abs(head)) <= 1e-11
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_poincare_points_spectral_meets_a_long_head_in_d5(twisted):
+    x = np.zeros(5)
+    y = np.array([0.9, 0.4, -1.1, 0.3, -0.6])
+    beta0 = np.array([0.3, 0.1, 0.45, -0.2, 0.37]) if twisted else np.zeros(5)
+    s_grid = np.array([1.0, 1.0 + 1.6j, 1.0 + 3.2j])
+    head = _point_pair_head(x, y, beta0, s_grid, 45.0)  # tail below 1e-15 at Re s = 1
+    dual = np.array([zetafns.poincare_points_spectral(x, y, spectrum.TwistForm(beta0), s)
+                     for s in s_grid])
+    assert np.max(np.abs(dual - head) / np.abs(head)) <= 1e-11
 
 
 def test_gammaincc_matches_a_40_digit_oracle():
-    # the regularized Q(p, x) of the Ewald lattice sum (p = (d+1)/2) and of
-    # the Poincare tail bound (integer p)
+    # the regularized Q(p, x) of the Poincare tail bound, integer p only
     x = np.geomspace(1e-3, 300.0, 121)
     with mp.workdps(40):
-        for p in (1.0, 1.5, 2.0, 2.5, 3.0):
+        for p in (1, 2, 3, 4, 5):
             want = [float(mp.gammainc(p, mp.mpf(v), mp.inf, regularized=True)) for v in x]
             assert np.max(np.abs(zetafns._gammaincc(p, x) / want - 1.0)) <= 2e-15, p
-    with pytest.raises(ValueError):
-        zetafns._gammaincc(1.3, x)
+    for p in (0, 1.3, 1.5, 2.5):
+        with pytest.raises(ValueError):
+            zetafns._gammaincc(p, x)
 
 
 def test_spectral_constants_match_the_flat_closed_form():
