@@ -4,7 +4,7 @@ For two marked points the series P(s) = sum phase_k exp(-s l_k) extends to
 Re s > 0; its boundary values along s = eps + i y develop power-law peaks
 at y = kappa |xi - beta0| over the dual lattice.  singularity_scan fits the
 peak locations and exponents.  The dual side, an Ewald-split sum over the
-dual lattice, checks the series at every s with Re s > 0 and reaches the
+dual lattice, checks the series off the real axis too and reaches the
 boundary itself: at s = 0.01 + 1i, next to the line at y = 1, a head sum
 would need lengths in the thousands.
 """

@@ -459,8 +459,7 @@ def _cmd_poincare(cfg, built, out, workers, log):
         x = zetafns._point_location(k1)
         y = zetafns._point_location(k2)
         if not zetafns._same_torus_point(x, y):
-            # one row per real s, the layout bench/workloads.py checks; the dual
-            # sum itself takes every s with Re s > 0
+            # real s only: bench/workloads.py checks one row per real s
             real = (s_grid.real > 0) & (s_grid.imag == 0.0)
             series = values[real]
             dual = np.array([zetafns.poincare_points_spectral(x, y, beta, s)

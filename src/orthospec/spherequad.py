@@ -410,11 +410,10 @@ def _polar_rung(n: int) -> int:
     return next(b * scale for b in _RUNGS if b * scale >= n)
 
 
-def _doubling_error(v1: complex, v2: complex, what: str, scale: Optional[float] = None) -> float:
-    """|v2 - v1| for v2 at twice the order of v1; UnderResolved unless within 1e-9 |v2| + 1e-12,
-    or within 1e-9 scale when the caller gives the sum of its terms' magnitudes."""
+def _doubling_error(v1: complex, v2: complex, what: str) -> float:
+    """|v2 - v1| for v2 at twice the order of v1; UnderResolved unless within 1e-9 |v2| + 1e-12."""
     err = abs(v2 - v1)
-    if not err <= (1e-9 * abs(v2) + 1e-12 if scale is None else 1e-9 * scale):
+    if not err <= 1e-9 * abs(v2) + 1e-12:
         raise UnderResolved(f"{what} moved the value by {err:.3e} (value {abs(v2):.3e})")
     return err
 

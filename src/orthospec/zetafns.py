@@ -54,11 +54,11 @@ _EPS_FLOOR = 1e-3
 _TAYLOR_TERMS = 16  # with |s delta| <= 1/2 the remainder is e^{1/2} 2^-16 / 16! < 1.2e-18
 _TAIL_REL = 1e-6
 _MASS_TOL = 1e-12
-_EWALD_CUT = 45.0    # the dual sum keeps every term above e^{-45} of its size
-_EWALD_SPAN = 50.0   # its integrals in v = |log(tau / eta)| end at 50
-_EWALD_ETA = 6.0     # its split point eta keeps e^{-tau s^2} below e^6
-_EWALD_KAPPA = 16.0  # int_eta^inf where Re A >= 16 |Im A|, turning <= 36/16 rad per unit v
-_EWALD_TERMS = 2e6   # and it holds at most this many lattice terms, about 250 MB in d = 5
+_EWALD_CUT = 45.0    # the dual sum keeps every term above e^{-45} of its size,
+_EWALD_ETA = 6.0     # splits at an eta that keeps e^{-tau s^2} below e^6,
+_EWALD_KAPPA = 16.0  # takes int_eta^inf where Re A >= 4/eta, 16 |Im A| (<= 36/16 rad per v),
+_EWALD_TERMS = 2e6   # holds at most this many lattice terms (about 250 MB in d = 5)
+_EWALD_LOSS = 1e7    # and refuses an s whose terms' magnitudes sum to more times |sum|
 _J_MAX = 3       # line orders run up to (d-1)/2 + _J_MAX
 _MAX_PEAKS = 16  # peaks refitted by one singularity scan
 _CERTIFY_TOL = 0.05  # a Poisson bound certifies up to this share of its coefficient
@@ -418,34 +418,33 @@ def _ewald_order(s: complex, rho: float) -> int:
     return 96 + 8 * math.ceil(abs(s) * max(1.0, rho / 2.0))
 
 
-def _exp_sums(c: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j c_j e^{-x_k y_j} for real x, y, in blocks of 2^20, skipping j where all underflow."""
+def _exp_sums(a: np.ndarray, c: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[sum_kj a_k c_j e^{-x_k y_j}, sum_kj |a_k c_j| e^{-x_k y_j}] for real x, y, in blocks
+    of 2^20 terms, skipping the j where every term underflows."""
     live = y * x.min(initial=np.inf) <= 745.0
-    y, c = y[live], np.stack([c[live].real, c[live].imag], axis=1)
-    step = max(1, 2**20 // max(y.size, 1))
-    out = np.concatenate([np.zeros((0, 2))] + [np.exp(-np.outer(x[lo:lo + step], y)) @ c
-                                               for lo in range(0, x.size, step)])
-    return out[:, 0] + 1j * out[:, 1]
+    y, c = y[live], np.stack([c[live].real, c[live].imag, np.abs(c[live])], axis=1)
+    step, out = max(1, 2**20 // max(y.size, 1)), np.zeros(2, complex)
+    for lo in range(0, x.size, step):
+        ec = np.exp(-np.outer(x[lo:lo + step], y)) @ c
+        out += [a[lo:lo + step] @ (ec[:, 0] + 1j * ec[:, 1]), np.abs(a[lo:lo + step]) @ ec[:, 2]]
+    return out
 
 
 def _ewald_dual_sum(s: complex, u: np.ndarray, beta0: np.ndarray, dim: int) -> complex:
-    """sum_m e^{i m.u} (s^2 + |m + beta0|^2)^{-(dim+1)/2} for any complex s with Re s > 0.
+    """sum_m e^{i m.u} A^{-p}, A = s^2 + |m + beta0|^2, p = (dim+1)/2, at complex s, Re s > 0.
 
-    Ewald split at tau = eta of A^{-p} = Gamma(p)^{-1} int_0^inf tau^{p-1} e^{-tau A} dtau,
-    A = s^2 + |m + beta0|^2, p = (dim+1)/2, eta = min(1, 6 / -Re s^2); A avoids (-inf, 0],
-    so the principal power continues the real-s sum.  The sum is the lattice terms
-    e^{i m.u} Gamma(p)^{-1} int_eta^inf, or, unless Re A >= max(1/eta, 16 |Im A|), the same
-    as e^{i m.u} (A^{-p} - Gamma(p)^{-1} int_0^eta), entire in A, plus the images
-    pi^{d/2} Gamma(p)^{-1} e^{-i w.beta0} int_0^eta tau^{-1/2} e^{-tau s^2 - b/tau} dtau,
-    w = u - 2 pi n, b = |w|^2 / 4.  Terms are kept while above e^{-45} of e^{-rho Re s}, the
-    sum's size at the torus distance rho of u; the work grows like max(1, |Im s|)^d, and
-    an s that needs more than _EWALD_TERMS lattice terms is a ValueError.
-    Every integral takes tau = eta e^{-v} or eta e^{v} on v in [0, 50], where each
-    exponential steps over an O(1) width, by one Legendre rule of order _ewald_order;
-    twice that order must agree to 1e-9 of the sum of the terms' magnitudes
-    (spherequad.UnderResolved).  Rounding is about 1e-16 of that sum: near machine
-    precision at real s, and up to e^{rho Re s} times that where Im s^2 leaves a term far
-    below A^{-p} to A^{-p} - int_0^eta.
+    Ewald split at tau = eta = min(1, 6 / -Re s^2) of A^{-p} Gamma(p) = int_0^inf
+    tau^{p-1} e^{-tau A} dtau (A avoids (-inf, 0]): the lattice terms int_eta^inf where
+    Re A >= max(4/eta, 16 |Im A|), else A^{-p} Gamma(p) - int_0^eta, plus the images
+    pi^{d/2} e^{-i w.beta0} int_0^eta tau^{-1/2} e^{-tau s^2 - |w|^2 / (4 tau)} dtau,
+    w = u - 2 pi n, all over Gamma(p).  Terms above e^{-45} e^{-rho Re s}, the sum's size at
+    the torus distance rho of u, are kept; more than _EWALD_TERMS is a ValueError.  Every
+    integral is in v = |log(tau / eta)| on [0, 50], by one Legendre rule of order
+    _ewald_order; twice that order must agree to 1e-9 |sum| + 1e-12 M, M the sum of the
+    magnitudes of A^{-p} and of the integrands (spherequad.UnderResolved).  Rounding is
+    about 1e-16 M, so an s with M > _EWALD_LOSS |sum| is a ValueError: a far pair at
+    |Im s| >~ Re s >~ 2, whose sum is e^{-rho Re s} but whose terms are not, or a sum
+    that is 0 by symmetry.
     """
     s, s2, p = complex(s), complex(s) ** 2, (dim + 1) / 2.0
     eta = _EWALD_ETA / max(_EWALD_ETA, -s2.real)
@@ -458,24 +457,27 @@ def _ewald_dual_sum(s: complex, u: np.ndarray, beta0: np.ndarray, dim: int) -> c
         raise ValueError(f"the dual sum at s = {s} needs more than {_EWALD_TERMS:.0e} terms")
     m, norm = _dual_points(-beta0, reach)
     r = s2.real + norm**2  # Re A; every Im A is Im s^2
-    up = r >= max(1.0 / eta, _EWALD_KAPPA * abs(s2.imag))
-    phase = np.exp(1j * (m @ u)) / math.gamma(p)
+    up = r >= max(4.0 / eta, _EWALD_KAPPA * abs(s2.imag))
+    phase = np.exp(1j * (m @ u))
+    head = phase[~up] * (r[~up] + 1j * s2.imag) ** -p
     images = math.pi ** (dim / 2.0) * np.exp(-1j * ((u - 2.0 * math.pi * n) @ beta0))
     order = _ewald_order(s, rho)
     sums = []
     for k in (order, 2 * order):
         x, wt = spherequad._gauss_gegenbauer(k, 0.5)
-        t = eta * np.exp(-0.5 * _EWALD_SPAN * (x + 1.0))  # tau = eta e^{-v}, v = 25 (x + 1)
-        T, wt = eta**2 / t, 0.5 * _EWALD_SPAN * wt         # and eta e^{v}
-        terms = np.concatenate([
-            phase[~up] * math.gamma(p) * (r[~up] + 1j * s2.imag) ** -p,
-            -phase[~up] * _exp_sums(wt * t**p * np.exp(-1j * s2.imag * t), t, r[~up]),
-            phase[up] * _exp_sums(wt * T**p * np.exp(-1j * s2.imag * T), T, r[up]),
-            images / math.gamma(p)
-            * _exp_sums(wt * np.sqrt(t) * np.exp(-s2 * t), 1 / t, (math.pi * dist)**2)])
-        sums.append((np.sum(terms), np.sum(np.abs(terms))))
-    (v1, _), (v2, scale) = sums
-    spherequad._doubling_error(v1, v2, f"dual sum doubling {order}->{2 * order}", scale)
+        t = eta * np.exp(-25.0 * (x + 1.0))  # tau = eta e^{-v}, v = 25 (x + 1), and T = eta e^v
+        T, wt = eta**2 / t, 25.0 * wt / math.gamma(p)
+        sums.append([np.sum(head), np.sum(np.abs(head))]
+                    + _exp_sums(-phase[~up], wt * t**p * np.exp(-1j * s2.imag * t), t, r[~up])
+                    + _exp_sums(phase[up], wt * T**p * np.exp(-1j * s2.imag * T), T, r[up])
+                    + _exp_sums(images, wt * np.sqrt(t) * np.exp(-s2 * t), 1 / t,
+                                (math.pi * dist)**2))
+    (v1, _), (v2, mag) = sums
+    mag = mag.real
+    spherequad._doubling_error(v1 / mag, v2 / mag, f"dual sum doubling {order}->{2 * order}, "
+                               "in units of its terms' magnitudes,")
+    if not mag <= _EWALD_LOSS * abs(v2):
+        raise ValueError(f"the dual sum at s = {s} cancels {mag / abs(v2):.1e}-fold")
     return complex(v2)
 
 
@@ -505,32 +507,20 @@ def _same_torus_point(x: np.ndarray, y: np.ndarray) -> bool:
     return bool(np.linalg.norm(u - 2 * math.pi * np.round(u / (2 * math.pi))) < 1e-9)
 
 
-def poincare_points_spectral(
-    x,
-    y,
-    beta: spectrum.TwistForm,
-    s: complex,
-) -> complex:
-    """Dual-lattice form of the two-point Poincare series, for every finite s with Re s > 0.
+def poincare_points_spectral(x, y, beta: spectrum.TwistForm, s: complex) -> complex:
+    """Dual-lattice form of the two-point Poincare series at complex s with Re s > 0.
 
-    c_d e^{i(f(y)-f(x))} s sum_xi e^{i xi.(x-y)} (s^2 + |xi+beta0|^2)^{-(d+1)/2},
-    the full sum by the Ewald split of _ewald_dual_sum, next to the lines
-    s = i|xi + beta0| too, where the head sum of poincare_eval converges slowest;
-    an |Im s| beyond the sum's term budget is a ValueError.
+    c_d e^{i(f(y)-f(x))} s sum_xi e^{i xi.(x-y)} (s^2 + |xi+beta0|^2)^{-(d+1)/2} by
+    _ewald_dual_sum, also next to the lines s = i|xi + beta0|, where the head sum of
+    poincare_eval converges slowest; an s that sum refuses is a ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x.size
-    u = x - y
+    x, y, s = np.asarray(x, dtype=float), np.asarray(y, dtype=float), complex(s)
     if _same_torus_point(x, y):
         raise ValueError("x and y must differ modulo 2 pi Z^d")
-    fphase = _f_phase(beta, x, y)
-    _, c_d = spectral_constants(d)
-    s = complex(s)
     if not (cmath.isfinite(s) and s.real > 0):
         raise ValueError("the dual sum needs a finite s with Re(s) > 0")
-    dual = _ewald_dual_sum(s, u, beta.beta0, d)
-    return complex(fphase * c_d * s * dual)
+    _, c_d = spectral_constants(x.size)
+    return complex(_f_phase(beta, x, y) * c_d * s * _ewald_dual_sum(s, x - y, beta.beta0, x.size))
 
 
 # ---------------------------------------------------------------------------

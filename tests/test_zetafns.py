@@ -530,10 +530,21 @@ def test_ewald_dual_sum_matches_a_40_digit_oracle(d, twisted):
 def test_dual_sum_doubling_is_checked_against_its_terms(monkeypatch):
     # a far pair at s = 40 sums to about 1e-36, where an absolute floor of 1e-12
     # would pass any order doubling; the check reads the terms' own magnitudes
+    assert abs(EWALD_DUAL[(3, False, 2.0, 40.0)]) < 1e-30
     monkeypatch.setattr(zetafns, "_ewald_order", lambda s, rho: 24)
-    with pytest.raises(spherequad.UnderResolved, match="dual sum doubling 24->48") as err:
+    with pytest.raises(spherequad.UnderResolved, match="dual sum doubling 24->48"):
         zetafns._ewald_dual_sum(40.0, 2.0 * EWALD_DIRECTIONS[3], np.zeros(3), 3)
-    assert float(re.search(r"moved the value by (\S+)", str(err.value)).group(1)) < 1e-12
+
+
+@pytest.mark.parametrize("d,s,beta0", [
+    (2, 8.0 + 1.0j, 0.0),  # a sum near e^{-rho Re s} = 4e-16; its terms' magnitudes sum to 0.18
+    (2, 4.0 + 1.7j, 0.0),
+    (3, 1.0, 0.5),         # a sum that is 0 by symmetry
+])
+def test_dual_sum_refuses_an_s_whose_terms_cancel_beyond_rounding(d, s, beta0):
+    # rounding is 1e-16 of the terms' magnitudes, so a sum far below them is refused
+    with pytest.raises(ValueError, match="cancels"):
+        zetafns._ewald_dual_sum(s, np.full(d, math.pi), np.full(d, beta0), d)
 
 
 def _point_pair_head(x, y, beta0, s_grid, T):
