@@ -524,7 +524,7 @@ def _cmd_correlate(cfg, built, out, workers, log):
     ts = np.geomspace(50.0, 800.0, 16) if built["t_grid"] is None else built["t_grid"]
     cfg["ranges"]["t_grid"] = ts.tolist()
     params = built["aniso"]
-    values = dynamics.correlation(phi, psi, beta0, ts, workers=workers)
+    values = dynamics.correlation(phi, psi, beta0, ts)
     expans = [dynamics.correlation_expansion(phi, psi, beta0, float(t)) for t in ts]
     _write_series(os.path.join(out, "correlate.csv"), ts, values, expans)
     log(f"correlate: {len(ts)} samples, last residual "
@@ -560,7 +560,7 @@ def _cmd_equidist(cfg, built, out, workers, log):
     mean = dynamics._torus_mean(f)
     ts = np.geomspace(10.0, 500.0, 18) if built["t_grid"] is None else built["t_grid"]
     cfg["ranges"]["t_grid"] = ts.tolist()
-    res = dynamics.equidistribute(body, f, ts, workers=workers)
+    res = dynamics.equidistribute(body, f, ts)
     values = res.average
     _write_series(os.path.join(out, "equidist.csv"), ts, values, [mean] * len(ts))
     _tables.write_json(os.path.join(out, "equidist.json"),
@@ -636,7 +636,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON configuration path")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--workers", type=int, default=1, help="worker count (default: 1)")
+    common.add_argument("--workers", type=int, default=1,
+                        help="worker count of the enumeration (default: 1)")
     common.add_argument("--verbose", action="store_true")
     parser = argparse.ArgumentParser(
         prog="orthospec",

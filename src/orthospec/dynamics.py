@@ -160,30 +160,18 @@ def correlation(
     psi: TorusObservable,
     beta0,
     t,
-    workers: int = 1,
 ):
     """sum_xi integral of phihat_xi psihat_{-xi} e^{i t (xi - beta0).theta}.
 
     The pairing of the flowed observable against psi reduces per mode to an
     oscillatory sphere integral, one osc_integral call over the whole t grid
-    (a scalar t gives a complex value, a 1-D array an array).  Each mode is
-    resolved independently and the reduction is ordered, so worker count
-    cannot change the value.
+    (a scalar t gives a complex value, a 1-D array an array).  The modes are
+    summed in sorted order.
     """
     if phi.dim != psi.dim:
         raise ValueError("observable dimensions differ")
     beta0 = np.asarray(beta0, dtype=float)
-    keys = _pair_keys(phi, psi)
-
-    def term(key):
-        return _mode_integral(phi, psi, key, beta0, t)
-
-    if workers > 1 and len(keys) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            vals = list(ex.map(term, keys))
-    else:
-        vals = [term(k) for k in keys]
+    vals = [_mode_integral(phi, psi, k, beta0, t) for k in _pair_keys(phi, psi)]
     total = sum(vals, np.zeros(np.shape(t), dtype=complex))
     return complex(total) if np.ndim(t) == 0 else total
 
@@ -314,7 +302,6 @@ def equidistribute(
     K: convex.SupportBody,
     f: TorusObservable,
     t,
-    workers: int = 1,
 ) -> EquidistResult:
     """Boundary average of f over the dilated body against its area measure.
 
@@ -355,12 +342,7 @@ def equidistribute(
             xtilde_scale=reach,
         )
 
-    if workers > 1 and len(reps) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            vals = dict(zip(reps, ex.map(boundary, reps)))
-    else:
-        vals = {key: boundary(key) for key in reps}
+    vals = {key: boundary(key) for key in reps}
     mass = (ts[..., None] ** np.arange(d)) @ convex.steiner(K).surface_moments
     err = np.zeros(ts.shape, dtype=complex)
     for key, value in f.modes:

@@ -448,7 +448,7 @@ def _ewald_dual_sum(s: complex, u: np.ndarray, beta0: np.ndarray, dim: int) -> c
     """
     s, s2, p = complex(s), complex(s) ** 2, (dim + 1) / 2.0
     eta = _EWALD_ETA / max(_EWALD_ETA, -s2.real)
-    rho = float(np.linalg.norm(u - 2.0 * math.pi * np.round(u / (2.0 * math.pi))))
+    rho = _torus_distance(u)
     cut = _EWALD_CUT + rho * s.real
     n, dist = _dual_points(u / (2.0 * math.pi),
                            math.sqrt(eta * cut + eta**2 * max(0.0, -s2.real)) / math.pi)
@@ -501,10 +501,14 @@ def _f_phase(beta: spectrum.TwistForm, x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.exp(1j * (beta.f_eval(y[None, :]) - beta.f_eval(x[None, :])))[0])
 
 
+def _torus_distance(u: np.ndarray) -> float:
+    """|u - 2 pi round(u / 2 pi)|: the distance of u from 2 pi Z^d."""
+    return float(np.linalg.norm(u - 2.0 * math.pi * np.round(u / (2.0 * math.pi))))
+
+
 def _same_torus_point(x: np.ndarray, y: np.ndarray) -> bool:
     """Whether x and y agree modulo 2 pi Z^d, to 1e-9."""
-    u = x - y
-    return bool(np.linalg.norm(u - 2 * math.pi * np.round(u / (2 * math.pi))) < 1e-9)
+    return _torus_distance(x - y) < 1e-9
 
 
 def poincare_points_spectral(x, y, beta: spectrum.TwistForm, s: complex) -> complex:

@@ -859,6 +859,44 @@ def test_workers_below_1_exit_2_before_the_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+_REFUSED_CONFIGS = {
+    "top-level-list": ("volumes", [], "top-level must be an object"),
+    "ranges-number": ("volumes", {**_POINT_PAIR, "ranges": 5}, "ranges must be an object"),
+    "window-list": ("volumes", {**_POINT_PAIR, "window": []}, "window must be an object"),
+    **{f"{command}-without-pair": (command, {"dim": 3, "bodies": {"a": {"kind": "point"}}},
+                                   "this subcommand needs a body pair")
+       for command in ("spectrum", "zeta", "poincare", "guinand")},
+    "volumes-without-bodies": ("volumes", {"dim": 2}, "volumes needs at least one body"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_CONFIGS))
+def test_config_refusals_name_their_reason(tmp_path, capsys, case):
+    command, raw, message = _REFUSED_CONFIGS[case]
+    cfg = write_config(tmp_path / "c.json", raw)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_poincare_keeps_a_configured_head_whose_tail_dominates(tmp_path, capsys, monkeypatch):
+    # only the default head is doubled; the head 60 pi / 3 of the d = 3 pair, when
+    # the config sets it, leaves a tail above 1e-6 of a value and the run stops
+    zeta_model, heads = cli._zeta_model, []
+
+    def counted(cfg, *args):
+        heads.append(cfg["ranges"]["T"])
+        return zeta_model(cfg, *args)
+
+    monkeypatch.setattr(cli, "_zeta_model", counted)
+    T = 60.0 * math.pi / 3
+    cfg = write_config(tmp_path / "c.json", dict(_MINIMAL_POINT_PAIRS[3], ranges={"T": T}))
+    assert cli.main(["poincare", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "orthospec: TailDominates: tail bound" in capsys.readouterr().err
+    assert heads == [T]
+
+
 def test_bad_config_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["volumes", "--config", missing, "--out", str(tmp_path)]) == 2

@@ -462,6 +462,23 @@ def test_ellipsoid_refuses_a_rotation_that_is_not_orthogonal(rotation):
         convex.ellipsoid((0.0, 0.0), (1.0, 0.5), rotation=rotation)
 
 
+_BAD_SHAPES = {
+    "ellipsoid-semiaxis-zero": (lambda: convex.ellipsoid((0.0, 0.0), (1.0, 0.0)),
+                                "semiaxes must be positive"),
+    "ellipsoid-semiaxis-negative": (lambda: convex.ellipsoid((0.0, 0.0), (1.0, -0.5)),
+                                    "semiaxes must be positive"),
+    "minkowski-sum-dimensions": (lambda: convex.minkowski_sum(
+        convex.ball((0.0, 0.0), 1.0), convex.ball((0.0, 0.0, 0.0), 1.0)), "^dimension mismatch$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SHAPES))
+def test_constructors_refuse_bad_shapes(case):
+    build, message = _BAD_SHAPES[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_principal_radii_keep_a_negative_radius():
     # h(phi) = 1 + c cos(4 phi) has radius h + h'' = 1 - 15 c cos(4 phi),
     # negative near phi = 0 for c = 0.2; theta's own eigenvalue must not

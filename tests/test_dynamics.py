@@ -54,14 +54,6 @@ def test_parseval_at_time_zero():
     assert abs(got - direct) < 1e-10
 
 
-def test_correlation_worker_determinism(beta0_3):
-    phi = dynamics.TorusObservable(3, {(1, 0, 0): 1.0, (0, 1, 1): 0.4, (2, 0, 1): 0.1j})
-    psi = dynamics.TorusObservable(3, {(-1, 0, 0): 0.5, (0, -1, -1): 1.2j, (-2, 0, -1): 2.0})
-    a = dynamics.correlation(phi, psi, beta0_3, 7.0, workers=1)
-    b = dynamics.correlation(phi, psi, beta0_3, 7.0, workers=4)
-    assert a == b
-
-
 def test_expansion_remainder_order(beta0_3):
     # direction-dependent amplitudes leave a genuine O(t^-2) remainder
     def amp_a(nodes):
@@ -155,6 +147,34 @@ def test_aniso_norm_refuses_a_gamma_of_the_wrong_dimension():
     p = dynamics.AnisoParams(s0=1, s1=1, N0=0.0, N1=0.0, gamma=(0.0, 0.0))
     with pytest.raises(ValueError, match="gamma dimension mismatch"):
         dynamics.aniso_norm(obs, p)
+
+
+_OBS_2 = dynamics.TorusObservable(2, {(0, 0): 1.0, (1, 0): 0.5})
+_OBS_3 = dynamics.TorusObservable(3, {(1, 0, 0): 1.0, (-1, 0, 0): 0.5})
+_REFUSED_SUMS = {
+    "correlation-dimensions": (lambda: dynamics.correlation(_OBS_2, _OBS_3, np.zeros(2), 1.0),
+                               "observable dimensions differ"),
+    "correlation-expansion-t-zero": (
+        lambda: dynamics.correlation_expansion(_OBS_3, _OBS_3, np.zeros(3), 0.0),
+        "the expansion needs t > 0"),
+    "equidistribute-t-zero": (
+        lambda: dynamics.equidistribute(convex.ball((0.0, 0.0), 0.5), _OBS_2, 0.0),
+        "equidistribution needs t > 0"),
+    "equidistribute-t-grid-negative": (
+        lambda: dynamics.equidistribute(convex.ball((0.0, 0.0), 0.5), _OBS_2,
+                                        np.array([10.0, -1.0])),
+        "equidistribution needs t > 0"),
+    "equidistribute-dimensions": (
+        lambda: dynamics.equidistribute(convex.ball((0.0, 0.0, 0.0), 0.5), _OBS_2, 10.0),
+        "observable dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_SUMS))
+def test_mode_sums_refuse_mismatched_dimensions_and_t_at_most_0(case):
+    call, message = _REFUSED_SUMS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("s0, squared, rel", [(1, 4.0 * math.pi, 1e-10),
@@ -332,11 +352,6 @@ def ellipse():
 _FIVE = {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5, (1, 1): 0.25j, (-1, -1): -0.25j}
 
 
-@pytest.fixture(scope="module")
-def five_modes():
-    return dynamics.TorusObservable(2, _FIVE, real=True)
-
-
 # an observable whose +-xi coefficients are unrelated, with a lone mode (2, -1)
 _UNPAIRED = {(0, 0): 0.3, (1, 0): 0.5 + 0.2j, (-1, 0): -0.1j, (2, -1): 0.7}
 
@@ -412,12 +427,6 @@ def test_equidistribute_rejects_direction_dependence(ellipse):
     obs = dynamics.TorusObservable(2, {(1, 0): lambda n: n[:, 0]})
     with pytest.raises(ValueError):
         dynamics.equidistribute(ellipse, obs, 10.0)
-
-
-def test_equidistribute_worker_determinism(ellipse, five_modes):
-    a = dynamics.equidistribute(ellipse, five_modes, 20.0, workers=1)
-    b = dynamics.equidistribute(ellipse, five_modes, 20.0, workers=4)
-    assert a.average == b.average
 
 
 _BODIES_3 = {

@@ -580,6 +580,25 @@ def test_twist_form_refuses_non_finite_entries(beta0, modes):
         spectrum.TwistForm(beta0, modes)
 
 
+_DIMENSION_MISMATCHES = {
+    "enumerate-bodies": (lambda: spectrum.enumerate(
+        convex.point((0.0, 0.0)), convex.point((0.0, 0.0, 0.0)), T=5.0),
+        "body dimension mismatch"),
+    "enumerate-twist": (lambda: spectrum.enumerate(
+        convex.point((0.0, 0.0)), convex.point((0.0, 0.0)), T=5.0,
+        beta=spectrum.TwistForm((0.0, 0.0, 0.0))), "twist form dimension mismatch"),
+    "twist-form-modes": (lambda: spectrum.TwistForm(
+        (0.0, 0.0), {(1, 0, 0): 1.0, (-1, 0, 0): 1.0}), "twist mode dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIMENSION_MISMATCHES))
+def test_dimension_mismatches_are_refused(case):
+    build, message = _DIMENSION_MISMATCHES[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_trivial_twist_weighted_count_equals_count(points2_60):
     n = spectrum.counting(points2_60, 50.0)
     w = spectrum.counting_weighted(points2_60, 50.0)

@@ -497,3 +497,29 @@ def test_osc_integral_xtilde_needs_a_scale():
     with pytest.raises(ValueError, match="xtilde_scale"):
         spherequad.osc_integral(3, xi=np.array([1.0, 0.0, 0.0]), t=2.0,
                                 xtilde=lambda n: 0.1 * n)
+
+
+_E1 = np.array([1.0, 0.0, 0.0])
+_BAD_ARGUMENTS = {
+    "grid-dim-1": (lambda: spherequad.grid(1, 8), "dim must be >= 2"),
+    "grid-order-0": (lambda: spherequad.grid(3, 0), "order and inner must be >= 1"),
+    "grid-inner-0": (lambda: spherequad.grid(3, 8, 0), "order and inner must be >= 1"),
+    "pole-cutoffs-width-0": (lambda: spherequad.pole_cutoffs(np.zeros(3), 0.0),
+                             "width must lie in"),
+    "pole-cutoffs-width-1": (lambda: spherequad.pole_cutoffs(np.zeros(3), 1.0),
+                             "width must lie in"),
+    "osc-integral-2d-t": (lambda: spherequad.osc_integral(3, xi=_E1, t=np.ones((2, 2))),
+                          "t must be a scalar or a 1-D array"),
+    "stationary-phase-t-zero": (lambda: spherequad.stationary_phase(3, 1.0, _E1, None, 0.0),
+                                "stationary phase needs t > 0"),
+    "stationary-phase-t-negative": (
+        lambda: spherequad.stationary_phase(3, 1.0, _E1, None, -1.0),
+        "stationary phase needs t > 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_bad_arguments_are_refused(case):
+    call, message = _BAD_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

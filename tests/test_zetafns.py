@@ -151,6 +151,23 @@ def test_build_model_refuses_a_head_beyond_the_spectrum():
         zetafns.build_zeta_model(spec, 50.5)
 
 
+def test_build_model_refuses_steiner_data_off_the_sphere(monkeypatch):
+    # the leading density coefficient of any difference body is that of the unit ball
+    p = convex.point((0.0, 0.0))
+    spec = spectrum.enumerate(p, p, T=20.0)
+    steiner = convex.steiner
+
+    def perturbed(body):
+        data = steiner(body)
+        moments = data.surface_moments.copy()
+        moments[-1] *= 1.0 + 1e-6
+        return dataclasses.replace(data, surface_moments=moments)
+
+    monkeypatch.setattr(convex, "steiner", perturbed)
+    with pytest.raises(ValueError, match="fails the sphere check"):
+        zetafns.build_zeta_model(spec)
+
+
 def test_residues_of_the_ellipse(ellipse_model):
     ests = zetafns.residues(ellipse_model)
     assert [e.pole for e in ests] == [1, 2]
@@ -643,6 +660,13 @@ def test_F_alpha_branches():
     assert zetafns.F_alpha(2.0, z) == pytest.approx(0.5 * z * np.log(z), rel=1e-12)
     want = math.pi / (math.sin(1.5 * math.pi) * gamma(1.5)) * z**0.5
     assert zetafns.F_alpha(1.5, z) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, z", [(0.5, -1.0), (1.0, 0.0), (2.0, -0.5 + 1e-12j),
+                                      (1.5, np.array([0.3 + 0.2j, -2.0]))])
+def test_F_alpha_refuses_the_negative_real_axis(alpha, z):
+    with pytest.raises(ValueError, match="F_alpha is defined off the negative real axis"):
+        zetafns.F_alpha(alpha, z)
 
 
 def test_F_alpha_derivative_recurrence():
