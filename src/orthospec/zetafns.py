@@ -69,7 +69,7 @@ class PoleHit(Exception):
 
 
 class TailDominates(Exception):
-    """The reported tail bound exceeds 1e-6 of the partial sum."""
+    """The smooth-density estimate of the tail (poincare_tail_bound) exceeds 1e-6 of the head."""
 
 
 class TruncationTooSmall(Exception):
@@ -376,7 +376,7 @@ def twist_suppression(model: ZetaModel) -> TwistReport:
 
 
 def poincare_eval(model: ZetaModel, s: complex) -> complex:
-    """Head sum of phase * exp(-s length); raises when the tail matters."""
+    """Head sum of phase * exp(-s length); TailDominates when the tail estimate tops 1e-6 of it."""
     s = complex(s)
     if not (cmath.isfinite(s) and s.real >= _EPS_FLOOR):
         raise ValueError(f"poincare_eval needs a finite s with Re(s) >= {_EPS_FLOOR}")
@@ -391,26 +391,28 @@ def poincare_eval(model: ZetaModel, s: complex) -> complex:
 
 
 def poincare_tail_bound(model: ZetaModel, s: complex) -> float:
-    """integral_T^inf exp(-Re(s) t) rho'(t) dt via incomplete gamma."""
+    """int_T^inf rho'(t) e^{-Re(s) t} dt, the smooth-density estimate of the tail past T.
+
+    Not a bound: the lattice fluctuation of the counts puts the sum of e^{-Re(s) l} over
+    l > T on either side of it, for point pairs at Re(s) <= 1 up to about 1.2 times it.
+    """
     sig = complex(s).real
     if not (cmath.isfinite(s) and sig > 0):
         raise ValueError("tail bound needs a finite s with Re(s) > 0")
-    terms = [
-        model.rho[k - 1] * math.factorial(k - 1) * sig ** -k * _gammaincc(k, sig * model.T)
-        for k in range(1, model.dim + 1)
-    ]
-    return float(np.sum(terms))
+    return float(_density_tail(model.rho, model.T, sig))
 
 
-def _gammaincc(p: int, x) -> np.ndarray:
-    """Regularized upper incomplete gamma Q(p, x) = e^{-x} sum_{j<p} x^j / j! for p = 1, 2, ..."""
-    if p < 1 or p != round(p):
-        raise ValueError("p must be a positive integer")
-    x = np.asarray(x, dtype=float)
-    q = ex = np.exp(-x)
-    for a in range(1, int(p)):
-        q = q + x ** float(a) * ex / math.gamma(a + 1.0)
-    return q
+def _density_tail(rho: np.ndarray, a: float, s):
+    """int_a^inf rho'(t) e^{-st} dt = sum_k rho[k-1] J_k, J_k = int_a^inf t^{k-1} e^{-st} dt.
+
+    Re s > 0; J_1 = e^{-sa} / s, J_{k+1} = (k J_k + a^k e^{-sa}) / s, all terms positive at real s.
+    """
+    decay = np.exp(-s * a)
+    term, acc = decay / s, 0.0
+    for k in range(1, len(rho) + 1):
+        acc = acc + rho[k - 1] * term
+        term = (k * term + a**k * decay) / s
+    return acc
 
 
 def _ewald_order(s: complex, rho: float) -> int:
@@ -516,7 +518,9 @@ def poincare_points_spectral(x, y, beta: spectrum.TwistForm, s: complex) -> comp
 
     c_d e^{i(f(y)-f(x))} s sum_xi e^{i xi.(x-y)} (s^2 + |xi+beta0|^2)^{-(d+1)/2} by
     _ewald_dual_sum, also next to the lines s = i|xi + beta0|, where the head sum of
-    poincare_eval converges slowest; an s that sum refuses is a ValueError.
+    poincare_eval converges slowest; an s that sum refuses is a ValueError.  An accepted s
+    is off by about 1e-16 M, M the sum of its terms' magnitudes, which _EWALD_LOSS keeps
+    below 1e-9 |sum|; at real s in d = 5 that is 1.8e-13 (u = (pi, ..., pi), s = 2.5).
     """
     x, y, s = np.asarray(x, dtype=float), np.asarray(y, dtype=float), complex(s)
     if _same_torus_point(x, y):
@@ -534,23 +538,17 @@ def poincare_points_spectral(x, y, beta: spectrum.TwistForm, s: complex) -> comp
 def F_alpha(alpha: float, z) -> complex:
     """Canonical singular model: Laplace transform of the t^{-alpha} tail.
 
-    Gamma(1-alpha) z^{alpha-1} for alpha < 1;
-    ((-1)^n / n!) z^{n-1} log z for alpha = n a positive integer;
-    (pi / (sin(pi alpha) Gamma(alpha))) z^{alpha-1} for nonintegral alpha > 1.
+    ((-1)^n / n!) z^{n-1} log z for alpha = n a positive integer (to 1e-12),
+    Gamma(1-alpha) z^{alpha-1} for every other alpha.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(np.isclose(z.imag, 0.0) & (z.real <= 0.0)):
         raise ValueError("F_alpha is defined off the negative real axis")
-    near_int = abs(alpha - round(alpha)) < 1e-12
-    if alpha < 1.0 and not (near_int and round(alpha) >= 1):
-        out = math.gamma(1.0 - alpha) * z ** (alpha - 1.0)
-    elif near_int:
-        n = int(round(alpha))
+    n = int(round(alpha))
+    if n >= 1 and abs(alpha - n) < 1e-12:
         out = ((-1.0) ** n / math.factorial(n)) * z ** (n - 1) * np.log(z)
     else:
-        out = math.pi / (math.sin(math.pi * alpha) * math.gamma(alpha)) * z ** (
-            alpha - 1.0
-        )
+        out = math.gamma(1.0 - alpha) * z ** (alpha - 1.0)
     return complex(out) if np.ndim(z) == 0 else out
 
 
@@ -627,17 +625,6 @@ def _head_boundary_values(lengths, phases, s) -> np.ndarray:
     return np.reshape(out, s.shape)
 
 
-def _smooth_laplace(rho: np.ndarray, T: float, s: np.ndarray) -> np.ndarray:
-    """integral_0^T rho'(t) e^{-st} dt by the exact power recurrence."""
-    decay = np.exp(-s * T)
-    acc = np.zeros_like(s, dtype=complex)
-    term = (1.0 - decay) / s  # I_1
-    for k in range(1, rho.size + 1):
-        acc += rho[k - 1] * term
-        term = (k * term - T**k * decay) / s  # I_{k+1}
-    return acc
-
-
 def _local_maxima(x: np.ndarray):
     """Strict local maxima of x and their prominences.
 
@@ -662,6 +649,7 @@ def _local_maxima(x: np.ndarray):
 
 
 def _peak_indices(mag: np.ndarray) -> list:
+    """The peaks of mag worth a fit, at most _MAX_PEAKS, strongest first (ties by index)."""
     raw, prominences = _local_maxima(mag)
     floor = 2.0 * float(np.median(mag))
     idx = [
@@ -672,7 +660,7 @@ def _peak_indices(mag: np.ndarray) -> list:
     if mag.size > 1 and mag[0] > mag[1] and mag[0] > floor:
         idx.insert(0, 0)
     idx.sort(key=lambda i: -mag[i])
-    return sorted(idx[:_MAX_PEAKS])
+    return idx[:_MAX_PEAKS]
 
 
 def _check_scan_grids(eps_ladder: Optional[Sequence[float]],
@@ -726,24 +714,28 @@ def singularity_scan(
     the fit noise.
 
     _head_boundary_values sums the head on the ladder and once more, cut at
-    0.85 T, at the smallest eps.  Its work grows with T times the span of
-    the y grid: at T = 150, 521 points over [0, 100] take about 25 times as
-    long as over [0, 2.6].
+    0.85 T by spectrum.counting, at the smallest eps.  Each head less the
+    Laplace transform of model.density over its own range, _density_tail at
+    0 less _density_tail at the cut, is what the peaks are found on; eps T
+    >= 6 keeps that difference well conditioned.  The head sums' work grows
+    with T times the span of the y grid: at T = 150, 521 points over
+    [0, 100] take about 25 times as long as over [0, 2.6].
     """
-    eps_ladder, y_grid = _scan_grids(eps_ladder, y_grid, model.spec.T)
+    spec, rho = model.spec, model.density
+    eps_ladder, y_grid = _scan_grids(eps_ladder, y_grid, spec.T)
 
-    lengths, phases = model.spec.lengths, model.spec.phases
     s_mat = eps_ladder[:, None] + 1j * y_grid[None, :]
-    values = _head_boundary_values(lengths, phases, s_mat)
+    values = _head_boundary_values(spec.lengths, spec.phases, s_mat)
     # the short head: truncation ripples move when the head is shortened
     # while genuine peaks persist
-    cut = np.searchsorted(lengths, 0.85 * model.spec.T)
-    short_head = _head_boundary_values(lengths[:cut], phases[:cut], s_mat[-1])
+    cut = spectrum.counting(spec, 0.85 * spec.T)
+    short_head = _head_boundary_values(spec.lengths[:cut], spec.phases[:cut], s_mat[-1])
     # deflate the truncated Laplace transform of the twist's own smooth
     # density: this removes the pole stack at y = 0 together with its
     # shoulder, leaving the spectral lines standing on the fluctuation floor
-    deflated = values - _smooth_laplace(model.density, model.spec.T, s_mat)
-    short = short_head - _smooth_laplace(model.density, 0.85 * model.spec.T, s_mat[-1])
+    whole = _density_tail(rho, 0.0, s_mat)
+    deflated = values - (whole - _density_tail(rho, spec.T, s_mat))
+    short = short_head - (whole[-1] - _density_tail(rho, 0.85 * spec.T, s_mat[-1]))
     # detect on the pointwise minimum of the full and short magnitudes
     detect = np.minimum(np.abs(deflated[-1]), np.abs(short))
     # a NaN phase or density coefficient leaves no peak to find, not no singularity
@@ -751,7 +743,7 @@ def singularity_scan(
         raise FitAmbiguous("the detection magnitudes are not all finite")
 
     d = model.dim
-    lines = predicted_lines(model.spec.beta, float(y_grid[-1]) + 1.0)
+    lines = predicted_lines(spec.beta, float(y_grid[-1]) + 1.0)
     log_eps = np.log(eps_ladder)
 
     def classify(y0, z, grid):
@@ -795,7 +787,7 @@ def singularity_scan(
 
     accepted = []
     line_orders = _line_orders(d)
-    for i in sorted(_peak_indices(detect), key=lambda k: -detect[k]):
+    for i in _peak_indices(detect):
         if y_grid[i] == 0.0:
             continue
         y0 = float(y_grid[i])

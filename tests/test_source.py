@@ -1,0 +1,25 @@
+"""Checks on the package sources themselves."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "orthospec"
+
+
+def _references(node) -> Counter:
+    """How often each name is read under node, as a bare name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a helper that only its tests (or only itself) read is code nothing runs
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and total[node.name] == _references(node)[node.name]]
+    assert orphans == []

@@ -612,16 +612,59 @@ def test_poincare_points_spectral_meets_a_long_head_in_d5(twisted):
     assert np.max(np.abs(dual - head) / np.abs(head)) <= 1e-11
 
 
-def test_gammaincc_matches_a_40_digit_oracle():
-    # the regularized Q(p, x) of the Poincare tail bound, integer p only
-    x = np.geomspace(1e-3, 300.0, 121)
+def test_an_accepted_dual_sum_is_good_to_its_cancellation_limit():
+    # the far pair at s = 3.25 + 0.82i passes _EWALD_LOSS with its terms' magnitudes M at
+    # 6.2e6 |sum|, so it is good only to about 1e-16 M, some 6e-10 of the sum
+    x, y, s = np.zeros(3), np.full(3, math.pi), 3.25 + 0.82j
+    dual = zetafns.poincare_points_spectral(x, y, ZERO3, s)
+    head, longer = (_point_pair_head(x, y, np.zeros(3), [s], T)[0] for T in (25.0, 30.0))
+    assert abs(longer - head) <= math.exp(-60.0) * abs(head)  # the head's tail is negligible
+    assert abs(dual - head) <= 2e-9 * abs(head)
+
+
+def test_density_tail_matches_a_40_digit_oracle():
+    # each power t^{k-1} of the density alone, against Gamma(k, sigma T) / sigma^k at the
+    # exact floats sigma and T; rounding sigma T inside exp costs up to 300 eps
     with mp.workdps(40):
-        for p in (1, 2, 3, 4, 5):
-            want = [float(mp.gammainc(p, mp.mpf(v), mp.inf, regularized=True)) for v in x]
-            assert np.max(np.abs(zetafns._gammaincc(p, x) / want - 1.0)) <= 2e-15, p
-    for p in (0, 1.3, 1.5, 2.5):
-        with pytest.raises(ValueError):
-            zetafns._gammaincc(p, x)
+        for T in (20.0, 20.0 * math.pi, 300.0):
+            sigma = np.geomspace(1e-3, 300.0, 41) / T
+            for k in range(1, 6):
+                got = zetafns._density_tail(np.eye(k)[-1], T, sigma)
+                want = [float(mp.gammainc(k, mp.mpf(x) * T) / mp.mpf(x) ** k) for x in sigma]
+                assert np.max(np.abs(got / want - 1.0)) <= 5e-14, (T, k)
+
+
+def test_density_tail_differences_meet_mp_quad_on_the_scan_grids():
+    # the scan deflates by int_0^T = tail(0) - tail(T), on its default grids and at eps T = 6
+    rho = np.array([0.31, 0.12, 0.05])
+    with mp.workdps(20):
+        for T in (20.0 * math.pi, 150.0):
+            for eps in (0.1, max(2e-2, 9.0 / T), 6.0 / T):
+                for y in np.linspace(0.0, 3.2, 641)[::160]:
+                    s = complex(eps, y)
+                    got = zetafns._density_tail(rho, 0.0, s) - zetafns._density_tail(rho, T, s)
+                    pieces = mp.linspace(0, T, int(T * max(1.0, y) / 12.0) + 2)
+                    want = complex(mp.quad(
+                        lambda t: (rho[0] + rho[1] * t + rho[2] * t * t) * mp.exp(-mp.mpc(s) * t),
+                        pieces, method="gauss-legendre"))
+                    assert abs(got - want) <= 1e-13 * abs(want), (T, s)
+
+
+def test_poincare_tail_estimate_is_within_a_factor_of_the_true_tail():
+    # the smooth-density estimate is not a bound: lattice fluctuation puts the true tail
+    # on either side of it, but within 1.5 times it for point pairs at sigma <= 1; each
+    # spectrum runs to 6 T, so what lies past it is below 3e-6 of the tail at sigma >= 0.2
+    ratios = []
+    for y, T in (((0.9, 0.4), 40.0), ((math.pi, math.pi), 40.0), ((0.9, 0.4, -1.1), 20.0),
+                 ((math.pi,) * 3, 20.0)):
+        p, q = convex.point(np.zeros(len(y))), convex.point(y)
+        model = zetafns.build_zeta_model(spectrum.enumerate(p, q, T=6.0 * T), T)
+        past = model.spec.lengths[spectrum.counting(model.spec, T):]
+        for sigma in (0.2, 0.5, 1.0):
+            estimate = zetafns.poincare_tail_bound(model, sigma)
+            ratios.append(np.sum(np.exp(-sigma * past)) / estimate)
+    assert max(ratios) <= 1.5
+    assert max(ratios) > 1.1 and min(ratios) < 0.9
 
 
 def test_spectral_constants_match_the_flat_closed_form():
@@ -660,6 +703,9 @@ def test_F_alpha_branches():
     assert zetafns.F_alpha(2.0, z) == pytest.approx(0.5 * z * np.log(z), rel=1e-12)
     want = math.pi / (math.sin(1.5 * math.pi) * gamma(1.5)) * z**0.5
     assert zetafns.F_alpha(1.5, z) == pytest.approx(want, rel=1e-12)
+    for alpha in (2.5, 3.5, -0.5, -1.5):
+        want = complex(mp.gamma(1 - alpha) * mp.power(mp.mpc(z), alpha - 1))
+        assert zetafns.F_alpha(alpha, z) == pytest.approx(want, rel=1e-14), alpha
 
 
 @pytest.mark.parametrize("alpha, z", [(0.5, -1.0), (1.0, 0.0), (2.0, -0.5 + 1e-12j),
