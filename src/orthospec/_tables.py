@@ -37,8 +37,8 @@ def write_csv(path, header, columns) -> None:
         fh.write(",".join(names) + "\r\n")
         # slices keep the Python-object copies of the columns bounded
         for i in range(0, len(cols[0]), _ROWS_PER_WRITE):
-            rows = zip(*(c[i:i + _ROWS_PER_WRITE].tolist() for c in cols))
-            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
+            cells = [map(repr, c[i:i + _ROWS_PER_WRITE].tolist()) for c in cols]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _is_complex(value) -> bool:

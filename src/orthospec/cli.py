@@ -439,8 +439,7 @@ def _cmd_poincare(cfg, built, out, workers, log):
             eps_ladder, y_grid = zetafns._scan_grids(built["eps_ladder"], built["y_grid"],
                                                      model.spec.T)
         try:
-            values = np.array([zetafns.poincare_eval(model, s) for s in s_grid.tolist()],
-                              dtype=complex)
+            values = zetafns.poincare_eval(model, s_grid)
             break
         except zetafns.TailDominates:
             if not doubling:

@@ -26,7 +26,6 @@ from . import spherequad
 __all__ = [
     "SupportBody",
     "SteinerData",
-    "QuadratureDisagreement",
     "point",
     "ball",
     "ellipsoid",
@@ -41,10 +40,6 @@ __all__ = [
 _MIN_RADIUS = 1e-6
 _ORTHOGONAL_TOL = 1e-9  # max |R^T R - I| of an ellipsoid's rotation
 _STEINER_ORDER = 48     # doubled once to validate the Steiner integrals
-
-
-class QuadratureDisagreement(Exception):
-    """Doubling the quadrature order moved a Steiner integral past tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -429,34 +424,39 @@ class SteinerData:
 
 
 def steiner(body: SupportBody) -> SteinerData:
-    """Steiner data by sphere quadrature, validated by order doubling (tol 1e-8)."""
+    """Steiner data, in closed form for points and balls, else by sphere quadrature.
+
+    Balls alone sum to a ball of radius r, and Vol(K + tB) = omega_d (r + t)^d.  Any other
+    body takes the order-96 product grid; spherequad._doubling_error checks each surface
+    moment and the volume against order 48 and raises UnderResolved.
+    """
     d = body.dim
 
     def compute(n):
         g = spherequad.grid(d, n)
         coeffs = _area_coeffs(body, g.nodes)
-        moments = g.weights @ coeffs
-        vol = float(g.weights @ (body.h(g.nodes) * coeffs[:, 0])) / d
-        return vol, moments
+        return float(g.weights @ (body.h(g.nodes) * coeffs[:, 0])) / d, g.weights @ coeffs
 
-    vol1, m1 = compute(_STEINER_ORDER)
-    vol2, m2 = compute(2 * _STEINER_ORDER)
-    # np.max, unlike max(), propagates a NaN into the disagreement
-    disagreement = float(np.max(np.abs(np.append(m2 - m1, vol2 - vol1))))
-    if not disagreement <= 1e-8:
-        raise QuadratureDisagreement(
-            f"steiner quadrature disagreement {disagreement:.3e} at orders "
-            f"{_STEINER_ORDER}/{2 * _STEINER_ORDER}"
-        )
+    if all(isinstance(p, _Ball) for p in body.parts):
+        r = float(_finite("ball radius", sum(p.radius for p in body.parts)))
+        omega = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)  # the unit ball's volume
+        volume = omega * r ** d
+        moments = np.array([d * omega * math.comb(d - 1, j) * r ** (d - 1 - j) for j in range(d)])
+    else:
+        (vol1, m1), (volume, moments) = compute(_STEINER_ORDER), compute(2 * _STEINER_ORDER)
+        orders = f"order doubling {_STEINER_ORDER}->{2 * _STEINER_ORDER}"
+        for j in range(d):
+            spherequad._doubling_error(m1[j], moments[j], f"steiner surface moment {j}, {orders},")
+        spherequad._doubling_error(vol1, volume, f"steiner volume, {orders},")
     steiner_coeffs = np.zeros(d + 1)
-    steiner_coeffs[0] = vol2
-    steiner_coeffs[1:] = m2 / np.arange(1, d + 1)
+    steiner_coeffs[0] = volume
+    steiner_coeffs[1:] = moments / np.arange(1, d + 1)
     intrinsic_rev = steiner_coeffs * np.array(
         [math.gamma(ell / 2.0 + 1.0) / math.pi ** (ell / 2.0) for ell in range(d + 1)])
     return SteinerData(
         dim=d,
-        volume=vol2,
-        surface_moments=m2,
+        volume=volume,
+        surface_moments=moments,
         steiner_coeffs=steiner_coeffs,
         intrinsic=intrinsic_rev[::-1].copy(),
     )

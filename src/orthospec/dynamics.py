@@ -313,7 +313,7 @@ def equidistribute(
     convex._area_coeffs as its amplitude.  P_K and x_K are real and xi, -xi
     see the same turned nodes, so I(-xi) = conj I(xi) and a +- pair costs one
     integral.  The mass I(0) = sum_j surface_moments[j] t^j comes from
-    convex.steiner, which carries its own doubling check; every other I
+    convex.steiner, in closed form for a ball, else doubling-checked; every other I
     passes the order-doubling check of osc_integral, and error_estimate is
     the largest change that check saw over the modes.
     """

@@ -208,9 +208,6 @@ def build_zeta_model(spec: spectrum.LengthSpectrum, T: Optional[float] = None) -
     d = spec.dim
     steiner = convex.steiner(spectrum.difference_body(spec.body1, spec.body2))
     rho = np.asarray(spectrum._density_from_steiner(steiner), dtype=float)
-    lead = _ball_density(d, d)
-    if abs(rho[-1] - lead) > 1e-8 * lead:
-        raise ValueError("tail density leading coefficient fails the sphere check")
     density, delta = (rho if spec.beta.is_zero else np.zeros(d)), np.zeros(d)
     if spec.beta.is_integer and not spec.beta.is_zero:
         n = 64 if d == 2 else 32
@@ -258,14 +255,14 @@ def zeta_continue(model: ZetaModel, s: complex) -> complex:
 
 
 def _poisson_certificate(model: ZetaModel) -> tuple:
-    """(estimate, bound, sigma): the spectrum's smoothed density and a bound per coefficient.
+    """(estimate, bound): the spectrum's smoothed density and a bound per coefficient.
 
-    The estimate solves the window sums S = sum phase * g_mu(l), g_mu =
-    GaussianWindow(mu, sigma).value, at 2d centres mu in [T0 + 8.5 sigma, T - 8.5 sigma],
-    sigma = min(8, (T - T0) / 25), against their Gaussian moments cols.  The record
-    w = 2 pi xi = x_L(theta) + l theta has the phase e^{i beta0 . w} W(theta), |W| = 1
-    (W = 1 untwisted; see _weighted_density_residues), so Poisson summation over
-    2 pi Z^d turns S into (2 pi)^-d sum A(nu) over nu in Z^d + beta0,
+    The estimate is P S, P = pinv(cols), the least-squares fit of the window sums
+    S = sum phase * g_mu(l), g_mu = GaussianWindow(mu, sigma).value, at 2d centres mu in
+    [T0 + 8.5 sigma, T - 8.5 sigma], sigma = min(8, (T - T0) / 25), by their Gaussian
+    moments cols.  The record w = 2 pi xi = x_L(theta) + l theta has the phase
+    e^{i beta0 . w} W(theta), |W| = 1 (W = 1 untwisted; see _weighted_density_residues),
+    so Poisson summation over 2 pi Z^d turns S into (2 pi)^-d sum A(nu), nu in Z^d + beta0,
         A(nu) = int W e^{-i nu . x_L} int g_mu(t) a e^{-i t nu . theta} dt dtheta,
     dx = a dt dtheta, a = prod_i (t + r_i(theta)) over the radii of L.  nu = 0 (beta0 in
     Z^d) gives S0 = cols @ c, c the weighted density (rho untwisted), and W = 1 the
@@ -279,7 +276,7 @@ def _poisson_certificate(model: ZetaModel) -> tuple:
     / sqrt(pi) and q = c_d (1 + r_max/mu)^((d-1)/2) ((mu |nu|)^-2 + sigma^4/mu^4)^((d-1)/4)
     <= 1 (mu >= 8.5 sigma) once 8.5 sigma delta >= 2 c_d^(2/(d-1)) (1 + r_max/mu),
     delta = dist(beta0, Z^d) or 1.  That holds wherever a certificate is possible:
-    P = pinv(cols) has P cols = I, so |P_j| Z >= |rho_j|, and
+    P has P cols = I, so |P_j| Z >= |rho_j|, and
     Theta = sum_{nu != 0} e^{-sigma^2 |nu|^2 / 2} <= _CERTIFY_TOL needs sigma delta >= 2.4.
     So |S - S0| <= Z Theta, and the estimate P S is off c in coefficient j by at most
         bound_j = |P_j| Z Theta + n eps |P_j| sum_i g(l_i),
@@ -294,16 +291,15 @@ def _poisson_certificate(model: ZetaModel) -> tuple:
     for k in range(2, d):
         moments.append(mu * moments[-1] + (k - 1) * sigma**2 * moments[-2])
     cols = sigma * math.sqrt(2.0 * math.pi) * np.stack(moments[:d], axis=1)
-    estimate, *_ = np.linalg.lstsq(cols, sums, rcond=None)
     # Theta factors over the axes of nu = k + r, less nu = 0 when r = 0; the k
     # past 2 + 10 / sigma add below e^-50, and rounding below 2 d eps < n eps
     r = spec.beta.beta0 - np.round(spec.beta.beta0)
     k = np.arange(-2 - int(10.0 / sigma), 3 + int(10.0 / sigma))[:, None]
     theta = float(np.prod(np.sum(np.exp(-0.5 * sigma**2 * (k + r) ** 2), axis=0)))
-    p = np.abs(np.linalg.pinv(cols))
-    bound = (p @ (cols @ model.rho) * (theta - spec.beta.is_integer)
-             + len(spec) * np.finfo(float).eps * (p @ mags))
-    return estimate, bound, sigma
+    P = np.linalg.pinv(cols)
+    bound = np.abs(P) @ ((cols @ model.rho) * (theta - spec.beta.is_integer)
+                         + len(spec) * np.finfo(float).eps * np.asarray(mags))
+    return P @ np.asarray(sums), bound
 
 
 def residues(model: ZetaModel) -> list:
@@ -318,7 +314,7 @@ def residues(model: ZetaModel) -> list:
         raise ValueError("residues requires the untwisted series (beta = 0)")
     d = model.dim
     intrinsic = model.steiner.intrinsic
-    estimate, bound, _ = _poisson_certificate(model)
+    estimate, bound = _poisson_certificate(model)
     out = []
     for ell in range(1, d + 1):
         exact = float(model.rho[ell - 1])
@@ -358,7 +354,7 @@ def twist_suppression(model: ZetaModel) -> TwistReport:
     derives it, plus the quadrature's order-doubling delta, model.density_delta.
     certified = deviation <= bound <= _CERTIFY_TOL rho_d.
     """
-    emp, bound, _ = _poisson_certificate(model)
+    emp, bound = _poisson_certificate(model)
     bound = float(bound[-1] + model.density_delta[-1])
     deviation = float(abs(emp[-1] - model.density[-1]))
     return TwistReport(
@@ -375,19 +371,22 @@ def twist_suppression(model: ZetaModel) -> TwistReport:
 # Poincare series
 
 
-def poincare_eval(model: ZetaModel, s: complex) -> complex:
-    """Head sum of phase * exp(-s length); TailDominates when the tail estimate tops 1e-6 of it."""
-    s = complex(s)
-    if not (cmath.isfinite(s) and s.real >= _EPS_FLOOR):
-        raise ValueError(f"poincare_eval needs a finite s with Re(s) >= {_EPS_FLOOR}")
-    lengths, phases = model.head()
-    value = complex(np.sum(phases * np.exp(-s * lengths)))
-    bound = poincare_tail_bound(model, s)
-    if not bound <= _TAIL_REL * abs(value):
-        raise TailDominates(
-            f"tail bound {bound:.3e} exceeds {_TAIL_REL:.0e} of |{value:.6e}|"
-        )
-    return value
+def poincare_eval(model: ZetaModel, s):
+    """Head sums of phase * exp(-s length), by _head_boundary_values, at a scalar or 1-D s.
+
+    A scalar s gives a complex value.  Every s needs Re(s) >= 1e-3, and TailDominates names
+    the first s whose tail estimate (poincare_tail_bound) tops 1e-6 of its value."""
+    flat = np.atleast_1d(np.asarray(s, dtype=complex))
+    if not (flat.ndim == 1 and np.all(np.isfinite(flat)) and np.all(flat.real >= _EPS_FLOOR)):
+        raise ValueError(f"poincare_eval needs 1-D finite s with Re(s) >= {_EPS_FLOOR}")
+    values = _head_boundary_values(*model.head(), flat)
+    tails = _density_tail(model.rho, model.T, flat.real)
+    bad = np.flatnonzero(~(tails <= _TAIL_REL * np.abs(values)))
+    if bad.size:
+        k = bad[0]
+        raise TailDominates(f"tail bound {tails[k]:.3e} exceeds {_TAIL_REL:.0e} of "
+                            f"|{values[k]:.6e}| at s = {flat[k]}")
+    return complex(values[0]) if np.ndim(s) == 0 else values
 
 
 def poincare_tail_bound(model: ZetaModel, s: complex) -> float:

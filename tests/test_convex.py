@@ -164,11 +164,34 @@ def test_steiner_rotation_invariance():
 
 def test_steiner_refuses_an_under_resolved_body():
     # a degree-60 bump needs more than the order-48 rule: doubling the order
-    # moves the moments by about 5e-6, far past the 1e-8 tolerance
+    # moves the moments by about 5e-6, far past 1e-9 of their size
     bumped = convex.harmonic(convex.ball((0.0, 0.0, 0.0), 1.0),
                              [(60, (0.3, 0.5, 0.8), 2e-5)])
-    with pytest.raises(convex.QuadratureDisagreement, match="48/96"):
+    with pytest.raises(convex.spherequad.UnderResolved,
+                       match="steiner surface moment 0, order doubling 48->96"):
         convex.steiner(bumped)
+
+
+def _round_bodies(d):
+    """A point, a ball, a point plus a ball, and two balls kept as separate parts."""
+    c = np.linspace(-0.3, 0.4, d)
+    return [(convex.point(c), 0.0), (convex.ball(c, 0.7), 0.7),
+            (convex.minkowski_sum(convex.point(-c), convex.ball(c, 0.35)), 0.35),
+            (convex.SupportBody(dim=d, kind="sum", parts=(convex._Ball(c, 0.25),
+                                                         convex._Ball(-c, 1.5))), 1.75)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_steiner_of_points_and_balls_is_the_closed_form(d):
+    # V_j = C(d, j) omega_d / omega_(d-j) r^j, omega_k = pi^(k/2) / Gamma(k/2 + 1)
+    def omega(k):
+        return mp.pi ** (mp.mpf(k) / 2) / mp.gamma(mp.mpf(k) / 2 + 1)
+
+    for body, r in _round_bodies(d):
+        got = convex.steiner(body).intrinsic
+        want = [float(math.comb(d, j) * omega(d) / omega(d - j) * mp.mpf(r) ** j)
+                for j in range(d + 1)]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (body.parts, got, want)
 
 
 def test_ellipsoid_volume():

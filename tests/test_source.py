@@ -23,3 +23,18 @@ def test_every_private_function_has_a_caller_in_the_package():
                and node.name.startswith("_") and not node.name.startswith("__")
                and total[node.name] == _references(node)[node.name]]
     assert orphans == []
+
+
+def test_every_exception_class_is_raised_in_the_package():
+    # an exception nothing raises is a guard that can never trip
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    classes = {node.name for node in nodes if isinstance(node, ast.ClassDef)
+               and any(isinstance(b, ast.Name) and b.id == "Exception" for b in node.bases)}
+    raised = set()
+    for node in nodes:
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    assert len(classes) >= 7
+    assert sorted(classes - raised) == []

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -151,21 +152,32 @@ def test_build_model_refuses_a_head_beyond_the_spectrum():
         zetafns.build_zeta_model(spec, 50.5)
 
 
-def test_build_model_refuses_steiner_data_off_the_sphere(monkeypatch):
-    # the leading density coefficient of any difference body is that of the unit ball
-    p = convex.point((0.0, 0.0))
-    spec = spectrum.enumerate(p, p, T=20.0)
-    steiner = convex.steiner
+def test_a_d4_point_pair_builds_its_model_in_bounded_memory():
+    # a point pair's Steiner data is closed: quadrature on the order-96 grid
+    # of d = 4, 2 * 96^3 nodes, needs about 750 MiB
+    p, q = convex.point(np.zeros(4)), convex.point((0.9, 0.4, -1.1, 0.3))
+    spec = spectrum.enumerate(p, q, T=12.0)
+    tracemalloc.start()
+    try:
+        model = zetafns.build_zeta_model(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert model.rho[-1] == pytest.approx(zetafns._ball_density(4, 4), rel=1e-14)
 
-    def perturbed(body):
-        data = steiner(body)
-        moments = data.surface_moments.copy()
-        moments[-1] *= 1.0 + 1e-6
-        return dataclasses.replace(data, surface_moments=moments)
 
-    monkeypatch.setattr(convex, "steiner", perturbed)
-    with pytest.raises(ValueError, match="fails the sphere check"):
-        zetafns.build_zeta_model(spec)
+def test_a_d5_point_pair_builds_its_model_and_residues():
+    # in d = 5 the order-96 grid would hold 1.7e8 nodes
+    p, q = convex.point(np.zeros(5)), convex.point((0.9, 0.4, -1.1, 0.3, 2.0))
+    model = zetafns.build_zeta_model(spectrum.enumerate(p, q, T=20.0))
+    ests = zetafns.residues(model)
+    assert [e.pole for e in ests] == [1, 2, 3, 4, 5]
+    assert [e.residue for e in ests[:4]] == [0j] * 4
+    assert ests[-1].residue.real == pytest.approx(zetafns._ball_density(5, 5), rel=1e-14)
+    for e in ests:
+        assert e.predicted_from_volumes == pytest.approx(e.residue.real, rel=1e-14, abs=0.0)
+        assert math.isfinite(e.error) and e.error <= e.bound
 
 
 def test_residues_of_the_ellipse(ellipse_model):
@@ -338,7 +350,7 @@ def test_twist_suppression_weighted_mode():
     assert rep.weighted == tuple(complex(z) for z in m.density)
     fine = zetafns._weighted_density_residues(m.spec, 128)
     assert np.array_equal(m.density_delta, np.abs(fine - m.density))
-    _, poisson, _ = zetafns._poisson_certificate(m)
+    _, poisson = zetafns._poisson_certificate(m)
     assert rep.bound == float(poisson[-1] + m.density_delta[-1])
     assert rep.mode == "weighted"
     assert rep.certified
@@ -356,6 +368,26 @@ def test_poincare_eval_matches_spectral_closed_form(model3):
         direct = zetafns.poincare_eval(model3, s)
         spectral = zetafns.poincare_points_spectral(x, y, model3.spec.beta, s)
         assert abs(direct - spectral) <= 1e-6 * abs(spectral)
+
+
+def test_poincare_eval_takes_a_bench_shaped_s_grid(model3):
+    # 4 real s and 2 complex, as the bench's poincare op draws them, in one call
+    s_grid = np.array([0.31, 0.77, 1.24, 1.93, 0.27 + 0.84j, 0.45 + 2.71j])
+    values = zetafns.poincare_eval(model3, s_grid)
+    lengths, phases = model3.head()
+    assert values.shape == s_grid.shape and values.dtype == complex
+    for s, v in zip(s_grid.tolist(), values.tolist()):
+        terms = phases * np.exp(-s * lengths)
+        assert abs(v - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+    scalar = zetafns.poincare_eval(model3, 0.77)
+    assert type(scalar) is complex and abs(scalar - values[1]) <= 1e-14 * abs(scalar)
+
+
+def test_poincare_eval_names_the_first_s_whose_tail_dominates(model3):
+    with pytest.raises(zetafns.TailDominates, match=r"at s = \(0\.02\+0j\)$"):
+        zetafns.poincare_eval(model3, [0.5, 0.02, 0.01])
+    with pytest.raises(ValueError, match="1-D finite s"):
+        zetafns.poincare_eval(model3, np.full((2, 2), 0.5))
 
 
 def test_poincare_eval_tail_guard(model3):
@@ -879,7 +911,10 @@ def nan_ladder_row_scan():
 _NAN_GUARDS = {
     "osc_integral": (spherequad.UnderResolved, lambda: spherequad.osc_integral(
         2, F=lambda n: np.full(n.shape[0], np.nan))),
-    "steiner": (convex.QuadratureDisagreement, lambda: convex.steiner(convex.SupportBody(
+    "steiner": (spherequad.UnderResolved, lambda: convex.steiner(convex.SupportBody(
+        dim=2, kind="harmonic", parts=(convex._Ball(np.zeros(2), 1.0),
+                                       convex._Zonal(2, 2, np.array([1.0, 0.0]), math.nan))))),
+    "steiner-ball": (ValueError, lambda: convex.steiner(convex.SupportBody(
         dim=2, kind="ball", parts=(convex._Ball(np.zeros(2), math.nan),)))),
     "poincare_eval": (zetafns.TailDominates,
                       lambda: zetafns.poincare_eval(nan_phase_model(), 0.5)),
