@@ -16,14 +16,14 @@ def main() -> None:
 
     print("support values along the x axis")
     e1 = np.array([1.0, 0.0, 0.0])
-    print(f"  h_ball(+e1) = {convex.support(ball, e1):.6f}")
-    print(f"  h_egg(+e1)  = {convex.support(egg, e1):.6f}")
-    print(f"  h_egg(-e1)  = {convex.support(egg, -e1):.6f}")
+    print(f"  h_ball(+e1) = {ball.h(e1)[0]:.6f}")
+    print(f"  h_egg(+e1)  = {egg.h(e1)[0]:.6f}")
+    print(f"  h_egg(-e1)  = {egg.h(-e1)[0]:.6f}")
 
     # Minkowski sums add support functions pointwise
     both = convex.minkowski_sum(ball, egg)
-    got = convex.support(both, e1)
-    want = convex.support(ball, e1) + convex.support(egg, e1)
+    got = both.h(e1)[0]
+    want = ball.h(e1)[0] + egg.h(e1)[0]
     print(f"  additivity check: {got:.12f} vs {want:.12f}")
 
     print("\nintrinsic volumes (V_0 .. V_d)")
@@ -35,7 +35,7 @@ def main() -> None:
     data = convex.steiner(egg)
     print("\nSteiner polynomial: vol(egg + t ball)")
     for t in (0.0, 0.5, 1.0):
-        print(f"  t = {t:.1f}: {data.parallel_volume(t):.6f}")
+        print(f"  t = {t:.1f}: {np.polyval(data.steiner_coeffs[::-1], t):.6f}")
 
     # a degree-4 zonal bump keeps the body strictly convex for small
     # coefficients; construction certifies positivity of the radii

@@ -172,14 +172,14 @@ def load_config(path) -> tuple:
         from . import dynamics
     if cfg["aniso"] is not None:
         a = cfg["aniso"] = _fields("aniso", cfg["aniso"], {
-            "s0": None, "s1": None, "N0": None, "N1": None, "gamma": [0.0] * d, "width": 0.2},
+            "s0": None, "s1": None, "N0": None, "N1": None, "gamma": [0.0] * d},
             required=("s0", "s1", "N0", "N1"))
         _vector("aniso.gamma", a["gamma"], d)  # checked, and echoed as given
         with _config_errors("aniso"):
             # AnisoParams refuses orders that are not integral numbers
             built["aniso"] = dynamics.AnisoParams(
                 s0=a["s0"], s1=a["s1"], N0=_number(a["N0"]),
-                N1=_number(a["N1"]), gamma=tuple(a["gamma"]), width=_number(a["width"]))
+                N1=_number(a["N1"]), gamma=tuple(a["gamma"]))
     for name, spec in cfg["observables"].items():
         spec = cfg["observables"][name] = _fields(
             f"observable '{name}'", spec, {"modes": None, "real": False}, required=("modes",))
@@ -286,23 +286,18 @@ def _enumerated(cfg: dict, k1, k2, beta, workers: int, default_T: float,
 
 def _grid(ranges: dict, key: str):
     """ranges[key] as an array, None if unset: a list of numbers, or
-    {start, stop, num=20, spacing="linear" or "log"} with an integral num."""
+    {start, stop, num=20} with an integral num, spaced as np.linspace."""
     spec = ranges[key]
     if spec is None:
         return None
     with _config_errors(f"ranges.{key}"):
         if isinstance(spec, dict):
             spec = _fields(f"ranges.{key}", spec, {
-                "start": None, "stop": None, "num": 20, "spacing": "linear"},
-                required=("start", "stop"))
+                "start": None, "stop": None, "num": 20}, required=("start", "stop"))
             num = _number(spec["num"])
             if not num.is_integer():
                 raise ValueError(f"num {num!r} is not an integral number")
-            spacing = spec["spacing"]
-            space = {"linear": np.linspace, "log": np.geomspace}.get(spacing)
-            if space is None:
-                raise ValueError(f"spacing {spacing!r} is not 'linear' or 'log'")
-            return space(_number(spec["start"]), _number(spec["stop"]), int(num))
+            return np.linspace(_number(spec["start"]), _number(spec["stop"]), int(num))
         return np.asarray([_number(x) for x in spec])
 
 
@@ -370,7 +365,8 @@ def _cmd_spectrum(cfg, built, out, workers, log):
     rho = spectrum.density_coeffs(k1, k2)
     ts = np.linspace(spec.T0 + 1.0, spec.T, 60)
     counts = [spectrum.counting(spec, float(tv)) for tv in ts]
-    model = [sum(rho[k - 1] * tv**k / k for k in range(1, spec.dim + 1)) for tv in ts]
+    model = [sum(rho[k - 1] * (tv**k - spec.T0**k) / k for k in range(1, spec.dim + 1))
+             for tv in ts]  # counted from T0, as count is
     weighted = [spectrum.counting_weighted(spec, float(tv)) for tv in ts]
     _tables.write_csv(os.path.join(out, "counting.csv"), ["T", "count", "model", "weighted"],
                       [ts, counts, model, weighted])

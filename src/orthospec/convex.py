@@ -30,7 +30,6 @@ __all__ = [
     "ball",
     "ellipsoid",
     "harmonic",
-    "support",
     "inverse_gauss",
     "minkowski_sum",
     "reflect",
@@ -336,12 +335,6 @@ def harmonic(base: SupportBody, terms: Sequence[tuple]) -> SupportBody:
 # operations
 
 
-def support(body: SupportBody, u) -> np.ndarray | float:
-    """Support function h(u) = max over the body of u.x, for unit u."""
-    u_arr = np.atleast_2d(np.asarray(u, dtype=float))
-    vals = body.h(u_arr)
-    return float(vals[0]) if np.asarray(u).ndim == 1 else vals
-
 def inverse_gauss(body: SupportBody, u) -> np.ndarray:
     """Boundary point with outward normal u: the gradient of the extension of h."""
     u_arr = np.atleast_2d(np.asarray(u, dtype=float))
@@ -418,9 +411,6 @@ class SteinerData:
     surface_moments: np.ndarray  # (dim,)
     steiner_coeffs: np.ndarray   # (dim+1,)
     intrinsic: np.ndarray        # (dim+1,), index = intrinsic-volume degree
-
-    def parallel_volume(self, t: float) -> float:
-        return float(np.polyval(self.steiner_coeffs[::-1], t))
 
 
 def steiner(body: SupportBody) -> SteinerData:

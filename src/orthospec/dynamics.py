@@ -100,7 +100,6 @@ class AnisoParams:
     N0: float
     N1: float
     gamma: tuple
-    width: float = 0.2
 
     def __post_init__(self):
         for name in ("s0", "s1"):
@@ -110,8 +109,6 @@ class AnisoParams:
             object.__setattr__(self, name, int(s))
         if not all(math.isfinite(x) for x in (self.N0, self.N1, *self.gamma)):
             raise ValueError("N0, N1 and gamma must be finite")
-        if not 0.0 < self.width < 1.0:
-            raise ValueError("cutoff width must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,7 @@ def aniso_norm(phi: TorusObservable, p: AnisoParams) -> float:
         if at_gamma:
             terms = [(w, p.N0, p.s0)]
         else:
-            chi_m, chi_0, chi_p = spherequad.pole_cutoffs(nodes @ (v / lam), p.width)
+            chi_m, chi_0, chi_p = spherequad.pole_cutoffs(nodes @ (v / lam))
             terms = [(w * chi_0**2, p.N0, p.s0), (w * chi_p**2, p.N1, p.s1),
                      (w * chi_m**2, p.N1, p.s1)]
         for weights, N, s in terms:

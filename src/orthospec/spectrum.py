@@ -35,7 +35,6 @@ __all__ = [
     "enumerate",
     "counting",
     "counting_weighted",
-    "steiner_density",
     "density_coeffs",
     "to_csv",
 ]
@@ -440,16 +439,6 @@ def density_coeffs(K1: convex.SupportBody, K2: convex.SupportBody) -> np.ndarray
 def _density_from_steiner(data: convex.SteinerData) -> np.ndarray:
     """density_coeffs from the Steiner data of the difference body."""
     return data.surface_moments / (2 * math.pi) ** data.dim
-
-
-def steiner_density(K1: convex.SupportBody, K2: convex.SupportBody,
-                    t) -> np.ndarray | float:
-    """Smooth counting density rho'(t) = (2 pi)^{-d} d/dt Vol(L + tB)."""
-    coeffs = density_coeffs(K1, K2)
-    t_arr = np.asarray(t, dtype=float)
-    powers = t_arr[..., None] ** np.arange(coeffs.size)
-    out = powers @ coeffs
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def to_csv(spec: LengthSpectrum, csv_path, meta_path=None) -> None:

@@ -74,6 +74,7 @@ _POLE_PHASE = 25.0  # (n + lam) theta below which a non-integer lam <= 2 takes t
 _POLE_PHASE_HIGH = 12.0
 _SZEGO_TERMS = 25   # most terms of the Darboux-Szego expansion
 _RUNGS = (16, 19, 23, 27)  # times 2^k: the polar orders of osc_integral
+_CUTOFF_WIDTH = 0.2  # pole_cutoffs: chi_plus rises on [1 - width, 1 - width / 2]
 
 
 class UnderResolved(Exception):
@@ -298,18 +299,15 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def pole_cutoffs(s: np.ndarray, width: float = 0.2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pole_cutoffs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition of unity (chi_minus, chi_0, chi_plus) in the polar cosine s.
 
-    chi_plus is supported on [1-width, 1] and equals 1 on [1-width/2, 1];
+    chi_plus is supported on [0.8, 1] and equals 1 on [0.9, 1] (_CUTOFF_WIDTH = 0.2);
     chi_minus mirrors it; chi_0 = 1 - chi_plus - chi_minus covers the equator.
-    Default width 0.2 gives the support/plateau pair ([0.8,1], [0.9,1]).
     """
-    if not 0.0 < width < 1.0:
-        raise ValueError("width must lie in (0, 1)")
     s = np.asarray(s, dtype=float)
-    a = 1.0 - width
-    b = 1.0 - width / 2.0
+    a = 1.0 - _CUTOFF_WIDTH
+    b = 1.0 - _CUTOFF_WIDTH / 2.0
     chi_plus = _smooth_step((s - a) / (b - a))
     chi_minus = _smooth_step((-s - a) / (b - a))
     chi_0 = 1.0 - chi_plus - chi_minus

@@ -39,7 +39,6 @@ __all__ = [
     "residues",
     "twist_suppression",
     "poincare_eval",
-    "poincare_tail_bound",
     "poincare_points_spectral",
     "spectral_constants",
     "F_alpha",
@@ -69,7 +68,7 @@ class PoleHit(Exception):
 
 
 class TailDominates(Exception):
-    """The smooth-density estimate of the tail (poincare_tail_bound) exceeds 1e-6 of the head."""
+    """The tail estimate _density_tail(rho, T, Re s) exceeds 1e-6 of the head."""
 
 
 class TruncationTooSmall(Exception):
@@ -199,17 +198,23 @@ class GuinandResult:
 def build_zeta_model(spec: spectrum.LengthSpectrum, T: Optional[float] = None) -> ZetaModel:
     """Splice the head of spec, ending at T (default spec.T), to the density of its twist.
 
-    A weighted density takes _weighted_density_residues at order 64 in d = 2, 32
-    otherwise; a T beyond spec.T is a ValueError, as spectrum.counting refuses it.
+    A weighted density is rho W for a point difference body L, whose holonomy W is one
+    constant and whose area coefficients are (0, ..., 0, 1); any other L takes
+    _weighted_density_residues at order 64 in d = 2, 32 otherwise.  A T beyond spec.T
+    is a ValueError, as spectrum.counting refuses it.
     """
     T = spec.T if T is None else float(T)
     if T > spec.T:
         raise ValueError(f"head T = {T:g} exceeds the enumerated range T = {spec.T:g}")
     d = spec.dim
-    steiner = convex.steiner(spectrum.difference_body(spec.body1, spec.body2))
+    L = spectrum.difference_body(spec.body1, spec.body2)
+    steiner = convex.steiner(L)
     rho = np.asarray(spectrum._density_from_steiner(steiner), dtype=float)
     density, delta = (rho if spec.beta.is_zero else np.zeros(d)), np.zeros(d)
-    if spec.beta.is_integer and not spec.beta.is_zero:
+    if spec.beta.is_integer and not spec.beta.is_zero and L.is_point:
+        u = np.eye(d)[:1]
+        density = rho * spec.beta.holonomy(spec.body1.grad(u), -L.grad(u))[0] + 0.0  # no -0.0
+    elif spec.beta.is_integer and not spec.beta.is_zero:
         n = 64 if d == 2 else 32
         density, fine = (_weighted_density_residues(spec, m) for m in (n, 2 * n))
         delta = np.abs(fine - density)
@@ -375,7 +380,7 @@ def poincare_eval(model: ZetaModel, s):
     """Head sums of phase * exp(-s length), by _head_boundary_values, at a scalar or 1-D s.
 
     A scalar s gives a complex value.  Every s needs Re(s) >= 1e-3, and TailDominates names
-    the first s whose tail estimate (poincare_tail_bound) tops 1e-6 of its value."""
+    the first s whose tail estimate _density_tail(rho, T, Re s) tops 1e-6 of its value."""
     flat = np.atleast_1d(np.asarray(s, dtype=complex))
     if not (flat.ndim == 1 and np.all(np.isfinite(flat)) and np.all(flat.real >= _EPS_FLOOR)):
         raise ValueError(f"poincare_eval needs 1-D finite s with Re(s) >= {_EPS_FLOOR}")
@@ -384,27 +389,18 @@ def poincare_eval(model: ZetaModel, s):
     bad = np.flatnonzero(~(tails <= _TAIL_REL * np.abs(values)))
     if bad.size:
         k = bad[0]
-        raise TailDominates(f"tail bound {tails[k]:.3e} exceeds {_TAIL_REL:.0e} of "
+        raise TailDominates(f"tail estimate {tails[k]:.3e} exceeds {_TAIL_REL:.0e} of "
                             f"|{values[k]:.6e}| at s = {flat[k]}")
     return complex(values[0]) if np.ndim(s) == 0 else values
-
-
-def poincare_tail_bound(model: ZetaModel, s: complex) -> float:
-    """int_T^inf rho'(t) e^{-Re(s) t} dt, the smooth-density estimate of the tail past T.
-
-    Not a bound: the lattice fluctuation of the counts puts the sum of e^{-Re(s) l} over
-    l > T on either side of it, for point pairs at Re(s) <= 1 up to about 1.2 times it.
-    """
-    sig = complex(s).real
-    if not (cmath.isfinite(s) and sig > 0):
-        raise ValueError("tail bound needs a finite s with Re(s) > 0")
-    return float(_density_tail(model.rho, model.T, sig))
 
 
 def _density_tail(rho: np.ndarray, a: float, s):
     """int_a^inf rho'(t) e^{-st} dt = sum_k rho[k-1] J_k, J_k = int_a^inf t^{k-1} e^{-st} dt.
 
     Re s > 0; J_1 = e^{-sa} / s, J_{k+1} = (k J_k + a^k e^{-sa}) / s, all terms positive at real s.
+    An estimate of the tail past a, not a bound: the lattice fluctuation of the counts puts
+    the sum of e^{-s l} over l > a on either side of it, for point pairs at s <= 1 up to
+    about 1.2 times it.
     """
     decay = np.exp(-s * a)
     term, acc = decay / s, 0.0

@@ -43,8 +43,7 @@ def runs(tmp_path_factory):
         "oscint": {
             "dim": 3,
             "bodies": {},
-            "ranges": {"t_grid": {"start": 40, "stop": 400, "num": 6,
-                                  "spacing": "log"}},
+            "ranges": {"t_grid": np.geomspace(40.0, 400.0, 6).tolist()},
         },
     }
     out = {}
@@ -83,6 +82,24 @@ def test_spectrum_artifacts_and_multiplicity(runs):
     assert counting[0] == "T,count,model,weighted_re,weighted_im"
     meta = read_json(tmp_path / "spectrum.meta.json")
     assert meta["count"] == len(lengths)
+
+
+def test_counting_model_counts_from_T0(tmp_path):
+    # the count column starts at T0, so the model column is sum rho_k (T^k - T0^k) / k
+    bodies = {"e": {"kind": "ellipsoid", "semiaxes": [1.3, 0.7]}, "o": {"kind": "point"}}
+    cfg = write_config(tmp_path / "c.json", {"dim": 2, "bodies": bodies, "ranges": {"T": 30.0}})
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    T0 = read_json(tmp_path / "spectrum.meta.json")["T0"]
+    assert T0 > 5.0
+    _, built = cli.load_config(cfg)
+    rho = spectrum.density_coeffs(built["bodies"]["e"], built["bodies"]["o"])
+    with open(tmp_path / "counting.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    for row in table:
+        T = float(row["T"])
+        want = sum(rho[k - 1] * (T**k - T0**k) / k for k in (1, 2))
+        assert float(row["model"]) == pytest.approx(want, rel=1e-12, abs=0.0), T
+    assert len(table) == 60
 
 
 def test_worker_determinism_bytes(tmp_path):
@@ -354,8 +371,7 @@ def test_correlate_and_norms(tmp_path):
             "psi": {"modes": {"-1,0": 1.0, "0,-1": [0.0, -0.5]}},
         },
         "aniso": {"s0": 1, "s1": 1, "N0": 1.0, "N1": 2.0},
-        "ranges": {"t_grid": {"start": 50, "stop": 200, "num": 4,
-                              "spacing": "log"}},
+        "ranges": {"t_grid": np.geomspace(50.0, 200.0, 4).tolist()},
     })
     assert cli.main(["correlate", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "correlate.csv").read_text().strip().splitlines()
@@ -363,8 +379,7 @@ def test_correlate_and_norms(tmp_path):
     assert len(rows) == 5
     norms = read_json(tmp_path / "norms.json")
     assert norms["norms"]["phi"] > 0
-    assert norms["params"] == {"s0": 1, "s1": 1, "N0": 1.0, "N1": 2.0, "gamma": [0.0, 0.0],
-                               "width": 0.2}
+    assert norms["params"] == {"s0": 1, "s1": 1, "N0": 1.0, "N1": 2.0, "gamma": [0.0, 0.0]}
 
 
 def test_equidist_error_decays(tmp_path):
@@ -605,19 +620,19 @@ _BAD_CONFIGS = {
     **{f"aniso-{name}": ("correlate", {**_CORRELATED, "ranges": {"t_grid": [50.0, 60.0]},
                                        "aniso": {"s0": 1, "s1": 1, "N0": 1.0, "N1": 2.0,
                                                  **given}})
-       for name, given in (("s0-negative", {"s0": -1}), ("width-2", {"width": 2.0}),
+       for name, given in (("s0-negative", {"s0": -1}),
+                           ("width-2", {"width": 2.0}),  # the cutoff width is no key
                            ("gamma-length", {"gamma": [0.0, 0.0, 0.0]}),
                            # read through int() and float() as order 1, 2.0 and (1.0, 0.0)
                            ("s0-fraction", {"s0": 1.5}), ("s1-fraction", {"s1": 1.5}),
                            ("s1-bool", {"s1": True}), ("s0-string", {"s0": "1"}),
                            ("N0-string", {"N0": "2"}), ("N1-string", {"N1": "2"}),
-                           ("width-string", {"width": "0.2"}),
                            ("gamma-string", {"gamma": ["1", 0]}),
                            ("gamma-bool", {"gamma": [True, 0]}),
                            # NaN norms, or exit 1 after correlate.csv was written
                            ("N0-nan", {"N0": math.nan}), ("gamma-inf", {"gamma": [math.inf, 0]}))},
-    # grids read as something else: 641 points echoed as 641.7, one t, a linear
-    # grid for "logarithmic", and strings through float()
+    # grids read as something else: 641 points echoed as 641.7, one t, and strings
+    # through float(); every {start, stop, num} grid is np.linspace, so spacing is no key
     "y_grid-num-fraction": ("poincare", {**_POINT_PAIR, "ranges": {
         "T": 200.0, "sweep": [1.0], "y_grid": {"start": 0.0, "stop": 3.2, "num": 641.7}}}),
     "y_grid-start-string": ("poincare", {**_POINT_PAIR, "ranges": {
@@ -625,7 +640,7 @@ _BAD_CONFIGS = {
     **{f"t_grid-{name}": ("correlate", {**_CORRELATED, "ranges": {"t_grid": ts}})
        for name, ts in (("num-bool", {"start": 50.0, "stop": 60.0, "num": True}),
                         ("spacing-unknown", {"start": 50.0, "stop": 60.0, "num": 4,
-                                             "spacing": "logarithmic"}),
+                                             "spacing": "log"}),
                         ("strings", ["50", "100"]),
                         # a misspelt num ran the default 20 points
                         ("unknown-key", {"start": 50.0, "stop": 60.0, "nmu": 3}))},
@@ -893,7 +908,7 @@ def test_poincare_keeps_a_configured_head_whose_tail_dominates(tmp_path, capsys,
     T = 60.0 * math.pi / 3
     cfg = write_config(tmp_path / "c.json", dict(_MINIMAL_POINT_PAIRS[3], ranges={"T": T}))
     assert cli.main(["poincare", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert "orthospec: TailDominates: tail bound" in capsys.readouterr().err
+    assert "orthospec: TailDominates: tail estimate" in capsys.readouterr().err
     assert heads == [T]
 
 

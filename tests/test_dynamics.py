@@ -192,8 +192,6 @@ def test_aniso_norm_sphere_derivatives_closed_form(s0, squared, rel):
 def test_aniso_params_validation():
     with pytest.raises(ValueError):
         dynamics.AnisoParams(s0=-1, s1=0, N0=0.0, N1=0.0, gamma=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        dynamics.AnisoParams(s0=0, s1=0, N0=0.0, N1=0.0, gamma=(0.0, 0.0), width=1.5)
 
 
 @pytest.mark.parametrize("order", [1.5, True, "1", math.nan, math.inf, None])
@@ -293,7 +291,7 @@ def _three_pass_norm(phi, p):
         for which, s, N in ((1, p.s0, p.N0), (2, p.s1, p.N1), (0, p.s1, p.N1)):
             total += bracket ** N * _ref_masked_sobolev_sq(
                 phi.dim, fn, s,
-                lambda nodes, k=which: spherequad.pole_cutoffs(nodes @ (v / lam), p.width)[k])
+                lambda nodes, k=which: spherequad.pole_cutoffs(nodes @ (v / lam))[k])
     return math.sqrt(total)
 
 
@@ -322,7 +320,7 @@ def test_aniso_norm_matches_the_three_pass_formula(dim, top, monkeypatch):
     for s0 in range(top + 1):
         for s1 in range(top + 1):
             p = dynamics.AnisoParams(s0=s0, s1=s1, N0=0.7, N1=1.3,
-                                     gamma=tuple(float(c) for c in e1), width=0.3)
+                                     gamma=tuple(float(c) for c in e1))
             assert dynamics.aniso_norm(phi, p) == pytest.approx(
                 _three_pass_norm(phi, p), rel=1e-13, abs=0.0), (s0, s1)
 

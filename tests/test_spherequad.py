@@ -406,7 +406,7 @@ def test_osc_integral_amplitude_and_xtilde_against_a_fine_grid(xi, beta0, big):
 
 def test_pole_cutoffs_partition():
     s = np.linspace(-1.0, 1.0, 201)
-    m, z, p = spherequad.pole_cutoffs(s, 0.2)
+    m, z, p = spherequad.pole_cutoffs(s)
     assert np.max(np.abs(m + z + p - 1.0)) < 1e-12
     assert np.all((m >= -1e-15) & (z >= -1e-15) & (p >= -1e-15))
     # caps live near the poles, the equator piece vanishes there
@@ -504,10 +504,6 @@ _BAD_ARGUMENTS = {
     "grid-dim-1": (lambda: spherequad.grid(1, 8), "dim must be >= 2"),
     "grid-order-0": (lambda: spherequad.grid(3, 0), "order and inner must be >= 1"),
     "grid-inner-0": (lambda: spherequad.grid(3, 8, 0), "order and inner must be >= 1"),
-    "pole-cutoffs-width-0": (lambda: spherequad.pole_cutoffs(np.zeros(3), 0.0),
-                             "width must lie in"),
-    "pole-cutoffs-width-1": (lambda: spherequad.pole_cutoffs(np.zeros(3), 1.0),
-                             "width must lie in"),
     "osc-integral-2d-t": (lambda: spherequad.osc_integral(3, xi=_E1, t=np.ones((2, 2))),
                           "t must be a scalar or a 1-D array"),
     "stationary-phase-t-zero": (lambda: spherequad.stationary_phase(3, 1.0, _E1, None, 0.0),

@@ -348,8 +348,10 @@ def test_twist_suppression_weighted_mode():
     with mock.patch.object(zetafns, "_weighted_density_residues", side_effect=AssertionError):
         rep = zetafns.twist_suppression(m)
     assert rep.weighted == tuple(complex(z) for z in m.density)
+    # a point pair's density is rho W in closed form, with no order-doubling delta
     fine = zetafns._weighted_density_residues(m.spec, 128)
-    assert np.array_equal(m.density_delta, np.abs(fine - m.density))
+    assert np.max(np.abs(fine - m.density)) <= 1e-13 * abs(m.density[-1])
+    assert not np.any(m.density_delta)
     _, poisson = zetafns._poisson_certificate(m)
     assert rep.bound == float(poisson[-1] + m.density_delta[-1])
     assert rep.mode == "weighted"
@@ -359,6 +361,36 @@ def test_twist_suppression_weighted_mode():
     assert rep.deviation <= rep.bound < 1e-9
     # the lower-order weighted residues agree with the spectrum too
     assert np.max(np.abs(np.subtract(rep.empirical, rep.weighted))) < 1e-9
+
+
+def test_weighted_density_of_a_point_pair_is_rho_times_the_holonomy():
+    # one constant holonomy W and area coefficients (0, ..., 0, 1), so no sphere grid
+    p, q = convex.point((0.0, 0.0, 0.0)), convex.point((0.9, 0.4, -1.1))
+    beta = spectrum.TwistForm((1.0, 0.0, -2.0), {(1, 0, 0): 0.3, (-1, 0, 0): 0.3})
+    spec = spectrum.enumerate(p, q, T=20.0, beta=beta)
+    with mock.patch.object(spherequad, "grid", side_effect=AssertionError):
+        m = zetafns.build_zeta_model(spec)
+    quadrature = zetafns._weighted_density_residues(spec, 64)
+    assert np.max(np.abs(quadrature - m.density)) <= 1e-13 * abs(m.density[-1])
+    assert not np.any(m.density_delta)
+    # the zero coefficients are +0.0, as the quadrature writes them
+    assert not np.any(np.signbit(m.density[:-1].real) | np.signbit(m.density[:-1].imag))
+    # in d = 5 grid(5, 64) would hold 3.4e7 nodes
+    p5, q5 = convex.point(np.zeros(5)), convex.point((0.9, 0.4, -1.1, 0.3, 0.7))
+    spec5 = spectrum.enumerate(p5, q5, T=20.0, beta=spectrum.TwistForm((1.0, 0, 0, 0, 0)))
+    with mock.patch.object(spherequad, "grid", side_effect=AssertionError):
+        rep = zetafns.twist_suppression(zetafns.build_zeta_model(spec5))
+    assert rep.mode == "weighted" and rep.weighted[-1] != 0
+
+
+def test_weighted_density_of_a_body_takes_the_quadrature():
+    # any other difference body takes orders 64 and 128 in d = 2, delta their difference
+    K1, K2 = convex.ball((0.0, 0.0), 0.3), convex.ellipsoid((1.1, -0.7), (0.4, 0.2))
+    beta = spectrum.TwistForm((1.0, 0.0), {(1, 0): 0.2, (-1, 0): 0.2})
+    m = zetafns.build_zeta_model(spectrum.enumerate(K1, K2, T=30.0, beta=beta))
+    coarse, fine = (zetafns._weighted_density_residues(m.spec, n) for n in (64, 128))
+    assert np.array_equal(m.density, coarse)
+    assert np.array_equal(m.density_delta, np.abs(fine - coarse))
 
 
 def test_poincare_eval_matches_spectral_closed_form(model3):
@@ -419,8 +451,6 @@ def test_poincare_eval_refuses_a_non_finite_s(model3):
     for s in (math.nan, math.inf, complex(0.5, math.nan), complex(0.5, math.inf)):
         with pytest.raises(ValueError, match="finite s"):
             zetafns.poincare_eval(model3, s)
-        with pytest.raises(ValueError, match="finite s"):
-            zetafns.poincare_tail_bound(model3, s)
 
 
 def test_poincare_points_rejects_equal_points():
@@ -693,7 +723,7 @@ def test_poincare_tail_estimate_is_within_a_factor_of_the_true_tail():
         model = zetafns.build_zeta_model(spectrum.enumerate(p, q, T=6.0 * T), T)
         past = model.spec.lengths[spectrum.counting(model.spec, T):]
         for sigma in (0.2, 0.5, 1.0):
-            estimate = zetafns.poincare_tail_bound(model, sigma)
+            estimate = zetafns._density_tail(model.rho, T, sigma)
             ratios.append(np.sum(np.exp(-sigma * past)) / estimate)
     assert max(ratios) <= 1.5
     assert max(ratios) > 1.1 and min(ratios) < 0.9
